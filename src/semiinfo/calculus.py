@@ -36,9 +36,9 @@ import numpy as np
 
 from .engines import (
     ClosedForm,
-    ExactEnumeration,
     StructuralFunctions,
     expect,
+    outcome_law,
     structural_functions,
 )
 from .errors import DomainError, IllPosedError, NotIdentifiableError
@@ -406,14 +406,13 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
                   with_identifiability: bool = True,
                   label: str = "") -> InfoReport:
     """Run the full calculus at one state and collect the results."""
-    sf = structural_functions(engine, components, state)
+    closed = isinstance(engine, ClosedForm)
+    law = engine if closed else outcome_law(engine, components, state)
+    sf = structural_functions(law, components, state)
     eta = state.eta
-    deficit = None
-    if isinstance(engine, ExactEnumeration):
-        deficit = engine.normalization_deficit(components, state)
 
     cat = classify_category(sf, tol_zero=tol_zero, bound=category_bound)
-    fisher = fisher_information(engine, components, state)
+    fisher = fisher_information(law, components, state)
     adjoint = adjoint_of_score(sf, eta, components.tangent)
 
     lfd = None
@@ -423,7 +422,7 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
         try:
             lfd = least_favorable_direction(sf, eta, components.tangent,
                                             adjoint, ridge_ladder)
-            efficient = efficient_information(engine, components, state,
+            efficient = efficient_information(law, components, state,
                                               lfd.values, adjoint, fisher)
             v_mat = v_operator(sf, eta, components.tangent, fisher)
         except NotIdentifiableError as exc:
@@ -442,8 +441,8 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
         )
 
     ident = None
-    if with_identifiability and not isinstance(engine, ClosedForm):
-        ident = local_identifiability(engine, components, state)
+    if with_identifiability and not closed:
+        ident = local_identifiability(law, components, state)
 
     diagnostics = {
         "max_structural_se": sf.max_se(),
@@ -459,6 +458,7 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
         tangent=components.tangent.value, engine=sf.engine,
         structural=sf, category=cat, fisher=fisher, adjoint=adjoint,
         lfd=lfd, efficient=efficient, v_min_eigen=float(v_min),
-        identifiability=ident, normalization_deficit=deficit,
+        identifiability=ident,
+        normalization_deficit=None if closed else law.deficit,
         diagnostics=diagnostics,
     )

@@ -1,11 +1,14 @@
-"""Expectation engines and assembly of the four structural functions.
+"""Expectation engines, their outcome laws, and assembly of the four
+structural functions.
 
-Three engines share one interface: exact enumeration over a finite
-outcome space (probabilities are the exponentiated log density, checked
-to sum to one), Monte Carlo with a seeded generator and a fixed-order
-compensated reduction (samples are grouped by outcome, so results are
-bit-reproducible for a given seed), and closed-form dispatch for models
-that register analytic handles.
+An engine's ``law(components, state)`` is its :class:`OutcomeLaw` at one
+state: the ordered (outcome, weight) pairs every expectation there sums
+over. Exact enumeration weights a finite outcome space by the
+exponentiated log density (checked to sum to one); Monte Carlo weights
+the distinct draws of a seeded sampler by frequency, in a canonical
+order, so results are bit-reproducible for a given seed. A law stands in
+for its engine at its own state, and one fixed-order compensated reducer
+sums over it. Closed-form engines dispatch to analytic handles instead.
 
 The structural functions are the four expectations that assemble adjoints
 and information operators. With x the vector of integral functionals:
@@ -34,7 +37,7 @@ the identity by an O(1) amount, not by rounding.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,9 +57,6 @@ from .likelihood import (
 
 # Exact enumeration must normalize to this absolute accuracy.
 ENGINE_TOTAL_MASS_TOL = 1e-10
-# Monte Carlo standard errors below this floor are treated as exact zeros
-# when deciding tolerances downstream.
-SE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,29 @@ class ExpectResult:
     n: Optional[int] = None
 
 
-class _KahanAccumulator:
-    """Fixed-order compensated summation for scalars or arrays."""
+@dataclass(frozen=True, eq=False)
+class OutcomeLaw:
+    """The weighted outcomes an engine produces at one state.
 
-    def __init__(self, shape):
-        self._sum = np.zeros(shape)
-        self._comp = np.zeros(shape)
+    ``n`` is the Monte Carlo sample size (None when exact) and
+    ``deficit`` the exact engine's normalization deficit. A law stands in
+    for its engine: asked about its own components and state (by
+    identity) it returns itself, anywhere else it has its engine build a
+    new one.
+    """
 
-    def add(self, term):
-        y = np.asarray(term, dtype=float) - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
+    pairs: tuple
+    n: Optional[int]
+    deficit: Optional[float]
+    engine: object
+    components: ModelComponents
+    state: ModelState
 
-    @property
-    def value(self):
-        return self._sum
+    def law(self, components: ModelComponents,
+            state: ModelState) -> OutcomeLaw:
+        if components is self.components and state is self.state:
+            return self
+        return self.engine.law(components, state)
 
 
 @dataclass(frozen=True)
@@ -111,6 +118,13 @@ class ExactEnumeration:
                 f"{ENGINE_TOTAL_MASS_TOL}"
             )
         return probs
+
+    def law(self, components: ModelComponents,
+            state: ModelState) -> OutcomeLaw:
+        probs = self.probabilities(components, state)
+        return OutcomeLaw(tuple(zip(self.outcomes, probs)), None,
+                          abs(1.0 - float(np.sum(probs))), self,
+                          components, state)
 
     def normalization_deficit(self, components: ModelComponents,
                               state: ModelState) -> float:
@@ -142,6 +156,11 @@ class MonteCarlo:
         items = sorted(counts.items(), key=lambda kv: repr(kv[0]))
         return [(obs, cnt / self.n) for obs, cnt in items]
 
+    def law(self, components: ModelComponents,
+            state: ModelState) -> OutcomeLaw:
+        return OutcomeLaw(tuple(self.draw_weights(state)), self.n, None,
+                          self, components, state)
+
 
 @dataclass(frozen=True)
 class ClosedForm:
@@ -164,42 +183,53 @@ class ClosedForm:
                 f"no closed-form handle registered for {name!r}"
             ) from None
 
-
-def _weighted_moments(pairs, functional):
-    """Mean and raw second moment of a functional over (obs, weight)
-    pairs, each compensated in the given fixed order."""
-    first = np.asarray(functional(pairs[0][0]), dtype=float)
-    acc = _KahanAccumulator(first.shape)
-    acc2 = _KahanAccumulator(first.shape)
-    for obs, weight in pairs:
-        val = np.asarray(functional(obs), dtype=float)
-        acc.add(weight * val)
-        acc2.add(weight * val * val)
-    return acc.value, acc2.value
+    def law(self, components: ModelComponents, state: ModelState):
+        raise NotAvailableError("closed-form engines have no outcome law")
 
 
-def _as_scalar(value, se):
-    """0-d arrays come back as plain floats."""
-    if np.ndim(value) == 0:
-        return float(value), float(se)
-    return value, se
+def outcome_law(engine, components: ModelComponents,
+                state: ModelState) -> OutcomeLaw:
+    """The engine's outcome law at the state (a law at that state is
+    returned as is)."""
+    build = getattr(engine, "law", None)
+    if build is None:
+        raise DomainError(f"unknown engine {engine!r}")
+    return build(components, state)
+
+
+def _reduce(law: OutcomeLaw, functional: Callable):
+    """Weighted sums over the law of each array ``functional(obs)``
+    returns, compensated in law order, with their standard errors (zeros
+    unless the law is sampled)."""
+    sampled = law.n is not None
+    acc = None
+    for obs, weight in law.pairs:
+        vals = [np.asarray(v, dtype=float) for v in functional(obs)]
+        terms = [weight * v for v in vals]
+        if sampled:
+            terms += [term * v for term, v in zip(terms, vals)]
+        if acc is None:
+            acc = [[np.zeros(np.shape(term)), np.zeros(np.shape(term))]
+                   for term in terms]
+        for a, term in zip(acc, terms):
+            y = term - a[1]
+            t = a[0] + y
+            a[1] = (t - a[0]) - y
+            a[0] = t
+    sums = [a[0] for a in acc]
+    if not sampled:
+        return sums, [np.zeros_like(v) for v in sums]
+    k = len(sums) // 2
+    means, seconds = sums[:k], sums[k:]
+    ses = [np.sqrt(np.maximum(s2 - v * v, 0.0) / law.n)
+           for v, s2 in zip(means, seconds)]
+    return means, ses
 
 
 def expect(engine, components: ModelComponents, state: ModelState,
            functional: Callable) -> ExpectResult:
     """Expectation of ``functional(obs)`` (scalar or array valued) under
     the model's outcome law at the given state."""
-    if isinstance(engine, ExactEnumeration):
-        probs = engine.probabilities(components, state)
-        pairs = list(zip(engine.outcomes, probs))
-        value, _ = _weighted_moments(pairs, functional)
-        return ExpectResult(*_as_scalar(value, np.zeros_like(value)), None)
-    if isinstance(engine, MonteCarlo):
-        pairs = engine.draw_weights(state)
-        value, second = _weighted_moments(pairs, functional)
-        var = np.maximum(second - value * value, 0.0)
-        return ExpectResult(*_as_scalar(value, np.sqrt(var / engine.n)),
-                            engine.n)
     if isinstance(engine, ClosedForm):
         name = getattr(functional, "name", None)
         if name is None:
@@ -207,7 +237,11 @@ def expect(engine, components: ModelComponents, state: ModelState,
                 "closed-form expectation needs a functional with a name"
             )
         return engine.handle(f"expect:{name}")(components, state, functional)
-    raise DomainError(f"unknown engine {engine!r}")
+    law = outcome_law(engine, components, state)
+    (value,), (se,) = _reduce(law, lambda obs: (functional(obs),))
+    if np.ndim(value) == 0:
+        value, se = float(value), float(se)
+    return ExpectResult(value, se, law.n)
 
 
 def mc_convergence_probe(engine: MonteCarlo, components: ModelComponents,
@@ -276,46 +310,15 @@ def structural_functions(engine, components: ModelComponents,
     if isinstance(engine, ClosedForm):
         return engine.handle("structural")(components, state)
 
-    if isinstance(engine, ExactEnumeration):
-        probs = engine.probabilities(components, state)
-        pairs = list(zip(engine.outcomes, probs))
-        mc = False
-        n = None
-        label = "exact"
-    elif isinstance(engine, MonteCarlo):
-        pairs = engine.draw_weights(state)
-        mc = True
-        n = engine.n
-        label = "mc"
-    else:
-        raise DomainError(f"unknown engine {engine!r}")
-
-    m = state.eta.size
-    p = components.p
-    shapes = [(m,), (m, p), (m, m), (m, m, p)]
-    acc = [_KahanAccumulator(s) for s in shapes]
-    acc2 = [_KahanAccumulator(s) for s in shapes] if mc else None
-    for obs, weight in pairs:
-        pieces = _structural_contrib(components, state, obs)
-        for k, piece in enumerate(pieces):
-            acc[k].add(weight * piece)
-            if mc:
-                acc2[k].add(weight * piece * piece)
-
-    values = [a.value for a in acc]
+    law = outcome_law(engine, components, state)
+    values, ses = _reduce(
+        law, lambda obs: _structural_contrib(components, state, obs))
     # Symmetrize kappa; it is symmetric in exact arithmetic.
     values[2] = 0.5 * (values[2] + values[2].T)
-    if mc:
-        ses = []
-        for a, a2 in zip(acc, acc2):
-            var = np.maximum(a2.value - a.value * a.value, 0.0)
-            ses.append(np.sqrt(var / n))
-    else:
-        ses = [np.zeros(s) for s in shapes]
     return StructuralFunctions(
         gamma=values[0], alpha=values[1], kappa=values[2], beta=values[3],
         se_gamma=ses[0], se_alpha=ses[1], se_kappa=ses[2], se_beta=ses[3],
-        engine=label, n=n,
+        engine="exact" if law.n is None else "mc", n=law.n,
     )
 
 

@@ -27,9 +27,6 @@ from .measure import DiscreteMeasure, as_values
 
 # Direct solves require sigma_min / sigma_max above this.
 SIGMA_MIN_REL_TOL = 1e-8
-# Requested accuracy of symmetric eigenvalue computations (numpy's eigvalsh
-# delivers much better than this on the sizes we allow).
-EIGEN_REL_TOL = 1e-9
 # Symmetry validation for information blocks, relative to the matrix scale.
 BLOCK_SYMMETRY_TOL = 1e-8
 

@@ -15,7 +15,7 @@ import numpy as np
 from .calculus import (adjoint_of_score, classify_category,
                        efficient_information, fisher_information,
                        info_operator, least_favorable_direction)
-from .engines import expect, structural_functions
+from .engines import expect, outcome_law, structural_functions
 from .errors import DomainError
 from .likelihood import (ModelComponents, ModelState, TangentKind,
                          log_density, score_operator, score_theta)
@@ -128,8 +128,9 @@ def check_adjoint_identity(engine, components: ModelComponents,
     central difference of step h.  The convergence order is probed at
     the coarser step h_order where truncation dominates roundoff.
     """
+    law = outcome_law(engine, components, state)
     if sf is None:
-        sf = structural_functions(engine, components, state)
+        sf = structural_functions(law, components, state)
     eta = state.eta
     bv = as_values(b, eta.size)
     if components.tangent is TangentKind.L2_ZERO:
@@ -140,14 +141,14 @@ def check_adjoint_identity(engine, components: ModelComponents,
     t1 = inner_product(adjoint_values, bv, eta)
 
     g0 = evaluator(state)
-    t2 = float(expect(engine, components, state,
+    t2 = float(expect(law, components, state,
                       lambda o: g0(o) * score_operator(components, state, o, bv)
                       ).value)
 
-    t3 = _fd_expectation(engine, components, state, evaluator, bv, h)
-    order_err = abs(_fd_expectation(engine, components, state, evaluator,
+    t3 = _fd_expectation(law, components, state, evaluator, bv, h)
+    order_err = abs(_fd_expectation(law, components, state, evaluator,
                                     bv, h_order) - t2)
-    order_err_half = abs(_fd_expectation(engine, components, state, evaluator,
+    order_err_half = abs(_fd_expectation(law, components, state, evaluator,
                                          bv, h_order / 2.0) - t2)
 
     scale = max(1.0, abs(t1), abs(t2))
@@ -264,7 +265,8 @@ def check_centering_construction(engine, components: ModelComponents,
     eta_t = perturb_measure(eta, av, t)
     state_t = ModelState(state.theta, eta_t)
     a_t = center(av, eta_t).values
-    sf_t = structural_functions(engine, components, state_t)
+    law_t = outcome_law(engine, components, state_t)
+    sf_t = structural_functions(law_t, components, state_t)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst = 0.0
@@ -272,7 +274,7 @@ def check_centering_construction(engine, components: ModelComponents,
     all_orders_ok = True
     for _ in range(n_pair):
         b = center(rng.uniform(-1.0, 1.0, eta.size), eta_t).values
-        res = check_adjoint_identity(engine, components, state_t, a_t, b, h,
+        res = check_adjoint_identity(law_t, components, state_t, a_t, b, h,
                                      sf=sf_t)
         worst = max(worst, res.max_discrepancy / res.tolerance)
         ratios.append(res.context["richardson_ratio"])
@@ -307,7 +309,7 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
     fixed declaration order with the model id in every context.
     """
     c, s = model.components, model.state
-    engine = model.exact
+    law = model.exact.law(c, s)
     eta = s.eta
     tangent = c.tangent
     base_ctx = {"model": model.model_id,
@@ -322,10 +324,9 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
         results.append(PropertyResult(f"{model.model_id}:{name}",
                                       disc, tol, context=ctx))
 
-    probs = engine.probabilities(c, s)
-    add("normalization", abs(float(np.sum(probs)) - 1.0), DEFICIT_TOL)
+    add("normalization", law.deficit, DEFICIT_TOL)
 
-    sf = structural_functions(engine, c, s)
+    sf = structural_functions(law, c, s)
     for piece in ("gamma", "alpha", "kappa", "beta"):
         ref = model.references[piece]
         disc = float(np.max(np.abs(getattr(sf, piece) - ref))) if ref.size else 0.0
@@ -354,7 +355,7 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
     for which in score_list:
         for _ in range(n_pair):
             b = _admissible(rng, eta, tangent)
-            res = check_adjoint_identity(engine, c, s, which, b, h, sf=sf)
+            res = check_adjoint_identity(law, c, s, which, b, h, sf=sf)
             exact_pair = max(exact_pair, res.context["exact_pair"])
             fd_norm = max(fd_norm, res.max_discrepancy / res.tolerance)
             dist = _order_distance(res.context["order_error"],
@@ -368,11 +369,12 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
     add("adjoint_identity_fd", fd_norm, 1.0)
     add("adjoint_identity_order", order_dist, 0.0, worst_ratio=worst_ratio)
 
+    probs = np.array([weight for _, weight in law.pairs])
     order = np.argsort(probs)[::-1][:n_outcomes]
     score_fd_norm = 0.0
     score_order = 0.0
     for idx in order:
-        o = engine.outcomes[int(idx)]
+        o = law.pairs[int(idx)][0]
         for _ in range(2):
             a = _admissible(rng, eta, tangent)
             res = check_score_fd(c, s, o, a, h)
@@ -386,15 +388,15 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
 
     if tangent is TangentKind.L2_ZERO:
         a = _admissible(rng, eta, tangent)
-        res = check_centering_construction(engine, c, s, a, 0.1, h,
+        res = check_centering_construction(law, c, s, a, 0.1, h,
                                            n_pair=n_pair, seed=seed)
         add("centering_construction", res.max_discrepancy, res.tolerance,
             orders_ok=res.context["orders_ok"])
 
     if c.p > 0:
-        fisher = fisher_information(engine, c, s)
+        fisher = fisher_information(law, c, s)
         lfd = least_favorable_direction(sf, eta, tangent, adjoint)
-        eff = efficient_information(engine, c, s, lfd.values, adjoint, fisher)
+        eff = efficient_information(law, c, s, lfd.values, adjoint, fisher)
         scale = 1.0 + float(np.max(np.abs(eff.by_adjoint)))
         add("efficient_info_routes", eff.discrepancy, ROUTE_TOL * scale,
             ridge=lfd.ridge_used)

@@ -8,11 +8,9 @@ snake_case id string, the same id the CLI accepts.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ConfigError, NotAvailableError
 from . import cox_cs, cox_rc, kaplan_meier, missing_cov, mixture, recurrent
-from .base import ZooModel
+from .base import ZooModel, check_state
 from .missing_cov import invertibility_conditions
 
 MODELS = {
@@ -42,24 +40,8 @@ def build(model_id, **params):
         raise ConfigError(f"cannot build {model_id!r}: {exc}") from exc
 
 
-def _check_state(model, state):
-    if state is None:
-        return
-    s0 = model.state
-    same = (
-        np.array_equal(np.asarray(state.theta, dtype=float), s0.theta)
-        and np.array_equal(state.eta.grid.points, s0.eta.grid.points)
-        and np.array_equal(state.eta.masses, s0.eta.masses)
-    )
-    if not same:
-        raise NotAvailableError(
-            f"{model.model_id}: references are computed at the build state; "
-            "rebuild the model to evaluate them elsewhere"
-        )
-
-
 def _reference(model, name, state=None):
-    _check_state(model, state)
+    check_state(model, state)
     try:
         return model.references[name]
     except KeyError:

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..calculus import Category
 from ..engines import ExactEnumeration, make_categorical_sampler
+from ..errors import NotAvailableError
 from ..likelihood import ModelComponents, ModelState
 from ..measure import DiscreteMeasure, Grid, MeasureKind
 
@@ -33,6 +34,24 @@ class ZooModel:
     adjoint_tol: float
     notes: str = ""
     extras: dict = field(default_factory=dict)
+
+
+def check_state(model: ZooModel, state: Optional[ModelState]) -> None:
+    """Refuse a state other than the build state (None means the build
+    state); references and closed forms are computed there only."""
+    if state is None:
+        return
+    s0 = model.state
+    same = (
+        np.array_equal(np.asarray(state.theta, dtype=float), s0.theta)
+        and np.array_equal(state.eta.grid.points, s0.eta.grid.points)
+        and np.array_equal(state.eta.masses, s0.eta.masses)
+    )
+    if not same:
+        raise NotAvailableError(
+            f"{model.model_id}: references are computed at the build state; "
+            "rebuild the model to evaluate them elsewhere"
+        )
 
 
 def positive_measure(points, masses, tau) -> DiscreteMeasure:

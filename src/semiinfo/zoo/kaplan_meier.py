@@ -7,8 +7,9 @@ grid point, which takes the classic centered-counting-process shape
 
     -S(t) * (1{delta=1, x <= t} / pi(x) - sum_{u_i <= min(x, t)} w_i / pi(u_i)).
 
-A ClosedForm engine handle serves the structural functions analytically;
-the exact enumeration engine is still attached for cross-checks.
+A ClosedForm engine handle serves the structural functions analytically
+at the build state (elsewhere it raises NotAvailableError); the exact
+enumeration engine is still attached for cross-checks.
 """
 from collections import namedtuple
 
@@ -17,7 +18,7 @@ import numpy as np
 from ..calculus import Category
 from ..engines import ClosedForm, StructuralFunctions
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import finish, positive_measure
+from .base import check_state, finish, positive_measure
 
 KmObs = namedtuple("KmObs", ["delta", "time_index"])
 
@@ -127,6 +128,7 @@ def build(mass_scale=MASS_SCALE, zero_mass_point=False):
     }
 
     def closed_structural(c, s):
+        check_state(model, s)
         zeros = np.zeros
         return StructuralFunctions(
             gamma=pi.copy(), alpha=zeros((m, 0)), kappa=zeros((m, m)),

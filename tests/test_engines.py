@@ -11,6 +11,10 @@ from semiinfo import (
     zoo,
 )
 from semiinfo.errors import DomainError, NotAvailableError
+from semiinfo.likelihood import ModelState, TangentKind
+from semiinfo.measure import center, perturb_measure
+
+STRUCTURAL_NAMES = ("gamma", "alpha", "kappa", "beta")
 
 
 def test_exact_probabilities_sum_to_one():
@@ -126,3 +130,42 @@ def test_unknown_engine_rejected():
     model = zoo.build("mixture")
     with pytest.raises(DomainError):
         expect(object(), model.components, model.state, lambda o: 1.0)
+
+
+def _moved_state(model, seed=11, t=0.3):
+    """The build state with its measure moved along a seeded admissible
+    direction (centered on mean-zero tangent spaces)."""
+    eta = model.state.eta
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, eta.size)
+    if model.components.tangent is TangentKind.L2_ZERO:
+        a = center(a, eta).values
+    return ModelState(model.state.theta, perturb_measure(eta, a, t))
+
+
+def test_every_engine_matches_exact_or_refuses_at_a_moved_state():
+    exact_tol = 1e-9
+    entries = within = 0
+    for model_id in zoo.MODELS:
+        model = zoo.build(model_id)
+        c = model.components
+        moved = _moved_state(model)
+        ref = structural_functions(model.exact, c, moved)
+        engines = [model.exact]
+        engines += [MonteCarlo(model.sampler, 4000, seed) for seed in range(3)]
+        if "closed_engine" in model.extras:
+            engines.append(model.extras["closed_engine"])
+        for engine in engines:
+            try:
+                sf = structural_functions(engine, c, moved)
+            except NotAvailableError:
+                continue
+            for name in STRUCTURAL_NAMES:
+                gap = np.abs(getattr(sf, name) - getattr(ref, name))
+                if sf.is_exact():
+                    assert np.all(gap <= exact_tol), (model_id, sf.engine, name)
+                    continue
+                ok = gap <= 4.0 * getattr(sf, "se_" + name)
+                entries += ok.size
+                within += int(ok.sum())
+                assert np.all(gap[~ok] <= exact_tol), (model_id, name)
+    assert within >= 0.99 * entries
