@@ -49,7 +49,7 @@ from .likelihood import (
     score_operator,
     score_theta,
 )
-from .measure import DiscreteMeasure, MeasureKind, require_centered
+from .measure import DiscreteMeasure, require_centered
 from .operators import (
     KernelOperator,
     SolveResult,

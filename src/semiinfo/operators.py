@@ -14,11 +14,17 @@ defined. Direct solves are refused with :class:`IllPosedError` when the
 relative smallest singular value falls below ``SIGMA_MIN_REL_TOL``;
 ridge-regularized solves minimize
 ``||T a - rhs||^2_eta + ridge ||a||^2_eta`` and never raise.
+
+An operator reduces and factors its system (one dense matrix, one SVD)
+on its first solve; every later solve on it reuses that factorization,
+whatever its ridge or right-hand side, so a whole ridge ladder costs one
+factorization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +85,18 @@ class KernelOperator:
     @property
     def size(self) -> int:
         return self.base.size
+
+    @cached_property
+    def _factored(self):
+        """(mat, sup, root, q, svd): the dense matrix, the reduction of
+        :func:`_reduce`, and the SVD ``(u, s, vt)`` of the reduced system
+        (None when it is empty). Built on the first solve and reused by
+        every later one; the operator's pieces and its measure's masses
+        are read-only, so it cannot go stale."""
+        mat = as_matrix(self)
+        reduced, sup, root, q = _reduce(mat, self.base, self.centering)
+        svd = np.linalg.svd(reduced) if reduced.shape[0] else None
+        return mat, sup, root, q, svd
 
 
 def apply(op: KernelOperator, a) -> np.ndarray:
@@ -141,39 +159,23 @@ def _centered_projector(root: np.ndarray) -> np.ndarray:
     h = np.eye(n) - np.outer(q0, q0)
     # h is the rank (n-1) orthogonal projector; its leading singular
     # vectors form the basis we need, computed deterministically.
-    u_mat, s, _ = np.linalg.svd(h)
+    u_mat, _, _ = np.linalg.svd(h)
     return u_mat[:, : n - 1]
 
 
-def _reduced_system(op: KernelOperator):
-    """Return (B, to_full, sup, root, q) for the solve coordinates.
-
-    B is the reduced matrix; ``to_full(y)`` maps reduced coordinates back
-    to grid values (zero off support). q is the centered basis or None.
-    """
-    sup, root = _support_root(op.base)
-    mat = as_matrix(op)[np.ix_(sup, sup)]
-    sym_coords = (mat * (1.0 / root)[np.newaxis, :]) * root[:, np.newaxis]
-    m = op.size
-    if op.centering:
+def _reduce(mat: np.ndarray, eta: DiscreteMeasure, centered: bool):
+    """Return (reduced, sup, root, q): an operator matrix in the solve
+    coordinates ``y = sqrt(w) a`` on the support ``sup`` (``root`` is
+    ``sqrt(w)`` there), projected onto the mean-zero basis q when
+    ``centered`` (q is None otherwise)."""
+    sup, root = _support_root(eta)
+    sub = mat[np.ix_(sup, sup)]
+    reduced = (sub * (1.0 / root)[np.newaxis, :]) * root[:, np.newaxis]
+    q = None
+    if centered:
         q = _centered_projector(root)
-        reduced = q.T @ sym_coords @ q
-
-        def to_full(y):
-            full = np.zeros((m,) + y.shape[1:])
-            full[sup] = (q @ y) / (root if y.ndim == 1 else root[:, np.newaxis])
-            return full
-
-    else:
-        q = None
-        reduced = sym_coords
-
-        def to_full(y):
-            full = np.zeros((m,) + y.shape[1:])
-            full[sup] = y / (root if y.ndim == 1 else root[:, np.newaxis])
-            return full
-
-    return reduced, to_full, sup, root, q
+        reduced = q.T @ reduced @ q
+    return reduced, sup, root, q
 
 
 def solve(op: KernelOperator, rhs, ridge: float = 0.0) -> SolveResult:
@@ -190,32 +192,35 @@ def solve(op: KernelOperator, rhs, ridge: float = 0.0) -> SolveResult:
     right-hand sides are mean zero up to rounding already) and the
     solution comes back centered.
 
-    ``rhs`` may be a vector ``(m,)`` or a matrix of columns ``(m, k)``.
+    ``rhs`` may be a vector ``(m,)`` or a matrix of columns ``(m, k)``,
+    and must be finite.
     """
     ridge = float(ridge)
     if ridge < 0.0:
         raise DomainError(f"ridge must be nonnegative, got {ridge}")
     rhs_arr = np.asarray(rhs, dtype=float)
-    single = rhs_arr.ndim == 1
-    if rhs_arr.shape[0] != op.size or rhs_arr.ndim > 2:
+    if rhs_arr.ndim not in (1, 2) or rhs_arr.shape[0] != op.size:
         raise DimensionError(
             f"rhs has shape {rhs_arr.shape}, expected ({op.size},) or "
             f"({op.size}, k)"
         )
+    if not np.all(np.isfinite(rhs_arr)):
+        raise DomainError("rhs must be finite")
 
-    reduced, to_full, sup, root, q = _reduced_system(op)
-    rhs_sup = rhs_arr[sup] if single else rhs_arr[sup, :]
-    target = rhs_sup * (root if single else root[:, np.newaxis])
+    mat, sup, root, q, svd = op._factored
+    if svd is None:
+        return SolveResult(np.zeros_like(rhs_arr), 0.0, 0.0, 1.0, ridge,
+                           0.0, 0.0)
+    w = op.base.masses
+    if rhs_arr.ndim == 2:
+        root, w = root[:, np.newaxis], w[:, np.newaxis]
+    target = rhs_arr[sup] * root
     if q is not None:
         target = q.T @ target
 
-    if reduced.shape[0] == 0:
-        solution = np.zeros_like(rhs_arr)
-        return SolveResult(solution, 0.0, 0.0, 1.0, ridge, 0.0, 0.0)
-
-    u_mat, svals, vt = np.linalg.svd(reduced)
-    sigma_max = float(svals[0]) if svals.size else 0.0
-    sigma_min = float(svals[-1]) if svals.size else 0.0
+    u_mat, svals, vt = svd
+    sigma_max = float(svals[0])
+    sigma_min = float(svals[-1])
     condition = sigma_max / sigma_min if sigma_min > 0.0 else float("inf")
 
     if ridge == 0.0:
@@ -232,30 +237,23 @@ def solve(op: KernelOperator, rhs, ridge: float = 0.0) -> SolveResult:
         scale = svals / (svals * svals + ridge)
         y = vt.T @ ((u_mat.T @ target).T * scale).T
 
-    solution = to_full(y)
+    if q is not None:
+        y = q @ y
+    solution = np.zeros(rhs_arr.shape)
+    solution[sup] = y / root
 
-    w = op.base.masses
-    resid_vec = as_matrix(op) @ solution - rhs_arr
+    resid_vec = mat @ solution - rhs_arr
     if op.centering:
         # The equation lives on the mean-zero subspace; the residual's
         # constant component is an artifact of the kernel representative.
-        total = float(np.sum(w))
-        means = np.sum(resid_vec * (w if single else w[:, np.newaxis]),
-                       axis=0) / total
-        resid_vec = resid_vec - means
-    if single:
-        residual = float(np.sqrt(np.sum(resid_vec * resid_vec * w)))
-        rhs_norm = float(np.sqrt(np.sum(rhs_arr * rhs_arr * w)))
-        relative = residual / rhs_norm if rhs_norm > 0.0 else 0.0
-    else:
-        col_res = np.sqrt(np.sum(resid_vec * resid_vec * w[:, np.newaxis], axis=0))
-        col_rhs = np.sqrt(np.sum(rhs_arr * rhs_arr * w[:, np.newaxis], axis=0))
-        residual = float(np.max(col_res)) if col_res.size else 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(col_rhs > 0.0, col_res / col_rhs, 0.0)
-        relative = float(np.max(rel)) if rel.size else 0.0
-
-    return SolveResult(solution, residual, relative, condition, ridge,
+        total = float(np.sum(op.base.masses))
+        resid_vec = resid_vec - np.sum(resid_vec * w, axis=0) / total
+    col_res = np.sqrt(np.sum(resid_vec * resid_vec * w, axis=0))
+    col_rhs = np.sqrt(np.sum(rhs_arr * rhs_arr * w, axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(col_rhs > 0.0, col_res / col_rhs, 0.0)
+    return SolveResult(solution, float(np.max(col_res, initial=0.0)),
+                       float(np.max(rel, initial=0.0)), condition, ridge,
                        sigma_min, sigma_max)
 
 
@@ -283,15 +281,10 @@ def eta_weighted_min_eigen(mat: np.ndarray, eta: DiscreteMeasure,
         raise DimensionError(
             f"matrix has shape {arr.shape}, expected ({eta.size}, {eta.size})"
         )
-    sup, root = _support_root(eta)
-    sub = arr[np.ix_(sup, sup)]
-    sym_coords = (sub * (1.0 / root)[np.newaxis, :]) * root[:, np.newaxis]
-    if centered:
-        q = _centered_projector(root)
-        sym_coords = q.T @ sym_coords @ q
-    if sym_coords.shape[0] == 0:
+    reduced = _reduce(arr, eta, centered)[0]
+    if reduced.shape[0] == 0:
         return 0.0
-    return min_eigen_sym(sym_coords)
+    return min_eigen_sym(reduced)
 
 
 def operator_min_eigen(op: KernelOperator) -> float:

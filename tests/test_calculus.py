@@ -222,6 +222,16 @@ def test_influence_requires_centered_derivative():
                                 np.ones(model.state.eta.size))
 
 
+def test_influence_rejects_non_finite_derivative():
+    # A NaN derivative must not come back as an exact, regular solve.
+    model = zoo.build("kaplan_meier")
+    chi_dot = np.ones(model.state.eta.size)
+    chi_dot[0] = np.nan
+    with pytest.raises(DomainError):
+        nonparametric_influence(model.exact, model.components, model.state,
+                                chi_dot)
+
+
 def test_influence_regular_case_has_small_residual():
     model = zoo.build("kaplan_meier")
     chi_dot = model.references["lfd"]  # callable: ratio form of the solution

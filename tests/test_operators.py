@@ -72,6 +72,21 @@ def test_solve_refuses_ill_posed():
         solve(op, [1.0, 1.0])
 
 
+def test_solve_rejects_zero_dim_rhs():
+    op = op_from([1.0, 2.0], np.zeros((2, 2)), measure([0.5, 0.5]))
+    with pytest.raises(DimensionError):
+        solve(op, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+def test_solve_rejects_non_finite_rhs(bad, ridge):
+    op = op_from([1.0, 2.0], np.zeros((2, 2)), measure([0.5, 0.5]))
+    for rhs in ([bad, 1.0], [[bad], [1.0]]):
+        with pytest.raises(DomainError):
+            solve(op, rhs, ridge)
+
+
 def test_ridge_regularizes():
     # Rank-one kernel with no multiplier: the equation is first kind and
     # the direct solve must refuse; a ridge produces a finite answer whose

@@ -1,0 +1,119 @@
+"""Print one SHA-256 digest per fixed `semiinfo` CLI config.
+
+Usage, from the root of a checkout:
+
+    python3 tools/output_digest.py > digest.txt
+
+Run it at two commits and diff the two files: a change that promises
+bit-identical outputs must print the same lines. Each line is
+``<config> <exit code> <sha256>``.
+
+BLAS is pinned to one thread before numpy is imported, as in the
+benchmark: output bytes depend on the BLAS thread count (`influence` on
+`mixture` m=400 writes different bytes with one thread than with two).
+
+For `validate` the digest is of `report.json` as written, so seed 318
+prints the digest that `perfbench/workloads.py` pins. For the other
+commands it covers every output file, in name order, with the line
+holding the report's `timestamp` dropped.
+"""
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_name] = "1"
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from semiinfo.cli import main as cli_main  # noqa: E402
+
+ZOO = ("cox_rc", "cox_cs", "recurrent_transform", "kaplan_meier", "mixture",
+       "missing_cov")
+
+
+def analyze(model_id, params=None, engine=None):
+    return {"schema_version": 1, "command": "analyze",
+            "model": {"id": model_id, "params": params or {}},
+            "engine": engine or {"kind": "exact"}}
+
+
+def influence(model_id, params, functional, engine=None):
+    return {"schema_version": 1, "command": "influence",
+            "model": {"id": model_id, "params": params},
+            "engine": engine or {"kind": "exact"},
+            "influence": functional}
+
+
+def validate(seed):
+    return {"schema_version": 1, "command": "validate",
+            "validate": {"seed": seed}}
+
+
+def mc(n, seed):
+    return {"kind": "mc", "n": n, "seed": seed}
+
+
+NONPARAMETRIC = {"parametric": False}
+MEAN = {"functional": "mean"}
+
+CONFIGS = dict(
+    [(f"analyze-exact-{model_id}", analyze(model_id)) for model_id in ZOO]
+    + [
+        ("analyze-exact-mixture-np-m30",
+         analyze("mixture", dict(NONPARAMETRIC, m=30))),
+        ("analyze-exact-cox_cs-m100", analyze("cox_cs", {"m": 100})),
+        ("analyze-mc-cox_cs-m60", analyze("cox_cs", {"m": 60}, mc(100000, 7))),
+        ("analyze-mc-mixture-m30", analyze("mixture", {"m": 30}, mc(20000, 1))),
+        ("influence-exact-mixture-m400",
+         influence("mixture", dict(NONPARAMETRIC, m=400), MEAN)),
+        ("influence-mc-mixture-m30",
+         influence("mixture", dict(NONPARAMETRIC, m=30), MEAN, mc(20000, 3))),
+        ("influence-exact-kaplan_meier-survival",
+         influence("kaplan_meier", {}, {"functional": "survival_at", "t": 1})),
+        ("validate-318", validate(318)),
+        ("validate-7", validate(7)),
+    ])
+
+
+def output_digest(cfg, out):
+    if cfg["command"] == "validate":
+        with open(os.path.join(out, "report.json"), "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as handle:
+            data = handle.read()
+        if name == "report.json":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.lstrip().startswith(b'"timestamp":'))
+        digest.update(name.encode() + b"\0" + data + b"\0")
+    return digest.hexdigest()
+
+
+def run(name, cfg, tmp):
+    path = os.path.join(tmp, f"{name}.json")
+    with open(path, "w") as handle:
+        json.dump(cfg, handle)
+    out = os.path.join(tmp, name)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["--config", path, "--out", out])
+    return code, output_digest(cfg, out)
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in CONFIGS.items():
+            code, digest = run(name, cfg, tmp)
+            print(f"{name} {code} {digest}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
