@@ -21,7 +21,8 @@ from .errors import (ConfigError, DimensionError, DomainError, EngineError,
                      EvaluationError, IllPosedError, NotAvailableError,
                      NotIdentifiableError, SemiinfoError)
 from .likelihood import (ModelComponents, ModelState, TangentKind,
-                         log_density, score_operator, score_theta)
+                         joint_score, log_density, score_matrix,
+                         score_operator, score_theta)
 from .measure import (DiscreteMeasure, Direction, Grid, MeasureKind, center,
                       cumulative, inner_product, mean, norm, perturb_measure)
 from .operators import (BlockInformation, KernelOperator, SolveResult, apply,

@@ -46,6 +46,8 @@ from .likelihood import (
     ModelComponents,
     ModelState,
     TangentKind,
+    joint_score,
+    score_matrix,
     score_operator,
     score_theta,
 )
@@ -248,12 +250,8 @@ def efficient_score_function(components: ModelComponents, state: ModelState,
         )
 
     def eff_score(obs):
-        base = score_theta(components, state, obs)
-        correction = np.array([
-            score_operator(components, state, obs, lfd[:, j])
-            for j in range(components.p)
-        ])
-        return base - correction
+        return (score_theta(components, state, obs)
+                - score_matrix(components, state, obs, lfd))
 
     return eff_score
 
@@ -304,30 +302,21 @@ class IdentifiabilityResult:
 def local_identifiability(engine, components: ModelComponents,
                           state: ModelState) -> IdentifiabilityResult:
     eta = state.eta
-    m = eta.size
     if components.tangent is TangentKind.L2_ZERO:
         basis = centered_basis(eta)
     else:
-        cols = []
-        for i in range(m):
-            e = np.zeros(m)
-            w = float(eta.masses[i])
-            e[i] = 1.0 / np.sqrt(w) if w > 0.0 else 1.0
-            cols.append(e)
-        basis = np.column_stack(cols)
-    k = basis.shape[1]
+        live = eta.masses > 0.0
+        scale = np.ones(eta.size)
+        scale[live] = 1.0 / np.sqrt(eta.masses[live])
+        basis = np.diag(scale)
 
     def stacked(obs):
-        parts = [score_theta(components, state, obs)] if components.p else []
-        parts.append(np.array([
-            score_operator(components, state, obs, basis[:, j])
-            for j in range(k)
-        ]))
-        v = np.concatenate(parts)
+        v = joint_score(components, state, obs, basis)
         return np.outer(v, v)
 
     gram = expect(engine, components, state, stacked).value
-    return IdentifiabilityResult(min_eigen_sym(gram), components.p + k)
+    return IdentifiabilityResult(min_eigen_sym(gram),
+                                 components.p + basis.shape[1])
 
 
 @dataclass(frozen=True)

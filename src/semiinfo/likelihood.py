@@ -16,14 +16,21 @@ and the measure score in a tangent direction a is
 
     (B a)(o) = f_dot . (integral of g a deta) + L(a, o).
 
+B is linear in a, so k directions stacked as the columns of an (m, k)
+array A cost one evaluation of g and f_dot per outcome:
+``f_dot . g^T (eta * A) + L(A, o)`` (:func:`score_matrix`).
+
 On a probability measure the tangent space is the mean-zero subspace of
 L2(eta) and directions fed to B must be centered; on a positive finite
 measure it is all of L2(eta).
 
 Component callables receive ``(theta, obs, points)`` for g and g_dot,
 ``(x, obs)`` for f and its derivatives, ``(values, obs)`` for L, and
-``(theta, obs)`` for r and r_dot. Scalar models (d == 1) may work with
-scalars and flat arrays; the accessors below normalize shapes.
+``(theta, obs)`` for r and r_dot. L may receive an (m, k) array of
+directions, one per column, and must then return a scalar or a (k,)
+vector (indexing rows of ``values`` does this). Scalar models (d == 1)
+may work with scalars and flat arrays; the accessors below normalize
+shapes.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .errors import DimensionError, DomainError, EvaluationError
 from .measure import (
     DiscreteMeasure,
     MeasureKind,
+    TOL_CENTERED,
     as_values,
     require_centered,
 )
@@ -199,20 +207,97 @@ def log_density(components: ModelComponents, state: ModelState, obs) -> float:
     return val
 
 
-def score_theta(components: ModelComponents, state: ModelState, obs) -> np.ndarray:
-    """Parameter score, shape (p,)."""
-    check_state(components, state)
+def _g_and_f_dot(components: ModelComponents, state: ModelState, obs):
+    """g on the grid and f_dot at x: the evaluations of one outcome that
+    the parameter score and every measure score share."""
     gv = g_values(components, state, obs)
-    x = state.eta.masses @ gv
+    return gv, f_dot_values(components, state.eta.masses @ gv, obs)
+
+
+def _parameter_score(components: ModelComponents, state: ModelState, obs,
+                     fd: np.ndarray) -> np.ndarray:
     gd = g_dot_values(components, state, obs)
     x_dot = np.einsum("ide,i->de", gd, state.eta.masses)
-    fd = f_dot_values(components, x, obs)
     out = np.asarray(components.r_dot(state.theta, obs), dtype=float).reshape(
         components.p
     ) + fd @ x_dot
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"parameter score not finite at {obs!r}")
     return out
+
+
+def _directions(components: ModelComponents, state: ModelState,
+                directions) -> np.ndarray:
+    """Check an (m, k) array of tangent directions, one per column; on a
+    mean-zero tangent space every column must be centered under eta."""
+    eta = state.eta
+    arr = np.asarray(directions, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != eta.size:
+        raise DimensionError(
+            f"directions must have shape ({eta.size}, k), got {arr.shape}"
+        )
+    if components.tangent is TangentKind.L2_ZERO:
+        means = eta.masses @ arr
+        off = np.flatnonzero(np.abs(means) > TOL_CENTERED)
+        if off.size:
+            j = int(off[0])
+            raise DomainError(
+                f"tangent direction {j} must be centered under eta; "
+                f"integral is {float(means[j])!r} (tolerance {TOL_CENTERED})"
+            )
+    return arr
+
+
+def _direction_scores(components: ModelComponents, state: ModelState, obs,
+                      arr: np.ndarray, gv: np.ndarray,
+                      fd: np.ndarray) -> np.ndarray:
+    out = fd @ (gv.T @ (state.eta.masses[:, np.newaxis] * arr))
+    if components.ell is not None:
+        lv = np.asarray(components.ell(arr, obs), dtype=float)
+        try:
+            out = out + np.broadcast_to(lv, out.shape)
+        except ValueError:
+            raise DimensionError(
+                f"L returned shape {lv.shape} for {arr.shape[1]} directions, "
+                f"expected a scalar or ({arr.shape[1]},)"
+            ) from None
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError(f"measure score not finite at {obs!r}")
+    return out
+
+
+def score_theta(components: ModelComponents, state: ModelState, obs) -> np.ndarray:
+    """Parameter score, shape (p,)."""
+    check_state(components, state)
+    _, fd = _g_and_f_dot(components, state, obs)
+    return _parameter_score(components, state, obs, fd)
+
+
+def score_matrix(components: ModelComponents, state: ModelState, obs,
+                 directions) -> np.ndarray:
+    """Measure scores (B a_j)(o) for the k columns a_j of an (m, k)
+    array, shape (k,), from one evaluation of g and f_dot.
+
+    For a mean-zero tangent space every column must be centered under
+    the state's measure (checked numerically).
+    """
+    check_state(components, state)
+    arr = _directions(components, state, directions)
+    gv, fd = _g_and_f_dot(components, state, obs)
+    return _direction_scores(components, state, obs, arr, gv, fd)
+
+
+def joint_score(components: ModelComponents, state: ModelState, obs,
+                directions) -> np.ndarray:
+    """The parameter score followed by the measure scores of
+    :func:`score_matrix`, shape (p + k,), from one evaluation of g and
+    f_dot."""
+    check_state(components, state)
+    arr = _directions(components, state, directions)
+    gv, fd = _g_and_f_dot(components, state, obs)
+    parts = [_parameter_score(components, state, obs, fd)] if components.p else []
+    parts.append(_direction_scores(components, state, obs, arr, gv, fd))
+    return np.concatenate(parts)
 
 
 def score_operator(components: ModelComponents, state: ModelState, obs, a) -> float:
