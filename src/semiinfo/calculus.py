@@ -47,7 +47,6 @@ from .likelihood import (
     ModelState,
     TangentKind,
     joint_score,
-    score_matrix,
     score_operator,
     score_theta,
 )
@@ -249,9 +248,11 @@ def efficient_score_function(components: ModelComponents, state: ModelState,
             f"({state.eta.size}, {components.p})"
         )
 
+    p = components.p
+
     def eff_score(obs):
-        return (score_theta(components, state, obs)
-                - score_matrix(components, state, obs, lfd))
+        v = joint_score(components, state, obs, lfd)
+        return v[:p] - v[p:]
 
     return eff_score
 

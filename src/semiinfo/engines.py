@@ -332,6 +332,7 @@ def make_categorical_sampler(exact: ExactEnumeration,
         probs = exact.probabilities(components, state)
         probs = probs / probs.sum()
         idx = rng.choice(len(exact.outcomes), size=size, p=probs)
-        return [exact.outcomes[int(i)] for i in idx]
+        outcomes = exact.outcomes
+        return [outcomes[i] for i in idx.tolist()]
 
     return sampler

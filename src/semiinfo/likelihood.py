@@ -214,16 +214,34 @@ def _g_and_f_dot(components: ModelComponents, state: ModelState, obs):
     return gv, f_dot_values(components, state.eta.masses @ gv, obs)
 
 
-def _parameter_score(components: ModelComponents, state: ModelState, obs,
-                     fd: np.ndarray) -> np.ndarray:
+def _theta_parts(components: ModelComponents, state: ModelState, obs):
+    """g_dot on the grid and r_dot: the parts of the parameter score at
+    one outcome that do not depend on the masses."""
     gd = g_dot_values(components, state, obs)
-    x_dot = np.einsum("ide,i->de", gd, state.eta.masses)
-    out = np.asarray(components.r_dot(state.theta, obs), dtype=float).reshape(
-        components.p
-    ) + fd @ x_dot
+    r_dot = np.asarray(components.r_dot(state.theta, obs),
+                       dtype=float).reshape(components.p)
+    return gd, r_dot
+
+
+def _parameter_score(obs, masses: np.ndarray, fd: np.ndarray,
+                     gd: np.ndarray, r_dot: np.ndarray) -> np.ndarray:
+    out = r_dot + fd @ np.einsum("ide,i->de", gd, masses)
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"parameter score not finite at {obs!r}")
     return out
+
+
+def _measure_score(components: ModelComponents, obs, gv: np.ndarray,
+                   fd: np.ndarray, weighted: np.ndarray,
+                   av: np.ndarray) -> float:
+    """(B a)(o) from g on the grid, f_dot at x and ``weighted``, the
+    masses times a."""
+    val = float(fd @ (weighted @ gv))
+    if components.ell is not None:
+        val += float(components.ell(av, obs))
+    if not np.isfinite(val):
+        raise EvaluationError(f"measure score not finite at {obs!r}")
+    return val
 
 
 def _directions(components: ModelComponents, state: ModelState,
@@ -270,7 +288,8 @@ def score_theta(components: ModelComponents, state: ModelState, obs) -> np.ndarr
     """Parameter score, shape (p,)."""
     check_state(components, state)
     _, fd = _g_and_f_dot(components, state, obs)
-    return _parameter_score(components, state, obs, fd)
+    return _parameter_score(obs, state.eta.masses, fd,
+                            *_theta_parts(components, state, obs))
 
 
 def score_matrix(components: ModelComponents, state: ModelState, obs,
@@ -295,7 +314,9 @@ def joint_score(components: ModelComponents, state: ModelState, obs,
     check_state(components, state)
     arr = _directions(components, state, directions)
     gv, fd = _g_and_f_dot(components, state, obs)
-    parts = [_parameter_score(components, state, obs, fd)] if components.p else []
+    parts = ([_parameter_score(obs, state.eta.masses, fd,
+                               *_theta_parts(components, state, obs))]
+             if components.p else [])
     parts.append(_direction_scores(components, state, obs, arr, gv, fd))
     return np.concatenate(parts)
 
@@ -311,15 +332,8 @@ def score_operator(components: ModelComponents, state: ModelState, obs, a) -> fl
         av = require_centered(a, state.eta, "tangent direction")
     else:
         av = as_values(a, state.eta.size)
-    gv = g_values(components, state, obs)
-    x = state.eta.masses @ gv
-    fd = f_dot_values(components, x, obs)
-    val = float(fd @ ((state.eta.masses * av) @ gv))
-    if components.ell is not None:
-        val += float(components.ell(av, obs))
-    if not np.isfinite(val):
-        raise EvaluationError(f"measure score not finite at {obs!r}")
-    return val
+    gv, fd = _g_and_f_dot(components, state, obs)
+    return _measure_score(components, obs, gv, fd, state.eta.masses * av, av)
 
 
 def ell_of_ones(components: ModelComponents, state: ModelState, obs) -> float:

@@ -5,6 +5,11 @@ any discrepancy beyond roundoff is a bug.  Finite differences are the
 only approximation used here; every FD-based check therefore carries an
 order-of-convergence probe (halving the step must divide the error by
 about four) so a failing identity cannot hide behind step-size error.
+
+Each adjoint check walks the outcome law once and evaluates g once per
+outcome: the mass path through b moves only the masses, and components
+take ``(theta, obs, points)``, so one evaluation serves the base state
+and all six perturbed states of the three central differences.
 """
 from __future__ import annotations
 
@@ -18,7 +23,9 @@ from .calculus import (adjoint_of_score, classify_category,
 from .engines import expect, outcome_law, structural_functions
 from .errors import DomainError
 from .likelihood import (ModelComponents, ModelState, TangentKind,
-                         log_density, score_operator, score_theta)
+                         _measure_score, _parameter_score, _theta_parts,
+                         check_state, f_dot_values, g_values, log_density,
+                         score_operator)
 from .measure import (as_values, center, inner_product, perturb_measure,
                       require_centered)
 from .operators import apply
@@ -61,56 +68,48 @@ class PropertyResult:
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
-def _score_family(components, sf, state, which_score):
+def _score_family(components, sf, states, which_score):
     """Resolve the scrutinized score into (label, adjoint values on the
-    grid, per-state evaluator).
+    grid, scorer).
 
     An integer selects a component of the parameter score; a direction
-    selects the measure score along it.  The evaluator takes a state and
-    returns obs -> value, re-centering the direction under the state's
-    measure on a mean-zero tangent space.
+    selects the measure score along it, re-centered under each state's
+    measure on a mean-zero tangent space. The scorer takes an outcome,
+    g on the grid and f_dot at each state's x, and returns the score at
+    every state, in the arithmetic of ``score_theta`` and
+    ``score_operator``.
     """
-    eta = state.eta
+    eta = states[0].eta
     tangent = components.tangent
+    masses = [st.eta.masses for st in states]
     if isinstance(which_score, (int, np.integer)):
         j = int(which_score)
         if not 0 <= j < components.p:
             raise DomainError(f"score component {j} outside range({components.p})")
         adjoint_values = adjoint_of_score(sf, eta, tangent)[:, j]
 
-        def evaluator(st):
-            return lambda o: float(score_theta(components, st, o)[j])
+        def scores(o, gv, fds):
+            gd, r_dot = _theta_parts(components, states[0], o)
+            return [float(_parameter_score(o, w, fd, gd, r_dot)[j])
+                    for w, fd in zip(masses, fds)]
 
-        return f"score[{j}]", adjoint_values, evaluator
+        return f"score[{j}]", adjoint_values, scores
 
     a = as_values(which_score, eta.size)
     if tangent is TangentKind.L2_ZERO:
         require_centered(a, eta, "operator direction")
+        dirs = [require_centered(center(a, st.eta).values, st.eta,
+                                 "tangent direction") for st in states]
+    else:
+        dirs = [a] * len(states)
     adjoint_values = apply(info_operator(sf, eta, tangent), a)
+    weighted = [w * d for w, d in zip(masses, dirs)]
 
-    def evaluator(st):
-        if tangent is TangentKind.L2_ZERO:
-            a_st = center(a, st.eta).values
-        else:
-            a_st = a
-        return lambda o: score_operator(components, st, o, a_st)
+    def scores(o, gv, fds):
+        return [_measure_score(components, o, gv, fd, wd, d)
+                for fd, wd, d in zip(fds, weighted, dirs)]
 
-    return "operator", adjoint_values, evaluator
-
-
-def _fd_expectation(engine, components, state, evaluator, b_values, h):
-    """-E[central difference of the score family along the mass path
-    through b], the finite-difference side of the adjoint identity."""
-    eta = state.eta
-    plus = ModelState(state.theta, perturb_measure(eta, b_values, +h))
-    minus = ModelState(state.theta, perturb_measure(eta, b_values, -h))
-    g_plus = evaluator(plus)
-    g_minus = evaluator(minus)
-
-    def diff(o):
-        return (g_plus(o) - g_minus(o)) / (2.0 * h)
-
-    return -float(expect(engine, components, state, diff).value)
+    return "operator", adjoint_values, scores
 
 
 def check_adjoint_identity(engine, components: ModelComponents,
@@ -127,6 +126,8 @@ def check_adjoint_identity(engine, components: ModelComponents,
     all agree.  The first two are exact; the third is approximated by a
     central difference of step h.  The convergence order is probed at
     the coarser step h_order where truncation dominates roundoff.
+    One pass over the outcome law sums g Bb and the three central
+    differences.
     """
     law = outcome_law(engine, components, state)
     if sf is None:
@@ -136,20 +137,32 @@ def check_adjoint_identity(engine, components: ModelComponents,
     if components.tangent is TangentKind.L2_ZERO:
         require_centered(bv, eta, "pairing direction")
 
-    label, adjoint_values, evaluator = _score_family(components, sf, state,
-                                                     which_score)
+    steps = (h, h_order, h_order / 2.0)
+    states = [state] + [ModelState(state.theta,
+                                   perturb_measure(eta, bv, sign * step))
+                        for step in steps for sign in (1.0, -1.0)]
+    for st in states:
+        check_state(components, st)
+    label, adjoint_values, scores = _score_family(components, sf, states,
+                                                  which_score)
     t1 = inner_product(adjoint_values, bv, eta)
+    weighted_b = eta.masses * bv
 
-    g0 = evaluator(state)
-    t2 = float(expect(law, components, state,
-                      lambda o: g0(o) * score_operator(components, state, o, bv)
-                      ).value)
+    def integrand(o):
+        gv = g_values(components, state, o)
+        fds = [f_dot_values(components, st.eta.masses @ gv, o)
+               for st in states]
+        g = scores(o, gv, fds)
+        bb = _measure_score(components, o, gv, fds[0], weighted_b, bv)
+        return np.array([g[0] * bb] + [
+            (plus - minus) / (2.0 * step)
+            for plus, minus, step in zip(g[1::2], g[2::2], steps)])
 
-    t3 = _fd_expectation(law, components, state, evaluator, bv, h)
-    order_err = abs(_fd_expectation(law, components, state, evaluator,
-                                    bv, h_order) - t2)
-    order_err_half = abs(_fd_expectation(law, components, state, evaluator,
-                                         bv, h_order / 2.0) - t2)
+    sums = expect(law, components, state, integrand).value
+    t2 = float(sums[0])
+    t3, fd_order, fd_order_half = (-float(v) for v in sums[1:])
+    order_err = abs(fd_order - t2)
+    order_err_half = abs(fd_order_half - t2)
 
     scale = max(1.0, abs(t1), abs(t2))
     exact_pair = abs(t1 - t2)

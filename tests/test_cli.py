@@ -1,5 +1,11 @@
 import csv
+import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +88,31 @@ def test_validate_reports_are_byte_identical(tmp_path, capsys):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert first_stdout == second_stdout
     assert "checks passed" in first_stdout
+
+
+def test_validate_report_at_seed_318_has_the_pinned_digest(tmp_path):
+    # perfbench/workloads.py pins the seed-318 report's SHA-256; output
+    # bytes depend on the BLAS thread count, so BLAS runs on one thread.
+    root = Path(__file__).resolve().parents[1]
+    pinned = re.search(r'VALIDATE_DIGEST = \\\s*"([0-9a-f]{64})"',
+                       (root / "perfbench" / "workloads.py").read_text())
+    assert pinned is not None
+    cfg = write_cfg(tmp_path, {"schema_version": 1, "command": "validate",
+                               "validate": {"seed": 318}})
+    env = dict(os.environ)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        env[name] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiinfo.cli", "--config", cfg,
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert digest == pinned.group(1)
 
 
 def test_validate_failure_exits_one(tmp_path, capsys):

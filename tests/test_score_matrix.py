@@ -11,14 +11,18 @@ from semiinfo import (
     ModelComponents,
     ModelState,
     TangentKind,
+    adjoint_of_score,
+    efficient_information,
+    fisher_information,
     joint_score,
+    least_favorable_direction,
     local_identifiability,
     score_matrix,
     score_operator,
     score_theta,
     zoo,
 )
-from semiinfo.engines import outcome_law
+from semiinfo.engines import outcome_law, structural_functions
 from semiinfo.errors import DimensionError, DomainError, EvaluationError
 from semiinfo.measure import DiscreteMeasure, Grid, MeasureKind
 from semiinfo.operators import centered_basis
@@ -56,18 +60,36 @@ def test_score_matrix_matches_score_operator_column_by_column(model_id):
                               np.concatenate(theta_part + [batched]))
 
 
-def test_local_identifiability_evaluates_g_once_per_outcome():
-    model = zoo.build("cox_cs", m=20)
+def _counting_g(model):
     calls = []
 
     def g(theta, obs, pts):
         calls.append(obs)
         return model.components.g(theta, obs, pts)
 
-    c = dataclasses.replace(model.components, g=g)
+    return dataclasses.replace(model.components, g=g), calls
+
+
+def test_local_identifiability_evaluates_g_once_per_outcome():
+    model = zoo.build("cox_cs", m=20)
+    c, calls = _counting_g(model)
     law = outcome_law(model.exact, c, model.state)
     calls.clear()
     local_identifiability(law, c, model.state)
+    assert len(calls) == len(law.pairs)
+
+
+def test_efficient_information_evaluates_g_once_per_outcome():
+    model = zoo.build("cox_cs", m=20)
+    c, calls = _counting_g(model)
+    s = model.state
+    law = outcome_law(model.exact, c, s)
+    sf = structural_functions(law, c, s)
+    adjoint = adjoint_of_score(sf, s.eta, c.tangent)
+    lfd = least_favorable_direction(sf, s.eta, c.tangent, adjoint)
+    fisher = fisher_information(law, c, s)
+    calls.clear()
+    efficient_information(law, c, s, lfd.values, adjoint, fisher)
     assert len(calls) == len(law.pairs)
 
 

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from semiinfo import (
+    ModelState,
     PropertyResult,
+    TangentKind,
     check_adjoint_identity,
     check_centering_construction,
     check_score_fd,
     run_suite,
+    score_operator,
+    score_theta,
     suite_for_model,
     zoo,
 )
+from semiinfo.engines import expect, outcome_law, structural_functions
 from semiinfo.errors import DomainError
-from semiinfo.measure import center
-from semiinfo.validate import FD_ORDER_WINDOW, fd_order_ok
+from semiinfo.measure import center, perturb_measure
+from semiinfo.validate import (FD_ORDER_STEP, FD_ORDER_WINDOW,
+                               FD_STEP_DEFAULT, fd_order_ok)
 
 
 def test_property_result_pass_rule():
@@ -124,3 +130,72 @@ def test_suite_covers_expected_checks():
                      "adjoint_identity_order", "score_fd",
                      "centering_construction", "efficient_info_routes"):
         assert expected in names, expected
+
+
+def _admissible(rng, c, eta):
+    raw = rng.uniform(-1.0, 1.0, eta.size)
+    return center(raw, eta).values if c.tangent is TangentKind.L2_ZERO else raw
+
+
+def _separate_passes(law, c, s, which, bv, h=FD_STEP_DEFAULT,
+                     h_order=FD_ORDER_STEP):
+    """The adjoint check's sums, one pass over the law each, scoring
+    every state from scratch with score_theta / score_operator."""
+    def family(st):
+        if isinstance(which, int):
+            return lambda o: float(score_theta(c, st, o)[which])
+        a = (center(which, st.eta).values
+             if c.tangent is TangentKind.L2_ZERO else which)
+        return lambda o: score_operator(c, st, o, a)
+
+    def fd(step):
+        plus = family(ModelState(s.theta, perturb_measure(s.eta, bv, +step)))
+        minus = family(ModelState(s.theta, perturb_measure(s.eta, bv, -step)))
+        return -float(expect(law, c, s,
+                             lambda o: (plus(o) - minus(o)) / (2.0 * step)
+                             ).value)
+
+    base = family(s)
+    t2 = float(expect(law, c, s,
+                      lambda o: base(o) * score_operator(c, s, o, bv)).value)
+    return {"t2_expectation": t2,
+            "t3_finite_difference": fd(h),
+            "order_error": abs(fd(h_order) - t2),
+            "order_error_half": abs(fd(h_order / 2.0) - t2)}
+
+
+@pytest.mark.parametrize("model_id", list(zoo.MODELS))
+def test_adjoint_check_sums_match_separate_passes_exactly(model_id):
+    model = zoo.build(model_id)
+    c, s = model.components, model.state
+    law = outcome_law(model.exact, c, s)
+    sf = structural_functions(law, c, s)
+    rng = np.random.default_rng(5)
+    families = ([0] if c.p else []) + [_admissible(rng, c, s.eta)]
+    for which in families:
+        bv = _admissible(rng, c, s.eta)
+        res = check_adjoint_identity(law, c, s, which, bv, sf=sf)
+        ref = _separate_passes(law, c, s, which, bv)
+        for key, value in ref.items():
+            assert res.context[key] == value, (which, key)
+
+
+@pytest.mark.parametrize("family", ["score", "operator"])
+def test_adjoint_check_evaluates_g_once_per_outcome(family):
+    model = zoo.build("missing_cov")
+    calls = []
+
+    def g(theta, obs, pts):
+        calls.append(obs)
+        return model.components.g(theta, obs, pts)
+
+    c = dataclasses.replace(model.components, g=g)
+    s = model.state
+    law = outcome_law(model.exact, c, s)
+    sf = structural_functions(law, c, s)
+    rng = np.random.default_rng(3)
+    which = 1 if family == "score" else _admissible(rng, c, s.eta)
+    b = _admissible(rng, c, s.eta)
+    calls.clear()
+    check_adjoint_identity(law, c, s, which, b, sf=sf)
+    assert len(calls) == len(law.pairs)

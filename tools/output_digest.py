@@ -6,7 +6,8 @@ Usage, from the root of a checkout:
 
 Run it at two commits and diff the two files: a change that promises
 bit-identical outputs must print the same lines. Each line is
-``<config> <exit code> <sha256>``.
+``<config> <exit code> <sha256>``. The script exits 1 when any config
+exits nonzero (a config error, or a `validate` check that fails).
 
 BLAS is pinned to one thread before numpy is imported, as in the
 benchmark: output bytes depend on the BLAS thread count (`influence` on
@@ -109,11 +110,14 @@ def run(name, cfg, tmp):
 
 
 def main():
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in CONFIGS.items():
             code, digest = run(name, cfg, tmp)
             print(f"{name} {code} {digest}", flush=True)
+            failed = failed or code != 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
