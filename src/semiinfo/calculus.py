@@ -24,11 +24,22 @@ invertible up to a compact perturbation (direct solves are expected to
 succeed); an identically-zero multiplier leaves a pure integral operator
 (smoothing, so direct solves are expected to fail and a ridge ladder is
 walked instead).
+
+Each expectation here is one walk of the outcome law that evaluates g
+once per outcome, and each per-outcome integrand is one helper shared
+by the public functions and ``analyze_model``. ``analyze_model`` walks
+its law twice and evaluates the model once per outcome: the pass before
+the solve sums the structural functions, the Fisher information and the
+identifiability Gram from one evaluation of g, g_dot, f_dot, f_ddot and
+r_dot, and keeps each outcome's g on the grid, f_dot and parameter
+score; the efficient-information pass after the solve reads those and
+evaluates only L along the solved directions.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -37,6 +48,8 @@ import numpy as np
 from .engines import (
     ClosedForm,
     StructuralFunctions,
+    _reduce,
+    _structural_result,
     expect,
     outcome_law,
     structural_functions,
@@ -46,9 +59,15 @@ from .likelihood import (
     ModelComponents,
     ModelState,
     TangentKind,
-    joint_score,
+    _direction_scores,
+    _directions,
+    _joint_score,
+    _Outcome,
+    _outcome,
+    _structural_terms,
+    check_state,
+    g_dot_values,
     score_operator,
-    score_theta,
 )
 from .measure import DiscreteMeasure, require_centered
 from .operators import (
@@ -132,18 +151,23 @@ def classify_category(sf: StructuralFunctions, *,
     return CategoryResult(cat, gmin, gmax, absmax, float(tol_zero), float(bound))
 
 
+def _symmetric(value: np.ndarray) -> np.ndarray:
+    return 0.5 * (value + value.T)
+
+
+def _fisher_term(outcome: _Outcome) -> np.ndarray:
+    return np.outer(outcome.score, outcome.score)
+
+
 def fisher_information(engine, components: ModelComponents,
                        state: ModelState) -> np.ndarray:
     """Second moment of the parameter score, shape (p, p)."""
-
-    def outer_score(obs):
-        s = score_theta(components, state, obs)
-        return np.outer(s, s)
-
     if components.p == 0:
         return np.zeros((0, 0))
-    value = expect(engine, components, state, outer_score).value
-    return 0.5 * (value + value.T)
+    check_state(components, state)
+    value = expect(engine, components, state, lambda obs: _fisher_term(
+        _outcome(components, state, obs))).value
+    return _symmetric(value)
 
 
 def adjoint_of_score(sf: StructuralFunctions, eta: DiscreteMeasure,
@@ -237,22 +261,41 @@ def least_favorable_direction(sf: StructuralFunctions, eta: DiscreteMeasure,
     return LfdResult(best.solution, best, tuple(ladder_log), best.ridge)
 
 
-def efficient_score_function(components: ModelComponents, state: ModelState,
-                             lfd_values: np.ndarray) -> Callable:
-    """The map ``obs -> score_theta - B a`` with a the least favorable
-    direction, one column per parameter."""
+def _lfd_directions(components: ModelComponents, state: ModelState,
+                    lfd_values: np.ndarray):
+    """Check a least favorable direction (one column per parameter) as
+    tangent directions at the state."""
     lfd = np.asarray(lfd_values, dtype=float)
     if lfd.ndim != 2 or lfd.shape != (state.eta.size, components.p):
         raise DomainError(
             f"least favorable direction has shape {lfd.shape}, expected "
             f"({state.eta.size}, {components.p})"
         )
+    check_state(components, state)
+    return _directions(components, state, lfd)
 
-    p = components.p
+
+def _efficient_score(components: ModelComponents, obs, outcome: _Outcome,
+                     dirs) -> np.ndarray:
+    return outcome.score - _direction_scores(components, obs, dirs,
+                                             outcome.gv, outcome.fd)
+
+
+def _efficient_term(components: ModelComponents, obs, outcome: _Outcome,
+                    dirs) -> np.ndarray:
+    v = _efficient_score(components, obs, outcome, dirs)
+    return np.outer(v, v)
+
+
+def efficient_score_function(components: ModelComponents, state: ModelState,
+                             lfd_values: np.ndarray) -> Callable:
+    """The map ``obs -> score_theta - B a`` with a the least favorable
+    direction, one column per parameter."""
+    dirs = _lfd_directions(components, state, lfd_values)
 
     def eff_score(obs):
-        v = joint_score(components, state, obs, lfd)
-        return v[:p] - v[p:]
+        return _efficient_score(components, obs,
+                                _outcome(components, state, obs), dirs)
 
     return eff_score
 
@@ -275,15 +318,25 @@ def efficient_information(engine, components: ModelComponents,
                           state: ModelState, lfd_values: np.ndarray,
                           adjoint: np.ndarray,
                           fisher: np.ndarray) -> EfficientInformation:
-    eff_score = efficient_score_function(components, state, lfd_values)
+    return _efficient_information(engine, components, state, lfd_values,
+                                  adjoint, fisher,
+                                  functools.partial(_outcome, components,
+                                                    state))
 
-    def outer_eff(obs):
-        v = eff_score(obs)
-        return np.outer(v, v)
 
-    by_score = expect(engine, components, state, outer_eff).value
-    by_score = 0.5 * (by_score + by_score.T)
-    cross = adjoint.T @ (state.eta.masses[:, np.newaxis] * lfd_values)
+def _efficient_information(engine, components: ModelComponents,
+                           state: ModelState, lfd_values: np.ndarray,
+                           adjoint: np.ndarray, fisher: np.ndarray,
+                           outcome: Callable) -> EfficientInformation:
+    """:func:`efficient_information` with ``outcome(obs)`` giving each
+    outcome's evaluation (:func:`analyze_model` hands in the ones its
+    first pass kept)."""
+    dirs = _lfd_directions(components, state, lfd_values)
+    by_score = _symmetric(expect(
+        engine, components, state,
+        lambda obs: _efficient_term(components, obs, outcome(obs), dirs)
+    ).value)
+    cross = adjoint.T @ dirs[1]
     by_adjoint = fisher - cross
     gap = float(np.max(np.abs(by_score - by_adjoint))) if fisher.size else 0.0
     return EfficientInformation(by_score, by_adjoint, gap)
@@ -300,8 +353,10 @@ class IdentifiabilityResult:
     dimension: int
 
 
-def local_identifiability(engine, components: ModelComponents,
-                          state: ModelState) -> IdentifiabilityResult:
+def _identifiability_directions(components: ModelComponents,
+                                state: ModelState):
+    """A basis of the tangent space, orthonormal in L2(eta), checked as
+    tangent directions."""
     eta = state.eta
     if components.tangent is TangentKind.L2_ZERO:
         basis = centered_basis(eta)
@@ -310,14 +365,28 @@ def local_identifiability(engine, components: ModelComponents,
         scale = np.ones(eta.size)
         scale[live] = 1.0 / np.sqrt(eta.masses[live])
         basis = np.diag(scale)
+    return _directions(components, state, basis)
 
-    def stacked(obs):
-        v = joint_score(components, state, obs, basis)
-        return np.outer(v, v)
 
-    gram = expect(engine, components, state, stacked).value
+def _gram_term(components: ModelComponents, obs, outcome: _Outcome,
+               dirs) -> np.ndarray:
+    v = _joint_score(components, obs, outcome, dirs)
+    return np.outer(v, v)
+
+
+def _identifiability_result(components: ModelComponents, gram: np.ndarray,
+                            dirs) -> IdentifiabilityResult:
     return IdentifiabilityResult(min_eigen_sym(gram),
-                                 components.p + basis.shape[1])
+                                 components.p + dirs[0].shape[1])
+
+
+def local_identifiability(engine, components: ModelComponents,
+                          state: ModelState) -> IdentifiabilityResult:
+    check_state(components, state)
+    dirs = _identifiability_directions(components, state)
+    gram = expect(engine, components, state, lambda obs: _gram_term(
+        components, obs, _outcome(components, state, obs), dirs)).value
+    return _identifiability_result(components, gram, dirs)
 
 
 @dataclass(frozen=True)
@@ -389,20 +458,75 @@ class InfoReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _walk_before_solve(law, components: ModelComponents, state: ModelState,
+                       ident_dirs):
+    """One pass over the law summing the structural functions, the
+    Fisher information and, given identifiability directions, the joint
+    score Gram, from one evaluation of g, g_dot, f_dot, f_ddot and r_dot
+    per outcome. Also returns each outcome's evaluation, in law order.
+
+    The compensated sum is elementwise, so summing the integrands in one
+    pass gives the bits of one pass per quantity.
+    """
+    kept = []
+
+    def terms(obs):
+        gd = g_dot_values(components, state, obs)
+        outcome = _outcome(components, state, obs, gd)
+        kept.append(outcome)
+        out = list(_structural_terms(components, state, obs, outcome.gv, gd,
+                                     outcome.fd))
+        if components.p:
+            out.append(_fisher_term(outcome))
+        if ident_dirs is not None:
+            out.append(_gram_term(components, obs, outcome, ident_dirs))
+        return out
+
+    values, ses = _reduce(law, terms)
+    sf = _structural_result(law, values[:4], ses[:4])
+    fisher = _symmetric(values[4]) if components.p else np.zeros((0, 0))
+    gram = values[-1] if ident_dirs is not None else None
+    return sf, fisher, gram, kept
+
+
 def analyze_model(components: ModelComponents, state: ModelState, engine, *,
                   ridge_ladder: Optional[Sequence[float]] = RIDGE_LADDER_DEFAULT,
                   category_bound: float = CATEGORY_BOUND_DEFAULT,
                   tol_zero: Optional[float] = None,
                   with_identifiability: bool = True,
                   label: str = "") -> InfoReport:
-    """Run the full calculus at one state and collect the results."""
-    closed = isinstance(engine, ClosedForm)
-    law = engine if closed else outcome_law(engine, components, state)
-    sf = structural_functions(law, components, state)
+    """Run the full calculus at one state and collect the results.
+
+    Under an outcome law this walks the law twice and evaluates the
+    model once per outcome (building an exact law evaluates the log
+    density besides). The pass before the solve sums the structural
+    functions, the Fisher information and the identifiability Gram, and
+    keeps each outcome's g on the grid, f_dot and parameter score; the
+    efficient-information pass after the solve reads those. A
+    closed-form engine answers through its handles.
+    """
     eta = state.eta
+    closed = isinstance(engine, ClosedForm)
+    gram = ident_dirs = None
+    if closed:
+        law = engine
+        sf = structural_functions(engine, components, state)
+        fisher = fisher_information(engine, components, state)
+        outcome = functools.partial(_outcome, components, state)
+    else:
+        law = outcome_law(engine, components, state)
+        check_state(components, state)
+        if with_identifiability:
+            ident_dirs = _identifiability_directions(components, state)
+        sf, fisher, gram, kept = _walk_before_solve(law, components, state,
+                                                    ident_dirs)
+        replay = iter(kept)
+
+        def outcome(obs):
+            # The pass after the solve walks the same law in the same order.
+            return next(replay)
 
     cat = classify_category(sf, tol_zero=tol_zero, bound=category_bound)
-    fisher = fisher_information(law, components, state)
     adjoint = adjoint_of_score(sf, eta, components.tangent)
 
     lfd = None
@@ -412,8 +536,9 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
         try:
             lfd = least_favorable_direction(sf, eta, components.tangent,
                                             adjoint, ridge_ladder)
-            efficient = efficient_information(law, components, state,
-                                              lfd.values, adjoint, fisher)
+            efficient = _efficient_information(law, components, state,
+                                               lfd.values, adjoint, fisher,
+                                               outcome)
             v_mat = v_operator(sf, eta, components.tangent, fisher)
         except NotIdentifiableError as exc:
             # Singular parameter block: skip the quantities that divide by
@@ -431,8 +556,8 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
         )
 
     ident = None
-    if with_identifiability and not closed:
-        ident = local_identifiability(law, components, state)
+    if gram is not None:
+        ident = _identifiability_result(components, gram, ident_dirs)
 
     diagnostics = {
         "max_structural_se": sf.max_se(),

@@ -46,12 +46,9 @@ from .errors import DomainError, EngineError, NotAvailableError
 from .likelihood import (
     ModelComponents,
     ModelState,
-    TangentKind,
-    ell_of_ones,
-    f_ddot_values,
-    f_dot_values,
+    _g_and_f_dot,
+    _structural_terms,
     g_dot_values,
-    g_values,
     log_density,
 )
 
@@ -285,23 +282,17 @@ class StructuralFunctions:
         return self.engine != "mc"
 
 
-def _structural_contrib(components: ModelComponents, state: ModelState, obs):
-    """Per-outcome integrands of (gamma, alpha, kappa, beta)."""
-    w = state.eta.masses
-    gv = g_values(components, state, obs)
-    gd = g_dot_values(components, state, obs)
-    x = w @ gv
-    fd = f_dot_values(components, x, obs)
-    fdd = f_ddot_values(components, x, obs)
-    if components.tangent is TangentKind.L2_ZERO:
-        gamma = -((gv - x[np.newaxis, :]) @ fd) \
-            + ell_of_ones(components, state, obs)
-    else:
-        gamma = -(gv @ fd)
-    alpha = -np.einsum("vdj,d->vj", gd, fd)
-    kappa = -np.einsum("vd,de,ue->vu", gv, fdd, gv)
-    beta = -np.einsum("vd,de,uej->vuj", gv, fdd, gd)
-    return gamma, alpha, kappa, beta
+def _structural_result(law: OutcomeLaw, values, ses) -> StructuralFunctions:
+    """The structural functions from the law's sums of the four
+    integrands and their standard errors."""
+    gamma, alpha, kappa, beta = values
+    # Symmetrize kappa; it is symmetric in exact arithmetic.
+    kappa = 0.5 * (kappa + kappa.T)
+    return StructuralFunctions(
+        gamma=gamma, alpha=alpha, kappa=kappa, beta=beta,
+        se_gamma=ses[0], se_alpha=ses[1], se_kappa=ses[2], se_beta=ses[3],
+        engine="exact" if law.n is None else "mc", n=law.n,
+    )
 
 
 def structural_functions(engine, components: ModelComponents,
@@ -311,15 +302,13 @@ def structural_functions(engine, components: ModelComponents,
         return engine.handle("structural")(components, state)
 
     law = outcome_law(engine, components, state)
-    values, ses = _reduce(
-        law, lambda obs: _structural_contrib(components, state, obs))
-    # Symmetrize kappa; it is symmetric in exact arithmetic.
-    values[2] = 0.5 * (values[2] + values[2].T)
-    return StructuralFunctions(
-        gamma=values[0], alpha=values[1], kappa=values[2], beta=values[3],
-        se_gamma=ses[0], se_alpha=ses[1], se_kappa=ses[2], se_beta=ses[3],
-        engine="exact" if law.n is None else "mc", n=law.n,
-    )
+
+    def terms(obs):
+        gv, fd = _g_and_f_dot(components, state, obs)
+        return _structural_terms(components, state, obs, gv,
+                                 g_dot_values(components, state, obs), fd)
+
+    return _structural_result(law, *_reduce(law, terms))
 
 
 def make_categorical_sampler(exact: ExactEnumeration,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -158,12 +158,6 @@ def g_dot_values(components: ModelComponents, state: ModelState, obs) -> np.ndar
     return arr
 
 
-def _x_of(components: ModelComponents, state: ModelState, obs,
-          gv: np.ndarray | None = None) -> np.ndarray:
-    gv = g_values(components, state, obs) if gv is None else gv
-    return state.eta.masses @ gv
-
-
 def _f_args(components: ModelComponents, x: np.ndarray):
     return float(x[0]) if components.gdim == 1 else x
 
@@ -195,7 +189,15 @@ def log_density(components: ModelComponents, state: ModelState, obs) -> float:
     outcome, for example an event at a zero-mass grid point); NaN raises
     :class:`EvaluationError`."""
     check_state(components, state)
-    x = _x_of(components, state, obs)
+    return _log_density(components, state, obs,
+                        g_values(components, state, obs))
+
+
+def _log_density(components: ModelComponents, state: ModelState, obs,
+                 gv: np.ndarray) -> float:
+    """:func:`log_density` from g on the grid, which depends on theta,
+    the outcome and the grid points but not on the masses."""
+    x = state.eta.masses @ gv
     val = float(components.r(state.theta, obs))
     val += float(components.f(_f_args(components, x), obs))
     if components.ell is not None:
@@ -214,13 +216,10 @@ def _g_and_f_dot(components: ModelComponents, state: ModelState, obs):
     return gv, f_dot_values(components, state.eta.masses @ gv, obs)
 
 
-def _theta_parts(components: ModelComponents, state: ModelState, obs):
-    """g_dot on the grid and r_dot: the parts of the parameter score at
-    one outcome that do not depend on the masses."""
-    gd = g_dot_values(components, state, obs)
-    r_dot = np.asarray(components.r_dot(state.theta, obs),
-                       dtype=float).reshape(components.p)
-    return gd, r_dot
+def _r_dot_values(components: ModelComponents, state: ModelState,
+                  obs) -> np.ndarray:
+    return np.asarray(components.r_dot(state.theta, obs),
+                      dtype=float).reshape(components.p)
 
 
 def _parameter_score(obs, masses: np.ndarray, fd: np.ndarray,
@@ -229,6 +228,45 @@ def _parameter_score(obs, masses: np.ndarray, fd: np.ndarray,
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"parameter score not finite at {obs!r}")
     return out
+
+
+class _Outcome(NamedTuple):
+    """What every score at one outcome is built from: g on the grid,
+    f_dot at x and the parameter score (empty when p == 0)."""
+
+    gv: np.ndarray
+    fd: np.ndarray
+    score: np.ndarray
+
+
+def _outcome(components: ModelComponents, state: ModelState, obs,
+             gd: Optional[np.ndarray] = None) -> _Outcome:
+    """Evaluate g and f_dot at one outcome, and g_dot and r_dot when
+    p > 0; a caller that already holds g_dot on the grid passes it."""
+    gv, fd = _g_and_f_dot(components, state, obs)
+    if not components.p:
+        return _Outcome(gv, fd, np.zeros(0))
+    if gd is None:
+        gd = g_dot_values(components, state, obs)
+    return _Outcome(gv, fd, _parameter_score(
+        obs, state.eta.masses, fd, gd, _r_dot_values(components, state, obs)))
+
+
+def _structural_terms(components: ModelComponents, state: ModelState, obs,
+                      gv: np.ndarray, gd: np.ndarray, fd: np.ndarray):
+    """Per-outcome integrands of the structural functions (gamma, alpha,
+    kappa, beta) from g and g_dot on the grid and f_dot at x."""
+    x = state.eta.masses @ gv
+    fdd = f_ddot_values(components, x, obs)
+    if components.tangent is TangentKind.L2_ZERO:
+        gamma = -((gv - x[np.newaxis, :]) @ fd) \
+            + ell_of_ones(components, state, obs)
+    else:
+        gamma = -(gv @ fd)
+    alpha = -np.einsum("vdj,d->vj", gd, fd)
+    kappa = -np.einsum("vd,de,ue->vu", gv, fdd, gv)
+    beta = -np.einsum("vd,de,uej->vuj", gv, fdd, gd)
+    return gamma, alpha, kappa, beta
 
 
 def _measure_score(components: ModelComponents, obs, gv: np.ndarray,
@@ -245,9 +283,11 @@ def _measure_score(components: ModelComponents, obs, gv: np.ndarray,
 
 
 def _directions(components: ModelComponents, state: ModelState,
-                directions) -> np.ndarray:
-    """Check an (m, k) array of tangent directions, one per column; on a
-    mean-zero tangent space every column must be centered under eta."""
+                directions):
+    """Check an (m, k) array of tangent directions, one per column (on a
+    mean-zero tangent space every column must be centered under eta),
+    and return it with the masses times it, which every outcome's
+    scores along it share."""
     eta = state.eta
     arr = np.asarray(directions, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != eta.size:
@@ -263,13 +303,15 @@ def _directions(components: ModelComponents, state: ModelState,
                 f"tangent direction {j} must be centered under eta; "
                 f"integral is {float(means[j])!r} (tolerance {TOL_CENTERED})"
             )
-    return arr
+    return arr, eta.masses[:, np.newaxis] * arr
 
 
-def _direction_scores(components: ModelComponents, state: ModelState, obs,
-                      arr: np.ndarray, gv: np.ndarray,
-                      fd: np.ndarray) -> np.ndarray:
-    out = fd @ (gv.T @ (state.eta.masses[:, np.newaxis] * arr))
+def _direction_scores(components: ModelComponents, obs, dirs,
+                      gv: np.ndarray, fd: np.ndarray) -> np.ndarray:
+    """Measure scores along checked directions ``dirs`` (from
+    :func:`_directions`) from g on the grid and f_dot at x."""
+    arr, weighted = dirs
+    out = fd @ (gv.T @ weighted)
     if components.ell is not None:
         lv = np.asarray(components.ell(arr, obs), dtype=float)
         try:
@@ -284,12 +326,16 @@ def _direction_scores(components: ModelComponents, state: ModelState, obs,
     return out
 
 
+def _joint_score(components: ModelComponents, obs, outcome: _Outcome,
+                 dirs) -> np.ndarray:
+    return np.concatenate([outcome.score, _direction_scores(
+        components, obs, dirs, outcome.gv, outcome.fd)])
+
+
 def score_theta(components: ModelComponents, state: ModelState, obs) -> np.ndarray:
     """Parameter score, shape (p,)."""
     check_state(components, state)
-    _, fd = _g_and_f_dot(components, state, obs)
-    return _parameter_score(obs, state.eta.masses, fd,
-                            *_theta_parts(components, state, obs))
+    return _outcome(components, state, obs).score
 
 
 def score_matrix(components: ModelComponents, state: ModelState, obs,
@@ -301,9 +347,9 @@ def score_matrix(components: ModelComponents, state: ModelState, obs,
     the state's measure (checked numerically).
     """
     check_state(components, state)
-    arr = _directions(components, state, directions)
-    gv, fd = _g_and_f_dot(components, state, obs)
-    return _direction_scores(components, state, obs, arr, gv, fd)
+    dirs = _directions(components, state, directions)
+    return _direction_scores(components, obs, dirs,
+                             *_g_and_f_dot(components, state, obs))
 
 
 def joint_score(components: ModelComponents, state: ModelState, obs,
@@ -312,13 +358,9 @@ def joint_score(components: ModelComponents, state: ModelState, obs,
     :func:`score_matrix`, shape (p + k,), from one evaluation of g and
     f_dot."""
     check_state(components, state)
-    arr = _directions(components, state, directions)
-    gv, fd = _g_and_f_dot(components, state, obs)
-    parts = ([_parameter_score(obs, state.eta.masses, fd,
-                               *_theta_parts(components, state, obs))]
-             if components.p else [])
-    parts.append(_direction_scores(components, state, obs, arr, gv, fd))
-    return np.concatenate(parts)
+    dirs = _directions(components, state, directions)
+    return _joint_score(components, obs, _outcome(components, state, obs),
+                        dirs)
 
 
 def score_operator(components: ModelComponents, state: ModelState, obs, a) -> float:
@@ -327,13 +369,19 @@ def score_operator(components: ModelComponents, state: ModelState, obs, a) -> fl
     For a mean-zero tangent space the direction must be centered under
     the state's measure (checked numerically).
     """
+    return _score_operator(components, state, obs, a)[0]
+
+
+def _score_operator(components: ModelComponents, state: ModelState, obs, a):
+    """:func:`score_operator` with the g on the grid it evaluated."""
     check_state(components, state)
     if components.tangent is TangentKind.L2_ZERO:
         av = require_centered(a, state.eta, "tangent direction")
     else:
         av = as_values(a, state.eta.size)
     gv, fd = _g_and_f_dot(components, state, obs)
-    return _measure_score(components, obs, gv, fd, state.eta.masses * av, av)
+    return _measure_score(components, obs, gv, fd, state.eta.masses * av,
+                          av), gv
 
 
 def ell_of_ones(components: ModelComponents, state: ModelState, obs) -> float:

@@ -47,9 +47,9 @@ def matrix_to_csv_text(mat) -> str:
         arr = arr[:, np.newaxis]
     if arr.ndim != 2:
         raise ConfigError(f"matrix CSV needs a 1-d or 2-d array, got ndim={arr.ndim}")
+    # repr of the Python floats of tolist() is format_float's text.
     lines = [f"# {arr.shape[0]},{arr.shape[1]}"]
-    for row in arr:
-        lines.append(",".join(format_float(v) for v in row))
+    lines += [",".join(map(repr, row)) for row in arr.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -23,9 +23,9 @@ from .calculus import (adjoint_of_score, classify_category,
 from .engines import expect, outcome_law, structural_functions
 from .errors import DomainError
 from .likelihood import (ModelComponents, ModelState, TangentKind,
-                         _measure_score, _parameter_score, _theta_parts,
-                         check_state, f_dot_values, g_values, log_density,
-                         score_operator)
+                         _log_density, _measure_score, _parameter_score,
+                         _r_dot_values, _score_operator, check_state,
+                         f_dot_values, g_dot_values, g_values)
 from .measure import (as_values, center, inner_product, perturb_measure,
                       require_centered)
 from .operators import apply
@@ -89,7 +89,8 @@ def _score_family(components, sf, states, which_score):
         adjoint_values = adjoint_of_score(sf, eta, tangent)[:, j]
 
         def scores(o, gv, fds):
-            gd, r_dot = _theta_parts(components, states[0], o)
+            gd = g_dot_values(components, states[0], o)
+            r_dot = _r_dot_values(components, states[0], o)
             return [float(_parameter_score(o, w, fd, gd, r_dot)[j])
                     for w, fd in zip(masses, fds)]
 
@@ -225,15 +226,22 @@ def check_score_fd(components: ModelComponents, state: ModelState, o, a,
                    h_order: float = FD_ORDER_STEP,
                    context=None) -> PropertyResult:
     """The measure score at one outcome against a central difference of
-    the log density along the mass path through the direction."""
-    analytic = score_operator(components, state, o, a)
+    the log density along the mass path through the direction.
+
+    The mass path moves only the masses, so the g on the grid that the
+    analytic score evaluates serves every log density along it.
+    """
+    analytic, gv = _score_operator(components, state, o, a)
     av = as_values(a, state.eta.size)
+
+    def log_density(st):
+        check_state(components, st)
+        return _log_density(components, st, o, gv)
 
     def quotient(hh):
         plus = ModelState(state.theta, perturb_measure(state.eta, av, +hh))
         minus = ModelState(state.theta, perturb_measure(state.eta, av, -hh))
-        return (log_density(components, plus, o)
-                - log_density(components, minus, o)) / (2.0 * hh)
+        return (log_density(plus) - log_density(minus)) / (2.0 * hh)
 
     err = abs(analytic - quotient(h))
     order_err = abs(analytic - quotient(h_order))

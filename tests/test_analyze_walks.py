@@ -1,0 +1,90 @@
+"""``analyze_model`` walks its outcome law twice and evaluates g once per
+outcome, and every quantity it reports is bit for bit what the separate
+public functions return."""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from semiinfo import (
+    MonteCarlo,
+    adjoint_of_score,
+    analyze_model,
+    efficient_information,
+    fisher_information,
+    info_operator,
+    least_favorable_direction,
+    local_identifiability,
+    structural_functions,
+    v_operator,
+    zoo,
+)
+from semiinfo.calculus import RIDGE_LADDER_DEFAULT
+from semiinfo.engines import outcome_law
+from semiinfo.likelihood import TangentKind
+from semiinfo.operators import as_matrix, eta_weighted_min_eigen
+
+
+def test_analyze_model_evaluates_g_once_per_outcome():
+    model = zoo.build("cox_cs", m=20)
+    calls = []
+
+    def g(theta, obs, pts):
+        calls.append(obs)
+        return model.components.g(theta, obs, pts)
+
+    c = dataclasses.replace(model.components, g=g)
+    law = outcome_law(model.exact, c, model.state)
+    calls.clear()
+    report = analyze_model(c, model.state, law)
+    assert report.identifiability is not None
+    assert len(calls) == len(law.pairs)
+
+
+def _separately(engine, c, s):
+    """The reported quantities from one public function each."""
+    eta, tangent = s.eta, c.tangent
+    sf = structural_functions(engine, c, s)
+    fisher = fisher_information(engine, c, s)
+    adjoint = adjoint_of_score(sf, eta, tangent)
+    out = {"fisher": fisher,
+           "min_eigen": local_identifiability(engine, c, s).min_eigen}
+    for name in ("gamma", "alpha", "kappa", "beta"):
+        out[name] = getattr(sf, name)
+        out["se_" + name] = getattr(sf, "se_" + name)
+    if c.p:
+        lfd = least_favorable_direction(sf, eta, tangent, adjoint,
+                                        RIDGE_LADDER_DEFAULT)
+        eff = efficient_information(engine, c, s, lfd.values, adjoint,
+                                    fisher)
+        out["by_score"], out["by_adjoint"] = eff.by_score, eff.by_adjoint
+        v_mat = v_operator(sf, eta, tangent, fisher)
+    else:
+        v_mat = as_matrix(info_operator(sf, eta, tangent))
+    out["v_min_eigen"] = eta_weighted_min_eigen(
+        v_mat, eta, centered=tangent is TangentKind.L2_ZERO)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["exact", "mc"])
+@pytest.mark.parametrize("model_id", list(zoo.MODELS))
+def test_analyze_model_matches_the_public_functions(model_id, kind):
+    model = zoo.build(model_id)
+    c, s = model.components, model.state
+    engine = (model.exact if kind == "exact"
+              else MonteCarlo(model.sampler, 2000, 5))
+    report = analyze_model(c, s, engine)
+    sf = report.structural
+    got = {"fisher": report.fisher,
+           "min_eigen": report.identifiability.min_eigen,
+           "v_min_eigen": report.v_min_eigen}
+    for name in ("gamma", "alpha", "kappa", "beta"):
+        got[name] = getattr(sf, name)
+        got["se_" + name] = getattr(sf, "se_" + name)
+    if c.p:
+        got["by_score"] = report.efficient.by_score
+        got["by_adjoint"] = report.efficient.by_adjoint
+    want = _separately(engine, c, s)
+    assert set(got) == set(want)
+    for name, value in want.items():
+        assert np.array_equal(got[name], value), name

@@ -20,6 +20,20 @@ from semiinfo.serialize import (
 )
 
 
+def test_matrix_csv_text_matches_format_float_per_element():
+    rng = np.random.default_rng(7)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0, -3.0,
+               123456789.0, 2.0 ** 53, 1e-300, 1.0 / 3.0]
+    mat = np.concatenate([special, rng.normal(size=37) *
+                          np.exp(rng.normal(size=37) * 20)]).reshape(5, 10)
+    for arr in (mat, mat[:, 0], mat[:, :0]):
+        rows = arr[:, np.newaxis] if arr.ndim == 1 else arr
+        want = "".join(
+            [f"# {rows.shape[0]},{rows.shape[1]}\n"] +
+            [",".join(format_float(v) for v in row) + "\n" for row in rows])
+        assert matrix_to_csv_text(arr) == want
+
+
 def test_matrix_round_trip_is_byte_identical(tmp_path):
     rng = np.random.default_rng(31)
     mat = rng.normal(size=(4, 3)) * np.exp(rng.normal(size=(4, 3)) * 8)

@@ -72,6 +72,22 @@ def test_score_fd_converges_at_second_order():
     assert lo < res.context["richardson_ratio"] < hi
 
 
+def test_score_fd_evaluates_g_once():
+    model = zoo.build("missing_cov")
+    calls = []
+
+    def g(theta, obs, pts):
+        calls.append(obs)
+        return model.components.g(theta, obs, pts)
+
+    c = dataclasses.replace(model.components, g=g)
+    eta = model.state.eta
+    a = center(np.linspace(-1.0, 1.0, eta.size), eta).values
+    res = check_score_fd(c, model.state, model.exact.outcomes[0], a)
+    assert res.passed
+    assert len(calls) == 1
+
+
 def test_centering_construction_needs_mean_zero_tangent():
     model = zoo.build("cox_rc")
     with pytest.raises(DomainError):
