@@ -73,7 +73,6 @@ from .measure import DiscreteMeasure, require_centered
 from .operators import (
     KernelOperator,
     SolveResult,
-    as_matrix,
     centered_basis,
     eta_weighted_min_eigen,
     min_eigen_sym,
@@ -202,23 +201,30 @@ def v_operator(sf: StructuralFunctions, eta: DiscreteMeasure,
     E[score Ba]``. Raises :class:`NotIdentifiableError` when the
     parameter information is singular.
     """
-    mat = as_matrix(info_operator(sf, eta, tangent))
+    return _v_matrix(info_operator(sf, eta, tangent),
+                     adjoint_of_score(sf, eta, tangent), fisher)
+
+
+def _v_matrix(op: KernelOperator, adjoint: np.ndarray,
+              fisher: np.ndarray) -> np.ndarray:
+    """:func:`v_operator` from the information operator and the adjoint."""
     if fisher.shape[0] == 0:
-        return mat
-    adj = adjoint_of_score(sf, eta, tangent)
+        return op._matrix
     inv_at_w = _solve_psd("parameter information", fisher,
-                          (adj * eta.masses[:, np.newaxis]).T)
-    return mat - adj @ inv_at_w
+                          (adjoint * op.base.masses[:, np.newaxis]).T)
+    return op._matrix - adjoint @ inv_at_w
 
 
 @dataclass(frozen=True)
 class LfdResult:
-    """A least favorable direction solve with its ridge ladder trace."""
+    """A least favorable direction solve with its ridge ladder trace and
+    the information operator it solved (kept factored, for reuse)."""
 
     values: np.ndarray
     solve_result: SolveResult
     ladder: tuple
     ridge_used: float
+    operator: KernelOperator
 
 
 def least_favorable_direction(sf: StructuralFunctions, eta: DiscreteMeasure,
@@ -231,8 +237,8 @@ def least_favorable_direction(sf: StructuralFunctions, eta: DiscreteMeasure,
     ``DIRECT_ACCEPT_REL_RESID``. If it is refused as ill posed, or its
     residual is too large, the ridge ladder is walked and the step with
     the smallest relative residual wins (ties go to the smaller ridge).
-    Without a ladder, an ill-posed direct solve propagates
-    :class:`IllPosedError`.
+    Without a ladder (None or empty), an ill-posed direct solve
+    propagates :class:`IllPosedError`.
     """
     op = info_operator(sf, eta, tangent)
     candidates = []
@@ -248,17 +254,16 @@ def least_favorable_direction(sf: StructuralFunctions, eta: DiscreteMeasure,
 
     if not (candidates and candidates[0].relative_residual
             <= DIRECT_ACCEPT_REL_RESID):
-        if ridge_ladder is not None:
-            for ridge in ridge_ladder:
-                res = solve(op, rhs, float(ridge))
-                candidates.append(res)
-                ladder_log.append((float(ridge), res.relative_residual))
-        elif direct_error is not None:
-            raise direct_error
+        for ridge in ridge_ladder or ():
+            res = solve(op, rhs, float(ridge))
+            candidates.append(res)
+            ladder_log.append((float(ridge), res.relative_residual))
+    if not candidates:
+        raise direct_error
 
     best = min(candidates,
                key=lambda r: (r.relative_residual, r.ridge))
-    return LfdResult(best.solution, best, tuple(ladder_log), best.ridge)
+    return LfdResult(best.solution, best, tuple(ladder_log), best.ridge, op)
 
 
 def _lfd_directions(components: ModelComponents, state: ModelState,
@@ -502,8 +507,10 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
     density besides). The pass before the solve sums the structural
     functions, the Fisher information and the identifiability Gram, and
     keeps each outcome's g on the grid, f_dot and parameter score; the
-    efficient-information pass after the solve reads those. A
-    closed-form engine answers through its handles.
+    efficient-information pass after the solve reads those. It builds
+    one information operator per state: the least favorable solve
+    factors it and V is formed from its dense matrix. A closed-form
+    engine answers through its handles.
     """
     eta = state.eta
     closed = isinstance(engine, ClosedForm)
@@ -539,7 +546,7 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
             efficient = _efficient_information(law, components, state,
                                                lfd.values, adjoint, fisher,
                                                outcome)
-            v_mat = v_operator(sf, eta, components.tangent, fisher)
+            v_mat = _v_matrix(lfd.operator, adjoint, fisher)
         except NotIdentifiableError as exc:
             # Singular parameter block: skip the quantities that divide by
             # it so the identifiability check below can still name the
@@ -547,7 +554,7 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
             fisher_singular = str(exc)
             v_mat = None
     else:
-        v_mat = as_matrix(info_operator(sf, eta, components.tangent))
+        v_mat = info_operator(sf, eta, components.tangent)._matrix
     if v_mat is None:
         v_min = float("nan")
     else:

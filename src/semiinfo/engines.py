@@ -166,8 +166,6 @@ class ClosedForm:
     ``handles`` maps names to callables. Recognized names:
 
     - ``"structural"``: ``fn(components, state) -> StructuralFunctions``
-    - ``"expect:<name>"``: ``fn(components, state, functional) -> ExpectResult``
-      for functionals carrying a matching ``name`` attribute.
     """
 
     handles: dict
@@ -227,13 +225,6 @@ def expect(engine, components: ModelComponents, state: ModelState,
            functional: Callable) -> ExpectResult:
     """Expectation of ``functional(obs)`` (scalar or array valued) under
     the model's outcome law at the given state."""
-    if isinstance(engine, ClosedForm):
-        name = getattr(functional, "name", None)
-        if name is None:
-            raise NotAvailableError(
-                "closed-form expectation needs a functional with a name"
-            )
-        return engine.handle(f"expect:{name}")(components, state, functional)
     law = outcome_law(engine, components, state)
     (value,), (se,) = _reduce(law, lambda obs: (functional(obs),))
     if np.ndim(value) == 0:
@@ -252,7 +243,8 @@ def mc_convergence_probe(engine: MonteCarlo, components: ModelComponents,
     children = np.random.SeedSequence(engine.seed).spawn(len(sizes))
     out = []
     for size, child in zip(sizes, children):
-        sub = MonteCarlo(engine.sampler, int(size), child.entropy)
+        sub = MonteCarlo(engine.sampler, int(size),
+                         int(child.generate_state(1)[0]))
         res = expect(sub, components, state, functional)
         out.append((int(size), res.value, res.se))
     return out

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,6 +144,25 @@ class DiscreteMeasure:
     def support(self) -> np.ndarray:
         """Indices of grid points carrying positive mass."""
         return np.flatnonzero(self.masses > 0.0)
+
+    @cached_property
+    def _support_and_root(self):
+        """(sup, root): the support and ``sqrt(w)`` on it, computed once."""
+        sup = self.support()
+        if sup.size == 0:
+            raise DomainError("measure has empty support")
+        return sup, np.sqrt(self.masses[sup])
+
+    @cached_property
+    def _mean_zero_basis(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the mean-zero subspace in the
+        coordinates ``y = sqrt(w) a`` on the support, computed on first use."""
+        root = self._support_and_root[1]
+        q0 = root / np.linalg.norm(root)
+        # The projector onto the mean-zero subspace has rank size - 1;
+        # its leading singular vectors form the basis, deterministically.
+        u_mat = np.linalg.svd(np.eye(root.size) - np.outer(q0, q0))[0]
+        return u_mat[:, : root.size - 1]
 
 
 @dataclass(frozen=True)

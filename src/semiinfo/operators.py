@@ -15,10 +15,12 @@ relative smallest singular value falls below ``SIGMA_MIN_REL_TOL``;
 ridge-regularized solves minimize
 ``||T a - rhs||^2_eta + ridge ||a||^2_eta`` and never raise.
 
-An operator reduces and factors its system (one dense matrix, one SVD)
-on its first solve; every later solve on it reuses that factorization,
+A measure computes its mean-zero basis (one SVD) once, on first use.
+An operator builds its dense matrix once and factors its reduced system
+(one SVD) on its first solve; every later solve on it reuses both,
 whatever its ridge or right-hand side, so a whole ridge ladder costs one
-factorization.
+factorization. ``analyze`` builds one operator per state and forms V
+from its matrix.
 """
 
 from __future__ import annotations
@@ -87,16 +89,20 @@ class KernelOperator:
         return self.base.size
 
     @cached_property
+    def _matrix(self) -> np.ndarray:
+        """The dense matrix (:func:`as_matrix`), built once; the pieces and
+        the masses are read-only, so no cached value here can go stale."""
+        return as_matrix(self)
+
+    @cached_property
     def _factored(self):
-        """(mat, sup, root, q, svd): the dense matrix, the reduction of
-        :func:`_reduce`, and the SVD ``(u, s, vt)`` of the reduced system
-        (None when it is empty). Built on the first solve and reused by
-        every later one; the operator's pieces and its measure's masses
-        are read-only, so it cannot go stale."""
-        mat = as_matrix(self)
-        reduced, sup, root, q = _reduce(mat, self.base, self.centering)
+        """(sup, root, q, svd): the reduction of :func:`_reduce` and the
+        SVD ``(u, s, vt)`` of the reduced system (None when it is empty).
+        Built on the first solve and reused by every later one."""
+        reduced, sup, root, q = _reduce(self._matrix, self.base,
+                                        self.centering)
         svd = np.linalg.svd(reduced) if reduced.shape[0] else None
-        return mat, sup, root, q, svd
+        return sup, root, q, svd
 
 
 def apply(op: KernelOperator, a) -> np.ndarray:
@@ -143,37 +149,17 @@ class SolveResult:
     sigma_max: float
 
 
-def _support_root(eta: DiscreteMeasure):
-    sup = eta.support()
-    if sup.size == 0:
-        raise DomainError("measure has empty support")
-    root = np.sqrt(eta.masses[sup])
-    return sup, root
-
-
-def _centered_projector(root: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the mean-zero subspace, expressed in
-    the symmetric coordinates ``y = sqrt(w) a`` on the support."""
-    n = root.size
-    q0 = root / np.linalg.norm(root)
-    h = np.eye(n) - np.outer(q0, q0)
-    # h is the rank (n-1) orthogonal projector; its leading singular
-    # vectors form the basis we need, computed deterministically.
-    u_mat, _, _ = np.linalg.svd(h)
-    return u_mat[:, : n - 1]
-
-
 def _reduce(mat: np.ndarray, eta: DiscreteMeasure, centered: bool):
     """Return (reduced, sup, root, q): an operator matrix in the solve
     coordinates ``y = sqrt(w) a`` on the support ``sup`` (``root`` is
     ``sqrt(w)`` there), projected onto the mean-zero basis q when
     ``centered`` (q is None otherwise)."""
-    sup, root = _support_root(eta)
+    sup, root = eta._support_and_root
     sub = mat[np.ix_(sup, sup)]
     reduced = (sub * (1.0 / root)[np.newaxis, :]) * root[:, np.newaxis]
     q = None
     if centered:
-        q = _centered_projector(root)
+        q = eta._mean_zero_basis
         reduced = q.T @ reduced @ q
     return reduced, sup, root, q
 
@@ -207,7 +193,7 @@ def solve(op: KernelOperator, rhs, ridge: float = 0.0) -> SolveResult:
     if not np.all(np.isfinite(rhs_arr)):
         raise DomainError("rhs must be finite")
 
-    mat, sup, root, q, svd = op._factored
+    sup, root, q, svd = op._factored
     if svd is None:
         return SolveResult(np.zeros_like(rhs_arr), 0.0, 0.0, 1.0, ridge,
                            0.0, 0.0)
@@ -242,7 +228,7 @@ def solve(op: KernelOperator, rhs, ridge: float = 0.0) -> SolveResult:
     solution = np.zeros(rhs_arr.shape)
     solution[sup] = y / root
 
-    resid_vec = mat @ solution - rhs_arr
+    resid_vec = op._matrix @ solution - rhs_arr
     if op.centering:
         # The equation lives on the mean-zero subspace; the residual's
         # constant component is an artifact of the kernel representative.
@@ -287,21 +273,15 @@ def eta_weighted_min_eigen(mat: np.ndarray, eta: DiscreteMeasure,
     return min_eigen_sym(reduced)
 
 
-def operator_min_eigen(op: KernelOperator) -> float:
-    """eta-weighted smallest eigenvalue of a kernel operator, on the
-    mean-zero subspace when the operator centers."""
-    return eta_weighted_min_eigen(as_matrix(op), op.base, centered=op.centering)
-
-
 def centered_basis(eta: DiscreteMeasure) -> np.ndarray:
     """Columns forming an eta-orthonormal basis of the mean-zero subspace
     on the support, padded with the raw coordinate directions of any
     zero-mass points (those are trivially mean zero and, feeding operators
     built from eta, trivially dead; keeping them makes rank defects from
     dead cells visible instead of silently dropped)."""
-    sup, root = _support_root(eta)
+    sup, root = eta._support_and_root
     m = eta.size
-    q = _centered_projector(root)
+    q = eta._mean_zero_basis
     cols = np.zeros((m, q.shape[1]))
     cols[sup, :] = q / root[:, np.newaxis]
     dead = np.setdiff1d(np.arange(m), sup)

@@ -21,7 +21,7 @@ from semiinfo import (
 )
 from semiinfo.engines import StructuralFunctions
 from semiinfo.errors import DomainError, IllPosedError
-from semiinfo.measure import inner_product
+from semiinfo.measure import center, inner_product
 
 
 def fake_sf(gamma, se=None, engine="exact", kappa=None):
@@ -135,6 +135,20 @@ def test_lfd_without_ladder_propagates_ill_posedness():
     sf, eta, tangent, rhs = singular_setup()
     with pytest.raises(IllPosedError):
         least_favorable_direction(sf, eta, tangent, rhs, ridge_ladder=None)
+
+
+def test_empty_ridge_ladder_propagates_ill_posedness():
+    # An empty ladder is no ladder: the refused direct solve's error
+    # comes back, as it does without one.
+    model = zoo.build("mixture", parametric=False, m=30)
+    c, s = model.components, model.state
+    chi_dot = center(s.eta.grid.points, s.eta).values
+    sf = structural_functions(model.exact, c, s)
+    with pytest.raises(IllPosedError):
+        least_favorable_direction(sf, s.eta, c.tangent, chi_dot,
+                                  ridge_ladder=())
+    with pytest.raises(IllPosedError):
+        nonparametric_influence(model.exact, c, s, chi_dot, ridge_ladder=())
 
 
 def test_lfd_on_toy_first_kind_grids_still_solves_directly():

@@ -75,6 +75,22 @@ def test_mc_convergence_probe_rate():
     assert 2.0 < ratio < 8.0
 
 
+def test_mc_convergence_probe_draws_independent_substreams():
+    model = zoo.build("mixture")
+    draws = []
+
+    def sampler(state, rng, size):
+        out = model.sampler(state, rng, size)
+        draws.append(list(out))
+        return out
+
+    engine = MonteCarlo(sampler, 100, 2024)
+    mc_convergence_probe(engine, model.components, model.state,
+                         lambda o: float(o.x), sizes=[400, 6400])
+    small, large = draws
+    assert small != large[:len(small)]
+
+
 def test_mc_convergence_probe_requires_mc_engine():
     model = zoo.build("mixture")
     with pytest.raises(DomainError):

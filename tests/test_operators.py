@@ -14,7 +14,7 @@ from semiinfo import (
 )
 from semiinfo.errors import DimensionError, DomainError, IllPosedError, NotIdentifiableError
 from semiinfo.measure import DiscreteMeasure, Grid, MeasureKind
-from semiinfo.operators import centered_basis, eta_weighted_min_eigen, operator_min_eigen
+from semiinfo.operators import centered_basis, eta_weighted_min_eigen
 
 
 def measure(masses, kind=MeasureKind.POSITIVE_FINITE):
@@ -127,7 +127,8 @@ def test_eta_weighted_min_eigen_diagonal():
 def test_operator_min_eigen_multiplier():
     eta = measure([0.4, 0.6])
     op = op_from([2.0, 5.0], np.zeros((2, 2)), eta)
-    assert operator_min_eigen(op) == pytest.approx(2.0, abs=1e-10)
+    got = eta_weighted_min_eigen(as_matrix(op), op.base, centered=op.centering)
+    assert got == pytest.approx(2.0, abs=1e-10)
 
 
 def test_centered_basis_columns_are_centered():
