@@ -33,7 +33,10 @@ the solve sums the structural functions, the Fisher information and the
 identifiability Gram from one evaluation of g, g_dot, f_dot, f_ddot and
 r_dot, and keeps each outcome's g on the grid, f_dot and parameter
 score; the efficient-information pass after the solve reads those and
-evaluates only L along the solved directions.
+evaluates only L along the solved directions. Only the structural
+functions carry standard errors, so on a sampled law no other sum forms
+second moments, and the symmetric identifiability Gram is summed as its
+packed upper triangle.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ import numpy as np
 from .engines import (
     ClosedForm,
     StructuralFunctions,
+    _mean,
     _reduce,
     _structural_result,
-    expect,
     outcome_law,
     structural_functions,
 )
@@ -164,8 +167,8 @@ def fisher_information(engine, components: ModelComponents,
     if components.p == 0:
         return np.zeros((0, 0))
     check_state(components, state)
-    value = expect(engine, components, state, lambda obs: _fisher_term(
-        _outcome(components, state, obs))).value
+    value = _mean(engine, components, state, lambda obs: _fisher_term(
+        _outcome(components, state, obs)))
     return _symmetric(value)
 
 
@@ -337,10 +340,9 @@ def _efficient_information(engine, components: ModelComponents,
     outcome's evaluation (:func:`analyze_model` hands in the ones its
     first pass kept)."""
     dirs = _lfd_directions(components, state, lfd_values)
-    by_score = _symmetric(expect(
+    by_score = _symmetric(_mean(
         engine, components, state,
-        lambda obs: _efficient_term(components, obs, outcome(obs), dirs)
-    ).value)
+        lambda obs: _efficient_term(components, obs, outcome(obs), dirs)))
     cross = adjoint.T @ dirs[1]
     by_adjoint = fisher - cross
     gap = float(np.max(np.abs(by_score - by_adjoint))) if fisher.size else 0.0
@@ -373,25 +375,42 @@ def _identifiability_directions(components: ModelComponents,
     return _directions(components, state, basis)
 
 
-def _gram_term(components: ModelComponents, obs, outcome: _Outcome,
-               dirs) -> np.ndarray:
+def _gram_dimension(components: ModelComponents, dirs) -> int:
+    """The number of scores in the joint score: the parameter score and
+    one per direction in ``dirs``."""
+    return components.p + dirs[0].shape[1]
+
+
+def _gram_term(components: ModelComponents, obs, outcome: _Outcome, dirs,
+               upper) -> np.ndarray:
+    """The joint score's outer product packed as its ``upper`` triangle:
+    the same products as ``np.outer``, which is exactly symmetric."""
     v = _joint_score(components, obs, outcome, dirs)
-    return np.outer(v, v)
+    return v[upper[0]] * v[upper[1]]
 
 
-def _identifiability_result(components: ModelComponents, gram: np.ndarray,
-                            dirs) -> IdentifiabilityResult:
-    return IdentifiabilityResult(min_eigen_sym(gram),
-                                 components.p + dirs[0].shape[1])
+def _gram(packed: np.ndarray, k: int) -> np.ndarray:
+    """The symmetric (k, k) Gram from its summed packed upper triangle."""
+    upper = np.triu_indices(k)
+    gram = np.empty((k, k))
+    gram[upper] = packed
+    gram[upper[::-1]] = packed
+    return gram
+
+
+def _identifiability_result(gram: np.ndarray) -> IdentifiabilityResult:
+    return IdentifiabilityResult(min_eigen_sym(gram), gram.shape[0])
 
 
 def local_identifiability(engine, components: ModelComponents,
                           state: ModelState) -> IdentifiabilityResult:
     check_state(components, state)
     dirs = _identifiability_directions(components, state)
-    gram = expect(engine, components, state, lambda obs: _gram_term(
-        components, obs, _outcome(components, state, obs), dirs)).value
-    return _identifiability_result(components, gram, dirs)
+    k = _gram_dimension(components, dirs)
+    upper = np.triu_indices(k)
+    packed = _mean(engine, components, state, lambda obs: _gram_term(
+        components, obs, _outcome(components, state, obs), dirs, upper))
+    return _identifiability_result(_gram(packed, k))
 
 
 @dataclass(frozen=True)
@@ -467,13 +486,18 @@ def _walk_before_solve(law, components: ModelComponents, state: ModelState,
                        ident_dirs):
     """One pass over the law summing the structural functions, the
     Fisher information and, given identifiability directions, the joint
-    score Gram, from one evaluation of g, g_dot, f_dot, f_ddot and r_dot
-    per outcome. Also returns each outcome's evaluation, in law order.
+    score Gram (as its packed upper triangle), from one evaluation of g,
+    g_dot, f_dot, f_ddot and r_dot per outcome. Also returns each
+    outcome's evaluation, in law order. Only the structural functions
+    get standard errors.
 
     The compensated sum is elementwise, so summing the integrands in one
     pass gives the bits of one pass per quantity.
     """
     kept = []
+    if ident_dirs is not None:
+        k = _gram_dimension(components, ident_dirs)
+        upper = np.triu_indices(k)
 
     def terms(obs):
         gd = g_dot_values(components, state, obs)
@@ -484,13 +508,14 @@ def _walk_before_solve(law, components: ModelComponents, state: ModelState,
         if components.p:
             out.append(_fisher_term(outcome))
         if ident_dirs is not None:
-            out.append(_gram_term(components, obs, outcome, ident_dirs))
+            out.append(_gram_term(components, obs, outcome, ident_dirs,
+                                  upper))
         return out
 
-    values, ses = _reduce(law, terms)
-    sf = _structural_result(law, values[:4], ses[:4])
+    values, ses = _reduce(law, terms, 4)
+    sf = _structural_result(law, values[:4], ses)
     fisher = _symmetric(values[4]) if components.p else np.zeros((0, 0))
-    gram = values[-1] if ident_dirs is not None else None
+    gram = _gram(values[-1], k) if ident_dirs is not None else None
     return sf, fisher, gram, kept
 
 
@@ -564,7 +589,7 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
 
     ident = None
     if gram is not None:
-        ident = _identifiability_result(components, gram, ident_dirs)
+        ident = _identifiability_result(gram)
 
     diagnostics = {
         "max_structural_se": sf.max_se(),

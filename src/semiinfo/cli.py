@@ -65,6 +65,26 @@ def _check_keys(mapping, allowed, where):
         )
 
 
+def _whole(value, where, minimum):
+    """``value`` if it is an int of at least ``minimum`` (0 for a seed, 1
+    for a count); a bool, a float or a string is a configuration error."""
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise ConfigError(
+            f"{where} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _seed(cfg, section, default, seed_override):
+    """The run's seed: ``--seed`` (checked by ``main``), else the seed of
+    the config's ``section``, else its top-level seed, else ``default``."""
+    if seed_override is not None:
+        return seed_override
+    if "seed" in cfg.get(section, {}):
+        return _whole(cfg[section]["seed"], f"config.{section}.seed", 0)
+    return _whole(cfg.get("seed", default), "config.seed", 0)
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as handle:
@@ -118,12 +138,9 @@ def _resolve_engine(cfg, model, seed_override):
     if kind == "exact":
         return model.exact
     if kind == "mc":
-        n = engine_cfg.get("n")
-        if not isinstance(n, int) or n <= 0:
-            raise ConfigError("config.engine.n must be a positive integer for mc")
-        seed = seed_override if seed_override is not None \
-            else engine_cfg.get("seed", cfg.get("seed", 0))
-        return MonteCarlo(model.sampler, n, int(seed))
+        n = _whole(engine_cfg.get("n"), "config.engine.n", 1)
+        return MonteCarlo(model.sampler, n,
+                          _seed(cfg, "engine", 0, seed_override))
     raise ConfigError(f"unknown engine kind {kind!r}; use 'exact' or 'mc'")
 
 
@@ -163,8 +180,7 @@ def cmd_analyze(cfg, out_dir, seed_override):
 
 def cmd_validate(cfg, out_dir, seed_override):
     vcfg = cfg.get("validate", {})
-    seed = seed_override if seed_override is not None \
-        else vcfg.get("seed", cfg.get("seed", SUITE_SEED_DEFAULT))
+    seed = _seed(cfg, "validate", SUITE_SEED_DEFAULT, seed_override)
     kwargs = {}
     for key in ("h", "n_op_dirs", "n_pair", "n_outcomes"):
         if key in vcfg:
@@ -173,7 +189,7 @@ def cmd_validate(cfg, out_dir, seed_override):
     if params is not None and not isinstance(params, dict):
         raise ConfigError("config.validate.params must map model id to params")
     try:
-        results = run_suite(vcfg.get("models"), seed=int(seed),
+        results = run_suite(vcfg.get("models"), seed=seed,
                             params=params, **kwargs)
     except ConfigError:
         raise
@@ -350,6 +366,7 @@ def main(argv=None) -> int:
                      f"{args.command_flag!r}")
 
     try:
+        seed = None if args.seed is None else _whole(args.seed, "--seed", 0)
         cfg = load_config(args.config)
         if command is None:
             command = cfg.get("command")
@@ -359,7 +376,7 @@ def main(argv=None) -> int:
                 f"choose from {', '.join(COMMANDS)}"
             )
         os.makedirs(args.out, exist_ok=True)
-        return _HANDLERS[command](cfg, args.out, args.seed)
+        return _HANDLERS[command](cfg, args.out, seed)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

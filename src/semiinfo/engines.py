@@ -6,9 +6,13 @@ state: the ordered (outcome, weight) pairs every expectation there sums
 over. Exact enumeration weights a finite outcome space by the
 exponentiated log density (checked to sum to one); Monte Carlo weights
 the distinct draws of a seeded sampler by frequency, in a canonical
-order, so results are bit-reproducible for a given seed. A law stands in
-for its engine at its own state, and one fixed-order compensated reducer
-sums over it. Closed-form engines dispatch to analytic handles instead.
+order, so results are bit-reproducible for a given seed. A sampler may
+also tally its draws as (outcome, count) pairs, as the categorical
+sampler does by counting outcome indices, and the engine then skips
+grouping the outcomes itself. A law stands in for its engine at its own
+state, and one fixed-order compensated reducer sums over it, forming
+second moments only for the sums whose standard errors are reported.
+Closed-form engines dispatch to analytic handles instead.
 
 The structural functions are the four expectations that assemble adjoints
 and information operators. With x the vector of integral functionals:
@@ -100,6 +104,11 @@ class ExactEnumeration:
         object.__setattr__(self, "outcomes", tuple(outcomes))
         if not self.outcomes:
             raise DomainError("outcome list is empty")
+        seen = set()
+        for obs in self.outcomes:
+            if obs in seen:
+                raise DomainError(f"outcome {obs!r} is listed twice")
+            seen.add(obs)
 
     def probabilities(self, components: ModelComponents,
                       state: ModelState) -> np.ndarray:
@@ -135,7 +144,9 @@ class MonteCarlo:
 
     ``sampler(state, rng, size)`` returns ``size`` hashable outcomes. The
     engine groups the draws by outcome and reduces in a canonical order,
-    so two runs with the same seed agree bit for bit.
+    so two runs with the same seed agree bit for bit. A sampler with a
+    ``tally(state, rng, size)`` method, which returns the same draws as
+    distinct (outcome, count) pairs, is asked for those instead.
     """
 
     sampler: Callable
@@ -148,9 +159,12 @@ class MonteCarlo:
 
     def draw_weights(self, state: ModelState) -> list:
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
-        samples = self.sampler(state, rng, self.n)
-        counts = Counter(samples)
-        items = sorted(counts.items(), key=lambda kv: repr(kv[0]))
+        tally = getattr(self.sampler, "tally", None)
+        if tally is None:
+            counts = Counter(self.sampler(state, rng, self.n)).items()
+        else:
+            counts = tally(state, rng, self.n)
+        items = sorted(counts, key=lambda kv: repr(kv[0]))
         return [(obs, cnt / self.n) for obs, cnt in items]
 
     def law(self, components: ModelComponents,
@@ -192,17 +206,20 @@ def outcome_law(engine, components: ModelComponents,
     return build(components, state)
 
 
-def _reduce(law: OutcomeLaw, functional: Callable):
+def _reduce(law: OutcomeLaw, functional: Callable,
+            n_se: Optional[int] = None):
     """Weighted sums over the law of each array ``functional(obs)``
-    returns, compensated in law order, with their standard errors (zeros
-    unless the law is sampled)."""
+    returns, compensated in law order, with the standard errors of the
+    first ``n_se`` of them (all by default; zeros unless the law is
+    sampled). Each sum is elementwise, so a sum's bits do not depend on
+    which others are formed."""
     sampled = law.n is not None
     acc = None
     for obs, weight in law.pairs:
         vals = [np.asarray(v, dtype=float) for v in functional(obs)]
         terms = [weight * v for v in vals]
         if sampled:
-            terms += [term * v for term, v in zip(terms, vals)]
+            terms += [term * v for term, v in zip(terms, vals[:n_se])]
         if acc is None:
             acc = [[np.zeros(np.shape(term)), np.zeros(np.shape(term))]
                    for term in terms]
@@ -213,8 +230,8 @@ def _reduce(law: OutcomeLaw, functional: Callable):
             a[0] = t
     sums = [a[0] for a in acc]
     if not sampled:
-        return sums, [np.zeros_like(v) for v in sums]
-    k = len(sums) // 2
+        return sums, [np.zeros_like(v) for v in sums[:n_se]]
+    k = len(vals)  # the means; the second moments follow them
     means, seconds = sums[:k], sums[k:]
     ses = [np.sqrt(np.maximum(s2 - v * v, 0.0) / law.n)
            for v, s2 in zip(means, seconds)]
@@ -230,6 +247,14 @@ def expect(engine, components: ModelComponents, state: ModelState,
     if np.ndim(value) == 0:
         value, se = float(value), float(se)
     return ExpectResult(value, se, law.n)
+
+
+def _mean(engine, components: ModelComponents, state: ModelState,
+          functional: Callable) -> np.ndarray:
+    """The value of :func:`expect`, without forming its standard error."""
+    law = outcome_law(engine, components, state)
+    (value,), _ = _reduce(law, lambda obs: (functional(obs),), 0)
+    return value
 
 
 def mc_convergence_probe(engine: MonteCarlo, components: ModelComponents,
@@ -309,11 +334,22 @@ def make_categorical_sampler(exact: ExactEnumeration,
     probabilities at the sampled state (renormalized; tiny-mass designs
     carry a deficit far below sampling noise)."""
 
-    def sampler(state: ModelState, rng: np.random.Generator, size: int):
+    outcomes = exact.outcomes
+
+    def draw(state: ModelState, rng: np.random.Generator, size: int):
         probs = exact.probabilities(components, state)
         probs = probs / probs.sum()
-        idx = rng.choice(len(exact.outcomes), size=size, p=probs)
-        outcomes = exact.outcomes
-        return [outcomes[i] for i in idx.tolist()]
+        return rng.choice(len(outcomes), size=size, p=probs)
 
+    def sampler(state: ModelState, rng: np.random.Generator, size: int):
+        return [outcomes[i] for i in draw(state, rng, size).tolist()]
+
+    def tally(state: ModelState, rng: np.random.Generator, size: int):
+        # The same draws as the sampler, counted by outcome index (the
+        # exact engine's outcomes are distinct).
+        counts = np.bincount(draw(state, rng, size), minlength=len(outcomes))
+        return [(outcomes[i], int(counts[i]))
+                for i in np.flatnonzero(counts).tolist()]
+
+    sampler.tally = tally
     return sampler

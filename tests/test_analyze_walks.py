@@ -19,10 +19,12 @@ from semiinfo import (
     v_operator,
     zoo,
 )
-from semiinfo.calculus import RIDGE_LADDER_DEFAULT
-from semiinfo.engines import outcome_law
-from semiinfo.likelihood import TangentKind
-from semiinfo.operators import as_matrix, eta_weighted_min_eigen
+from semiinfo.calculus import (RIDGE_LADDER_DEFAULT, _gram, _gram_dimension,
+                               _gram_term, _identifiability_directions)
+from semiinfo.engines import _mean, outcome_law
+from semiinfo.likelihood import TangentKind, _joint_score, _outcome
+from semiinfo.operators import (as_matrix, eta_weighted_min_eigen,
+                                min_eigen_sym)
 
 
 def test_analyze_model_evaluates_g_once_per_outcome():
@@ -88,3 +90,27 @@ def test_analyze_model_matches_the_public_functions(model_id, kind):
     assert set(got) == set(want)
     for name, value in want.items():
         assert np.array_equal(got[name], value), name
+
+
+@pytest.mark.parametrize("kind", ["exact", "mc"])
+@pytest.mark.parametrize("model_id", ["cox_cs", "mixture"])
+def test_packed_gram_is_the_outer_product_gram(model_id, kind):
+    model = zoo.build(model_id)
+    c, s = model.components, model.state
+    law = outcome_law(model.exact if kind == "exact"
+                      else MonteCarlo(model.sampler, 2000, 5), c, s)
+    dirs = _identifiability_directions(c, s)
+    k = _gram_dimension(c, dirs)
+    upper = np.triu_indices(k)
+
+    def outer(obs):
+        v = _joint_score(c, obs, _outcome(c, s, obs), dirs)
+        return np.outer(v, v)
+
+    want = _mean(law, c, s, outer)
+    packed = _mean(law, c, s, lambda obs: _gram_term(
+        c, obs, _outcome(c, s, obs), dirs, upper))
+    assert np.array_equal(_gram(packed, k), want)
+    assert (analyze_model(c, s, law).identifiability.min_eigen
+            == local_identifiability(law, c, s).min_eigen
+            == min_eigen_sym(want))

@@ -296,3 +296,61 @@ def test_mc_engine_analyze(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["engine"] == "mc"
     assert report["structural_max_se"] > 0.0
+
+
+MC_ANALYZE = {"schema_version": 1, "command": "analyze",
+              "model": {"id": "cox_rc"}, "engine": {"kind": "mc", "n": 200}}
+VALIDATE_MIXTURE = {"schema_version": 1, "command": "validate",
+                    "validate": {"models": ["mixture"]}}
+
+
+BAD_VALUES = [
+    (MC_ANALYZE, "engine", "n", True),
+    (MC_ANALYZE, "engine", "n", 2.0),
+    (MC_ANALYZE, "engine", "seed", "x"),
+    (MC_ANALYZE, "engine", "seed", -1),
+    (MC_ANALYZE, "engine", "seed", 1.7),
+    (MC_ANALYZE, "engine", "seed", False),
+    (MC_ANALYZE, None, "seed", -1),
+    (VALIDATE_MIXTURE, "validate", "seed", "x"),
+    (VALIDATE_MIXTURE, "validate", "seed", -3),
+    (VALIDATE_MIXTURE, "validate", "seed", 2.5),
+    (VALIDATE_MIXTURE, None, "seed", True),
+]
+
+
+@pytest.mark.parametrize(
+    "base, section, key, value", BAD_VALUES,
+    ids=[f"{b['command']}-{s or 'top'}.{k}={v!r}"
+         for b, s, k, v in BAD_VALUES])
+def test_bad_seeds_and_counts_exit_two(tmp_path, capsys, base, section, key,
+                                       value):
+    doc = json.loads(json.dumps(base))
+    (doc[section] if section else doc)[key] = value
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and repr(value) in err
+
+
+@pytest.mark.parametrize("base", [MC_ANALYZE, VALIDATE_MIXTURE],
+                         ids=["analyze", "validate"])
+def test_negative_seed_flag_exits_two(tmp_path, capsys, base):
+    cfg = write_cfg(tmp_path, base)
+    assert run(["--config", cfg, "--out", tmp_path / "out",
+                "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_seed_flag_overrides_the_config_seed(tmp_path, capsys):
+    doc = dict(MC_ANALYZE, engine={"kind": "mc", "n": 200, "seed": 4})
+    flagged = write_cfg(tmp_path, dict(doc, engine=dict(doc["engine"],
+                                                        seed=-1)), "a.json")
+    plain = write_cfg(tmp_path, doc, "b.json")
+    assert run(["--config", flagged, "--out", tmp_path / "a",
+                "--seed", "4"]) == 0
+    assert run(["--config", plain, "--out", tmp_path / "b"]) == 0
+    for name in ANALYZE_FILES[1:]:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+    capsys.readouterr()

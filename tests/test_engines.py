@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from semiinfo import (
     structural_functions,
     zoo,
 )
+from semiinfo.engines import _reduce, outcome_law
 from semiinfo.errors import DomainError, NotAvailableError
-from semiinfo.likelihood import ModelState, TangentKind
+from semiinfo.likelihood import (ModelState, TangentKind, _g_and_f_dot,
+                                 _structural_terms, g_dot_values)
 from semiinfo.measure import center, perturb_measure
 
 STRUCTURAL_NAMES = ("gamma", "alpha", "kappa", "beta")
@@ -185,3 +189,45 @@ def test_every_engine_matches_exact_or_refuses_at_a_moved_state():
                 within += int(ok.sum())
                 assert np.all(gap[~ok] <= exact_tol), (model_id, name)
     assert within >= 0.99 * entries
+
+
+def test_exact_enumeration_refuses_repeated_outcomes():
+    outcomes = zoo.build("mixture").exact.outcomes
+    with pytest.raises(DomainError, match=re.escape(repr(outcomes[1]))):
+        ExactEnumeration(outcomes[:3] + outcomes[1:2] + outcomes[:1])
+
+
+@pytest.mark.parametrize("n", [3, 40, 5000])
+@pytest.mark.parametrize("model_id", list(zoo.MODELS))
+def test_tally_and_counter_draw_the_same_law(model_id, n):
+    model = zoo.build(model_id)
+
+    def bare(state, rng, size):
+        return model.sampler(state, rng, size)
+
+    assert hasattr(model.sampler, "tally") and not hasattr(bare, "tally")
+    for seed in (0, 7, 2024):
+        tallied = MonteCarlo(model.sampler, n, seed).draw_weights(model.state)
+        counted = MonteCarlo(bare, n, seed).draw_weights(model.state)
+        assert tallied == counted
+        if n == 3:
+            # some outcomes are never drawn and get no entry in the law
+            assert len(tallied) < len(model.exact.outcomes)
+
+
+def test_reduced_means_do_not_depend_on_which_second_moments_are_formed():
+    model = zoo.build("cox_cs", m=12)
+    c, s = model.components, model.state
+    law = outcome_law(MonteCarlo(model.sampler, 3000, 11), c, s)
+
+    def terms(obs):
+        gv, fd = _g_and_f_dot(c, s, obs)
+        return _structural_terms(c, s, obs, gv, g_dot_values(c, s, obs), fd)
+
+    means, ses = _reduce(law, terms)
+    assert len(ses) == 4 and all(np.any(se > 0.0) for se in ses)
+    for n_se in (0, 1, 2, 4):
+        got_means, got_ses = _reduce(law, terms, n_se)
+        assert len(got_ses) == n_se
+        for want, got in zip(means + ses, got_means + got_ses):
+            assert np.array_equal(want, got)
