@@ -25,15 +25,14 @@ succeed); an identically-zero multiplier leaves a pure integral operator
 (smoothing, so direct solves are expected to fail and a ridge ladder is
 walked instead).
 
-Each expectation here is one walk of the outcome law that evaluates g
-once per outcome, and each per-outcome integrand is one helper shared
-by the public functions and ``analyze_model``. ``analyze_model`` walks
-its law twice and evaluates the model once per outcome: the pass before
-the solve sums the structural functions, the Fisher information and the
-identifiability Gram from one evaluation of g, g_dot, f_dot, f_ddot and
-r_dot, and keeps each outcome's g on the grid, f_dot and parameter
-score; the efficient-information pass after the solve reads those and
-evaluates only L along the solved directions. Only the structural
+Every quantity has one path. Each expectation here is one walk of the
+outcome law over the evaluations the law keeps (g and g_dot on the
+grid, f_dot at x and the parameter score, computed once per outcome on
+first use), so a law asked for several quantities evaluates the model
+once per outcome. ``analyze_model`` is the composition of the public
+functions on one law: the structural functions, Fisher information and
+identifiability before the solve, the efficient information after it,
+which evaluates only L along the solved directions. Only the structural
 functions carry standard errors, so on a sampled law no other sum forms
 second moments, and the symmetric identifiability Gram is summed as its
 packed upper triangle.
@@ -42,7 +41,6 @@ packed upper triangle.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -52,8 +50,6 @@ from .engines import (
     ClosedForm,
     StructuralFunctions,
     _mean,
-    _reduce,
-    _structural_result,
     outcome_law,
     structural_functions,
 )
@@ -67,9 +63,7 @@ from .likelihood import (
     _joint_score,
     _Outcome,
     _outcome,
-    _structural_terms,
     check_state,
-    g_dot_values,
     score_operator,
 )
 from .measure import DiscreteMeasure, require_centered
@@ -157,8 +151,14 @@ def _symmetric(value: np.ndarray) -> np.ndarray:
     return 0.5 * (value + value.T)
 
 
-def _fisher_term(outcome: _Outcome) -> np.ndarray:
-    return np.outer(outcome.score, outcome.score)
+def _evaluated_mean(engine, components: ModelComponents, state: ModelState,
+                    term: Callable) -> np.ndarray:
+    """The mean of ``term(obs, outcome)`` under the outcome law, with
+    ``outcome`` the law's evaluation of ``obs``."""
+    law = outcome_law(engine, components, state)
+    evaluated = law.evaluated
+    return _mean(law, components, state,
+                 lambda obs: term(obs, evaluated[obs]))
 
 
 def fisher_information(engine, components: ModelComponents,
@@ -166,10 +166,9 @@ def fisher_information(engine, components: ModelComponents,
     """Second moment of the parameter score, shape (p, p)."""
     if components.p == 0:
         return np.zeros((0, 0))
-    check_state(components, state)
-    value = _mean(engine, components, state, lambda obs: _fisher_term(
-        _outcome(components, state, obs)))
-    return _symmetric(value)
+    return _symmetric(_evaluated_mean(
+        engine, components, state,
+        lambda obs, outcome: np.outer(outcome.score, outcome.score)))
 
 
 def adjoint_of_score(sf: StructuralFunctions, eta: DiscreteMeasure,
@@ -326,23 +325,13 @@ def efficient_information(engine, components: ModelComponents,
                           state: ModelState, lfd_values: np.ndarray,
                           adjoint: np.ndarray,
                           fisher: np.ndarray) -> EfficientInformation:
-    return _efficient_information(engine, components, state, lfd_values,
-                                  adjoint, fisher,
-                                  functools.partial(_outcome, components,
-                                                    state))
-
-
-def _efficient_information(engine, components: ModelComponents,
-                           state: ModelState, lfd_values: np.ndarray,
-                           adjoint: np.ndarray, fisher: np.ndarray,
-                           outcome: Callable) -> EfficientInformation:
-    """:func:`efficient_information` with ``outcome(obs)`` giving each
-    outcome's evaluation (:func:`analyze_model` hands in the ones its
-    first pass kept)."""
+    """Both routes to the efficient information from the least favorable
+    direction, the adjoint of the score and the Fisher information."""
     dirs = _lfd_directions(components, state, lfd_values)
-    by_score = _symmetric(_mean(
+    by_score = _symmetric(_evaluated_mean(
         engine, components, state,
-        lambda obs: _efficient_term(components, obs, outcome(obs), dirs)))
+        lambda obs, outcome: _efficient_term(components, obs, outcome,
+                                             dirs)))
     cross = adjoint.T @ dirs[1]
     by_adjoint = fisher - cross
     gap = float(np.max(np.abs(by_score - by_adjoint))) if fisher.size else 0.0
@@ -398,19 +387,17 @@ def _gram(packed: np.ndarray, k: int) -> np.ndarray:
     return gram
 
 
-def _identifiability_result(gram: np.ndarray) -> IdentifiabilityResult:
-    return IdentifiabilityResult(min_eigen_sym(gram), gram.shape[0])
-
-
 def local_identifiability(engine, components: ModelComponents,
                           state: ModelState) -> IdentifiabilityResult:
     check_state(components, state)
     dirs = _identifiability_directions(components, state)
     k = _gram_dimension(components, dirs)
     upper = np.triu_indices(k)
-    packed = _mean(engine, components, state, lambda obs: _gram_term(
-        components, obs, _outcome(components, state, obs), dirs, upper))
-    return _identifiability_result(_gram(packed, k))
+    packed = _evaluated_mean(
+        engine, components, state,
+        lambda obs, outcome: _gram_term(components, obs, outcome, dirs,
+                                        upper))
+    return IdentifiabilityResult(min_eigen_sym(_gram(packed, k)), k)
 
 
 @dataclass(frozen=True)
@@ -482,43 +469,6 @@ class InfoReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _walk_before_solve(law, components: ModelComponents, state: ModelState,
-                       ident_dirs):
-    """One pass over the law summing the structural functions, the
-    Fisher information and, given identifiability directions, the joint
-    score Gram (as its packed upper triangle), from one evaluation of g,
-    g_dot, f_dot, f_ddot and r_dot per outcome. Also returns each
-    outcome's evaluation, in law order. Only the structural functions
-    get standard errors.
-
-    The compensated sum is elementwise, so summing the integrands in one
-    pass gives the bits of one pass per quantity.
-    """
-    kept = []
-    if ident_dirs is not None:
-        k = _gram_dimension(components, ident_dirs)
-        upper = np.triu_indices(k)
-
-    def terms(obs):
-        gd = g_dot_values(components, state, obs)
-        outcome = _outcome(components, state, obs, gd)
-        kept.append(outcome)
-        out = list(_structural_terms(components, state, obs, outcome.gv, gd,
-                                     outcome.fd))
-        if components.p:
-            out.append(_fisher_term(outcome))
-        if ident_dirs is not None:
-            out.append(_gram_term(components, obs, outcome, ident_dirs,
-                                  upper))
-        return out
-
-    values, ses = _reduce(law, terms, 4)
-    sf = _structural_result(law, values[:4], ses)
-    fisher = _symmetric(values[4]) if components.p else np.zeros((0, 0))
-    gram = _gram(values[-1], k) if ident_dirs is not None else None
-    return sf, fisher, gram, kept
-
-
 def analyze_model(components: ModelComponents, state: ModelState, engine, *,
                   ridge_ladder: Optional[Sequence[float]] = RIDGE_LADDER_DEFAULT,
                   category_bound: float = CATEGORY_BOUND_DEFAULT,
@@ -527,37 +477,23 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
                   label: str = "") -> InfoReport:
     """Run the full calculus at one state and collect the results.
 
-    Under an outcome law this walks the law twice and evaluates the
-    model once per outcome (building an exact law evaluates the log
-    density besides). The pass before the solve sums the structural
-    functions, the Fisher information and the identifiability Gram, and
-    keeps each outcome's g on the grid, f_dot and parameter score; the
-    efficient-information pass after the solve reads those. It builds
-    one information operator per state: the least favorable solve
-    factors it and V is formed from its dense matrix. A closed-form
-    engine answers through its handles.
+    This is the public functions composed on one outcome law, which
+    evaluates the model once per outcome (building an exact law
+    evaluates the log density besides): the structural functions, the
+    Fisher information and identifiability before the least favorable
+    solve, the efficient information after it. It builds one information
+    operator per state: the least favorable solve factors it and V is
+    formed from its dense matrix. A closed-form engine answers through
+    its handles and reports no identifiability.
     """
     eta = state.eta
     closed = isinstance(engine, ClosedForm)
-    gram = ident_dirs = None
-    if closed:
-        law = engine
-        sf = structural_functions(engine, components, state)
-        fisher = fisher_information(engine, components, state)
-        outcome = functools.partial(_outcome, components, state)
-    else:
-        law = outcome_law(engine, components, state)
-        check_state(components, state)
-        if with_identifiability:
-            ident_dirs = _identifiability_directions(components, state)
-        sf, fisher, gram, kept = _walk_before_solve(law, components, state,
-                                                    ident_dirs)
-        replay = iter(kept)
-
-        def outcome(obs):
-            # The pass after the solve walks the same law in the same order.
-            return next(replay)
-
+    law = engine if closed else outcome_law(engine, components, state)
+    sf = structural_functions(law, components, state)
+    fisher = fisher_information(law, components, state)
+    ident = None
+    if with_identifiability and not closed:
+        ident = local_identifiability(law, components, state)
     cat = classify_category(sf, tol_zero=tol_zero, bound=category_bound)
     adjoint = adjoint_of_score(sf, eta, components.tangent)
 
@@ -568,14 +504,13 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
         try:
             lfd = least_favorable_direction(sf, eta, components.tangent,
                                             adjoint, ridge_ladder)
-            efficient = _efficient_information(law, components, state,
-                                               lfd.values, adjoint, fisher,
-                                               outcome)
+            efficient = efficient_information(law, components, state,
+                                              lfd.values, adjoint, fisher)
             v_mat = _v_matrix(lfd.operator, adjoint, fisher)
         except NotIdentifiableError as exc:
             # Singular parameter block: skip the quantities that divide by
-            # it so the identifiability check below can still name the
-            # flat direction.
+            # it so the identifiability result can still name the flat
+            # direction.
             fisher_singular = str(exc)
             v_mat = None
     else:
@@ -586,10 +521,6 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
         v_min = eta_weighted_min_eigen(
             v_mat, eta, centered=components.tangent is TangentKind.L2_ZERO
         )
-
-    ident = None
-    if gram is not None:
-        ident = _identifiability_result(gram)
 
     diagnostics = {
         "max_structural_se": sf.max_se(),

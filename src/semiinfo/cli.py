@@ -11,6 +11,7 @@ import csv
 import datetime
 import io
 import json
+import math
 import os
 import sys
 
@@ -73,6 +74,21 @@ def _whole(value, where, minimum):
         raise ConfigError(
             f"{where} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _real(value, where, *, above=None, at_least=None):
+    """``value`` as a float if it is a finite int or float, above
+    ``above`` and at least ``at_least`` when given; a bool, a string,
+    null or a non-finite number is a configuration error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) \
+            or (above is not None and value <= above) \
+            or (at_least is not None and value < at_least):
+        bound = (f" > {above}" if above is not None
+                 else f" >= {at_least}" if at_least is not None else "")
+        raise ConfigError(
+            f"{where} must be a finite number{bound}, got {value!r}")
+    return float(value)
 
 
 def _seed(cfg, section, default, seed_override):
@@ -148,10 +164,10 @@ def _ladder_kwargs(cfg):
     if "ridge_ladder" not in cfg:
         return {}
     ladder = cfg["ridge_ladder"]
-    if (not isinstance(ladder, list) or not ladder
-            or not all(isinstance(v, (int, float)) and v > 0 for v in ladder)):
+    if not isinstance(ladder, list) or not ladder:
         raise ConfigError("config.ridge_ladder must be a list of positive numbers")
-    return {"ridge_ladder": [float(v) for v in ladder]}
+    return {"ridge_ladder": [_real(v, f"config.ridge_ladder[{i}]", above=0)
+                             for i, v in enumerate(ladder)]}
 
 
 def cmd_analyze(cfg, out_dir, seed_override):
@@ -182,9 +198,11 @@ def cmd_validate(cfg, out_dir, seed_override):
     vcfg = cfg.get("validate", {})
     seed = _seed(cfg, "validate", SUITE_SEED_DEFAULT, seed_override)
     kwargs = {}
-    for key in ("h", "n_op_dirs", "n_pair", "n_outcomes"):
+    if "h" in vcfg:
+        kwargs["h"] = _real(vcfg["h"], "config.validate.h", above=0)
+    for key in ("n_op_dirs", "n_pair", "n_outcomes"):
         if key in vcfg:
-            kwargs[key] = vcfg[key]
+            kwargs[key] = _whole(vcfg[key], f"config.validate.{key}", 1)
     params = vcfg.get("params")
     if params is not None and not isinstance(params, dict):
         raise ConfigError("config.validate.params must map model id to params")
@@ -211,21 +229,18 @@ def cmd_validate(cfg, out_dir, seed_override):
 def _functional_derivative(icfg, model):
     eta = model.state.eta
     kind = icfg.get("functional")
-    needs_t = kind in ("survival_at", "point_mass_at")
-    if needs_t and not isinstance(icfg.get("t"), (int, float)):
-        raise ConfigError(f"functional {kind!r} needs a numeric 't'")
+    if kind in ("survival_at", "point_mass_at"):
+        t = _real(icfg.get("t"), "config.influence.t")
     if kind == "survival_at":
         if eta.kind is not MeasureKind.POSITIVE_FINITE:
             raise ConfigError(
                 "survival_at applies to a cumulative-intensity measure, "
                 "not a probability measure"
             )
-        t = float(icfg["t"])
         below = eta.grid.points <= t
         surv = float(np.exp(-np.sum(eta.masses[below])))
         return -surv * below.astype(float)
     if kind == "point_mass_at":
-        t = float(icfg["t"])
         chi = (eta.grid.points == t).astype(float)
         if not chi.any():
             raise ConfigError(f"no grid point at t={t}")
@@ -264,7 +279,9 @@ def cmd_influence(cfg, out_dir, seed_override):
         chi_dot = center(chi_dot, model.state.eta).values
     kwargs = _ladder_kwargs(cfg)
     if "nonregular_tol" in icfg:
-        kwargs["nonregular_tol"] = float(icfg["nonregular_tol"])
+        kwargs["nonregular_tol"] = _real(icfg["nonregular_tol"],
+                                         "config.influence.nonregular_tol",
+                                         at_least=0)
     try:
         result = nonparametric_influence(engine, model.components,
                                          model.state, chi_dot, **kwargs)

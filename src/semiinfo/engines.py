@@ -9,10 +9,17 @@ the distinct draws of a seeded sampler by frequency, in a canonical
 order, so results are bit-reproducible for a given seed. A sampler may
 also tally its draws as (outcome, count) pairs, as the categorical
 sampler does by counting outcome indices, and the engine then skips
-grouping the outcomes itself. A law stands in for its engine at its own
-state, and one fixed-order compensated reducer sums over it, forming
+grouping the outcomes itself. Closed-form engines dispatch to analytic
+handles instead.
+
+A law stands in for its engine at its own state and evaluates the model
+once per outcome: on first use it keeps each outcome's g and g_dot on
+the grid, f_dot at x and parameter score (:attr:`OutcomeLaw.evaluated`),
+and every quantity summed over the law reads those (the structural
+functions here; the Fisher information, identifiability Gram and
+efficient information in ``calculus``), however many a caller asks
+for. One fixed-order compensated reducer sums each quantity, forming
 second moments only for the sums whose standard errors are reported.
-Closed-form engines dispatch to analytic handles instead.
 
 The structural functions are the four expectations that assemble adjoints
 and information operators. With x the vector of integral functionals:
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,9 +58,9 @@ from .errors import DomainError, EngineError, NotAvailableError
 from .likelihood import (
     ModelComponents,
     ModelState,
-    _g_and_f_dot,
+    _outcome,
     _structural_terms,
-    g_dot_values,
+    check_state,
     log_density,
 )
 
@@ -77,7 +85,7 @@ class OutcomeLaw:
     ``deficit`` the exact engine's normalization deficit. A law stands in
     for its engine: asked about its own components and state (by
     identity) it returns itself, anywhere else it has its engine build a
-    new one.
+    new one, with evaluations of its own.
     """
 
     pairs: tuple
@@ -92,6 +100,15 @@ class OutcomeLaw:
         if components is self.components and state is self.state:
             return self
         return self.engine.law(components, state)
+
+    @cached_property
+    def evaluated(self) -> dict:
+        """Each outcome's evaluation at the law's state (g and g_dot on
+        the grid, f_dot at x and the parameter score), computed on first
+        use."""
+        check_state(self.components, self.state)
+        return {obs: _outcome(self.components, self.state, obs)
+                for obs, _ in self.pairs}
 
 
 @dataclass(frozen=True)
@@ -154,8 +171,14 @@ class MonteCarlo:
     seed: int
 
     def __post_init__(self):
-        if self.n <= 0:
-            raise DomainError(f"sample size must be positive, got {self.n}")
+        for name, minimum in (("n", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, (int, np.integer)) \
+                    or value < minimum:
+                raise DomainError(
+                    f"MonteCarlo {name} must be an integer >= {minimum}, "
+                    f"got {value!r}")
 
     def draw_weights(self, state: ModelState) -> list:
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
@@ -299,19 +322,6 @@ class StructuralFunctions:
         return self.engine != "mc"
 
 
-def _structural_result(law: OutcomeLaw, values, ses) -> StructuralFunctions:
-    """The structural functions from the law's sums of the four
-    integrands and their standard errors."""
-    gamma, alpha, kappa, beta = values
-    # Symmetrize kappa; it is symmetric in exact arithmetic.
-    kappa = 0.5 * (kappa + kappa.T)
-    return StructuralFunctions(
-        gamma=gamma, alpha=alpha, kappa=kappa, beta=beta,
-        se_gamma=ses[0], se_alpha=ses[1], se_kappa=ses[2], se_beta=ses[3],
-        engine="exact" if law.n is None else "mc", n=law.n,
-    )
-
-
 def structural_functions(engine, components: ModelComponents,
                          state: ModelState) -> StructuralFunctions:
     """Assemble the structural functions under the given engine."""
@@ -319,13 +329,20 @@ def structural_functions(engine, components: ModelComponents,
         return engine.handle("structural")(components, state)
 
     law = outcome_law(engine, components, state)
+    evaluated = law.evaluated
 
     def terms(obs):
-        gv, fd = _g_and_f_dot(components, state, obs)
-        return _structural_terms(components, state, obs, gv,
-                                 g_dot_values(components, state, obs), fd)
+        e = evaluated[obs]
+        return _structural_terms(components, state, obs, e.gv, e.gd, e.fd)
 
-    return _structural_result(law, *_reduce(law, terms))
+    (gamma, alpha, kappa, beta), ses = _reduce(law, terms)
+    # Symmetrize kappa; it is symmetric in exact arithmetic.
+    kappa = 0.5 * (kappa + kappa.T)
+    return StructuralFunctions(
+        gamma=gamma, alpha=alpha, kappa=kappa, beta=beta,
+        se_gamma=ses[0], se_alpha=ses[1], se_kappa=ses[2], se_beta=ses[3],
+        engine="exact" if law.n is None else "mc", n=law.n,
+    )
 
 
 def make_categorical_sampler(exact: ExactEnumeration,

@@ -231,25 +231,25 @@ def _parameter_score(obs, masses: np.ndarray, fd: np.ndarray,
 
 
 class _Outcome(NamedTuple):
-    """What every score at one outcome is built from: g on the grid,
-    f_dot at x and the parameter score (empty when p == 0)."""
+    """What every score and structural integrand at one outcome is built
+    from: g on the grid, f_dot at x, the parameter score (empty when
+    p == 0) and g_dot on the grid."""
 
     gv: np.ndarray
     fd: np.ndarray
     score: np.ndarray
+    gd: np.ndarray
 
 
-def _outcome(components: ModelComponents, state: ModelState, obs,
-             gd: Optional[np.ndarray] = None) -> _Outcome:
-    """Evaluate g and f_dot at one outcome, and g_dot and r_dot when
-    p > 0; a caller that already holds g_dot on the grid passes it."""
+def _outcome(components: ModelComponents, state: ModelState,
+             obs) -> _Outcome:
+    """Evaluate g, g_dot and f_dot at one outcome, and r_dot when p > 0."""
     gv, fd = _g_and_f_dot(components, state, obs)
-    if not components.p:
-        return _Outcome(gv, fd, np.zeros(0))
-    if gd is None:
-        gd = g_dot_values(components, state, obs)
-    return _Outcome(gv, fd, _parameter_score(
-        obs, state.eta.masses, fd, gd, _r_dot_values(components, state, obs)))
+    gd = g_dot_values(components, state, obs)
+    score = _parameter_score(
+        obs, state.eta.masses, fd, gd, _r_dot_values(components, state, obs)
+    ) if components.p else np.zeros(0)
+    return _Outcome(gv, fd, score, gd)
 
 
 def _structural_terms(components: ModelComponents, state: ModelState, obs,

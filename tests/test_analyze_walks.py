@@ -1,6 +1,6 @@
-"""``analyze_model`` walks its outcome law twice and evaluates g once per
-outcome, and every quantity it reports is bit for bit what the separate
-public functions return."""
+"""``analyze_model`` is the public functions composed on one outcome law:
+the law evaluates g once per outcome, and every quantity the report
+carries is bit for bit what the separate public functions return."""
 import dataclasses
 
 import numpy as np

@@ -333,6 +333,62 @@ def test_bad_seeds_and_counts_exit_two(tmp_path, capsys, base, section, key,
     assert "configuration error" in err and repr(value) in err
 
 
+ANALYZE_COX_RC = {"schema_version": 1, "command": "analyze",
+                  "model": {"id": "cox_rc"}}
+INFLUENCE_KM = {"schema_version": 1, "command": "influence",
+                "model": {"id": "kaplan_meier"},
+                "influence": {"functional": "survival_at", "t": 1.0}}
+INF, NAN = float("inf"), float("nan")
+
+# (base config, section, key, value, field the error names, bad entry)
+BAD_NUMBERS = [
+    (VALIDATE_MIXTURE, "validate", "h", 0, "config.validate.h", 0),
+    (VALIDATE_MIXTURE, "validate", "h", -1e-6, "config.validate.h", -1e-6),
+    (VALIDATE_MIXTURE, "validate", "h", "x", "config.validate.h", "x"),
+    (VALIDATE_MIXTURE, "validate", "h", NAN, "config.validate.h", NAN),
+    (VALIDATE_MIXTURE, "validate", "n_pair", "x", "config.validate.n_pair",
+     "x"),
+    (VALIDATE_MIXTURE, "validate", "n_pair", 2.5, "config.validate.n_pair",
+     2.5),
+    (VALIDATE_MIXTURE, "validate", "n_pair", -1, "config.validate.n_pair",
+     -1),
+    (VALIDATE_MIXTURE, "validate", "n_op_dirs", 0,
+     "config.validate.n_op_dirs", 0),
+    (VALIDATE_MIXTURE, "validate", "n_outcomes", True,
+     "config.validate.n_outcomes", True),
+    (INFLUENCE_KM, "influence", "nonregular_tol", "abc",
+     "config.influence.nonregular_tol", "abc"),
+    (INFLUENCE_KM, "influence", "nonregular_tol", None,
+     "config.influence.nonregular_tol", None),
+    (INFLUENCE_KM, "influence", "nonregular_tol", -1e-3,
+     "config.influence.nonregular_tol", -1e-3),
+    (INFLUENCE_KM, "influence", "t", True, "config.influence.t", True),
+    (INFLUENCE_KM, "influence", "t", INF, "config.influence.t", INF),
+    (INFLUENCE_KM, "influence", "t", "x", "config.influence.t", "x"),
+    (ANALYZE_COX_RC, None, "ridge_ladder", [INF], "config.ridge_ladder[0]",
+     INF),
+    (ANALYZE_COX_RC, None, "ridge_ladder", [1e-4, True],
+     "config.ridge_ladder[1]", True),
+    (ANALYZE_COX_RC, None, "ridge_ladder", [1e-4, NAN],
+     "config.ridge_ladder[1]", NAN),
+]
+
+
+@pytest.mark.parametrize(
+    "base, section, key, value, field, bad", BAD_NUMBERS,
+    ids=[f"{b['command']}-{s or 'top'}.{k}={v!r}"
+         for b, s, k, v, _, _ in BAD_NUMBERS])
+def test_malformed_numbers_exit_two(tmp_path, capsys, base, section, key,
+                                    value, field, bad):
+    doc = json.loads(json.dumps(base))
+    (doc[section] if section else doc)[key] = value
+    cfg = write_cfg(tmp_path, doc)
+    assert run(["--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"{field} must be" in err and repr(bad) in err
+
+
 @pytest.mark.parametrize("base", [MC_ANALYZE, VALIDATE_MIXTURE],
                          ids=["analyze", "validate"])
 def test_negative_seed_flag_exits_two(tmp_path, capsys, base):

@@ -231,3 +231,22 @@ def test_reduced_means_do_not_depend_on_which_second_moments_are_formed():
         assert len(got_ses) == n_se
         for want, got in zip(means + ses, got_means + got_ses):
             assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("n, seed, field", [
+    (2.5, 1, "n"), (True, 1, "n"), (0, 1, "n"), ("10", 1, "n"),
+    (10, -1, "seed"), (10, 1.5, "seed"), (10, False, "seed"),
+    (10, None, "seed"),
+])
+def test_monte_carlo_refuses_non_integer_or_out_of_range_inputs(n, seed,
+                                                                 field):
+    sampler = zoo.build("mixture").sampler
+    with pytest.raises(DomainError, match=f"MonteCarlo {field} must be"):
+        MonteCarlo(sampler, n, seed)
+
+
+def test_monte_carlo_accepts_numpy_integers():
+    model = zoo.build("mixture")
+    engine = MonteCarlo(model.sampler, np.int64(50), np.uint32(4))
+    assert (engine.draw_weights(model.state)
+            == MonteCarlo(model.sampler, 50, 4).draw_weights(model.state))

@@ -9,6 +9,7 @@ import pytest
 
 from semiinfo import (
     ModelComponents,
+    MonteCarlo,
     ModelState,
     TangentKind,
     adjoint_of_score,
@@ -79,18 +80,59 @@ def test_local_identifiability_evaluates_g_once_per_outcome():
     assert len(calls) == len(law.pairs)
 
 
+def _efficient_inputs(engine, c, s):
+    """The structural functions, adjoint, LFD and Fisher information
+    that efficient_information takes."""
+    sf = structural_functions(engine, c, s)
+    adjoint = adjoint_of_score(sf, s.eta, c.tangent)
+    lfd = least_favorable_direction(sf, s.eta, c.tangent, adjoint)
+    return sf, adjoint, lfd, fisher_information(engine, c, s)
+
+
 def test_efficient_information_evaluates_g_once_per_outcome():
     model = zoo.build("cox_cs", m=20)
     c, calls = _counting_g(model)
     s = model.state
+    _, adjoint, lfd, fisher = _efficient_inputs(
+        outcome_law(model.exact, c, s), c, s)
+    # A fresh law: the one above has already evaluated its outcomes.
     law = outcome_law(model.exact, c, s)
-    sf = structural_functions(law, c, s)
-    adjoint = adjoint_of_score(sf, s.eta, c.tangent)
-    lfd = least_favorable_direction(sf, s.eta, c.tangent, adjoint)
-    fisher = fisher_information(law, c, s)
     calls.clear()
     efficient_information(law, c, s, lfd.values, adjoint, fisher)
     assert len(calls) == len(law.pairs)
+
+
+@pytest.mark.parametrize("kind", ["exact", "mc"])
+def test_a_warm_law_evaluates_g_no_more(kind):
+    model = zoo.build("cox_cs", m=20)
+    c, calls = _counting_g(model)
+    s = model.state
+    engine = (model.exact if kind == "exact"
+              else MonteCarlo(model.sampler, 2000, 3))
+    law = outcome_law(engine, c, s)
+    _, adjoint, lfd, fisher = _efficient_inputs(law, c, s)
+    calls.clear()
+    assert np.array_equal(fisher_information(law, c, s), fisher)
+    local_identifiability(law, c, s)
+    efficient_information(law, c, s, lfd.values, adjoint, fisher)
+    assert calls == []
+
+
+def test_a_law_asked_about_another_state_evaluates_it_afresh():
+    model = zoo.build("cox_cs", m=20)
+    c, calls = _counting_g(model)
+    s = model.state
+    other = ModelState(s.theta + 0.25, s.eta)
+    law = outcome_law(model.exact, c, s)
+    own_fisher = fisher_information(law, c, s)
+    calls.clear()
+    sf, _, _, fisher = _efficient_inputs(law, c, other)
+    assert calls  # the other state's outcomes were evaluated
+    want_sf, _, _, want_fisher = _efficient_inputs(model.exact, c, other)
+    assert np.array_equal(fisher, want_fisher)
+    assert not np.array_equal(fisher, own_fisher)
+    for name in ("gamma", "alpha", "kappa", "beta"):
+        assert np.array_equal(getattr(sf, name), getattr(want_sf, name))
 
 
 def _toy(ell):
