@@ -18,12 +18,14 @@ algebra in L2(eta):
   information operator for the measure after profiling out theta, and is
   positive semidefinite by construction.
 
-The classification of the information operator drives how it is
-inverted: an everywhere-positive bounded multiplier makes the operator
-invertible up to a compact perturbation (direct solves are expected to
-succeed); an identically-zero multiplier leaves a pure integral operator
-(smoothing, so direct solves are expected to fail and a ridge ladder is
-walked instead).
+The classification of the information operator by its multiplier is a
+reported diagnostic of how well posed its inversion is: an
+everywhere-positive bounded multiplier makes the operator invertible up
+to a compact perturbation (direct solves are expected to succeed); an
+identically-zero multiplier leaves a pure integral operator (smoothing,
+so direct solves are expected to fail). The least favorable solve does
+not read it: it tries a direct solve and walks the ridge ladder
+whenever that is refused or leaves too large a residual.
 
 Every quantity has one path. Each expectation here is one walk of the
 outcome law over the evaluations the law keeps (g and g_dot on the
@@ -34,8 +36,9 @@ functions on one law: the structural functions, Fisher information and
 identifiability before the solve, the efficient information after it,
 which evaluates only L along the solved directions. Only the structural
 functions carry standard errors, so on a sampled law no other sum forms
-second moments, and the symmetric identifiability Gram is summed as its
-packed upper triangle.
+second moments. The identifiability Gram is not a per-outcome sum: the
+joint scores of the N outcomes are stacked into one (N, k) matrix S and
+the Gram is one product ``R.T @ R`` with ``R = sqrt(w) S``.
 """
 
 from __future__ import annotations
@@ -364,40 +367,28 @@ def _identifiability_directions(components: ModelComponents,
     return _directions(components, state, basis)
 
 
-def _gram_dimension(components: ModelComponents, dirs) -> int:
-    """The number of scores in the joint score: the parameter score and
-    one per direction in ``dirs``."""
-    return components.p + dirs[0].shape[1]
-
-
-def _gram_term(components: ModelComponents, obs, outcome: _Outcome, dirs,
-               upper) -> np.ndarray:
-    """The joint score's outer product packed as its ``upper`` triangle:
-    the same products as ``np.outer``, which is exactly symmetric."""
-    v = _joint_score(components, obs, outcome, dirs)
-    return v[upper[0]] * v[upper[1]]
-
-
-def _gram(packed: np.ndarray, k: int) -> np.ndarray:
-    """The symmetric (k, k) Gram from its summed packed upper triangle."""
-    upper = np.triu_indices(k)
-    gram = np.empty((k, k))
-    gram[upper] = packed
-    gram[upper[::-1]] = packed
-    return gram
+def _identifiability_gram(engine, components: ModelComponents,
+                          state: ModelState) -> np.ndarray:
+    """The second moment of the joint score over the parameter score and
+    an L2(eta)-orthonormal tangent basis, shape (k, k): one product of
+    the weighted (N, k) score matrix of the N outcomes with itself."""
+    check_state(components, state)
+    dirs = _identifiability_directions(components, state)
+    law = outcome_law(engine, components, state)
+    evaluated = law.evaluated
+    root = np.empty((len(law.pairs), components.p + dirs[0].shape[1]))
+    for row, (obs, weight) in zip(root, law.pairs):
+        row[:] = np.sqrt(weight) * _joint_score(components, obs,
+                                                evaluated[obs], dirs)
+    # numpy forms ``A.T @ A`` as a symmetric rank-k update, so the Gram
+    # is exactly symmetric.
+    return root.T @ root
 
 
 def local_identifiability(engine, components: ModelComponents,
                           state: ModelState) -> IdentifiabilityResult:
-    check_state(components, state)
-    dirs = _identifiability_directions(components, state)
-    k = _gram_dimension(components, dirs)
-    upper = np.triu_indices(k)
-    packed = _evaluated_mean(
-        engine, components, state,
-        lambda obs, outcome: _gram_term(components, obs, outcome, dirs,
-                                        upper))
-    return IdentifiabilityResult(min_eigen_sym(_gram(packed, k)), k)
+    gram = _identifiability_gram(engine, components, state)
+    return IdentifiabilityResult(min_eigen_sym(gram), gram.shape[0])
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,8 @@ def cmd_influence(cfg, out_dir, seed_override):
         "ridge_ladder": list(result.ladder),
         "ridge_used": sr.ridge,
         "condition": sr.condition,
+        "sigma_min": sr.sigma_min,
+        "sigma_max": sr.sigma_max,
     })
     flag = " (non-regular)" if result.non_regular else ""
     print(f"influence: {model.model_id}{flag} tables written to {out_dir}")
@@ -318,8 +320,8 @@ def cmd_paramcheck(cfg, out_dir, seed_override):
     if not pcfg or "path" not in pcfg or "p" not in pcfg:
         raise ConfigError("config needs a paramcheck section with 'path' and 'p'")
     mat = read_matrix_csv(pcfg["path"])
-    p = pcfg["p"]
-    if not isinstance(p, int) or not 0 <= p <= mat.shape[0]:
+    p = _whole(pcfg["p"], "config.paramcheck.p", 0)
+    if p > mat.shape[0]:
         raise ConfigError(f"paramcheck.p must be an integer in [0, {mat.shape[0]}]")
     try:
         if mat.shape[0] != mat.shape[1] or np.max(np.abs(mat - mat.T)) > 1e-10:

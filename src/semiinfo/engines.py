@@ -18,8 +18,10 @@ the grid, f_dot at x and parameter score (:attr:`OutcomeLaw.evaluated`),
 and every quantity summed over the law reads those (the structural
 functions here; the Fisher information, identifiability Gram and
 efficient information in ``calculus``), however many a caller asks
-for. One fixed-order compensated reducer sums each quantity, forming
-second moments only for the sums whose standard errors are reported.
+for. One fixed-order compensated reducer sums each expectation, forming
+second moments only for the sums whose standard errors are reported;
+the identifiability Gram, which carries no standard error, is instead
+one matrix product of the stacked outcome scores (``calculus``).
 
 The structural functions are the four expectations that assemble adjoints
 and information operators. With x the vector of integral functionals:

@@ -11,6 +11,7 @@ from semiinfo import (
     adjoint_of_score,
     analyze_model,
     efficient_information,
+    engines,
     fisher_information,
     info_operator,
     least_favorable_direction,
@@ -19,8 +20,9 @@ from semiinfo import (
     v_operator,
     zoo,
 )
-from semiinfo.calculus import (RIDGE_LADDER_DEFAULT, _gram, _gram_dimension,
-                               _gram_term, _identifiability_directions)
+from semiinfo.calculus import (RIDGE_LADDER_DEFAULT,
+                               _identifiability_directions,
+                               _identifiability_gram)
 from semiinfo.engines import _mean, outcome_law
 from semiinfo.likelihood import TangentKind, _joint_score, _outcome
 from semiinfo.operators import (as_matrix, eta_weighted_min_eigen,
@@ -92,25 +94,66 @@ def test_analyze_model_matches_the_public_functions(model_id, kind):
         assert np.array_equal(got[name], value), name
 
 
-@pytest.mark.parametrize("kind", ["exact", "mc"])
-@pytest.mark.parametrize("model_id", ["cox_cs", "mixture"])
-def test_packed_gram_is_the_outer_product_gram(model_id, kind):
-    model = zoo.build(model_id)
+_GRAM_CASES = (
+    [pytest.param(model_id, {}, kind, id=f"{model_id}-{kind}")
+     for model_id in zoo.MODELS for kind in ("exact", "mc")]
+    + [pytest.param("cox_cs", {"m": 100}, "exact", id="cox_cs-m100-exact"),
+       pytest.param("mixture", {"m": 30, "parametric": False}, "exact",
+                    id="mixture-np-m30-exact")])
+
+
+@pytest.mark.parametrize("model_id,params,kind", _GRAM_CASES)
+def test_stacked_gram_matches_the_compensated_outer_product_gram(
+        model_id, params, kind):
+    model = zoo.build(model_id, **params)
     c, s = model.components, model.state
     law = outcome_law(model.exact if kind == "exact"
                       else MonteCarlo(model.sampler, 2000, 5), c, s)
     dirs = _identifiability_directions(c, s)
-    k = _gram_dimension(c, dirs)
-    upper = np.triu_indices(k)
 
     def outer(obs):
         v = _joint_score(c, obs, _outcome(c, s, obs), dirs)
         return np.outer(v, v)
 
     want = _mean(law, c, s, outer)
-    packed = _mean(law, c, s, lambda obs: _gram_term(
-        c, obs, _outcome(c, s, obs), dirs, upper))
-    assert np.array_equal(_gram(packed, k), want)
-    assert (analyze_model(c, s, law).identifiability.min_eigen
-            == local_identifiability(law, c, s).min_eigen
-            == min_eigen_sym(want))
+    got = _identifiability_gram(law, c, s)
+    assert got.shape == want.shape
+    assert np.array_equal(got, got.T)
+    # A BLAS dot of N terms against a compensated sum: each element of a
+    # PSD Gram is off by at most about N eps max|G|, and by Weyl's bound
+    # the smallest eigenvalue by at most k times that.
+    n, k = len(law.pairs), got.shape[0]
+    bound = n * np.finfo(float).eps * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= bound
+    ident = local_identifiability(law, c, s)
+    assert ident.dimension == k
+    assert abs(ident.min_eigen - min_eigen_sym(want)) <= k * bound
+    assert analyze_model(c, s, law).identifiability.min_eigen \
+        == ident.min_eigen
+
+
+@pytest.mark.parametrize("kind", ["exact", "mc"])
+def test_identifiability_on_a_warm_law_reduces_nothing(kind, monkeypatch):
+    model = zoo.build("cox_cs", m=20)
+    calls = []
+
+    def g(theta, obs, pts):
+        calls.append(obs)
+        return model.components.g(theta, obs, pts)
+
+    c, s = dataclasses.replace(model.components, g=g), model.state
+    law = outcome_law(model.exact if kind == "exact"
+                      else MonteCarlo(model.sampler, 2000, 5), c, s)
+    structural_functions(law, c, s)
+    reduce_calls = []
+    reduce = engines._reduce
+
+    def counting_reduce(*args, **kwargs):
+        reduce_calls.append(args)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(engines, "_reduce", counting_reduce)
+    calls.clear()
+    local_identifiability(law, c, s)
+    assert reduce_calls == []
+    assert calls == []

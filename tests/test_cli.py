@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semiinfo import zoo
-from semiinfo.cli import main
+from semiinfo import nonparametric_influence, zoo
+from semiinfo.cli import _functional_derivative, main
 from semiinfo.serialize import read_matrix_csv, write_matrix_csv
 
 
@@ -154,6 +154,25 @@ def test_influence_matches_closed_form(tmp_path):
     assert report["non_regular"] is False
 
 
+def test_influence_reports_the_singular_values_of_its_solve(tmp_path):
+    model = zoo.build("kaplan_meier")
+    icfg = {"functional": "survival_at", "t": 1.0}
+    cfg = write_cfg(tmp_path, {
+        "schema_version": 1,
+        "command": "influence",
+        "model": {"id": "kaplan_meier"},
+        "influence": icfg,
+    })
+    assert run(["--config", cfg, "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    chi_dot = _functional_derivative(icfg, model)
+    sr = nonparametric_influence(model.exact, model.components, model.state,
+                                 chi_dot).solve_result
+    assert report["sigma_min"] == sr.sigma_min
+    assert report["sigma_max"] == sr.sigma_max
+    assert 0.0 < report["sigma_min"] <= report["sigma_max"]
+
+
 def test_influence_zero_derivative_gives_zeros(tmp_path):
     model = zoo.build("kaplan_meier")
     zeros = tmp_path / "chi.csv"
@@ -235,6 +254,21 @@ def test_paramcheck_names_singular_block(tmp_path, capsys):
     })
     assert run(["--config", cfg, "--out", tmp_path]) == 3
     assert "i_pp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [True, False, 1.0, -1, "1", 4])
+def test_paramcheck_refuses_a_p_that_is_no_block_size(tmp_path, capsys, p):
+    mat_path = tmp_path / "info.csv"
+    write_matrix_csv(mat_path, 2.0 * np.eye(3))
+    cfg = write_cfg(tmp_path, {
+        "schema_version": 1,
+        "command": "paramcheck",
+        "paramcheck": {"path": str(mat_path), "p": p},
+    })
+    assert run(["--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "paramcheck.p must be" in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_config_errors_exit_two(tmp_path, capsys):
