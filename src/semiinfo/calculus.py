@@ -85,8 +85,8 @@ from .operators import (
 RIDGE_LADDER_DEFAULT = tuple(10.0 ** (-k) for k in range(2, 11))
 # A direct solve is accepted outright below this relative residual.
 DIRECT_ACCEPT_REL_RESID = 1e-8
-# Default bound for the multiplier-dominant classification test.
-CATEGORY_BOUND_DEFAULT = 1e6
+# Bound for the multiplier-dominant classification test.
+CATEGORY_BOUND = 1e6
 # Zero test for the multiplier under exact engines.
 CATEGORY_ZERO_TOL_EXACT = 1e-10
 # Above this relative residual (after the ladder) a functional is
@@ -121,33 +121,28 @@ class CategoryResult:
     bound: float
 
 
-def classify_category(sf: StructuralFunctions, *,
-                      tol_zero: Optional[float] = None,
-                      bound: float = CATEGORY_BOUND_DEFAULT) -> CategoryResult:
+def classify_category(sf: StructuralFunctions) -> CategoryResult:
     """Classify the information operator by its multiplier.
 
     For Monte Carlo structural functions the zero test widens to four
-    standard errors unless an explicit tolerance is passed.
+    standard errors.
     """
-    if bound <= 1.0:
-        raise DomainError(f"bound must exceed 1, got {bound}")
-    if tol_zero is None:
-        if sf.is_exact():
-            tol_zero = CATEGORY_ZERO_TOL_EXACT
-        else:
-            tol_zero = 4.0 * float(np.max(sf.se_gamma)) if sf.se_gamma.size \
-                else CATEGORY_ZERO_TOL_EXACT
+    if sf.is_exact() or not sf.se_gamma.size:
+        tol_zero = CATEGORY_ZERO_TOL_EXACT
+    else:
+        tol_zero = 4.0 * float(np.max(sf.se_gamma))
     g = sf.gamma
     gmin = float(np.min(g)) if g.size else 0.0
     gmax = float(np.max(g)) if g.size else 0.0
     absmax = float(np.max(np.abs(g))) if g.size else 0.0
-    if g.size and gmin >= 1.0 / bound and gmax <= bound:
+    if g.size and gmin >= 1.0 / CATEGORY_BOUND and gmax <= CATEGORY_BOUND:
         cat = Category.INVERTIBLE_MULTIPLIER
     elif absmax <= tol_zero:
         cat = Category.VANISHING_MULTIPLIER
     else:
         cat = Category.INDETERMINATE
-    return CategoryResult(cat, gmin, gmax, absmax, float(tol_zero), float(bound))
+    return CategoryResult(cat, gmin, gmax, absmax, float(tol_zero),
+                          float(CATEGORY_BOUND))
 
 
 def _symmetric(value: np.ndarray) -> np.ndarray:
@@ -462,9 +457,6 @@ class InfoReport:
 
 def analyze_model(components: ModelComponents, state: ModelState, engine, *,
                   ridge_ladder: Optional[Sequence[float]] = RIDGE_LADDER_DEFAULT,
-                  category_bound: float = CATEGORY_BOUND_DEFAULT,
-                  tol_zero: Optional[float] = None,
-                  with_identifiability: bool = True,
                   label: str = "") -> InfoReport:
     """Run the full calculus at one state and collect the results.
 
@@ -475,17 +467,15 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
     solve, the efficient information after it. It builds one information
     operator per state: the least favorable solve factors it and V is
     formed from its dense matrix. A closed-form engine answers through
-    its handles and reports no identifiability.
+    its structural callable and reports no identifiability.
     """
     eta = state.eta
     closed = isinstance(engine, ClosedForm)
     law = engine if closed else outcome_law(engine, components, state)
     sf = structural_functions(law, components, state)
     fisher = fisher_information(law, components, state)
-    ident = None
-    if with_identifiability and not closed:
-        ident = local_identifiability(law, components, state)
-    cat = classify_category(sf, tol_zero=tol_zero, bound=category_bound)
+    ident = None if closed else local_identifiability(law, components, state)
+    cat = classify_category(sf)
     adjoint = adjoint_of_score(sf, eta, components.tangent)
 
     lfd = None

@@ -128,6 +128,16 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _read_matrix(path, where):
+    """The matrix CSV a config field names; a file that cannot be read
+    or parsed is a configuration error."""
+    try:
+        return read_matrix_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: cannot read matrix CSV {path!r}: "
+                          f"{exc}") from None
+
+
 def _build_model(cfg):
     model_cfg = cfg.get("model")
     if not model_cfg or "id" not in model_cfg:
@@ -203,12 +213,21 @@ def cmd_validate(cfg, out_dir, seed_override):
     for key in ("n_op_dirs", "n_pair", "n_outcomes"):
         if key in vcfg:
             kwargs[key] = _whole(vcfg[key], f"config.validate.{key}", 1)
+    models = vcfg.get("models")
+    if models is not None and (
+            not isinstance(models, list) or not models
+            or not all(isinstance(mid, str) for mid in models)):
+        raise ConfigError("config.validate.models must be a non-empty list "
+                          f"of model ids, got {models!r}")
     params = vcfg.get("params")
     if params is not None and not isinstance(params, dict):
         raise ConfigError("config.validate.params must map model id to params")
+    for mid, value in (params or {}).items():
+        if not isinstance(value, dict):
+            raise ConfigError(f"config.validate.params.{mid} must be a JSON "
+                              f"object, got {value!r}")
     try:
-        results = run_suite(vcfg.get("models"), seed=seed,
-                            params=params, **kwargs)
+        results = run_suite(models, seed=seed, params=params, **kwargs)
     except ConfigError:
         raise
     except SemiinfoError as exc:
@@ -251,7 +270,7 @@ def _functional_derivative(icfg, model):
         path = icfg.get("path")
         if not path:
             raise ConfigError("functional 'csv' needs a 'path'")
-        values = read_matrix_csv(path)
+        values = _read_matrix(path, "config.influence.path")
         if values.shape != (eta.size, 1):
             raise ConfigError(
                 f"chi_dot CSV has shape {values.shape}, expected ({eta.size}, 1)"
@@ -319,7 +338,7 @@ def cmd_paramcheck(cfg, out_dir, seed_override):
     pcfg = cfg.get("paramcheck")
     if not pcfg or "path" not in pcfg or "p" not in pcfg:
         raise ConfigError("config needs a paramcheck section with 'path' and 'p'")
-    mat = read_matrix_csv(pcfg["path"])
+    mat = _read_matrix(pcfg["path"], "config.paramcheck.path")
     p = _whole(pcfg["p"], "config.paramcheck.p", 0)
     if p > mat.shape[0]:
         raise ConfigError(f"paramcheck.p must be an integer in [0, {mat.shape[0]}]")
@@ -367,31 +386,22 @@ def main(argv=None) -> int:
         prog="semiinfo",
         description="Information-operator calculus for semiparametric models",
     )
-    parser.add_argument("command_pos", nargs="?", choices=COMMANDS,
+    parser.add_argument("command", nargs="?", choices=COMMANDS,
                         metavar="command",
                         help="one of: " + " | ".join(COMMANDS))
-    parser.add_argument("--command", choices=COMMANDS, dest="command_flag",
-                        help="alternative to the positional command")
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     args = parser.parse_args(argv)
 
-    command = args.command_pos or args.command_flag
-    if args.command_pos and args.command_flag \
-            and args.command_pos != args.command_flag:
-        parser.error(f"conflicting commands {args.command_pos!r} and "
-                     f"{args.command_flag!r}")
-
     try:
         seed = None if args.seed is None else _whole(args.seed, "--seed", 0)
         cfg = load_config(args.config)
-        if command is None:
-            command = cfg.get("command")
+        command = args.command or cfg.get("command")
         if command not in _HANDLERS:
             raise ConfigError(
-                f"no command given (positional, --command, or config); "
+                "no command given (positional or config); "
                 f"choose from {', '.join(COMMANDS)}"
             )
         os.makedirs(args.out, exist_ok=True)

@@ -9,8 +9,8 @@ the distinct draws of a seeded sampler by frequency, in a canonical
 order, so results are bit-reproducible for a given seed. A sampler may
 also tally its draws as (outcome, count) pairs, as the categorical
 sampler does by counting outcome indices, and the engine then skips
-grouping the outcomes itself. Closed-form engines dispatch to analytic
-handles instead.
+grouping the outcomes itself. A closed-form engine has no outcome law:
+it is one callable that returns the structural functions analytically.
 
 A law stands in for its engine at its own state and evaluates the model
 once per outcome: on first use it keeps each outcome's g and g_dot on
@@ -153,8 +153,7 @@ class ExactEnumeration:
 
     def normalization_deficit(self, components: ModelComponents,
                               state: ModelState) -> float:
-        probs = [np.exp(log_density(components, state, o)) for o in self.outcomes]
-        return abs(1.0 - float(np.sum(np.asarray(probs))))
+        return self.law(components, state).deficit
 
 
 @dataclass(frozen=True)
@@ -200,22 +199,13 @@ class MonteCarlo:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Dispatch engine for models that register analytic handles.
+    """Engine for models whose structural functions have closed form.
 
-    ``handles`` maps names to callables. Recognized names:
-
-    - ``"structural"``: ``fn(components, state) -> StructuralFunctions``
+    ``structural(components, state)`` returns the
+    :class:`StructuralFunctions`; every other expectation is refused.
     """
 
-    handles: dict
-
-    def handle(self, name: str):
-        try:
-            return self.handles[name]
-        except KeyError:
-            raise NotAvailableError(
-                f"no closed-form handle registered for {name!r}"
-            ) from None
+    structural: Callable
 
     def law(self, components: ModelComponents, state: ModelState):
         raise NotAvailableError("closed-form engines have no outcome law")
@@ -328,7 +318,7 @@ def structural_functions(engine, components: ModelComponents,
                          state: ModelState) -> StructuralFunctions:
     """Assemble the structural functions under the given engine."""
     if isinstance(engine, ClosedForm):
-        return engine.handle("structural")(components, state)
+        return engine.structural(components, state)
 
     law = outcome_law(engine, components, state)
     evaluated = law.evaluated

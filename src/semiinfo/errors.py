@@ -53,7 +53,7 @@ class EngineError(SemiinfoError):
 
 
 class NotAvailableError(SemiinfoError):
-    """A closed-form engine has no handle for the requested quantity."""
+    """No closed form is available for the requested quantity or state."""
 
 
 class EvaluationError(SemiinfoError):

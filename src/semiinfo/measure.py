@@ -167,15 +167,9 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class Direction:
-    """A tangent direction: values on the grid plus a centered flag.
-
-    ``centered=True`` asserts mean zero under the measure the direction is
-    used with; consumers verify the claim numerically against
-    ``TOL_CENTERED`` where it matters.
-    """
+    """A tangent direction: finite values on the grid."""
 
     values: np.ndarray
-    centered: bool = False
 
     def __post_init__(self):
         v = _freeze(self, "values", self.values)
@@ -184,7 +178,6 @@ class Direction:
         if not np.all(np.isfinite(v)):
             bad = int(np.flatnonzero(~np.isfinite(v))[0])
             raise DomainError(f"direction value {bad} is not finite")
-        object.__setattr__(self, "centered", bool(self.centered))
 
 
 def as_values(a, m: int | None = None) -> np.ndarray:
@@ -215,8 +208,8 @@ def mean(a, eta: DiscreteMeasure) -> float:
     return float(np.sum(av * eta.masses))
 
 
-def is_centered(a, eta: DiscreteMeasure, tol: float = TOL_CENTERED) -> bool:
-    return abs(mean(a, eta)) <= tol
+def is_centered(a, eta: DiscreteMeasure) -> bool:
+    return abs(mean(a, eta)) <= TOL_CENTERED
 
 
 def require_centered(a, eta: DiscreteMeasure, what: str = "direction") -> np.ndarray:
@@ -240,7 +233,7 @@ def center(a, eta: DiscreteMeasure) -> Direction:
     if eta.kind is not MeasureKind.PROBABILITY:
         raise DomainError("center() requires a probability measure")
     av = as_values(a, eta.size)
-    return Direction(av - float(np.sum(av * eta.masses)), centered=True)
+    return Direction(av - float(np.sum(av * eta.masses)))
 
 
 def cumulative(a, eta: DiscreteMeasure, t: float) -> float:

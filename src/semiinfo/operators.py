@@ -37,6 +37,9 @@ from .measure import DiscreteMeasure, as_values
 SIGMA_MIN_REL_TOL = 1e-8
 # Symmetry validation for information blocks, relative to the matrix scale.
 BLOCK_SYMMETRY_TOL = 1e-8
+# A block is invertible when its smallest eigenvalue exceeds this times
+# its largest.
+VERDICT_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -402,20 +405,19 @@ def block_inverse_identity_check(info: BlockInformation) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def invertibility_verdict(info: BlockInformation,
-                          rel_tol: float = 1e-10) -> dict:
+def invertibility_verdict(info: BlockInformation) -> dict:
     """Report whether the full matrix and the two blocks governing its
     invertibility (nuisance block and profiled interest block) are each
     numerically invertible, and whether the equivalence between 'full
-    invertible' and 'both pieces invertible' holds at the given relative
-    eigenvalue threshold."""
+    invertible' and 'both pieces invertible' holds at the relative
+    eigenvalue threshold ``VERDICT_REL_TOL``."""
 
     def invertible(mat: np.ndarray) -> tuple[bool, float]:
         if mat.shape[0] == 0:
             return True, float("inf")
         eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))
         scale = max(float(eig[-1]), 0.0)
-        ok = bool(scale > 0.0 and eig[0] > rel_tol * scale)
+        ok = bool(scale > 0.0 and eig[0] > VERDICT_REL_TOL * scale)
         return ok, float(eig[0])
 
     full_ok, full_min = invertible(info.full())

@@ -116,8 +116,7 @@ def _score_family(components, sf, states, which_score):
 def check_adjoint_identity(engine, components: ModelComponents,
                            state: ModelState, which_score, b,
                            h: float = FD_STEP_DEFAULT, *,
-                           h_order: float = FD_ORDER_STEP,
-                           sf=None, context=None) -> PropertyResult:
+                           sf=None) -> PropertyResult:
     """Three-way identity behind the adjoint assembly.
 
     For a score family g (a parameter-score component or the measure
@@ -126,7 +125,7 @@ def check_adjoint_identity(engine, components: ModelComponents,
     and minus the derivative of E-free g along the mass path through b
     all agree.  The first two are exact; the third is approximated by a
     central difference of step h.  The convergence order is probed at
-    the coarser step h_order where truncation dominates roundoff.
+    the coarser step FD_ORDER_STEP where truncation dominates roundoff.
     One pass over the outcome law sums g Bb and the three central
     differences.
     """
@@ -138,7 +137,7 @@ def check_adjoint_identity(engine, components: ModelComponents,
     if components.tangent is TangentKind.L2_ZERO:
         require_centered(bv, eta, "pairing direction")
 
-    steps = (h, h_order, h_order / 2.0)
+    steps = (h, FD_ORDER_STEP, FD_ORDER_STEP / 2.0)
     states = [state] + [ModelState(state.theta,
                                    perturb_measure(eta, bv, sign * step))
                         for step in steps for sign in (1.0, -1.0)]
@@ -181,11 +180,9 @@ def check_adjoint_identity(engine, components: ModelComponents,
         "order_error_half": order_err_half,
         "richardson_ratio": float(ratio),
         "h": float(h),
-        "h_order": float(h_order),
+        "h_order": FD_ORDER_STEP,
         "scale": scale,
     }
-    if context:
-        ctx.update(context)
     return PropertyResult("adjoint_identity", max_disc,
                           FD_TOL_FACTOR * scale * h * h, context=ctx)
 
@@ -222,9 +219,7 @@ def _order_distance(fd_error: float, fd_error_half: float,
 
 
 def check_score_fd(components: ModelComponents, state: ModelState, o, a,
-                   h: float = FD_STEP_DEFAULT, *,
-                   h_order: float = FD_ORDER_STEP,
-                   context=None) -> PropertyResult:
+                   h: float = FD_STEP_DEFAULT) -> PropertyResult:
     """The measure score at one outcome against a central difference of
     the log density along the mass path through the direction.
 
@@ -244,8 +239,8 @@ def check_score_fd(components: ModelComponents, state: ModelState, o, a,
         return (log_density(plus) - log_density(minus)) / (2.0 * hh)
 
     err = abs(analytic - quotient(h))
-    order_err = abs(analytic - quotient(h_order))
-    order_err_half = abs(analytic - quotient(h_order / 2.0))
+    order_err = abs(analytic - quotient(FD_ORDER_STEP))
+    order_err_half = abs(analytic - quotient(FD_ORDER_STEP / 2.0))
     scale = max(1.0, abs(analytic))
     ctx = {
         "analytic": float(analytic),
@@ -255,11 +250,9 @@ def check_score_fd(components: ModelComponents, state: ModelState, o, a,
         "richardson_ratio": (float(order_err / order_err_half)
                              if order_err_half > 0.0 else np.inf),
         "h": float(h),
-        "h_order": float(h_order),
+        "h_order": FD_ORDER_STEP,
         "scale": scale,
     }
-    if context:
-        ctx.update(context)
     return PropertyResult("score_fd", err, FD_TOL_FACTOR * scale * h * h,
                           context=ctx)
 
@@ -267,8 +260,8 @@ def check_score_fd(components: ModelComponents, state: ModelState, o, a,
 def check_centering_construction(engine, components: ModelComponents,
                                  state: ModelState, a, t: float,
                                  h: float = FD_STEP_DEFAULT, *,
-                                 n_pair: int = 10, seed: int = 0,
-                                 context=None) -> PropertyResult:
+                                 n_pair: int = 10,
+                                 seed: int = 0) -> PropertyResult:
     """Stability of the mean-zero construction off the base point.
 
     Moves the measure along an admissible direction a, re-centers a
@@ -309,8 +302,6 @@ def check_centering_construction(engine, components: ModelComponents,
         "richardson_ratios": [float(r) for r in ratios],
         "orders_ok": bool(all_orders_ok),
     }
-    if context:
-        ctx.update(context)
     return PropertyResult("centering_construction", worst, 1.0, context=ctx)
 
 

@@ -7,9 +7,10 @@ grid point, which takes the classic centered-counting-process shape
 
     -S(t) * (1{delta=1, x <= t} / pi(x) - sum_{u_i <= min(x, t)} w_i / pi(u_i)).
 
-A ClosedForm engine handle serves the structural functions analytically
-at the build state (elsewhere it raises NotAvailableError); the exact
-enumeration engine is still attached for cross-checks.
+A ClosedForm engine built on one structural callable serves the
+structural functions analytically at the build state (elsewhere it
+raises NotAvailableError); the exact enumeration engine is still
+attached for cross-checks.
 """
 from collections import namedtuple
 
@@ -143,6 +144,6 @@ def build(mass_scale=MASS_SCALE, zero_mass_point=False):
         adjoint_tol=1e-9,
         notes="tiny-mass design; pi reference is exact for the literal "
               "exponential-form outcome law",
-        extras={"closed_engine": ClosedForm({"structural": closed_structural})},
+        extras={"closed_engine": ClosedForm(closed_structural)},
     )
     return model

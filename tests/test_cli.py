@@ -444,3 +444,55 @@ def test_seed_flag_overrides_the_config_seed(tmp_path, capsys):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
     capsys.readouterr()
+
+
+def _paramcheck(path):
+    return {"schema_version": 1, "command": "paramcheck",
+            "paramcheck": {"path": str(path), "p": 1}}
+
+
+def _influence_csv(path):
+    return {"schema_version": 1, "command": "influence",
+            "model": {"id": "kaplan_meier"},
+            "influence": {"functional": "csv", "path": str(path)}}
+
+
+def _validate(**vcfg):
+    return lambda tmp_path: {"schema_version": 1, "command": "validate",
+                             "validate": vcfg}
+
+
+def _unparsable_matrix(tmp_path):
+    path = tmp_path / "info.csv"
+    path.write_text("# 2,2\n1.0,abc\nabc,1.0\n")
+    return _paramcheck(path)
+
+
+# (id, config built in the test's directory, field the error names)
+BAD_INPUTS = [
+    ("paramcheck-missing-csv",
+     lambda tmp_path: _paramcheck(tmp_path / "absent.csv"),
+     "config.paramcheck.path"),
+    ("paramcheck-unparsable-csv", _unparsable_matrix,
+     "config.paramcheck.path"),
+    ("influence-missing-csv",
+     lambda tmp_path: _influence_csv(tmp_path / "absent.csv"),
+     "config.influence.path"),
+    ("validate-empty-models", _validate(models=[]),
+     "config.validate.models"),
+    ("validate-models-string", _validate(models="cox_rc"),
+     "config.validate.models"),
+    ("validate-params-list", _validate(models=["cox_rc"],
+                                       params={"cox_rc": [1]}),
+     "config.validate.params.cox_rc"),
+]
+
+
+@pytest.mark.parametrize("build, field", [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_fields_exit_two(tmp_path, capsys, build, field):
+    cfg = write_cfg(tmp_path, build(tmp_path))
+    assert run(["--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and field in err
+    assert not (tmp_path / "out" / "report.json").exists()

@@ -15,7 +15,7 @@ from semiinfo import (
 from semiinfo.engines import _reduce, outcome_law
 from semiinfo.errors import DomainError, NotAvailableError
 from semiinfo.likelihood import (ModelState, TangentKind, _g_and_f_dot,
-                                 _structural_terms, g_dot_values)
+                                 _structural_terms, g_dot_values, log_density)
 from semiinfo.measure import center, perturb_measure
 
 STRUCTURAL_NAMES = ("gamma", "alpha", "kappa", "beta")
@@ -34,6 +34,16 @@ def test_tiny_mass_deficit_is_small_but_nonzero():
     model = zoo.build("cox_rc")
     deficit = model.exact.normalization_deficit(model.components, model.state)
     assert 0.0 < abs(deficit) < 1e-9
+
+
+@pytest.mark.parametrize("model_id", list(zoo.MODELS))
+def test_normalization_deficit_is_the_law_deficit(model_id):
+    model = zoo.build(model_id)
+    c, s = model.components, model.state
+    deficit = model.exact.normalization_deficit(c, s)
+    assert deficit == model.exact.law(c, s).deficit
+    probs = [np.exp(log_density(c, s, o)) for o in model.exact.outcomes]
+    assert deficit == abs(1.0 - float(np.sum(probs)))
 
 
 def test_exact_expectation_is_deterministic_with_zero_se():
@@ -133,8 +143,6 @@ def test_closed_form_dispatch():
     assert isinstance(engine, ClosedForm)
     sf = structural_functions(engine, model.components, model.state)
     np.testing.assert_allclose(sf.gamma, model.references["gamma"], atol=1e-12)
-    with pytest.raises(NotAvailableError):
-        engine.handle("expect:missing")
     with pytest.raises(NotAvailableError):
         expect(engine, model.components, model.state, lambda o: 1.0)
 

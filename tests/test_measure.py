@@ -133,7 +133,7 @@ def test_grid_validation():
 
 def test_as_values_shapes():
     np.testing.assert_array_equal(as_values([1.0, 2.0], 2), [1.0, 2.0])
-    d = Direction(np.array([1.0, -1.0]), centered=True)
+    d = Direction(np.array([1.0, -1.0]))
     np.testing.assert_array_equal(as_values(d, 2), [1.0, -1.0])
     with pytest.raises(DimensionError):
         as_values([1.0, 2.0, 3.0], 2)

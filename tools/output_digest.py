@@ -16,7 +16,9 @@ benchmark: output bytes depend on the BLAS thread count (`influence` on
 For `validate` the digest is of `report.json` as written, so seed 318
 prints the digest that `perfbench/workloads.py` pins. For the other
 commands it covers every output file, in name order, with the line
-holding the report's `timestamp` dropped.
+holding the report's `timestamp` dropped. The `paramcheck` config reads
+a fixed symmetric positive definite matrix that the script first writes
+into its temporary directory.
 """
 import os
 
@@ -35,6 +37,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from semiinfo.cli import main as cli_main  # noqa: E402
+from semiinfo.serialize import write_matrix_csv  # noqa: E402
+
+# The paramcheck matrix, written as SPD_CSV into the temporary directory.
+SPD_4X4 = ((4.0, 1.0, 0.5, 0.25),
+           (1.0, 3.0, 0.5, 0.125),
+           (0.5, 0.5, 2.0, 0.25),
+           (0.25, 0.125, 0.25, 1.5))
+SPD_CSV = "spd-4x4.csv"
 
 ZOO = ("cox_rc", "cox_cs", "recurrent_transform", "kaplan_meier", "mixture",
        "missing_cov")
@@ -56,6 +66,11 @@ def influence(model_id, params, functional, engine=None):
 def validate(seed):
     return {"schema_version": 1, "command": "validate",
             "validate": {"seed": seed}}
+
+
+def paramcheck(p):
+    return {"schema_version": 1, "command": "paramcheck",
+            "paramcheck": {"path": SPD_CSV, "p": p}}
 
 
 def mc(n, seed):
@@ -82,6 +97,7 @@ CONFIGS = dict(
          influence("kaplan_meier", {}, {"functional": "survival_at", "t": 1})),
         ("validate-318", validate(318)),
         ("validate-7", validate(7)),
+        ("paramcheck-spd4-p2", paramcheck(2)),
     ])
 
 
@@ -101,6 +117,10 @@ def output_digest(cfg, out):
 
 
 def run(name, cfg, tmp):
+    if cfg["command"] == "paramcheck":
+        cfg = dict(cfg, paramcheck=dict(
+            cfg["paramcheck"],
+            path=os.path.join(tmp, cfg["paramcheck"]["path"])))
     path = os.path.join(tmp, f"{name}.json")
     with open(path, "w") as handle:
         json.dump(cfg, handle)
@@ -113,6 +133,7 @@ def run(name, cfg, tmp):
 def main():
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
+        write_matrix_csv(os.path.join(tmp, SPD_CSV), SPD_4X4)
         for name, cfg in CONFIGS.items():
             code, digest = run(name, cfg, tmp)
             print(f"{name} {code} {digest}", flush=True)
