@@ -130,12 +130,19 @@ def load_config(path) -> dict:
 
 def _read_matrix(path, where):
     """The matrix CSV a config field names; a file that cannot be read
-    or parsed is a configuration error."""
+    or parsed, or that holds a non-finite entry, is a configuration
+    error."""
     try:
-        return read_matrix_csv(path)
+        mat = read_matrix_csv(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{where}: cannot read matrix CSV {path!r}: "
                           f"{exc}") from None
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ConfigError(f"{where}: matrix CSV {path!r} has a non-finite "
+                          f"entry {float(mat[i, j])!r} at row {i}, column {j}")
+    return mat
 
 
 def _build_model(cfg):
@@ -222,7 +229,11 @@ def cmd_validate(cfg, out_dir, seed_override):
     params = vcfg.get("params")
     if params is not None and not isinstance(params, dict):
         raise ConfigError("config.validate.params must map model id to params")
+    validated = models if models is not None else list(zoo.MODELS)
     for mid, value in (params or {}).items():
+        if mid not in validated:
+            raise ConfigError(f"config.validate.params.{mid} names no model "
+                              f"being validated; models: {validated}")
         if not isinstance(value, dict):
             raise ConfigError(f"config.validate.params.{mid} must be a JSON "
                               f"object, got {value!r}")

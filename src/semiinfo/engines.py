@@ -7,10 +7,13 @@ over. Exact enumeration weights a finite outcome space by the
 exponentiated log density (checked to sum to one); Monte Carlo weights
 the distinct draws of a seeded sampler by frequency, in a canonical
 order, so results are bit-reproducible for a given seed. A sampler may
-also tally its draws as (outcome, count) pairs, as the categorical
-sampler does by counting outcome indices, and the engine then skips
-grouping the outcomes itself. A closed-form engine has no outcome law:
-it is one callable that returns the structural functions analytically.
+also tally its draws as (outcome, count) pairs, and the engine then
+skips grouping the outcomes itself. The categorical sampler draws what
+``Generator.choice`` with the exact probabilities draws, and tallies
+those draws without a search per draw: it sorts the uniforms once and
+counts, per outcome, the uniforms below each CDF entry. A closed-form
+engine has no outcome law: it is one callable that returns the
+structural functions analytically.
 
 A law stands in for its engine at its own state and evaluates the model
 once per outcome: on first use it keeps each outcome's g and g_dot on
@@ -18,10 +21,13 @@ the grid, f_dot at x and parameter score (:attr:`OutcomeLaw.evaluated`),
 and every quantity summed over the law reads those (the structural
 functions here; the Fisher information, identifiability Gram and
 efficient information in ``calculus``), however many a caller asks
-for. One fixed-order compensated reducer sums each expectation, forming
-second moments only for the sums whose standard errors are reported;
-the identifiability Gram, which carries no standard error, is instead
-one matrix product of the stacked outcome scores (``calculus``).
+for. An exact law evaluates g once per outcome for its weights and
+keeps it, so those evaluations start from it. One fixed-order
+compensated reducer sums each expectation in place, in one flat
+buffer for all its sums, forming second moments only for the sums whose
+standard errors are reported; the identifiability Gram, which carries
+no standard error, is instead one matrix product of the stacked outcome
+scores (``calculus``).
 
 The structural functions are the four expectations that assemble adjoints
 and information operators. With x the vector of integral functionals:
@@ -49,9 +55,11 @@ the identity by an O(1) amount, not by rounding.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,10 +68,11 @@ from .errors import DomainError, EngineError, NotAvailableError
 from .likelihood import (
     ModelComponents,
     ModelState,
+    _log_density,
     _outcome,
     _structural_terms,
     check_state,
-    log_density,
+    g_values,
 )
 
 # Exact enumeration must normalize to this absolute accuracy.
@@ -84,10 +93,12 @@ class OutcomeLaw:
     """The weighted outcomes an engine produces at one state.
 
     ``n`` is the Monte Carlo sample size (None when exact) and
-    ``deficit`` the exact engine's normalization deficit. A law stands in
-    for its engine: asked about its own components and state (by
-    identity) it returns itself, anywhere else it has its engine build a
-    new one, with evaluations of its own.
+    ``deficit`` the exact engine's normalization deficit. ``gvs`` holds
+    each outcome's g on the grid when the weights were computed from it
+    (the exact engine's), so that :attr:`evaluated` does not evaluate g
+    again. A law stands in for its engine: asked about its own
+    components and state (by identity) it returns itself, anywhere else
+    it has its engine build a new one, with evaluations of its own.
     """
 
     pairs: tuple
@@ -96,6 +107,7 @@ class OutcomeLaw:
     engine: object
     components: ModelComponents
     state: ModelState
+    gvs: Optional[tuple] = field(default=None, repr=False)
 
     def law(self, components: ModelComponents,
             state: ModelState) -> OutcomeLaw:
@@ -109,8 +121,9 @@ class OutcomeLaw:
         the grid, f_dot at x and the parameter score), computed on first
         use."""
         check_state(self.components, self.state)
-        return {obs: _outcome(self.components, self.state, obs)
-                for obs, _ in self.pairs}
+        gvs = self.gvs or (None,) * len(self.pairs)
+        return {obs: _outcome(self.components, self.state, obs, gv)
+                for (obs, _), gv in zip(self.pairs, gvs)}
 
 
 @dataclass(frozen=True)
@@ -129,11 +142,15 @@ class ExactEnumeration:
                 raise DomainError(f"outcome {obs!r} is listed twice")
             seen.add(obs)
 
-    def probabilities(self, components: ModelComponents,
-                      state: ModelState) -> np.ndarray:
-        probs = np.array(
-            [np.exp(log_density(components, state, o)) for o in self.outcomes]
-        )
+    def probabilities(self, components: ModelComponents, state: ModelState,
+                      gvs: Optional[Sequence] = None) -> np.ndarray:
+        """Each outcome's probability, from its g on the grid when
+        ``gvs`` holds it (one (m, d) array per outcome, in order)."""
+        check_state(components, state)
+        if gvs is None:
+            gvs = [g_values(components, state, o) for o in self.outcomes]
+        probs = np.array([np.exp(_log_density(components, state, o, gv))
+                          for o, gv in zip(self.outcomes, gvs)])
         if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
             raise EngineError("outcome probabilities must be finite and >= 0")
         total = float(np.sum(probs))
@@ -146,10 +163,12 @@ class ExactEnumeration:
 
     def law(self, components: ModelComponents,
             state: ModelState) -> OutcomeLaw:
-        probs = self.probabilities(components, state)
+        check_state(components, state)
+        gvs = [g_values(components, state, o) for o in self.outcomes]
+        probs = self.probabilities(components, state, gvs)
         return OutcomeLaw(tuple(zip(self.outcomes, probs)), None,
                           abs(1.0 - float(np.sum(probs))), self,
-                          components, state)
+                          components, state, tuple(gvs))
 
     def normalization_deficit(self, components: ModelComponents,
                               state: ModelState) -> float:
@@ -227,27 +246,40 @@ def _reduce(law: OutcomeLaw, functional: Callable,
     returns, compensated in law order, with the standard errors of the
     first ``n_se`` of them (all by default; zeros unless the law is
     sampled). Each sum is elementwise, so a sum's bits do not depend on
-    which others are formed."""
+    which others are formed.
+
+    All sums share three flat buffers (running total, compensation and
+    term), the means first and the second moments after them: per
+    outcome the weighted terms are written into the term buffer, and one
+    compensated (Kahan) step adds it to the running total. The sums come
+    back as copies, so no caller keeps the buffers alive."""
     sampled = law.n is not None
-    acc = None
+    total = None
     for obs, weight in law.pairs:
         vals = [np.asarray(v, dtype=float) for v in functional(obs)]
-        terms = [weight * v for v in vals]
-        if sampled:
-            terms += [term * v for term, v in zip(terms, vals[:n_se])]
-        if acc is None:
-            acc = [[np.zeros(np.shape(term)), np.zeros(np.shape(term))]
-                   for term in terms]
-        for a, term in zip(acc, terms):
-            y = term - a[1]
-            t = a[0] + y
-            a[1] = (t - a[0]) - y
-            a[0] = t
-    sums = [a[0] for a in acc]
-    if not sampled:
-        return sums, [np.zeros_like(v) for v in sums[:n_se]]
+        if total is None:
+            shapes = [v.shape for v in vals]
+            shapes += shapes[:n_se] if sampled else []
+            ends = list(accumulate(math.prod(shape) for shape in shapes))
+            spans = list(zip([0] + ends, ends, shapes))
+            total, comp, term = np.zeros((3, ends[-1]))
+            slots = [term[a:b].reshape(shape) for a, b, shape in spans]
+        for v, slot in zip(vals, slots):
+            np.multiply(weight, v, out=slot)
+        for v, slot, square in zip(vals, slots, slots[len(vals):]):
+            np.multiply(slot, v, out=square)
+        # The Kahan step y = term - comp, t = total + y,
+        # comp = (t - total) - y, total = t, in place in three buffers.
+        np.subtract(term, comp, out=term)
+        np.add(total, term, out=comp)
+        np.subtract(comp, total, out=total)
+        np.subtract(total, term, out=total)
+        total, comp = comp, total
+    sums = [total[a:b].reshape(shape).copy() for a, b, shape in spans]
     k = len(vals)  # the means; the second moments follow them
     means, seconds = sums[:k], sums[k:]
+    if not sampled:
+        return means, [np.zeros_like(v) for v in means[:n_se]]
     ses = [np.sqrt(np.maximum(s2 - v * v, 0.0) / law.n)
            for v, s2 in zip(means, seconds)]
     return means, ses
@@ -341,22 +373,33 @@ def make_categorical_sampler(exact: ExactEnumeration,
                              components: ModelComponents) -> Callable:
     """Sampler over a finite outcome space driven by the exact engine's
     probabilities at the sampled state (renormalized; tiny-mass designs
-    carry a deficit far below sampling noise)."""
+    carry a deficit far below sampling noise).
+
+    The draws are those of ``rng.choice(len(outcomes), size, p=probs)``:
+    the same CDF and uniforms, and the same outcome for each uniform."""
 
     outcomes = exact.outcomes
 
-    def draw(state: ModelState, rng: np.random.Generator, size: int):
+    def uniforms(state: ModelState, rng: np.random.Generator, size: int):
+        # The CDF and uniforms exactly as Generator.choice forms them.
         probs = exact.probabilities(components, state)
-        probs = probs / probs.sum()
-        return rng.choice(len(outcomes), size=size, p=probs)
+        cdf = np.cumsum(probs / probs.sum())
+        cdf /= cdf[-1]
+        return cdf, rng.random(size)
 
     def sampler(state: ModelState, rng: np.random.Generator, size: int):
-        return [outcomes[i] for i in draw(state, rng, size).tolist()]
+        cdf, u = uniforms(state, rng, size)
+        return [outcomes[i]
+                for i in cdf.searchsorted(u, side="right").tolist()]
 
     def tally(state: ModelState, rng: np.random.Generator, size: int):
-        # The same draws as the sampler, counted by outcome index (the
-        # exact engine's outcomes are distinct).
-        counts = np.bincount(draw(state, rng, size), minlength=len(outcomes))
+        # The same draws as the sampler, counted by outcome index without
+        # a search per draw: outcome i takes the uniforms in
+        # [cdf[i - 1], cdf[i]), counted on the sorted uniforms (the exact
+        # engine's outcomes are distinct).
+        cdf, u = uniforms(state, rng, size)
+        counts = np.diff(np.searchsorted(np.sort(u), cdf, side="left"),
+                         prepend=0)
         return [(outcomes[i], int(counts[i]))
                 for i in np.flatnonzero(counts).tolist()]
 

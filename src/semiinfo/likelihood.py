@@ -241,10 +241,13 @@ class _Outcome(NamedTuple):
     gd: np.ndarray
 
 
-def _outcome(components: ModelComponents, state: ModelState,
-             obs) -> _Outcome:
-    """Evaluate g, g_dot and f_dot at one outcome, and r_dot when p > 0."""
-    gv, fd = _g_and_f_dot(components, state, obs)
+def _outcome(components: ModelComponents, state: ModelState, obs,
+             gv: Optional[np.ndarray] = None) -> _Outcome:
+    """Evaluate g (unless ``gv`` holds it), g_dot and f_dot at one
+    outcome, and r_dot when p > 0."""
+    if gv is None:
+        gv = g_values(components, state, obs)
+    fd = f_dot_values(components, state.eta.masses @ gv, obs)
     gd = g_dot_values(components, state, obs)
     score = _parameter_score(
         obs, state.eta.masses, fd, gd, _r_dot_values(components, state, obs)

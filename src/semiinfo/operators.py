@@ -158,11 +158,11 @@ def _reduce(mat: np.ndarray, eta: DiscreteMeasure, centered: bool):
     ``sqrt(w)`` there), projected onto the mean-zero basis q when
     ``centered`` (q is None otherwise)."""
     sup, root = eta._support_and_root
-    sub = mat[np.ix_(sup, sup)]
-    reduced = (sub * (1.0 / root)[np.newaxis, :]) * root[:, np.newaxis]
-    q = None
+    # The basis first: its SVD then runs before the copies below exist.
+    q = eta._mean_zero_basis if centered else None
+    reduced = (mat[np.ix_(sup, sup)] * (1.0 / root)[np.newaxis, :]) \
+        * root[:, np.newaxis]
     if centered:
-        q = eta._mean_zero_basis
         reduced = q.T @ reduced @ q
     return reduced, sup, root, q
 

@@ -39,7 +39,6 @@ def test_analyze_model_evaluates_g_once_per_outcome():
 
     c = dataclasses.replace(model.components, g=g)
     law = outcome_law(model.exact, c, model.state)
-    calls.clear()
     report = analyze_model(c, model.state, law)
     assert report.identifiability is not None
     assert len(calls) == len(law.pairs)

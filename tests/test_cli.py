@@ -468,6 +468,22 @@ def _unparsable_matrix(tmp_path):
     return _paramcheck(path)
 
 
+def _non_finite_matrix(entry):
+    def build(tmp_path):
+        path = tmp_path / "info.csv"
+        path.write_text(f"# 2,2\n1.0,{entry}\n{entry},1.0\n")
+        return _paramcheck(path)
+    return build
+
+
+def _non_finite_derivative(tmp_path):
+    values = np.ones((zoo.build("kaplan_meier").state.eta.size, 1))
+    values[1, 0] = np.nan
+    path = tmp_path / "chi.csv"
+    write_matrix_csv(path, values)
+    return _influence_csv(path)
+
+
 # (id, config built in the test's directory, field the error names)
 BAD_INPUTS = [
     ("paramcheck-missing-csv",
@@ -485,6 +501,18 @@ BAD_INPUTS = [
     ("validate-params-list", _validate(models=["cox_rc"],
                                        params={"cox_rc": [1]}),
      "config.validate.params.cox_rc"),
+    ("paramcheck-inf-csv", _non_finite_matrix("inf"),
+     "config.paramcheck.path"),
+    ("paramcheck-nan-csv", _non_finite_matrix("nan"),
+     "config.paramcheck.path"),
+    ("influence-nan-csv", _non_finite_derivative, "config.influence.path"),
+    ("validate-params-misspelt-model",
+     _validate(models=["kaplan_meier"],
+               params={"kaplan_meir": {"mass_scale": 1.0}}),
+     "config.validate.params.kaplan_meir"),
+    ("validate-params-unknown-model",
+     _validate(params={"no_such_model": {}}),
+     "config.validate.params.no_such_model"),
 ]
 
 

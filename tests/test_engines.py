@@ -241,6 +241,83 @@ def test_reduced_means_do_not_depend_on_which_second_moments_are_formed():
             assert np.array_equal(want, got)
 
 
+def _kahan_oracle(law, functional, n_se=None):
+    """The compensated reducer written as one pair of accumulators per
+    array, with fresh temporaries each step: the reference ``_reduce``
+    must match bit for bit."""
+    sampled = law.n is not None
+    acc = None
+    for obs, weight in law.pairs:
+        vals = [np.asarray(v, dtype=float) for v in functional(obs)]
+        terms = [weight * v for v in vals]
+        if sampled:
+            terms += [term * v for term, v in zip(terms, vals[:n_se])]
+        if acc is None:
+            acc = [[np.zeros(np.shape(term)), np.zeros(np.shape(term))]
+                   for term in terms]
+        for a, term in zip(acc, terms):
+            y = term - a[1]
+            t = a[0] + y
+            a[1] = (t - a[0]) - y
+            a[0] = t
+    sums = [a[0] for a in acc]
+    if not sampled:
+        return sums, [np.zeros_like(v) for v in sums[:n_se]]
+    k = len(vals)
+    ses = [np.sqrt(np.maximum(s2 - v * v, 0.0) / law.n)
+           for v, s2 in zip(sums[:k], sums[k:])]
+    return sums[:k], ses
+
+
+@pytest.mark.parametrize("n_se", [0, 1, None])
+@pytest.mark.parametrize("kind", ["exact", "mc"])
+def test_reduce_matches_the_per_array_kahan_sum(kind, n_se):
+    model = zoo.build("cox_cs", m=12)
+    c, s = model.components, model.state
+    engine = (model.exact if kind == "exact"
+              else MonteCarlo(model.sampler, 3000, 11))
+    law = outcome_law(engine, c, s)
+    evaluated = law.evaluated
+
+    def terms(obs):
+        e = evaluated[obs]
+        # a scalar first, then the (m,), (m, p), (m, m) and (m, m, p) terms
+        return (float(e.fd @ e.gv.sum(axis=0)),
+                *_structural_terms(c, s, obs, e.gv, e.gd, e.fd))
+
+    means, ses = _reduce(law, terms, n_se)
+    want_means, want_ses = _kahan_oracle(law, terms, n_se)
+    assert len(means) == 5 and len(ses) == len(want_ses)
+    assert means[0].shape == ()
+    for want, got in zip(want_means + want_ses, means + ses):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    if kind == "mc" and n_se != 0:
+        assert np.any(ses[-1] > 0.0)
+    out = means + ses
+    for i, a in enumerate(out):
+        for b in out[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("model_id", list(zoo.MODELS))
+def test_categorical_draws_are_those_of_generator_choice(model_id):
+    model = zoo.build(model_id)
+    c, s = model.components, model.state
+    outcomes = model.exact.outcomes
+    probs = model.exact.probabilities(c, s)
+    probs = probs / probs.sum()
+    for seed in (0, 7, 2024):
+        for n in (1, 40, 100000):
+            idx = np.random.default_rng(seed).choice(len(outcomes), size=n,
+                                                     p=probs)
+            drawn = model.sampler(s, np.random.default_rng(seed), n)
+            assert drawn == [outcomes[i] for i in idx.tolist()]
+            counts = np.bincount(idx, minlength=len(outcomes))
+            tallied = model.sampler.tally(s, np.random.default_rng(seed), n)
+            assert tallied == [(outcomes[i], int(counts[i]))
+                               for i in np.flatnonzero(counts).tolist()]
+
+
 @pytest.mark.parametrize("n, seed, field", [
     (2.5, 1, "n"), (True, 1, "n"), (0, 1, "n"), ("10", 1, "n"),
     (10, -1, "seed"), (10, 1.5, "seed"), (10, False, "seed"),

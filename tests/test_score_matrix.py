@@ -75,7 +75,6 @@ def test_local_identifiability_evaluates_g_once_per_outcome():
     model = zoo.build("cox_cs", m=20)
     c, calls = _counting_g(model)
     law = outcome_law(model.exact, c, model.state)
-    calls.clear()
     local_identifiability(law, c, model.state)
     assert len(calls) == len(law.pairs)
 
@@ -96,8 +95,8 @@ def test_efficient_information_evaluates_g_once_per_outcome():
     _, adjoint, lfd, fisher = _efficient_inputs(
         outcome_law(model.exact, c, s), c, s)
     # A fresh law: the one above has already evaluated its outcomes.
-    law = outcome_law(model.exact, c, s)
     calls.clear()
+    law = outcome_law(model.exact, c, s)
     efficient_information(law, c, s, lfd.values, adjoint, fisher)
     assert len(calls) == len(law.pairs)
 
