@@ -15,8 +15,7 @@ from .calculus import (Category, CategoryResult, EfficientInformation,
                        local_identifiability, nonparametric_influence,
                        v_operator)
 from .engines import (ClosedForm, ExactEnumeration, MonteCarlo,
-                      StructuralFunctions, expect, make_categorical_sampler,
-                      mc_convergence_probe, structural_functions)
+                      StructuralFunctions, expect, structural_functions)
 from .errors import (ConfigError, DimensionError, DomainError, EngineError,
                      EvaluationError, IllPosedError, NotAvailableError,
                      NotIdentifiableError, SemiinfoError)

@@ -52,7 +52,7 @@ import numpy as np
 from .engines import (
     ClosedForm,
     StructuralFunctions,
-    _mean,
+    _reduce,
     outcome_law,
     structural_functions,
 )
@@ -155,8 +155,8 @@ def _evaluated_mean(engine, components: ModelComponents, state: ModelState,
     ``outcome`` the law's evaluation of ``obs``."""
     law = outcome_law(engine, components, state)
     evaluated = law.evaluated
-    return _mean(law, components, state,
-                 lambda obs: term(obs, evaluated[obs]))
+    (value,), _ = _reduce(law, lambda obs: (term(obs, evaluated[obs]),), 0)
+    return value
 
 
 def fisher_information(engine, components: ModelComponents,

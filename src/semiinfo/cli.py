@@ -172,7 +172,7 @@ def _resolve_engine(cfg, model, seed_override):
         return model.exact
     if kind == "mc":
         n = _whole(engine_cfg.get("n"), "config.engine.n", 1)
-        return MonteCarlo(model.sampler, n,
+        return MonteCarlo(model.exact, n,
                           _seed(cfg, "engine", 0, seed_override))
     raise ConfigError(f"unknown engine kind {kind!r}; use 'exact' or 'mc'")
 

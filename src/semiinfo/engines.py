@@ -5,15 +5,15 @@ An engine's ``law(components, state)`` is its :class:`OutcomeLaw` at one
 state: the ordered (outcome, weight) pairs every expectation there sums
 over. Exact enumeration weights a finite outcome space by the
 exponentiated log density (checked to sum to one); Monte Carlo weights
-the distinct draws of a seeded sampler by frequency, in a canonical
-order, so results are bit-reproducible for a given seed. A sampler may
-also tally its draws as (outcome, count) pairs, and the engine then
-skips grouping the outcomes itself. The categorical sampler draws what
-``Generator.choice`` with the exact probabilities draws, and tallies
-those draws without a search per draw: it sorts the uniforms once and
-counts, per outcome, the uniforms below each CDF entry. A closed-form
-engine has no outcome law: it is one callable that returns the
-structural functions analytically.
+the distinct draws of a seeded sample by frequency, in a canonical
+order, so results are bit-reproducible for a given seed. Monte Carlo
+over an exact enumeration resamples the exact law at the state: it
+draws what ``Generator.choice`` with the exact probabilities draws,
+counted per outcome on the sorted uniforms without a search per draw,
+and each drawn outcome keeps the g its exact weight was computed from.
+Any other sampler is a callable whose draws are grouped by outcome. A
+closed-form engine has no outcome law: it is one callable that returns
+the structural functions analytically.
 
 A law stands in for its engine at its own state and evaluates the model
 once per outcome: on first use it keeps each outcome's g and g_dot on
@@ -21,8 +21,9 @@ the grid, f_dot at x and parameter score (:attr:`OutcomeLaw.evaluated`),
 and every quantity summed over the law reads those (the structural
 functions here; the Fisher information, identifiability Gram and
 efficient information in ``calculus``), however many a caller asks
-for. An exact law evaluates g once per outcome for its weights and
-keeps it, so those evaluations start from it. One fixed-order
+for. Those evaluations start from the g a law already holds: an exact
+law's, computed once per outcome for its weights, and a resampled
+law's, taken from the exact law it was drawn from. One fixed-order
 compensated reducer sums each expectation in place, in one flat
 buffer for all its sums, forming second moments only for the sums whose
 standard errors are reported; the identifiability Gram, which carries
@@ -94,9 +95,9 @@ class OutcomeLaw:
 
     ``n`` is the Monte Carlo sample size (None when exact) and
     ``deficit`` the exact engine's normalization deficit. ``gvs`` holds
-    each outcome's g on the grid when the weights were computed from it
-    (the exact engine's), so that :attr:`evaluated` does not evaluate g
-    again. A law stands in for its engine: asked about its own
+    each outcome's g on the grid where it is already known (None for the
+    draws of a callable sampler), so that :attr:`evaluated` does not
+    evaluate g again. A law stands in for its engine: asked about its own
     components and state (by identity) it returns itself, anywhere else
     it has its engine build a new one, with evaluations of its own.
     """
@@ -107,7 +108,7 @@ class OutcomeLaw:
     engine: object
     components: ModelComponents
     state: ModelState
-    gvs: Optional[tuple] = field(default=None, repr=False)
+    gvs: tuple = field(repr=False)
 
     def law(self, components: ModelComponents,
             state: ModelState) -> OutcomeLaw:
@@ -121,9 +122,8 @@ class OutcomeLaw:
         the grid, f_dot at x and the parameter score), computed on first
         use."""
         check_state(self.components, self.state)
-        gvs = self.gvs or (None,) * len(self.pairs)
         return {obs: _outcome(self.components, self.state, obs, gv)
-                for (obs, _), gv in zip(self.pairs, gvs)}
+                for (obs, _), gv in zip(self.pairs, self.gvs)}
 
 
 @dataclass(frozen=True)
@@ -175,22 +175,40 @@ class ExactEnumeration:
         return self.law(components, state).deficit
 
 
+def _categorical_counts(probs: np.ndarray, rng: np.random.Generator,
+                        size: int) -> np.ndarray:
+    """How often each outcome is drawn by
+    ``rng.choice(len(probs), size, p=probs)``: the same CDF and uniforms,
+    renormalized (tiny-mass designs carry a deficit far below sampling
+    noise). Outcome i takes the uniforms in [cdf[i - 1], cdf[i]), counted
+    on the sorted uniforms without a search per draw."""
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    u = np.sort(rng.random(size))
+    return np.diff(np.searchsorted(u, cdf, side="left"), prepend=0)
+
+
 @dataclass(frozen=True)
 class MonteCarlo:
     """Expectation by simulation.
 
-    ``sampler(state, rng, size)`` returns ``size`` hashable outcomes. The
-    engine groups the draws by outcome and reduces in a canonical order,
-    so two runs with the same seed agree bit for bit. A sampler with a
-    ``tally(state, rng, size)`` method, which returns the same draws as
-    distinct (outcome, count) pairs, is asked for those instead.
+    ``sampler`` is an :class:`ExactEnumeration`, whose law at the state
+    is resampled, or a callable ``sampler(state, rng, size)`` that
+    returns ``size`` hashable outcomes. The engine groups the draws by
+    outcome and reduces in a canonical order, so two runs with the same
+    seed agree bit for bit.
     """
 
-    sampler: Callable
+    sampler: ExactEnumeration | Callable
     n: int
     seed: int
 
     def __post_init__(self):
+        if not (isinstance(self.sampler, ExactEnumeration)
+                or callable(self.sampler)):
+            raise DomainError(
+                "MonteCarlo sampler must be an ExactEnumeration or callable, "
+                f"got {self.sampler!r}")
         for name, minimum in (("n", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) \
@@ -200,20 +218,28 @@ class MonteCarlo:
                     f"MonteCarlo {name} must be an integer >= {minimum}, "
                     f"got {value!r}")
 
-    def draw_weights(self, state: ModelState) -> list:
+    def draw_weights(self, components: ModelComponents,
+                     state: ModelState) -> tuple:
+        """``(pairs, gvs)``: the distinct draws with their frequencies in
+        canonical order, and each draw's g on the grid where known."""
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
-        tally = getattr(self.sampler, "tally", None)
-        if tally is None:
-            counts = Counter(self.sampler(state, rng, self.n)).items()
+        if isinstance(self.sampler, ExactEnumeration):
+            exact = self.sampler.law(components, state)
+            counts = _categorical_counts(
+                np.array([p for _, p in exact.pairs]), rng, self.n)
+            drawn = [(exact.pairs[i][0], int(counts[i]), exact.gvs[i])
+                     for i in np.flatnonzero(counts).tolist()]
         else:
-            counts = tally(state, rng, self.n)
-        items = sorted(counts, key=lambda kv: repr(kv[0]))
-        return [(obs, cnt / self.n) for obs, cnt in items]
+            drawn = [(obs, cnt, None) for obs, cnt
+                     in Counter(self.sampler(state, rng, self.n)).items()]
+        drawn.sort(key=lambda d: repr(d[0]))
+        return (tuple((obs, cnt / self.n) for obs, cnt, _ in drawn),
+                tuple(gv for _, _, gv in drawn))
 
     def law(self, components: ModelComponents,
             state: ModelState) -> OutcomeLaw:
-        return OutcomeLaw(tuple(self.draw_weights(state)), self.n, None,
-                          self, components, state)
+        pairs, gvs = self.draw_weights(components, state)
+        return OutcomeLaw(pairs, self.n, None, self, components, state, gvs)
 
 
 @dataclass(frozen=True)
@@ -296,32 +322,6 @@ def expect(engine, components: ModelComponents, state: ModelState,
     return ExpectResult(value, se, law.n)
 
 
-def _mean(engine, components: ModelComponents, state: ModelState,
-          functional: Callable) -> np.ndarray:
-    """The value of :func:`expect`, without forming its standard error."""
-    law = outcome_law(engine, components, state)
-    (value,), _ = _reduce(law, lambda obs: (functional(obs),), 0)
-    return value
-
-
-def mc_convergence_probe(engine: MonteCarlo, components: ModelComponents,
-                         state: ModelState, functional: Callable,
-                         sizes: Sequence[int]) -> list:
-    """Re-run a Monte Carlo expectation at several sample sizes with
-    independent substreams; returns [(n, value, se), ...] so callers can
-    verify the 1/sqrt(n) error decay."""
-    if not isinstance(engine, MonteCarlo):
-        raise DomainError("convergence probe requires a MonteCarlo engine")
-    children = np.random.SeedSequence(engine.seed).spawn(len(sizes))
-    out = []
-    for size, child in zip(sizes, children):
-        sub = MonteCarlo(engine.sampler, int(size),
-                         int(child.generate_state(1)[0]))
-        res = expect(sub, components, state, functional)
-        out.append((int(size), res.value, res.se))
-    return out
-
-
 @dataclass(frozen=True)
 class StructuralFunctions:
     """The four structural expectations on a grid of size m with p
@@ -367,41 +367,3 @@ def structural_functions(engine, components: ModelComponents,
         se_gamma=ses[0], se_alpha=ses[1], se_kappa=ses[2], se_beta=ses[3],
         engine="exact" if law.n is None else "mc", n=law.n,
     )
-
-
-def make_categorical_sampler(exact: ExactEnumeration,
-                             components: ModelComponents) -> Callable:
-    """Sampler over a finite outcome space driven by the exact engine's
-    probabilities at the sampled state (renormalized; tiny-mass designs
-    carry a deficit far below sampling noise).
-
-    The draws are those of ``rng.choice(len(outcomes), size, p=probs)``:
-    the same CDF and uniforms, and the same outcome for each uniform."""
-
-    outcomes = exact.outcomes
-
-    def uniforms(state: ModelState, rng: np.random.Generator, size: int):
-        # The CDF and uniforms exactly as Generator.choice forms them.
-        probs = exact.probabilities(components, state)
-        cdf = np.cumsum(probs / probs.sum())
-        cdf /= cdf[-1]
-        return cdf, rng.random(size)
-
-    def sampler(state: ModelState, rng: np.random.Generator, size: int):
-        cdf, u = uniforms(state, rng, size)
-        return [outcomes[i]
-                for i in cdf.searchsorted(u, side="right").tolist()]
-
-    def tally(state: ModelState, rng: np.random.Generator, size: int):
-        # The same draws as the sampler, counted by outcome index without
-        # a search per draw: outcome i takes the uniforms in
-        # [cdf[i - 1], cdf[i]), counted on the sorted uniforms (the exact
-        # engine's outcomes are distinct).
-        cdf, u = uniforms(state, rng, size)
-        counts = np.diff(np.searchsorted(np.sort(u), cdf, side="left"),
-                         prepend=0)
-        return [(outcomes[i], int(counts[i]))
-                for i in np.flatnonzero(counts).tolist()]
-
-    sampler.tally = tally
-    return sampler

@@ -138,9 +138,6 @@ class DiscreteMeasure:
     def size(self) -> int:
         return self.grid.size
 
-    def total(self) -> float:
-        return float(np.sum(self.masses))
-
     def support(self) -> np.ndarray:
         """Indices of grid points carrying positive mass."""
         return np.flatnonzero(self.masses > 0.0)

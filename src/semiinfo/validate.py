@@ -6,10 +6,11 @@ only approximation used here; every FD-based check therefore carries an
 order-of-convergence probe (halving the step must divide the error by
 about four) so a failing identity cannot hide behind step-size error.
 
-Each adjoint check walks the outcome law once and evaluates g once per
-outcome: the mass path through b moves only the masses, and components
-take ``(theta, obs, points)``, so one evaluation serves the base state
-and all six perturbed states of the three central differences.
+Each adjoint check walks the outcome law once and reads each outcome's
+g, g_dot and f_dot from the law's own evaluation, so it evaluates no g
+of its own: the mass path through b moves only the masses, and
+components take ``(theta, obs, points)``, so the law's g serves the base
+state and all six perturbed states of the three central differences.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .errors import DomainError
 from .likelihood import (ModelComponents, ModelState, TangentKind,
                          _log_density, _measure_score, _parameter_score,
                          _r_dot_values, _score_operator, check_state,
-                         f_dot_values, g_dot_values, g_values)
+                         f_dot_values)
 from .measure import (as_values, center, inner_product, perturb_measure,
                       require_centered)
 from .operators import apply
@@ -75,8 +76,8 @@ def _score_family(components, sf, states, which_score):
     An integer selects a component of the parameter score; a direction
     selects the measure score along it, re-centered under each state's
     measure on a mean-zero tangent space. The scorer takes an outcome,
-    g on the grid and f_dot at each state's x, and returns the score at
-    every state, in the arithmetic of ``score_theta`` and
+    g and g_dot on the grid and f_dot at each state's x, and returns the
+    score at every state, in the arithmetic of ``score_theta`` and
     ``score_operator``.
     """
     eta = states[0].eta
@@ -88,8 +89,7 @@ def _score_family(components, sf, states, which_score):
             raise DomainError(f"score component {j} outside range({components.p})")
         adjoint_values = adjoint_of_score(sf, eta, tangent)[:, j]
 
-        def scores(o, gv, fds):
-            gd = g_dot_values(components, states[0], o)
+        def scores(o, gv, gd, fds):
             r_dot = _r_dot_values(components, states[0], o)
             return [float(_parameter_score(o, w, fd, gd, r_dot)[j])
                     for w, fd in zip(masses, fds)]
@@ -106,7 +106,7 @@ def _score_family(components, sf, states, which_score):
     adjoint_values = apply(info_operator(sf, eta, tangent), a)
     weighted = [w * d for w, d in zip(masses, dirs)]
 
-    def scores(o, gv, fds):
+    def scores(o, gv, gd, fds):
         return [_measure_score(components, o, gv, fd, wd, d)
                 for fd, wd, d in zip(fds, weighted, dirs)]
 
@@ -127,7 +127,7 @@ def check_adjoint_identity(engine, components: ModelComponents,
     central difference of step h.  The convergence order is probed at
     the coarser step FD_ORDER_STEP where truncation dominates roundoff.
     One pass over the outcome law sums g Bb and the three central
-    differences.
+    differences, from the law's own evaluation of each outcome.
     """
     law = outcome_law(engine, components, state)
     if sf is None:
@@ -147,12 +147,13 @@ def check_adjoint_identity(engine, components: ModelComponents,
                                                   which_score)
     t1 = inner_product(adjoint_values, bv, eta)
     weighted_b = eta.masses * bv
+    evaluated = law.evaluated
 
     def integrand(o):
-        gv = g_values(components, state, o)
-        fds = [f_dot_values(components, st.eta.masses @ gv, o)
-               for st in states]
-        g = scores(o, gv, fds)
+        gv, fd, _, gd = evaluated[o]
+        fds = [fd] + [f_dot_values(components, st.eta.masses @ gv, o)
+                      for st in states[1:]]
+        g = scores(o, gv, gd, fds)
         bb = _measure_score(components, o, gv, fds[0], weighted_b, bv)
         return np.array([g[0] * bb] + [
             (plus - minus) / (2.0 * step)

@@ -2,19 +2,20 @@
 
 Each model module exposes ``build(**overrides) -> ZooModel``. A ZooModel
 packages the likelihood components, a default state, an exact enumeration
-engine over the finite outcome space, a sampler for Monte Carlo runs, and
-independently derived reference quantities used by the test suite. The
-references are computed from simplified closed forms, never through the
-structural-function pipeline, so agreement between the two is evidence
-rather than tautology.
+engine over the finite outcome space, and independently derived reference
+quantities used by the test suite. Monte Carlo runs resample the exact
+engine's law; ``sampler`` is the same engine under the name the benchmark
+workloads (``perfbench/workloads.py``) read. The references are computed
+from simplified closed forms, never through the structural-function
+pipeline, so agreement between the two is evidence rather than tautology.
 """
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..calculus import Category
-from ..engines import ExactEnumeration, make_categorical_sampler
+from ..engines import ExactEnumeration
 from ..errors import NotAvailableError
 from ..likelihood import ModelComponents, ModelState
 from ..measure import DiscreteMeasure, Grid, MeasureKind
@@ -28,7 +29,7 @@ class ZooModel:
     components: ModelComponents
     state: ModelState
     exact: ExactEnumeration
-    sampler: Callable
+    sampler: ExactEnumeration
     references: dict
     expected_category: Category
     adjoint_tol: float
@@ -70,12 +71,11 @@ def finish(model_id: str, components: ModelComponents, state: ModelState,
            outcomes, references: dict, expected_category: Category,
            adjoint_tol: float, notes: str = "",
            extras: Optional[dict] = None) -> ZooModel:
-    """Wire the exact engine and default sampler around a model."""
+    """Wire the exact engine around a model."""
     exact = ExactEnumeration(outcomes)
-    sampler = make_categorical_sampler(exact, components)
     return ZooModel(
         model_id=model_id, components=components, state=state, exact=exact,
-        sampler=sampler, references=references,
+        sampler=exact, references=references,
         expected_category=expected_category, adjoint_tol=adjoint_tol,
         notes=notes, extras=dict(extras or {}),
     )

@@ -35,8 +35,10 @@ from .base import finish, probability_measure
 
 MisObs = namedtuple("MisObs", ["observed", "y", "k"])
 
-MIN_SELECTION_DEFAULT = 1e-3
-INFO_TOL_DEFAULT = 1e-10
+# Condition (a)'s floor on the selection probabilities and gamma, and the
+# floor on the minimum eigenvalues of condition (b) and the conclusion.
+MIN_SELECTION = 1e-3
+INFO_TOL = 1e-10
 
 
 def _expit(x):
@@ -200,8 +202,7 @@ def build(theta=(0.2, -0.3), zero_cell=False, degenerate_z=False,
     )
 
 
-def invertibility_conditions(model, min_selection=MIN_SELECTION_DEFAULT,
-                             info_tol=INFO_TOL_DEFAULT):
+def invertibility_conditions(model):
     """Sufficient conditions for a boundedly invertible efficient
     information operator, returned as (holds, diagnostics).
 
@@ -219,10 +220,10 @@ def invertibility_conditions(model, min_selection=MIN_SELECTION_DEFAULT,
     min_sel = min(sel.values())
     gamma_min = float(np.min(sf.gamma))
     cond_a = {
-        "holds": bool(min_sel >= min_selection and gamma_min >= min_selection),
+        "holds": bool(min(min_sel, gamma_min) >= MIN_SELECTION),
         "min_selection": float(min_sel),
         "gamma_min": gamma_min,
-        "threshold": float(min_selection),
+        "threshold": MIN_SELECTION,
     }
 
     per_cell = {}
@@ -239,9 +240,9 @@ def invertibility_conditions(model, min_selection=MIN_SELECTION_DEFAULT,
                 info += wz * py * np.outer(sc, sc)
         per_cell[x] = float(min_eigen_sym(info))
     cond_b = {
-        "holds": bool(min(per_cell.values()) > info_tol),
+        "holds": bool(min(per_cell.values()) > INFO_TOL),
         "min_eigen_by_cell": per_cell,
-        "tol": float(info_tol),
+        "tol": INFO_TOL,
     }
 
     diagnostics = {"selection_positivity": cond_a,
@@ -258,9 +259,9 @@ def invertibility_conditions(model, min_selection=MIN_SELECTION_DEFAULT,
     eff = efficient_information(model.exact, c, s, lfd.values, adjoint, fisher)
     eff_min = float(min_eigen_sym(eff.by_adjoint))
     diagnostics["efficient_information"] = {
-        "holds": bool(eff_min > info_tol),
+        "holds": bool(eff_min > INFO_TOL),
         "min_eigen": eff_min,
-        "tol": float(info_tol),
+        "tol": INFO_TOL,
     }
     holds = diagnostics["efficient_information"]["holds"]
     diagnostics["failing"] = [] if holds else ["efficient_information"]

@@ -10,6 +10,7 @@ from semiinfo import (
     MonteCarlo,
     adjoint_of_score,
     analyze_model,
+    calculus,
     efficient_information,
     engines,
     fisher_information,
@@ -20,11 +21,11 @@ from semiinfo import (
     v_operator,
     zoo,
 )
-from semiinfo.calculus import (RIDGE_LADDER_DEFAULT,
+from semiinfo.calculus import (RIDGE_LADDER_DEFAULT, _evaluated_mean,
                                _identifiability_directions,
                                _identifiability_gram)
-from semiinfo.engines import _mean, outcome_law
-from semiinfo.likelihood import TangentKind, _joint_score, _outcome
+from semiinfo.engines import outcome_law
+from semiinfo.likelihood import TangentKind, _joint_score
 from semiinfo.operators import (as_matrix, eta_weighted_min_eigen,
                                 min_eigen_sym)
 
@@ -42,6 +43,23 @@ def test_analyze_model_evaluates_g_once_per_outcome():
     report = analyze_model(c, model.state, law)
     assert report.identifiability is not None
     assert len(calls) == len(law.pairs)
+
+
+def test_a_sampled_analyze_evaluates_g_only_for_the_exact_law():
+    # The resampled law takes each drawn outcome's g from the exact law
+    # it was drawn from, built with the components it is given.
+    model = zoo.build("cox_cs", m=20)
+    calls = []
+
+    def g(theta, obs, pts):
+        calls.append(obs)
+        return model.components.g(theta, obs, pts)
+
+    c = dataclasses.replace(model.components, g=g)
+    law = outcome_law(MonteCarlo(model.sampler, 30, 1), c, model.state)
+    assert len(calls) == len(model.exact.outcomes)
+    analyze_model(c, model.state, law)
+    assert len(calls) == len(model.exact.outcomes)
 
 
 def _separately(engine, c, s):
@@ -110,11 +128,11 @@ def test_stacked_gram_matches_the_compensated_outer_product_gram(
                       else MonteCarlo(model.sampler, 2000, 5), c, s)
     dirs = _identifiability_directions(c, s)
 
-    def outer(obs):
-        v = _joint_score(c, obs, _outcome(c, s, obs), dirs)
+    def outer(obs, outcome):
+        v = _joint_score(c, obs, outcome, dirs)
         return np.outer(v, v)
 
-    want = _mean(law, c, s, outer)
+    want = _evaluated_mean(law, c, s, outer)
     got = _identifiability_gram(law, c, s)
     assert got.shape == want.shape
     assert np.array_equal(got, got.T)
@@ -152,6 +170,7 @@ def test_identifiability_on_a_warm_law_reduces_nothing(kind, monkeypatch):
         return reduce(*args, **kwargs)
 
     monkeypatch.setattr(engines, "_reduce", counting_reduce)
+    monkeypatch.setattr(calculus, "_reduce", counting_reduce)
     calls.clear()
     local_identifiability(law, c, s)
     assert reduce_calls == []

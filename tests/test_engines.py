@@ -8,17 +8,30 @@ from semiinfo import (
     ExactEnumeration,
     MonteCarlo,
     expect,
-    mc_convergence_probe,
     structural_functions,
     zoo,
 )
 from semiinfo.engines import _reduce, outcome_law
 from semiinfo.errors import DomainError, NotAvailableError
 from semiinfo.likelihood import (ModelState, TangentKind, _g_and_f_dot,
-                                 _structural_terms, g_dot_values, log_density)
+                                 _structural_terms, g_dot_values, g_values,
+                                 log_density)
 from semiinfo.measure import center, perturb_measure
 
 STRUCTURAL_NAMES = ("gamma", "alpha", "kappa", "beta")
+
+
+def _choice_sampler(model):
+    """The reference sampler: ``Generator.choice`` over the exact outcomes
+    with the exact probabilities at the sampled state, renormalized."""
+    outcomes = model.exact.outcomes
+
+    def sampler(state, rng, size):
+        probs = model.exact.probabilities(model.components, state)
+        idx = rng.choice(len(outcomes), size=size, p=probs / probs.sum())
+        return [outcomes[i] for i in idx.tolist()]
+
+    return sampler
 
 
 def test_exact_probabilities_sum_to_one():
@@ -74,44 +87,6 @@ def test_mc_agrees_with_exact_within_se():
     assert abs(mc.value - exact.value) < 4.0 * mc.se
 
 
-def test_mc_convergence_probe_rate():
-    model = zoo.build("mixture")
-    f = lambda o: float(o.x)
-    exact = expect(model.exact, model.components, model.state, f).value
-    engine = MonteCarlo(model.sampler, 100, 2024)
-    rows = mc_convergence_probe(engine, model.components, model.state, f,
-                                sizes=[400, 6400])
-    for n, value, se in rows:
-        assert abs(value - exact) < 4.0 * se
-    # standard errors shrink like 1/sqrt(n); sizes differ by 16x so the
-    # ratio should sit near 4
-    ratio = rows[0][2] / rows[1][2]
-    assert 2.0 < ratio < 8.0
-
-
-def test_mc_convergence_probe_draws_independent_substreams():
-    model = zoo.build("mixture")
-    draws = []
-
-    def sampler(state, rng, size):
-        out = model.sampler(state, rng, size)
-        draws.append(list(out))
-        return out
-
-    engine = MonteCarlo(sampler, 100, 2024)
-    mc_convergence_probe(engine, model.components, model.state,
-                         lambda o: float(o.x), sizes=[400, 6400])
-    small, large = draws
-    assert small != large[:len(small)]
-
-
-def test_mc_convergence_probe_requires_mc_engine():
-    model = zoo.build("mixture")
-    with pytest.raises(DomainError):
-        mc_convergence_probe(model.exact, model.components, model.state,
-                             lambda o: 1.0, sizes=[10])
-
-
 def test_structural_exact_vs_mc():
     model = zoo.build("missing_cov")
     sf = structural_functions(model.exact, model.components, model.state)
@@ -149,9 +124,11 @@ def test_closed_form_dispatch():
 
 def test_sampler_determinism():
     model = zoo.build("cox_rc")
-    draws_a = model.sampler(model.state, np.random.default_rng(5), 50)
-    draws_b = model.sampler(model.state, np.random.default_rng(5), 50)
-    assert list(draws_a) == list(draws_b)
+    c, s = model.components, model.state
+    pairs_a, gvs_a = MonteCarlo(model.sampler, 50, 5).draw_weights(c, s)
+    pairs_b, gvs_b = MonteCarlo(model.sampler, 50, 5).draw_weights(c, s)
+    assert pairs_a == pairs_b
+    assert all(np.array_equal(a, b) for a, b in zip(gvs_a, gvs_b))
 
 
 def test_unknown_engine_rejected():
@@ -208,16 +185,20 @@ def test_exact_enumeration_refuses_repeated_outcomes():
 @pytest.mark.parametrize("n", [3, 40, 5000])
 @pytest.mark.parametrize("model_id", list(zoo.MODELS))
 def test_tally_and_counter_draw_the_same_law(model_id, n):
+    # The resampled exact law counts its draws per outcome; a callable
+    # sampler's draws are grouped with a Counter. Both give one law.
     model = zoo.build(model_id)
-
-    def bare(state, rng, size):
-        return model.sampler(state, rng, size)
-
-    assert hasattr(model.sampler, "tally") and not hasattr(bare, "tally")
+    c, s = model.components, model.state
+    choice = _choice_sampler(model)
     for seed in (0, 7, 2024):
-        tallied = MonteCarlo(model.sampler, n, seed).draw_weights(model.state)
-        counted = MonteCarlo(bare, n, seed).draw_weights(model.state)
+        tallied, gvs = MonteCarlo(model.exact, n, seed).draw_weights(c, s)
+        counted, none = MonteCarlo(choice, n, seed).draw_weights(c, s)
         assert tallied == counted
+        assert none == (None,) * len(counted)
+        # each drawn outcome keeps the exact law's g
+        assert len(gvs) == len(tallied)
+        for (obs, _), gv in zip(tallied, gvs):
+            assert np.array_equal(gv, g_values(c, s, obs))
         if n == 3:
             # some outcomes are never drawn and get no entry in the law
             assert len(tallied) < len(model.exact.outcomes)
@@ -310,12 +291,18 @@ def test_categorical_draws_are_those_of_generator_choice(model_id):
         for n in (1, 40, 100000):
             idx = np.random.default_rng(seed).choice(len(outcomes), size=n,
                                                      p=probs)
-            drawn = model.sampler(s, np.random.default_rng(seed), n)
-            assert drawn == [outcomes[i] for i in idx.tolist()]
             counts = np.bincount(idx, minlength=len(outcomes))
-            tallied = model.sampler.tally(s, np.random.default_rng(seed), n)
-            assert tallied == [(outcomes[i], int(counts[i]))
-                               for i in np.flatnonzero(counts).tolist()]
+            want = sorted(((outcomes[i], int(counts[i]) / n)
+                           for i in np.flatnonzero(counts).tolist()),
+                          key=lambda kv: repr(kv[0]))
+            pairs, _ = MonteCarlo(model.exact, n, seed).draw_weights(c, s)
+            assert pairs == tuple(want)
+
+
+@pytest.mark.parametrize("sampler", [None, 3, "exact", [1, 2]])
+def test_monte_carlo_refuses_a_sampler_it_cannot_draw_from(sampler):
+    with pytest.raises(DomainError, match="MonteCarlo sampler must be"):
+        MonteCarlo(sampler, 10, 1)
 
 
 @pytest.mark.parametrize("n, seed, field", [
@@ -332,6 +319,7 @@ def test_monte_carlo_refuses_non_integer_or_out_of_range_inputs(n, seed,
 
 def test_monte_carlo_accepts_numpy_integers():
     model = zoo.build("mixture")
+    c, s = model.components, model.state
     engine = MonteCarlo(model.sampler, np.int64(50), np.uint32(4))
-    assert (engine.draw_weights(model.state)
-            == MonteCarlo(model.sampler, 50, 4).draw_weights(model.state))
+    assert (engine.draw_weights(c, s)[0]
+            == MonteCarlo(model.sampler, 50, 4).draw_weights(c, s)[0])

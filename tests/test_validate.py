@@ -212,6 +212,8 @@ def test_adjoint_check_evaluates_g_once_per_outcome(family):
     rng = np.random.default_rng(3)
     which = 1 if family == "score" else _admissible(rng, c, s.eta)
     b = _admissible(rng, c, s.eta)
+    # The structural functions have evaluated the law's outcomes, and
+    # the check reads those evaluations.
     calls.clear()
     check_adjoint_identity(law, c, s, which, b, sf=sf)
-    assert len(calls) == len(law.pairs)
+    assert calls == []

@@ -206,9 +206,12 @@ def test_cox_rc_empirical_at_risk_ratio_converges():
     th = float(s.theta[0])
     zlv = np.array([0.0, 1.0])
 
+    probs = model.exact.probabilities(c, s)
+
     def empirical_direction(n, seed):
         rng = np.random.default_rng(seed)
-        draws = model.sampler(s, rng, n)
+        idx = rng.choice(len(probs), size=n, p=probs / probs.sum())
+        draws = [model.exact.outcomes[i] for i in idx.tolist()]
         t_idx = np.array([o.time_index for o in draws])
         z = zlv[np.array([o.z_index for o in draws])]
         w = np.exp(th * z)

@@ -90,6 +90,8 @@ CONFIGS = dict(
         ("analyze-mc-cox_cs-m60", analyze("cox_cs", {"m": 60}, mc(100000, 7))),
         ("analyze-mc-mixture-m30", analyze("mixture", {"m": 30}, mc(20000, 1))),
         ("analyze-mc-cox_rc", analyze("cox_rc", engine=mc(20000, 5))),
+        ("analyze-mc-missing_cov-zerocell",
+         analyze("missing_cov", {"zero_cell": True}, mc(20000, 4))),
         ("influence-exact-mixture-m400",
          influence("mixture", dict(NONPARAMETRIC, m=400), MEAN)),
         ("influence-mc-mixture-m30",
