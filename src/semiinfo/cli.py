@@ -415,7 +415,12 @@ def main(argv=None) -> int:
                 "no command given (positional or config); "
                 f"choose from {', '.join(COMMANDS)}"
             )
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"--out {args.out!r} is not a usable output directory: {exc}"
+            ) from None
         return _HANDLERS[command](cfg, args.out, seed)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -24,11 +24,17 @@ efficient information in ``calculus``), however many a caller asks
 for. Those evaluations start from the g a law already holds: an exact
 law's, computed once per outcome for its weights, and a resampled
 law's, taken from the exact law it was drawn from. One fixed-order
-compensated reducer sums each expectation in place, in one flat
+compensated step sums each expectation in place, in one flat
 buffer for all its sums, forming second moments only for the sums whose
 standard errors are reported; the identifiability Gram, which carries
 no standard error, is instead one matrix product of the stacked outcome
-scores (``calculus``).
+scores (``calculus``). The structural pass builds no per-outcome
+(m, m) temporaries when d == 1: ``likelihood._structural_terms`` writes
+each outcome's gamma, alpha, kappa and beta straight into the buffer
+(kappa and beta as outer products), and one multiply weights the block
+(term = w v, then square = term v on a sampled law) before the
+compensated step. Every element takes the operations of the expression
+form in the same law order, so its sum has the same bits.
 
 The structural functions are the four expectations that assemble adjoints
 and information operators. With x the vector of integral functionals:
@@ -266,6 +272,48 @@ def outcome_law(engine, components: ModelComponents,
     return build(components, state)
 
 
+class _CompensatedSums:
+    """Compensated sums of a fixed list of arrays, in three flat buffers
+    (running total, compensation and term). The caller writes one
+    outcome's weighted terms into :attr:`slots`, views of the term
+    buffer, and :meth:`add` adds the whole buffer in one compensated
+    (Kahan) step."""
+
+    def __init__(self, shapes):
+        ends = list(accumulate(math.prod(shape) for shape in shapes))
+        self.spans = list(zip([0] + ends, ends, shapes))
+        self.total, self.comp, self.term = np.zeros((3, ends[-1]))
+        self.slots = [self.term[a:b].reshape(shape)
+                      for a, b, shape in self.spans]
+
+    def add(self):
+        # The Kahan step y = term - comp, t = total + y,
+        # comp = (t - total) - y, total = t, in place in three buffers.
+        total, comp, term = self.total, self.comp, self.term
+        np.subtract(term, comp, out=term)
+        np.add(total, term, out=comp)
+        np.subtract(comp, total, out=total)
+        np.subtract(total, term, out=total)
+        self.total, self.comp = comp, total
+
+    def sums(self) -> list:
+        """Copies of the sums, so no caller keeps the buffers alive."""
+        return [self.total[a:b].reshape(shape).copy()
+                for a, b, shape in self.spans]
+
+
+def _moments(law: OutcomeLaw, sums: list, k: int, n_se: Optional[int]):
+    """The k means and the standard errors of the first ``n_se`` of them
+    from the sums (the means, then the second moments on a sampled
+    law)."""
+    means, seconds = sums[:k], sums[k:]
+    if law.n is None:
+        return means, [np.zeros_like(v) for v in means[:n_se]]
+    ses = [np.sqrt(np.maximum(s2 - v * v, 0.0) / law.n)
+           for v, s2 in zip(means, seconds)]
+    return means, ses
+
+
 def _reduce(law: OutcomeLaw, functional: Callable,
             n_se: Optional[int] = None):
     """Weighted sums over the law of each array ``functional(obs)``
@@ -274,41 +322,24 @@ def _reduce(law: OutcomeLaw, functional: Callable,
     sampled). Each sum is elementwise, so a sum's bits do not depend on
     which others are formed.
 
-    All sums share three flat buffers (running total, compensation and
-    term), the means first and the second moments after them: per
-    outcome the weighted terms are written into the term buffer, and one
-    compensated (Kahan) step adds it to the running total. The sums come
-    back as copies, so no caller keeps the buffers alive."""
+    All sums share one :class:`_CompensatedSums`, the means first and the
+    second moments after them: per outcome the weighted terms are written
+    into its term buffer and one compensated step adds them."""
     sampled = law.n is not None
-    total = None
+    acc = None
     for obs, weight in law.pairs:
         vals = [np.asarray(v, dtype=float) for v in functional(obs)]
-        if total is None:
+        if acc is None:
             shapes = [v.shape for v in vals]
-            shapes += shapes[:n_se] if sampled else []
-            ends = list(accumulate(math.prod(shape) for shape in shapes))
-            spans = list(zip([0] + ends, ends, shapes))
-            total, comp, term = np.zeros((3, ends[-1]))
-            slots = [term[a:b].reshape(shape) for a, b, shape in spans]
+            acc = _CompensatedSums(
+                shapes + (shapes[:n_se] if sampled else []))
+        slots = acc.slots
         for v, slot in zip(vals, slots):
             np.multiply(weight, v, out=slot)
         for v, slot, square in zip(vals, slots, slots[len(vals):]):
             np.multiply(slot, v, out=square)
-        # The Kahan step y = term - comp, t = total + y,
-        # comp = (t - total) - y, total = t, in place in three buffers.
-        np.subtract(term, comp, out=term)
-        np.add(total, term, out=comp)
-        np.subtract(comp, total, out=total)
-        np.subtract(total, term, out=total)
-        total, comp = comp, total
-    sums = [total[a:b].reshape(shape).copy() for a, b, shape in spans]
-    k = len(vals)  # the means; the second moments follow them
-    means, seconds = sums[:k], sums[k:]
-    if not sampled:
-        return means, [np.zeros_like(v) for v in means[:n_se]]
-    ses = [np.sqrt(np.maximum(s2 - v * v, 0.0) / law.n)
-           for v, s2 in zip(means, seconds)]
-    return means, ses
+        acc.add()
+    return _moments(law, acc.sums(), len(vals), n_se)
 
 
 def expect(engine, components: ModelComponents, state: ModelState,
@@ -354,12 +385,24 @@ def structural_functions(engine, components: ModelComponents,
 
     law = outcome_law(engine, components, state)
     evaluated = law.evaluated
-
-    def terms(obs):
+    m, p = state.eta.size, components.p
+    shapes = [(m,), (m, p), (m, m), (m, m, p)]
+    sampled = law.n is not None
+    acc = _CompensatedSums(shapes * 2 if sampled else shapes)
+    # Each outcome's values v are written straight into the last block of
+    # the term buffer and weighted in place: term = w v, and on a sampled
+    # law square = term v from the second-moment block they were written
+    # into.
+    means, seconds = np.split(acc.term, 2) if sampled else (acc.term,) * 2
+    values = acc.slots[-len(shapes):]
+    for obs, weight in law.pairs:
         e = evaluated[obs]
-        return _structural_terms(components, state, obs, e.gv, e.gd, e.fd)
-
-    (gamma, alpha, kappa, beta), ses = _reduce(law, terms)
+        _structural_terms(components, state, obs, e.gv, e.gd, e.fd, values)
+        np.multiply(weight, seconds, out=means)
+        if sampled:
+            np.multiply(means, seconds, out=seconds)
+        acc.add()
+    (gamma, alpha, kappa, beta), ses = _moments(law, acc.sums(), 4, None)
     # Symmetrize kappa; it is symmetric in exact arithmetic.
     kappa = 0.5 * (kappa + kappa.T)
     return StructuralFunctions(

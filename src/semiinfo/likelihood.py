@@ -256,20 +256,34 @@ def _outcome(components: ModelComponents, state: ModelState, obs,
 
 
 def _structural_terms(components: ModelComponents, state: ModelState, obs,
-                      gv: np.ndarray, gd: np.ndarray, fd: np.ndarray):
-    """Per-outcome integrands of the structural functions (gamma, alpha,
-    kappa, beta) from g and g_dot on the grid and f_dot at x."""
+                      gv: np.ndarray, gd: np.ndarray, fd: np.ndarray, out):
+    """Write one outcome's integrands of the structural functions into
+    ``out``, the (m,), (m, p), (m, m) and (m, m, p) arrays for gamma,
+    alpha, kappa and beta, from g and g_dot on the grid and f_dot at x.
+
+    With d == 1, kappa and beta are written in place as the outer
+    products of g(v) (-f_ddot) with g(u) and with g_dot(u): each element
+    is the one product ``-np.einsum("vd,de,ue->vu", g, f_ddot, g)`` (and
+    its beta analogue) forms, in the same order, so it rounds the same
+    way. With d > 1 an element sums d * d products in an order numpy's
+    iterator picks from the strides, which varies with m, so kappa and
+    beta are those einsums."""
+    gamma, alpha, kappa, beta = out
     x = state.eta.masses @ gv
     fdd = f_ddot_values(components, x, obs)
     if components.tangent is TangentKind.L2_ZERO:
-        gamma = -((gv - x[np.newaxis, :]) @ fd) \
-            + ell_of_ones(components, state, obs)
+        np.negative((gv - x[np.newaxis, :]) @ fd, out=gamma)
+        gamma += ell_of_ones(components, state, obs)
     else:
-        gamma = -(gv @ fd)
-    alpha = -np.einsum("vdj,d->vj", gd, fd)
-    kappa = -np.einsum("vd,de,ue->vu", gv, fdd, gv)
-    beta = -np.einsum("vd,de,uej->vuj", gv, fdd, gd)
-    return gamma, alpha, kappa, beta
+        np.negative(gv @ fd, out=gamma)
+    np.negative(np.einsum("vdj,d->vj", gd, fd), out=alpha)
+    if components.gdim == 1:
+        a = (gv[:, 0] * -fdd[0, 0])[:, np.newaxis]
+        np.multiply(a, gv[:, 0], out=kappa)
+        np.multiply(a[:, :, np.newaxis], gd[:, 0], out=beta)
+    else:
+        np.negative(np.einsum("vd,de,ue->vu", gv, fdd, gv), out=kappa)
+        np.negative(np.einsum("vd,de,uej->vuj", gv, fdd, gd), out=beta)
 
 
 def _measure_score(components: ModelComponents, obs, gv: np.ndarray,

@@ -300,6 +300,17 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_an_out_path_that_is_no_directory_exits_two(tmp_path, capsys, out):
+    (tmp_path / "taken").write_text("a regular file\n")
+    cfg = write_cfg(tmp_path, {"schema_version": 1, "command": "analyze",
+                               "model": {"id": "cox_rc"}})
+    assert run(["--config", cfg, "--out", tmp_path / out]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "--out" in err
+    assert (tmp_path / "taken").read_text() == "a regular file\n"
+
+
 def test_command_flag_and_positional_must_agree(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {
         "schema_version": 1,

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -14,7 +15,8 @@ from semiinfo import (
 from semiinfo.engines import _reduce, outcome_law
 from semiinfo.errors import DomainError, NotAvailableError
 from semiinfo.likelihood import (ModelState, TangentKind, _g_and_f_dot,
-                                 _structural_terms, g_dot_values, g_values,
+                                 _structural_terms, ell_of_ones,
+                                 f_ddot_values, g_dot_values, g_values,
                                  log_density)
 from semiinfo.measure import center, perturb_measure
 
@@ -204,6 +206,77 @@ def test_tally_and_counter_draw_the_same_law(model_id, n):
             assert len(tallied) < len(model.exact.outcomes)
 
 
+def _structural_oracle(c, s, obs, gv, gd, fd):
+    """The per-outcome structural integrands as fresh arrays, each by one
+    numpy expression: the reference the in-place writer
+    ``likelihood._structural_terms`` must match bit for bit."""
+    x = s.eta.masses @ gv
+    fdd = f_ddot_values(c, x, obs)
+    if c.tangent is TangentKind.L2_ZERO:
+        gamma = -((gv - x[np.newaxis, :]) @ fd) + ell_of_ones(c, s, obs)
+    else:
+        gamma = -(gv @ fd)
+    alpha = -np.einsum("vdj,d->vj", gd, fd)
+    kappa = -np.einsum("vd,de,ue->vu", gv, fdd, gv)
+    beta = -np.einsum("vd,de,uej->vuj", gv, fdd, gd)
+    return gamma, alpha, kappa, beta
+
+
+_IN_PLACE_CASES = (
+    [pytest.param(model_id, {}, n, id=f"{model_id}-{n or 'exact'}")
+     for model_id in zoo.MODELS for n in (None, 1, 40, 20000)]
+    + [pytest.param("cox_cs", {"m": 40}, n, id=f"cox_cs-m40-{n or 'exact'}")
+       for n in (None, 20000)])
+
+
+@pytest.mark.parametrize("model_id,params,n", _IN_PLACE_CASES)
+def test_in_place_structural_pass_matches_the_reference_bit_for_bit(
+        model_id, params, n):
+    model = zoo.build(model_id, **params)
+    c, s = model.components, model.state
+    engine = model.exact if n is None else MonteCarlo(model.exact, n, 3)
+    law = outcome_law(engine, c, s)
+    evaluated = law.evaluated
+
+    def terms(obs):
+        e = evaluated[obs]
+        return _structural_oracle(c, s, obs, e.gv, e.gd, e.fd)
+
+    (gamma, alpha, kappa, beta), ses = _reduce(law, terms)
+    want = dict(zip(STRUCTURAL_NAMES, (gamma, alpha, 0.5 * (kappa + kappa.T),
+                                       beta)))
+    want.update(zip(["se_" + name for name in STRUCTURAL_NAMES], ses))
+    sf = structural_functions(law, c, s)
+    if n is not None and n >= 40:
+        assert sf.max_se() > 0.0
+    for name, value in want.items():
+        got = getattr(sf, name)
+        assert got.shape == value.shape, name
+        assert np.array_equal(got, value), name
+        assert np.array_equal(np.signbit(got), np.signbit(value)), name
+
+
+def test_in_place_terms_sum_a_dense_f_ddot_in_the_reference_order():
+    # recurrent_transform's f_ddot is diagonal, so its d = 2 terms add
+    # zeros; a dense, nonsymmetric f_ddot makes the order of the sum over
+    # (i, j) show in the rounding.
+    model = zoo.build("recurrent_transform")
+    dense = np.array([[1.3, -0.7], [0.45, -2.1]]) / 3.0
+    c = dataclasses.replace(model.components,
+                            f_ddot=lambda x, o: dense * (1.0 + x[0]))
+    s = model.state
+    law = outcome_law(model.exact, c, s)
+    m, p = s.eta.size, c.p
+    for obs, _ in law.pairs:
+        e = law.evaluated[obs]
+        out = [np.full(shape, np.nan)
+               for shape in ((m,), (m, p), (m, m), (m, m, p))]
+        _structural_terms(c, s, obs, e.gv, e.gd, e.fd, out)
+        for got, want in zip(out, _structural_oracle(c, s, obs, e.gv, e.gd,
+                                                      e.fd)):
+            assert np.array_equal(got, want)
+
+
 def test_reduced_means_do_not_depend_on_which_second_moments_are_formed():
     model = zoo.build("cox_cs", m=12)
     c, s = model.components, model.state
@@ -211,7 +284,7 @@ def test_reduced_means_do_not_depend_on_which_second_moments_are_formed():
 
     def terms(obs):
         gv, fd = _g_and_f_dot(c, s, obs)
-        return _structural_terms(c, s, obs, gv, g_dot_values(c, s, obs), fd)
+        return _structural_oracle(c, s, obs, gv, g_dot_values(c, s, obs), fd)
 
     means, ses = _reduce(law, terms)
     assert len(ses) == 4 and all(np.any(se > 0.0) for se in ses)
@@ -264,7 +337,7 @@ def test_reduce_matches_the_per_array_kahan_sum(kind, n_se):
         e = evaluated[obs]
         # a scalar first, then the (m,), (m, p), (m, m) and (m, m, p) terms
         return (float(e.fd @ e.gv.sum(axis=0)),
-                *_structural_terms(c, s, obs, e.gv, e.gd, e.fd))
+                *_structural_oracle(c, s, obs, e.gv, e.gd, e.fd))
 
     means, ses = _reduce(law, terms, n_se)
     want_means, want_ses = _kahan_oracle(law, terms, n_se)

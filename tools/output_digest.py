@@ -92,6 +92,8 @@ CONFIGS = dict(
         ("analyze-mc-cox_rc", analyze("cox_rc", engine=mc(20000, 5))),
         ("analyze-mc-missing_cov-zerocell",
          analyze("missing_cov", {"zero_cell": True}, mc(20000, 4))),
+        ("analyze-mc-recurrent_transform",
+         analyze("recurrent_transform", engine=mc(20000, 6))),
         ("influence-exact-mixture-m400",
          influence("mixture", dict(NONPARAMETRIC, m=400), MEAN)),
         ("influence-mc-mixture-m30",
