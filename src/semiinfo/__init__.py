@@ -17,7 +17,7 @@ from .calculus import (Category, CategoryResult, EfficientInformation,
 from .engines import (ClosedForm, ExactEnumeration, MonteCarlo,
                       StructuralFunctions, expect, structural_functions)
 from .errors import (ConfigError, DimensionError, DomainError, EngineError,
-                     EvaluationError, IllPosedError, NotAvailableError,
+                     EvaluationError, NotAvailableError,
                      NotIdentifiableError, SemiinfoError)
 from .likelihood import (ModelComponents, ModelState, TangentKind,
                          joint_score, log_density, score_matrix,

@@ -23,9 +23,9 @@ reported diagnostic of how well posed its inversion is: an
 everywhere-positive bounded multiplier makes the operator invertible up
 to a compact perturbation (direct solves are expected to succeed); an
 identically-zero multiplier leaves a pure integral operator (smoothing,
-so direct solves are expected to fail). The least favorable solve does
-not read it: it tries a direct solve and walks the ridge ladder
-whenever that is refused or leaves too large a residual.
+so its reduced system is expected to lose rank). The least favorable
+solve does not read it: it makes one rank-revealing solve, whose rank
+and residual it reports.
 
 Every quantity has one path. Each expectation here is one walk of the
 outcome law over the evaluations the law keeps (g and g_dot on the
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .engines import (
     outcome_law,
     structural_functions,
 )
-from .errors import DomainError, IllPosedError, NotIdentifiableError
+from .errors import DomainError, NotIdentifiableError
 from .likelihood import (
     ModelComponents,
     ModelState,
@@ -80,16 +80,11 @@ from .operators import (
     _solve_psd,
 )
 
-# Ridge values walked, largest to smallest, when a direct solve is
-# refused or leaves too large a residual.
-RIDGE_LADDER_DEFAULT = tuple(10.0 ** (-k) for k in range(2, 11))
-# A direct solve is accepted outright below this relative residual.
-DIRECT_ACCEPT_REL_RESID = 1e-8
 # Bound for the multiplier-dominant classification test.
 CATEGORY_BOUND = 1e6
 # Zero test for the multiplier under exact engines.
 CATEGORY_ZERO_TOL_EXACT = 1e-10
-# Above this relative residual (after the ladder) a functional is
+# Above this relative residual of the min-norm solve a functional is
 # declared non-regular: no square-integrable influence direction exists
 # at numerical precision.
 NONREGULAR_RESID_TOL = 1e-3
@@ -217,53 +212,25 @@ def _v_matrix(op: KernelOperator, adjoint: np.ndarray,
 
 @dataclass(frozen=True)
 class LfdResult:
-    """A least favorable direction solve with its ridge ladder trace and
-    the information operator it solved (kept factored, for reuse)."""
+    """A least favorable direction solve and the information operator it
+    solved (kept factored, for reuse). ``ladder`` logs the one solve
+    made, as ``((rank, relative_residual),)``."""
 
     values: np.ndarray
     solve_result: SolveResult
     ladder: tuple
-    ridge_used: float
     operator: KernelOperator
 
 
 def least_favorable_direction(sf: StructuralFunctions, eta: DiscreteMeasure,
-                              tangent: TangentKind, rhs,
-                              ridge_ladder: Optional[Sequence[float]] = None
-                              ) -> LfdResult:
-    """Solve ``(B*B) a = rhs`` (columns independently).
-
-    A direct solve is attempted first and accepted below
-    ``DIRECT_ACCEPT_REL_RESID``. If it is refused as ill posed, or its
-    residual is too large, the ridge ladder is walked and the step with
-    the smallest relative residual wins (ties go to the smaller ridge).
-    Without a ladder (None or empty), an ill-posed direct solve
-    propagates :class:`IllPosedError`.
-    """
+                              tangent: TangentKind, rhs) -> LfdResult:
+    """Solve ``(B*B) a = rhs`` (columns independently) by one
+    rank-revealing solve (:func:`operators.solve`): the min-norm least
+    squares solution, which is the direct one at full rank."""
     op = info_operator(sf, eta, tangent)
-    candidates = []
-    ladder_log = []
-    direct_error: Optional[IllPosedError] = None
-    try:
-        direct = solve(op, rhs, 0.0)
-        candidates.append(direct)
-        ladder_log.append((0.0, direct.relative_residual))
-    except IllPosedError as err:
-        direct_error = err
-        ladder_log.append((0.0, float("inf")))
-
-    if not (candidates and candidates[0].relative_residual
-            <= DIRECT_ACCEPT_REL_RESID):
-        for ridge in ridge_ladder or ():
-            res = solve(op, rhs, float(ridge))
-            candidates.append(res)
-            ladder_log.append((float(ridge), res.relative_residual))
-    if not candidates:
-        raise direct_error
-
-    best = min(candidates,
-               key=lambda r: (r.relative_residual, r.ridge))
-    return LfdResult(best.solution, best, tuple(ladder_log), best.ridge, op)
+    res = solve(op, rhs)
+    return LfdResult(res.solution, res, ((res.rank, res.relative_residual),),
+                     op)
 
 
 def _lfd_directions(components: ModelComponents, state: ModelState,
@@ -392,14 +359,12 @@ class InfluenceResult:
 
     lfd: np.ndarray
     solve_result: SolveResult
-    ladder: tuple
     non_regular: bool
     influence: Callable
 
 
 def nonparametric_influence(engine, components: ModelComponents,
                             state: ModelState, chi_dot,
-                            ridge_ladder: Sequence[float] = RIDGE_LADDER_DEFAULT,
                             nonregular_tol: float = NONREGULAR_RESID_TOL
                             ) -> InfluenceResult:
     """Efficient influence function of a smooth functional of the measure
@@ -407,11 +372,11 @@ def nonparametric_influence(engine, components: ModelComponents,
 
     ``chi_dot`` is the derivative's representer on the grid; for
     mean-zero tangent spaces it must be centered. The influence direction
-    solves ``(B*B) a = chi_dot``; when even the best ladder step leaves a
+    solves ``(B*B) a = chi_dot``; when the min-norm solve leaves a
     relative residual above ``nonregular_tol`` the functional is flagged
     non-regular (its derivative is not attained by any square-integrable
-    direction at numerical precision) and the returned influence is the
-    best-effort ridge solution.
+    direction at numerical precision) and the returned influence is that
+    of the min-norm least squares direction.
     """
     if components.p != 0:
         raise DomainError(
@@ -424,14 +389,14 @@ def nonparametric_influence(engine, components: ModelComponents,
         chi_vec = np.asarray(chi_dot, dtype=float)
     sf = structural_functions(engine, components, state)
     lfd = least_favorable_direction(sf, state.eta, components.tangent,
-                                    chi_vec, ridge_ladder)
+                                    chi_vec)
     non_regular = lfd.solve_result.relative_residual > nonregular_tol
 
     def influence(obs):
         return score_operator(components, state, obs, lfd.values)
 
-    return InfluenceResult(lfd.values, lfd.solve_result, lfd.ladder,
-                           bool(non_regular), influence)
+    return InfluenceResult(lfd.values, lfd.solve_result, bool(non_regular),
+                           influence)
 
 
 @dataclass(frozen=True)
@@ -456,7 +421,6 @@ class InfoReport:
 
 
 def analyze_model(components: ModelComponents, state: ModelState, engine, *,
-                  ridge_ladder: Optional[Sequence[float]] = RIDGE_LADDER_DEFAULT,
                   label: str = "") -> InfoReport:
     """Run the full calculus at one state and collect the results.
 
@@ -484,7 +448,7 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
     if components.p:
         try:
             lfd = least_favorable_direction(sf, eta, components.tangent,
-                                            adjoint, ridge_ladder)
+                                            adjoint)
             efficient = efficient_information(law, components, state,
                                               lfd.values, adjoint, fisher)
             v_mat = _v_matrix(lfd.operator, adjoint, fisher)
@@ -508,7 +472,7 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
         "route_discrepancy": efficient.discrepancy if efficient else 0.0,
         "lfd_relative_residual":
             lfd.solve_result.relative_residual if lfd else 0.0,
-        "lfd_ridge": lfd.ridge_used if lfd else 0.0,
+        "lfd_rank": lfd.solve_result.rank if lfd else 0,
     }
     if fisher_singular is not None:
         diagnostics["fisher_singular"] = fisher_singular

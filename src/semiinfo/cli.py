@@ -7,6 +7,7 @@ problems, 3 numerical failures (the message names the stage).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import io
@@ -38,7 +39,7 @@ EXIT_NUMERICAL = 3
 COMMANDS = ("analyze", "validate", "influence", "paramcheck")
 
 _TOP_KEYS = {"schema_version", "command", "model", "seed", "engine",
-             "ridge_ladder", "validate", "influence", "paramcheck"}
+             "validate", "influence", "paramcheck"}
 _MODEL_KEYS = {"id", "params"}
 _ENGINE_KEYS = {"kind", "n", "seed"}
 _VALIDATE_KEYS = {"models", "params", "seed", "h", "n_op_dirs", "n_pair",
@@ -77,18 +78,22 @@ def _whole(value, where, minimum):
 
 
 def _real(value, where, *, above=None, at_least=None):
-    """``value`` as a float if it is a finite int or float, above
-    ``above`` and at least ``at_least`` when given; a bool, a string,
-    null or a non-finite number is a configuration error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value) \
-            or (above is not None and value <= above) \
-            or (at_least is not None and value < at_least):
+    """``value`` as a float if it is an int or float that is finite as a
+    float, above ``above`` and at least ``at_least`` when given; a bool,
+    a string, null, a non-finite number or an int beyond the float range
+    is a configuration error."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            number = float(value)
+    if not math.isfinite(number) \
+            or (above is not None and number <= above) \
+            or (at_least is not None and number < at_least):
         bound = (f" > {above}" if above is not None
                  else f" >= {at_least}" if at_least is not None else "")
         raise ConfigError(
             f"{where} must be a finite number{bound}, got {value!r}")
-    return float(value)
+    return number
 
 
 def _seed(cfg, section, default, seed_override):
@@ -177,23 +182,12 @@ def _resolve_engine(cfg, model, seed_override):
     raise ConfigError(f"unknown engine kind {kind!r}; use 'exact' or 'mc'")
 
 
-def _ladder_kwargs(cfg):
-    if "ridge_ladder" not in cfg:
-        return {}
-    ladder = cfg["ridge_ladder"]
-    if not isinstance(ladder, list) or not ladder:
-        raise ConfigError("config.ridge_ladder must be a list of positive numbers")
-    return {"ridge_ladder": [_real(v, f"config.ridge_ladder[{i}]", above=0)
-                             for i, v in enumerate(ladder)]}
-
-
 def cmd_analyze(cfg, out_dir, seed_override):
     model = _build_model(cfg)
     engine = _resolve_engine(cfg, model, seed_override)
-    ladder = _ladder_kwargs(cfg)
     try:
         report = analyze_model(model.components, model.state, engine,
-                               label=model.model_id, **ladder)
+                               label=model.model_id)
     except SemiinfoError as exc:
         raise NumericalFailure("operator analysis", exc) from exc
 
@@ -307,7 +301,7 @@ def cmd_influence(cfg, out_dir, seed_override):
     chi_dot = _functional_derivative(icfg, model)
     if model.components.tangent is TangentKind.L2_ZERO:
         chi_dot = center(chi_dot, model.state.eta).values
-    kwargs = _ladder_kwargs(cfg)
+    kwargs = {}
     if "nonregular_tol" in icfg:
         kwargs["nonregular_tol"] = _real(icfg["nonregular_tol"],
                                          "config.influence.nonregular_tol",
@@ -333,8 +327,7 @@ def cmd_influence(cfg, out_dir, seed_override):
         "functional": {k: icfg[k] for k in sorted(icfg)},
         "non_regular": result.non_regular,
         "relative_residual": sr.relative_residual,
-        "ridge_ladder": list(result.ladder),
-        "ridge_used": sr.ridge,
+        "rank": sr.rank,
         "condition": sr.condition,
         "sigma_min": sr.sigma_min,
         "sigma_max": sr.sigma_max,

@@ -10,8 +10,7 @@ order, so results are bit-reproducible for a given seed. Monte Carlo
 over an exact enumeration resamples the exact law at the state: it
 draws what ``Generator.choice`` with the exact probabilities draws,
 counted per outcome on the sorted uniforms without a search per draw,
-and each drawn outcome keeps the g its exact weight was computed from.
-Any other sampler is a callable whose draws are grouped by outcome. A
+and each drawn outcome keeps the g its exact weight was computed from. A
 closed-form engine has no outcome law: it is one callable that returns
 the structural functions analytically.
 
@@ -63,7 +62,6 @@ the identity by an O(1) amount, not by rounding.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -101,11 +99,11 @@ class OutcomeLaw:
 
     ``n`` is the Monte Carlo sample size (None when exact) and
     ``deficit`` the exact engine's normalization deficit. ``gvs`` holds
-    each outcome's g on the grid where it is already known (None for the
-    draws of a callable sampler), so that :attr:`evaluated` does not
-    evaluate g again. A law stands in for its engine: asked about its own
-    components and state (by identity) it returns itself, anywhere else
-    it has its engine build a new one, with evaluations of its own.
+    each outcome's g on the grid, already computed for its weight, so
+    that :attr:`evaluated` does not evaluate g again. A law stands in for
+    its engine: asked about its own components and state (by identity)
+    it returns itself, anywhere else it has its engine build a new one,
+    with evaluations of its own.
     """
 
     pairs: tuple
@@ -199,21 +197,18 @@ class MonteCarlo:
     """Expectation by simulation.
 
     ``sampler`` is an :class:`ExactEnumeration`, whose law at the state
-    is resampled, or a callable ``sampler(state, rng, size)`` that
-    returns ``size`` hashable outcomes. The engine groups the draws by
-    outcome and reduces in a canonical order, so two runs with the same
-    seed agree bit for bit.
+    is resampled. The engine counts the draws per outcome and reduces in
+    a canonical order, so two runs with the same seed agree bit for bit.
     """
 
-    sampler: ExactEnumeration | Callable
+    sampler: ExactEnumeration
     n: int
     seed: int
 
     def __post_init__(self):
-        if not (isinstance(self.sampler, ExactEnumeration)
-                or callable(self.sampler)):
+        if not isinstance(self.sampler, ExactEnumeration):
             raise DomainError(
-                "MonteCarlo sampler must be an ExactEnumeration or callable, "
+                "MonteCarlo sampler must be an ExactEnumeration, "
                 f"got {self.sampler!r}")
         for name, minimum in (("n", 1), ("seed", 0)):
             value = getattr(self, name)
@@ -227,17 +222,13 @@ class MonteCarlo:
     def draw_weights(self, components: ModelComponents,
                      state: ModelState) -> tuple:
         """``(pairs, gvs)``: the distinct draws with their frequencies in
-        canonical order, and each draw's g on the grid where known."""
+        canonical order, and each draw's g on the grid."""
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
-        if isinstance(self.sampler, ExactEnumeration):
-            exact = self.sampler.law(components, state)
-            counts = _categorical_counts(
-                np.array([p for _, p in exact.pairs]), rng, self.n)
-            drawn = [(exact.pairs[i][0], int(counts[i]), exact.gvs[i])
-                     for i in np.flatnonzero(counts).tolist()]
-        else:
-            drawn = [(obs, cnt, None) for obs, cnt
-                     in Counter(self.sampler(state, rng, self.n)).items()]
+        exact = self.sampler.law(components, state)
+        counts = _categorical_counts(
+            np.array([p for _, p in exact.pairs]), rng, self.n)
+        drawn = [(exact.pairs[i][0], int(counts[i]), exact.gvs[i])
+                 for i in np.flatnonzero(counts).tolist()]
         drawn.sort(key=lambda d: repr(d[0]))
         return (tuple((obs, cnt / self.n) for obs, cnt, _ in drawn),
                 tuple(gv for _, _, gv in drawn))

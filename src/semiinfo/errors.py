@@ -3,8 +3,7 @@
 Every error raised deliberately by this package derives from
 :class:`SemiinfoError`, so callers can catch the whole family at once.
 The CLI maps subclasses onto exit codes; library users get typed
-exceptions with enough context to act on (offending index, condition
-number, block name).
+exceptions with enough context to act on (offending index, block name).
 """
 
 from __future__ import annotations
@@ -25,22 +24,6 @@ class DomainError(SemiinfoError):
 
 class DimensionError(SemiinfoError):
     """Array shapes are inconsistent with the grid or parameter dimension."""
-
-
-class IllPosedError(SemiinfoError):
-    """A direct operator solve was refused because the system is too
-    ill conditioned.
-
-    Attributes
-    ----------
-    condition : float
-        Estimated 2-norm condition number of the system matrix (may be
-        ``inf`` when the smallest singular value underflows).
-    """
-
-    def __init__(self, message: str, condition: float = float("inf")):
-        super().__init__(message)
-        self.condition = float(condition)
 
 
 class NotIdentifiableError(SemiinfoError):

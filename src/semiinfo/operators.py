@@ -10,17 +10,16 @@ directions are all of this form.
 Solves respect the geometry of L2(eta): zero-mass grid points are dropped
 (their equations carry no weight), and for centering operators the system
 is restricted to the mean-zero subspace, where these operators are well
-defined. Direct solves are refused with :class:`IllPosedError` when the
-relative smallest singular value falls below ``SIGMA_MIN_REL_TOL``;
-ridge-regularized solves minimize
-``||T a - rhs||^2_eta + ridge ||a||^2_eta`` and never raise.
+defined. A solve is rank revealing: it keeps the singular values of the
+reduced system above ``SIGMA_MIN_REL_TOL`` times the largest and returns
+the min-norm least squares solution on them, which is the direct solution
+when the system has full rank.
 
 A measure computes its mean-zero basis (one SVD) once, on first use.
 An operator builds its dense matrix once and factors its reduced system
 (one SVD) on its first solve; every later solve on it reuses both,
-whatever its ridge or right-hand side, so a whole ridge ladder costs one
-factorization. ``analyze`` builds one operator per state and forms V
-from its matrix.
+whatever its right-hand side. ``analyze`` builds one operator per state
+and forms V from its matrix.
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, IllPosedError, NotIdentifiableError
+from .errors import DimensionError, DomainError, NotIdentifiableError
 from .measure import DiscreteMeasure, as_values
 
-# Direct solves require sigma_min / sigma_max above this.
+# A solve keeps the singular values above this times the largest.
 SIGMA_MIN_REL_TOL = 1e-8
 # Symmetry validation for information blocks, relative to the matrix scale.
 BLOCK_SYMMETRY_TOL = 1e-8
@@ -140,14 +139,15 @@ class SolveResult:
     ``residual`` is the L2(eta) norm of ``T a - rhs`` (max over columns),
     ``relative_residual`` divides by the rhs norm per column. ``condition``
     and the singular values describe the reduced system actually solved
-    (support-restricted, centered-projected when applicable).
+    (support-restricted, centered-projected when applicable); ``rank`` is
+    the number of its singular values the solve kept.
     """
 
     solution: np.ndarray
     residual: float
     relative_residual: float
     condition: float
-    ridge: float
+    rank: int
     sigma_min: float
     sigma_max: float
 
@@ -167,14 +167,14 @@ def _reduce(mat: np.ndarray, eta: DiscreteMeasure, centered: bool):
     return reduced, sup, root, q
 
 
-def solve(op: KernelOperator, rhs, ridge: float = 0.0) -> SolveResult:
-    """Solve ``T a = rhs`` in L2(eta).
+def solve(op: KernelOperator, rhs) -> SolveResult:
+    """Solve ``T a = rhs`` in L2(eta) by a truncated SVD.
 
-    With ``ridge == 0`` this is a direct solve, refused via
-    :class:`IllPosedError` (carrying the condition estimate) when the
-    reduced system's relative sigma_min is below ``SIGMA_MIN_REL_TOL``.
-    With ``ridge > 0`` the ridge-penalized least squares problem is solved
-    instead and never raises.
+    The singular values of the reduced system above ``SIGMA_MIN_REL_TOL``
+    times the largest are kept, and the solution is the min-norm least
+    squares one ``V_r S_r^{-1} U_r^T rhs`` on them: the direct solution
+    at full rank, the zero solution at rank zero. ``rank`` in the result
+    counts the kept values.
 
     For centering operators the solve is restricted to the mean-zero
     subspace; the right-hand side is projected onto it (information
@@ -184,9 +184,6 @@ def solve(op: KernelOperator, rhs, ridge: float = 0.0) -> SolveResult:
     ``rhs`` may be a vector ``(m,)`` or a matrix of columns ``(m, k)``,
     and must be finite.
     """
-    ridge = float(ridge)
-    if ridge < 0.0:
-        raise DomainError(f"ridge must be nonnegative, got {ridge}")
     rhs_arr = np.asarray(rhs, dtype=float)
     if rhs_arr.ndim not in (1, 2) or rhs_arr.shape[0] != op.size:
         raise DimensionError(
@@ -198,8 +195,8 @@ def solve(op: KernelOperator, rhs, ridge: float = 0.0) -> SolveResult:
 
     sup, root, q, svd = op._factored
     if svd is None:
-        return SolveResult(np.zeros_like(rhs_arr), 0.0, 0.0, 1.0, ridge,
-                           0.0, 0.0)
+        return SolveResult(np.zeros_like(rhs_arr), 0.0, 0.0, 1.0, 0, 0.0,
+                           0.0)
     w = op.base.masses
     if rhs_arr.ndim == 2:
         root, w = root[:, np.newaxis], w[:, np.newaxis]
@@ -211,20 +208,9 @@ def solve(op: KernelOperator, rhs, ridge: float = 0.0) -> SolveResult:
     sigma_max = float(svals[0])
     sigma_min = float(svals[-1])
     condition = sigma_max / sigma_min if sigma_min > 0.0 else float("inf")
-
-    if ridge == 0.0:
-        if sigma_min <= SIGMA_MIN_REL_TOL * sigma_max or sigma_max == 0.0:
-            raise IllPosedError(
-                f"direct solve refused: relative sigma_min "
-                f"{sigma_min / sigma_max if sigma_max else 0.0:.3e} below "
-                f"{SIGMA_MIN_REL_TOL:.1e}",
-                condition=condition,
-            )
-        y = vt.T @ ((u_mat.T @ target).T / svals).T
-    else:
-        # (B^T B + ridge I) y = B^T target via the SVD of B.
-        scale = svals / (svals * svals + ridge)
-        y = vt.T @ ((u_mat.T @ target).T * scale).T
+    # The singular values come sorted, so the kept ones are a prefix.
+    rank = int(np.count_nonzero(svals > SIGMA_MIN_REL_TOL * sigma_max))
+    y = vt[:rank].T @ ((u_mat[:, :rank].T @ target).T / svals[:rank]).T
 
     if q is not None:
         y = q @ y
@@ -242,7 +228,7 @@ def solve(op: KernelOperator, rhs, ridge: float = 0.0) -> SolveResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(col_rhs > 0.0, col_res / col_rhs, 0.0)
     return SolveResult(solution, float(np.max(col_res, initial=0.0)),
-                       float(np.max(rel, initial=0.0)), condition, ridge,
+                       float(np.max(rel, initial=0.0)), condition, rank,
                        sigma_min, sigma_max)
 
 

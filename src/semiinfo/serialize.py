@@ -139,7 +139,7 @@ def report_to_dict(report) -> dict:
     if report.lfd is not None:
         sr = report.lfd.solve_result
         out["lfd_solve"] = {
-            "ridge": report.lfd.ridge_used,
+            "rank": sr.rank,
             "relative_residual": sr.relative_residual,
             "condition": sr.condition,
             "sigma_min": sr.sigma_min,

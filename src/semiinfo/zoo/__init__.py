@@ -36,7 +36,7 @@ def build(model_id, **params):
         raise ConfigError(f"unknown model id {model_id!r}; known ids: {known}") from None
     try:
         return builder(**params)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"cannot build {model_id!r}: {exc}") from exc
 
 

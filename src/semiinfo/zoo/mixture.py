@@ -10,8 +10,9 @@ the mixing measure alone).
 With no point-mass factor the multiplier vanishes; the information
 operator is a smooth first-kind kernel, the canonical ill-posed case. On
 the default four-point latent grid it is still comfortably invertible;
-``m`` refines the latent grid until ridge regularization becomes
-unavoidable.
+``m`` refines the latent grid past the rank its five outcomes allow
+(four, on the mean-zero tangent), and the solve then keeps only the
+singular values above its rank cut.
 
 ``constant_kernel=True`` removes the x dependence on z entirely: the
 measure then moves nothing and the joint identifiability check must

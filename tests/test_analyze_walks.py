@@ -21,8 +21,7 @@ from semiinfo import (
     v_operator,
     zoo,
 )
-from semiinfo.calculus import (RIDGE_LADDER_DEFAULT, _evaluated_mean,
-                               _identifiability_directions,
+from semiinfo.calculus import (_evaluated_mean, _identifiability_directions,
                                _identifiability_gram)
 from semiinfo.engines import outcome_law
 from semiinfo.likelihood import TangentKind, _joint_score
@@ -74,8 +73,7 @@ def _separately(engine, c, s):
         out[name] = getattr(sf, name)
         out["se_" + name] = getattr(sf, "se_" + name)
     if c.p:
-        lfd = least_favorable_direction(sf, eta, tangent, adjoint,
-                                        RIDGE_LADDER_DEFAULT)
+        lfd = least_favorable_direction(sf, eta, tangent, adjoint)
         eff = efficient_information(engine, c, s, lfd.values, adjoint,
                                     fisher)
         out["by_score"], out["by_adjoint"] = eff.by_score, eff.by_adjoint

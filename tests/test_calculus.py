@@ -20,8 +20,10 @@ from semiinfo import (
     zoo,
 )
 from semiinfo.engines import StructuralFunctions
-from semiinfo.errors import DomainError, IllPosedError
+from semiinfo.errors import DomainError
+from semiinfo.likelihood import TangentKind
 from semiinfo.measure import center, inner_product
+from semiinfo.operators import centered_basis
 
 
 def fake_sf(gamma, se=None, engine="exact", kappa=None):
@@ -94,7 +96,7 @@ def test_lfd_direct_solve_on_invertible_model():
     adj = adjoint_of_score(sf, model.state.eta, model.components.tangent)
     lfd = least_favorable_direction(sf, model.state.eta,
                                     model.components.tangent, adj)
-    assert lfd.ridge_used == 0.0
+    assert lfd.solve_result.rank == model.state.eta.size
     assert lfd.solve_result.relative_residual < 1e-12
     # the information operator is multiplication, so the solution is the
     # ratio of adjoint to multiplier
@@ -102,63 +104,85 @@ def test_lfd_direct_solve_on_invertible_model():
                                atol=1e-12)
 
 
-def singular_setup():
-    # no multiplier and a rank-one kernel: the direct solve must refuse
-    # and only the ridge ladder gives an answer
-    from semiinfo.likelihood import TangentKind
+def test_lfd_on_a_rank_one_kernel_is_the_pinv_solution():
+    # No multiplier and a rank-one kernel: a first-kind equation of rank
+    # one, whose solve keeps one singular value and returns the min-norm
+    # solution. With equal masses the solve coordinates are a scaling of
+    # the grid values, so that is the pseudo-inverse's solution.
     from semiinfo.measure import DiscreteMeasure, Grid, MeasureKind
 
     eta = DiscreteMeasure(Grid(np.arange(1.0, 5.0), 4.0), np.full(4, 0.25),
                           MeasureKind.POSITIVE_FINITE)
     u = np.array([1.0, 2.0, 3.0, 4.0])
     sf = fake_sf(np.zeros(4), kappa=np.outer(u, u))
-    op = info_operator(sf, eta, TangentKind.L2)
-    rhs = as_matrix(op) @ np.ones((4, 1))
-    return sf, eta, TangentKind.L2, rhs
+    mat = as_matrix(info_operator(sf, eta, TangentKind.L2))
+    rhs = mat @ np.ones((4, 1))
+    lfd = least_favorable_direction(sf, eta, TangentKind.L2, rhs)
+    assert lfd.solve_result.rank == 1
+    assert lfd.ladder == ((1, lfd.solve_result.relative_residual),)
+    assert lfd.solve_result.relative_residual < 1e-14
+    np.testing.assert_allclose(lfd.values, np.linalg.pinv(mat) @ rhs,
+                               rtol=1e-12, atol=1e-14)
 
 
-def test_lfd_walks_ridge_ladder_on_singular_operator():
-    from semiinfo.calculus import RIDGE_LADDER_DEFAULT
-    sf, eta, tangent, rhs = singular_setup()
-    lfd = least_favorable_direction(sf, eta, tangent, rhs,
-                                    RIDGE_LADDER_DEFAULT)
-    assert lfd.ladder[0] == (0.0, float("inf"))
-    assert len(lfd.ladder) > 1
-    assert lfd.ridge_used > 0.0
-    # the right-hand side lies in the range, so some ladder step fits it
-    assert lfd.solve_result.relative_residual < 1e-6
+def _gram_min_norm_lfd(model):
+    """The min-norm least favorable direction from the joint-score Gram:
+    ``G_etaeta^+ G_etatheta`` on the L2(eta)-orthonormal tangent basis,
+    with the eigenvalues of G_etaeta above 1e-8 times the largest."""
+    from semiinfo.calculus import _identifiability_gram
+
+    c, s = model.components, model.state
+    gram = _identifiability_gram(model.exact, c, s)
+    p = c.p
+    eig, vec = np.linalg.eigh(gram[p:, p:])
+    keep = eig > 1e-8 * eig[-1]
+    coef = vec[:, keep] @ ((vec[:, keep].T @ gram[p:, :p])
+                           / eig[keep][:, np.newaxis])
+    return centered_basis(s.eta) @ coef
 
 
-def test_lfd_without_ladder_propagates_ill_posedness():
-    sf, eta, tangent, rhs = singular_setup()
-    with pytest.raises(IllPosedError):
-        least_favorable_direction(sf, eta, tangent, rhs, ridge_ladder=None)
+@pytest.mark.parametrize("m", [30, 400])
+def test_rank_deficient_mixture_lfd_is_the_gram_min_norm_lfd(m):
+    # The fine latent grids leave the information operator rank 4 of
+    # m - 1: the solve keeps those singular values, and its LFD is the
+    # min-norm one the Gram gives, so both efficient-information routes
+    # agree to rounding.
+    model = zoo.build("mixture", m=m)
+    eta = model.state.eta
+    report = analyze_model(model.components, model.state, model.exact)
+    assert report.lfd.solve_result.rank == 4
+    assert report.diagnostics["lfd_rank"] == 4
+    assert report.efficient.discrepancy <= 1e-14
+    gap = report.lfd.values - _gram_min_norm_lfd(model)
+    assert np.sqrt(np.sum(eta.masses * gap[:, 0] ** 2)) <= 1e-12
 
 
-def test_empty_ridge_ladder_propagates_ill_posedness():
-    # An empty ladder is no ladder: the refused direct solve's error
-    # comes back, as it does without one.
-    model = zoo.build("mixture", parametric=False, m=30)
+def test_nonparametric_influence_of_the_mean_on_fine_mixture_is_non_regular():
+    # The mean of the mixing measure is not in the range of the rank-4
+    # information operator: the min-norm solve leaves the relative
+    # distance of its derivative from that range as the residual.
+    model = zoo.build("mixture", parametric=False, m=400)
     c, s = model.components, model.state
     chi_dot = center(s.eta.grid.points, s.eta).values
-    sf = structural_functions(model.exact, c, s)
-    with pytest.raises(IllPosedError):
-        least_favorable_direction(sf, s.eta, c.tangent, chi_dot,
-                                  ridge_ladder=())
-    with pytest.raises(IllPosedError):
-        nonparametric_influence(model.exact, c, s, chi_dot, ridge_ladder=())
+    res = nonparametric_influence(model.exact, c, s, chi_dot)
+    assert res.non_regular
+    assert res.solve_result.rank == 4
+    assert res.solve_result.relative_residual == pytest.approx(
+        5.866179119382507e-3, rel=1e-9)
 
 
 def test_lfd_on_toy_first_kind_grids_still_solves_directly():
     # the coarse kernels of the bundled first-kind models are far from
-    # numerically singular, so no ridge engages there
+    # numerically singular, so the solve keeps every singular value
     for model_id in ("cox_cs", "mixture"):
         model = zoo.build(model_id)
         sf = structural_functions(model.exact, model.components, model.state)
         adj = adjoint_of_score(sf, model.state.eta, model.components.tangent)
         lfd = least_favorable_direction(sf, model.state.eta,
                                         model.components.tangent, adj)
-        assert lfd.ridge_used == 0.0
+        reduced = model.state.eta.size - (model.components.tangent
+                                          is TangentKind.L2_ZERO)
+        assert lfd.solve_result.rank == reduced
         assert lfd.solve_result.relative_residual < 1e-8
 
 

@@ -197,7 +197,9 @@ def test_influence_flags_non_regular_without_failing(tmp_path):
     assert run(["--config", cfg, "--out", tmp_path]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["non_regular"] is True
-    assert report["ridge_used"] > 0.0
+    # the rank-revealing solve keeps fewer singular values than the
+    # reduced (mean-zero) system has dimensions
+    assert 0 < report["rank"] < 25 - 1
 
 
 def test_influence_rejects_parametric_model(tmp_path, capsys):
@@ -384,6 +386,8 @@ INFLUENCE_KM = {"schema_version": 1, "command": "influence",
                 "model": {"id": "kaplan_meier"},
                 "influence": {"functional": "survival_at", "t": 1.0}}
 INF, NAN = float("inf"), float("nan")
+# A JSON integer beyond the float range.
+HUGE = 10 ** 401
 
 # (base config, section, key, value, field the error names, bad entry)
 BAD_NUMBERS = [
@@ -410,18 +414,17 @@ BAD_NUMBERS = [
     (INFLUENCE_KM, "influence", "t", True, "config.influence.t", True),
     (INFLUENCE_KM, "influence", "t", INF, "config.influence.t", INF),
     (INFLUENCE_KM, "influence", "t", "x", "config.influence.t", "x"),
-    (ANALYZE_COX_RC, None, "ridge_ladder", [INF], "config.ridge_ladder[0]",
-     INF),
-    (ANALYZE_COX_RC, None, "ridge_ladder", [1e-4, True],
-     "config.ridge_ladder[1]", True),
-    (ANALYZE_COX_RC, None, "ridge_ladder", [1e-4, NAN],
-     "config.ridge_ladder[1]", NAN),
+    (VALIDATE_MIXTURE, "validate", "h", HUGE, "config.validate.h", HUGE),
+    (INFLUENCE_KM, "influence", "nonregular_tol", HUGE,
+     "config.influence.nonregular_tol", HUGE),
+    (INFLUENCE_KM, "influence", "t", HUGE, "config.influence.t", HUGE),
 ]
 
 
 @pytest.mark.parametrize(
     "base, section, key, value, field, bad", BAD_NUMBERS,
-    ids=[f"{b['command']}-{s or 'top'}.{k}={v!r}"
+    ids=[f"{b['command']}-{s or 'top'}.{k}="
+         + ("10**401" if v is HUGE else repr(v))
          for b, s, k, v, _, _ in BAD_NUMBERS])
 def test_malformed_numbers_exit_two(tmp_path, capsys, base, section, key,
                                     value, field, bad):
@@ -524,6 +527,16 @@ BAD_INPUTS = [
     ("validate-params-unknown-model",
      _validate(params={"no_such_model": {}}),
      "config.validate.params.no_such_model"),
+    ("analyze-theta-beyond-float",
+     lambda tmp_path: dict(ANALYZE_COX_RC, model={
+         "id": "cox_rc", "params": {"theta": HUGE}}),
+     "cannot build 'cox_rc'"),
+    ("validate-params-theta-beyond-float",
+     _validate(models=["cox_rc"], params={"cox_rc": {"theta": HUGE}}),
+     "cannot build 'cox_rc'"),
+    ("analyze-ridge-ladder-unknown-key",
+     lambda tmp_path: dict(ANALYZE_COX_RC, ridge_ladder=[1e-4]),
+     "unknown keys ['ridge_ladder']"),
 ]
 
 

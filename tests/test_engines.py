@@ -23,19 +23,6 @@ from semiinfo.measure import center, perturb_measure
 STRUCTURAL_NAMES = ("gamma", "alpha", "kappa", "beta")
 
 
-def _choice_sampler(model):
-    """The reference sampler: ``Generator.choice`` over the exact outcomes
-    with the exact probabilities at the sampled state, renormalized."""
-    outcomes = model.exact.outcomes
-
-    def sampler(state, rng, size):
-        probs = model.exact.probabilities(model.components, state)
-        idx = rng.choice(len(outcomes), size=size, p=probs / probs.sum())
-        return [outcomes[i] for i in idx.tolist()]
-
-    return sampler
-
-
 def test_exact_probabilities_sum_to_one():
     model = zoo.build("mixture")
     probs = model.exact.probabilities(model.components, model.state)
@@ -182,28 +169,6 @@ def test_exact_enumeration_refuses_repeated_outcomes():
     outcomes = zoo.build("mixture").exact.outcomes
     with pytest.raises(DomainError, match=re.escape(repr(outcomes[1]))):
         ExactEnumeration(outcomes[:3] + outcomes[1:2] + outcomes[:1])
-
-
-@pytest.mark.parametrize("n", [3, 40, 5000])
-@pytest.mark.parametrize("model_id", list(zoo.MODELS))
-def test_tally_and_counter_draw_the_same_law(model_id, n):
-    # The resampled exact law counts its draws per outcome; a callable
-    # sampler's draws are grouped with a Counter. Both give one law.
-    model = zoo.build(model_id)
-    c, s = model.components, model.state
-    choice = _choice_sampler(model)
-    for seed in (0, 7, 2024):
-        tallied, gvs = MonteCarlo(model.exact, n, seed).draw_weights(c, s)
-        counted, none = MonteCarlo(choice, n, seed).draw_weights(c, s)
-        assert tallied == counted
-        assert none == (None,) * len(counted)
-        # each drawn outcome keeps the exact law's g
-        assert len(gvs) == len(tallied)
-        for (obs, _), gv in zip(tallied, gvs):
-            assert np.array_equal(gv, g_values(c, s, obs))
-        if n == 3:
-            # some outcomes are never drawn and get no entry in the law
-            assert len(tallied) < len(model.exact.outcomes)
 
 
 def _structural_oracle(c, s, obs, gv, gd, fd):
@@ -361,18 +326,26 @@ def test_categorical_draws_are_those_of_generator_choice(model_id):
     probs = model.exact.probabilities(c, s)
     probs = probs / probs.sum()
     for seed in (0, 7, 2024):
-        for n in (1, 40, 100000):
+        for n in (1, 3, 40, 100000):
             idx = np.random.default_rng(seed).choice(len(outcomes), size=n,
                                                      p=probs)
             counts = np.bincount(idx, minlength=len(outcomes))
             want = sorted(((outcomes[i], int(counts[i]) / n)
                            for i in np.flatnonzero(counts).tolist()),
                           key=lambda kv: repr(kv[0]))
-            pairs, _ = MonteCarlo(model.exact, n, seed).draw_weights(c, s)
+            pairs, gvs = MonteCarlo(model.exact, n, seed).draw_weights(c, s)
             assert pairs == tuple(want)
+            # each drawn outcome keeps the exact law's g
+            assert len(gvs) == len(pairs)
+            for (obs, _), gv in zip(pairs, gvs):
+                assert np.array_equal(gv, g_values(c, s, obs))
+            if n == 3:
+                # some outcomes are never drawn and get no entry in the law
+                assert len(pairs) < len(outcomes)
 
 
-@pytest.mark.parametrize("sampler", [None, 3, "exact", [1, 2]])
+@pytest.mark.parametrize("sampler", [None, 3, "exact", [1, 2],
+                                     lambda state, rng, size: []])
 def test_monte_carlo_refuses_a_sampler_it_cannot_draw_from(sampler):
     with pytest.raises(DomainError, match="MonteCarlo sampler must be"):
         MonteCarlo(sampler, 10, 1)

@@ -1,19 +1,18 @@
 """One factorization per operator: a kernel operator reduces and factors
 itself on its first solve, and every later solve reuses that, whatever
-its ridge or right-hand side, with results equal to a solve on a freshly
-built operator. A measure computes its mean-zero basis once, and
-``analyze_model`` builds one operator per state."""
+its right-hand side, with results equal to a solve on a freshly built
+operator. A measure computes its mean-zero basis once, and
+``analyze_model`` builds one operator per state and solves it once."""
 import dataclasses
 
 import numpy as np
 import pytest
 
-from semiinfo import (KernelOperator, SolveResult, analyze_model, center,
-                      info_operator, least_favorable_direction, solve,
+from semiinfo import (KernelOperator, MonteCarlo, SolveResult, analyze_model,
+                      center, info_operator, least_favorable_direction, solve,
                       structural_functions, zoo)
-from semiinfo import operators
-from semiinfo.calculus import RIDGE_LADDER_DEFAULT
-from semiinfo.errors import IllPosedError
+from semiinfo import calculus, operators
+from semiinfo.likelihood import TangentKind
 
 
 @pytest.fixture(scope="module")
@@ -47,15 +46,14 @@ def _count_builds(monkeypatch):
     return counts
 
 
-def test_ladder_walk_factors_the_operator_once(mixture, monkeypatch):
+def test_lfd_solve_factors_the_operator_once(mixture, monkeypatch):
     model, sf = mixture
     # A copy of the measure, so no earlier test has cached its basis.
     eta = dataclasses.replace(model.state.eta)
     rhs = center(eta.grid.points, eta).values
     counts = _count_builds(monkeypatch)
-    lfd = least_favorable_direction(sf, eta, model.components.tangent, rhs,
-                                    RIDGE_LADDER_DEFAULT)
-    assert len(lfd.ladder) == 1 + len(RIDGE_LADDER_DEFAULT)
+    lfd = least_favorable_direction(sf, eta, model.components.tangent, rhs)
+    assert len(lfd.ladder) == 1
     # One SVD for the centered projector, one for the reduced system.
     assert counts == {"svd": 2, "as_matrix": 1, "operators": 1}
 
@@ -75,15 +73,28 @@ def test_analyze_builds_one_operator_and_one_basis(parametric, svds,
     assert counts == {"svd": svds, "as_matrix": 1, "operators": 1}
 
 
-def _outcome(op, rhs, ridge):
-    try:
-        return solve(op, rhs, ridge)
-    except IllPosedError as err:
-        return str(err)
+@pytest.mark.parametrize("engine", ["exact", "mc"])
+@pytest.mark.parametrize("model_id", [
+    model_id for model_id in zoo.MODELS if zoo.build(model_id).components.p])
+def test_every_zoo_analyze_makes_one_svd_and_one_solve(model_id, engine,
+                                                       monkeypatch):
+    # One SVD of the reduced system (plus the mean-zero basis on a
+    # centered tangent) and one solve, exact or sampled.
+    model = zoo.build(model_id)
+    c = model.components
+    law = (model.exact if engine == "exact"
+           else MonteCarlo(model.exact, 2000, 5))
+    solves = []
+    monkeypatch.setattr(calculus, "solve",
+                        lambda op, rhs: solves.append(op) or solve(op, rhs))
+    counts = _count_builds(monkeypatch)
+    report = analyze_model(c, model.state, law)
+    assert len(solves) == 1 and len(report.lfd.ladder) == 1
+    assert counts["svd"] == 1 + (c.tangent is TangentKind.L2_ZERO)
 
 
 @pytest.mark.parametrize("centering", [True, False])
-def test_every_rung_matches_a_fresh_operator(mixture, centering):
+def test_every_solve_matches_a_fresh_operator(mixture, centering):
     model, sf = mixture
     eta = model.state.eta
     op = info_operator(sf, eta, model.components.tangent)
@@ -92,15 +103,9 @@ def test_every_rung_matches_a_fresh_operator(mixture, centering):
     points = eta.grid.points
     vector = center(points, eta).values
     matrix = np.column_stack([vector, center(points ** 2, eta).values])
-    rungs = ((0.0,) + RIDGE_LADDER_DEFAULT)[::-1]
-    for ridge in rungs:
-        for rhs in (vector, matrix):
-            got = _outcome(shared, rhs, ridge)
-            want = _outcome(KernelOperator(*pieces), rhs, ridge)
-            assert type(got) is type(want)
-            if isinstance(want, str):
-                assert got == want
-                continue
-            for name in (f.name for f in dataclasses.fields(SolveResult)):
-                assert np.array_equal(getattr(got, name),
-                                      getattr(want, name)), (ridge, name)
+    for rhs in (matrix, vector, matrix):
+        got = solve(shared, rhs)
+        want = solve(KernelOperator(*pieces), rhs)
+        for name in (f.name for f in dataclasses.fields(SolveResult)):
+            assert np.array_equal(getattr(got, name),
+                                  getattr(want, name)), name

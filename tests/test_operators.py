@@ -12,7 +12,7 @@ from semiinfo import (
     min_eigen_sym,
     solve,
 )
-from semiinfo.errors import DimensionError, DomainError, IllPosedError, NotIdentifiableError
+from semiinfo.errors import DimensionError, DomainError, NotIdentifiableError
 from semiinfo.measure import DiscreteMeasure, Grid, MeasureKind
 from semiinfo.operators import centered_basis, eta_weighted_min_eigen
 
@@ -62,14 +62,19 @@ def test_solve_recovers_known_solution():
     res = solve(op, apply(op, a_true))
     np.testing.assert_allclose(res.solution, a_true, atol=1e-10)
     assert res.relative_residual < 1e-12
-    assert res.ridge == 0.0
+    assert res.rank == 6
 
 
-def test_solve_refuses_ill_posed():
+def test_solve_of_a_zero_operator_is_zero():
+    # Rank zero: no singular value is kept, the solution is zero and the
+    # whole right-hand side is left as the residual.
     eta = measure([0.5, 0.5])
     op = op_from([0.0, 0.0], np.zeros((2, 2)), eta)
-    with pytest.raises(IllPosedError):
-        solve(op, [1.0, 1.0])
+    for rhs in ([1.0, 1.0], [[1.0, 2.0], [1.0, -1.0]]):
+        res = solve(op, rhs)
+        assert res.rank == 0
+        assert np.array_equal(res.solution, np.zeros(np.shape(rhs)))
+        assert res.relative_residual == 1.0
 
 
 def test_solve_rejects_zero_dim_rhs():
@@ -79,28 +84,31 @@ def test_solve_rejects_zero_dim_rhs():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("ridge", [0.0, 1e-3])
-def test_solve_rejects_non_finite_rhs(bad, ridge):
+def test_solve_rejects_non_finite_rhs(bad):
     op = op_from([1.0, 2.0], np.zeros((2, 2)), measure([0.5, 0.5]))
     for rhs in ([bad, 1.0], [[bad], [1.0]]):
         with pytest.raises(DomainError):
-            solve(op, rhs, ridge)
+            solve(op, rhs)
 
 
-def test_ridge_regularizes():
-    # Rank-one kernel with no multiplier: the equation is first kind and
-    # the direct solve must refuse; a ridge produces a finite answer whose
-    # residual shrinks with the ridge until noise takes over.
+def test_solve_on_a_rank_one_kernel_is_the_pinv_solution():
+    # Rank-one kernel with no multiplier: the equation is first kind, the
+    # solve keeps one singular value, and with equal masses its min-norm
+    # solution is the pseudo-inverse's, in or out of the range.
     eta = measure([0.25, 0.25, 0.25, 0.25])
     u = np.array([1.0, 2.0, 3.0, 4.0])
     op = op_from(np.zeros(4), np.outer(u, u), eta)
-    rhs = apply(op, np.ones(4))
-    with pytest.raises(IllPosedError):
-        solve(op, rhs)
-    res_big = solve(op, rhs, ridge=1e-2)
-    res_small = solve(op, rhs, ridge=1e-8)
-    assert res_small.relative_residual < res_big.relative_residual
-    assert res_small.relative_residual < 1e-6
+    mat = as_matrix(op)
+    for rhs in (apply(op, np.ones(4)), np.array([1.0, -1.0, 0.5, 2.0])):
+        res = solve(op, rhs)
+        assert res.rank == 1
+        np.testing.assert_allclose(res.solution, np.linalg.pinv(mat) @ rhs,
+                                   rtol=1e-12, atol=1e-14)
+    # the second right-hand side is off the range: the residual is its
+    # component orthogonal to u
+    off = rhs - (rhs @ u) / (u @ u) * u
+    assert res.relative_residual == pytest.approx(
+        np.linalg.norm(off) / np.linalg.norm(rhs), rel=1e-12)
 
 
 def test_centering_variant_respects_mean_zero():

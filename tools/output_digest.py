@@ -86,6 +86,9 @@ CONFIGS = dict(
         ("analyze-exact-mixture-np-m30",
          analyze("mixture", dict(NONPARAMETRIC, m=30))),
         ("analyze-exact-cox_cs-m100", analyze("cox_cs", {"m": 100})),
+        # m=30 and m=400 leave the operator rank deficient: these pin the
+        # truncated solve at a small and a large size.
+        ("analyze-exact-mixture-m30", analyze("mixture", {"m": 30})),
         ("analyze-exact-mixture-m400", analyze("mixture", {"m": 400})),
         ("analyze-mc-cox_cs-m60", analyze("cox_cs", {"m": 60}, mc(100000, 7))),
         ("analyze-mc-mixture-m30", analyze("mixture", {"m": 30}, mc(20000, 1))),
