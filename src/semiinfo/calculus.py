@@ -36,9 +36,12 @@ functions on one law: the structural functions, Fisher information and
 identifiability before the solve, the efficient information after it,
 which evaluates only L along the solved directions. Only the structural
 functions carry standard errors, so on a sampled law no other sum forms
-second moments. The identifiability Gram is not a per-outcome sum: the
-joint scores of the N outcomes are stacked into one (N, k) matrix S and
-the Gram is one product ``R.T @ R`` with ``R = sqrt(w) S``.
+second moments. On an exact law each expectation is a compensated sum in
+law order; on a sampled law it is one weighted matrix product of the
+per-outcome values (``engines``). The identifiability Gram is not a
+per-outcome sum: the joint scores of the N outcomes are stacked into one
+(N, k) matrix S and the Gram is one product ``R.T @ R`` with
+``R = sqrt(w) S``.
 """
 
 from __future__ import annotations

@@ -177,6 +177,11 @@ def _resolve_engine(cfg, model, seed_override):
         return model.exact
     if kind == "mc":
         n = _whole(engine_cfg.get("n"), "config.engine.n", 1)
+        # numpy refuses to draw a sample larger than its largest index.
+        largest = int(np.iinfo(np.intp).max)
+        if n > largest:
+            raise ConfigError(
+                f"config.engine.n must be at most {largest}, got {n!r}")
         return MonteCarlo(model.exact, n,
                           _seed(cfg, "engine", 0, seed_override))
     raise ConfigError(f"unknown engine kind {kind!r}; use 'exact' or 'mc'")

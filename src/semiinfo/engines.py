@@ -22,18 +22,26 @@ functions here; the Fisher information, identifiability Gram and
 efficient information in ``calculus``), however many a caller asks
 for. Those evaluations start from the g a law already holds: an exact
 law's, computed once per outcome for its weights, and a resampled
-law's, taken from the exact law it was drawn from. One fixed-order
-compensated step sums each expectation in place, in one flat
-buffer for all its sums, forming second moments only for the sums whose
-standard errors are reported; the identifiability Gram, which carries
-no standard error, is instead one matrix product of the stacked outcome
-scores (``calculus``). The structural pass builds no per-outcome
-(m, m) temporaries when d == 1: ``likelihood._structural_terms`` writes
-each outcome's gamma, alpha, kappa and beta straight into the buffer
-(kappa and beta as outer products), and one multiply weights the block
-(term = w v, then square = term v on a sampled law) before the
-compensated step. Every element takes the operations of the expression
-form in the same law order, so its sum has the same bits.
+law's, taken from the exact law it was drawn from.
+
+How a law sums depends only on whether it is sampled. On an exact law
+one fixed-order compensated (Kahan) step sums each expectation in place,
+in one flat buffer for all its sums; exact results carry no standard
+error, so no second moment is formed. The structural pass builds no
+per-outcome (m, m) temporaries when d == 1:
+``likelihood._structural_terms`` writes each outcome's gamma, alpha,
+kappa and beta straight into the buffer (kappa and beta as outer
+products), and one multiply weights the block before the compensated
+step. Every element takes the operations of the expression form in the
+same law order, so its sum has the same bits. A sampled law's sums
+carry sampling noise of order n^(-1/2), far above rounding, so there
+each mean and second moment is one weighted matrix product of values
+stacked once per drawn outcome: w V and w (V V) for an (N, K) array V
+of per-outcome values, and for kappa and beta the product of the
+weighted factors -g f_ddot with g and g_dot (see
+:func:`_sampled_structural`). The identifiability Gram, which carries
+no standard error, is one matrix product of the stacked outcome scores
+on either law (``calculus``).
 
 The structural functions are the four expectations that assemble adjoints
 and information operators. With x the vector of integral functionals:
@@ -73,6 +81,7 @@ from .errors import DomainError, EngineError, NotAvailableError
 from .likelihood import (
     ModelComponents,
     ModelState,
+    _f_dot_terms,
     _log_density,
     _outcome,
     _structural_terms,
@@ -263,6 +272,18 @@ def outcome_law(engine, components: ModelComponents,
     return build(components, state)
 
 
+def _spans(shapes) -> list:
+    """``(start, stop, shape)`` of each array of ``shapes`` laid out flat,
+    one after the other."""
+    ends = list(accumulate(math.prod(shape) for shape in shapes))
+    return list(zip([0] + ends, ends, shapes))
+
+
+def _unflatten(flat: np.ndarray, spans) -> list:
+    """The arrays of ``spans`` read from ``flat``, as fresh copies."""
+    return [flat[a:b].reshape(shape).copy() for a, b, shape in spans]
+
+
 class _CompensatedSums:
     """Compensated sums of a fixed list of arrays, in three flat buffers
     (running total, compensation and term). The caller writes one
@@ -271,9 +292,8 @@ class _CompensatedSums:
     (Kahan) step."""
 
     def __init__(self, shapes):
-        ends = list(accumulate(math.prod(shape) for shape in shapes))
-        self.spans = list(zip([0] + ends, ends, shapes))
-        self.total, self.comp, self.term = np.zeros((3, ends[-1]))
+        self.spans = _spans(shapes)
+        self.total, self.comp, self.term = np.zeros((3, self.spans[-1][1]))
         self.slots = [self.term[a:b].reshape(shape)
                       for a, b, shape in self.spans]
 
@@ -289,48 +309,66 @@ class _CompensatedSums:
 
     def sums(self) -> list:
         """Copies of the sums, so no caller keeps the buffers alive."""
-        return [self.total[a:b].reshape(shape).copy()
-                for a, b, shape in self.spans]
+        return _unflatten(self.total, self.spans)
 
 
-def _moments(law: OutcomeLaw, sums: list, k: int, n_se: Optional[int]):
-    """The k means and the standard errors of the first ``n_se`` of them
-    from the sums (the means, then the second moments on a sampled
-    law)."""
-    means, seconds = sums[:k], sums[k:]
-    if law.n is None:
-        return means, [np.zeros_like(v) for v in means[:n_se]]
-    ses = [np.sqrt(np.maximum(s2 - v * v, 0.0) / law.n)
-           for v, s2 in zip(means, seconds)]
-    return means, ses
+def _weights(law: OutcomeLaw) -> np.ndarray:
+    return np.array([weight for _, weight in law.pairs])
+
+
+def _standard_error(law: OutcomeLaw, mean: np.ndarray,
+                    second: np.ndarray) -> np.ndarray:
+    """The standard error of a sampled mean from its second moment."""
+    return np.sqrt(np.maximum(second - mean * mean, 0.0) / law.n)
 
 
 def _reduce(law: OutcomeLaw, functional: Callable,
             n_se: Optional[int] = None):
     """Weighted sums over the law of each array ``functional(obs)``
-    returns, compensated in law order, with the standard errors of the
-    first ``n_se`` of them (all by default; zeros unless the law is
-    sampled). Each sum is elementwise, so a sum's bits do not depend on
-    which others are formed.
+    returns, with the standard errors of the first ``n_se`` of them (all
+    by default; zeros unless the law is sampled).
 
-    All sums share one :class:`_CompensatedSums`, the means first and the
-    second moments after them: per outcome the weighted terms are written
-    into its term buffer and one compensated step adds them."""
-    sampled = law.n is not None
+    On an exact law the sums are compensated in law order, all in one
+    :class:`_CompensatedSums`: per outcome the weighted values are
+    written into its term buffer and one compensated step adds them. Each
+    sum is elementwise, so its bits do not depend on which others are
+    formed. On a sampled law, whose sums carry sampling noise far above
+    rounding, each outcome's values are one row of an (N, K) array V, and
+    the means and second moments are the products w V and w (V V) with
+    the weights w; the second moments are of all K columns whatever
+    ``n_se`` is, so no bit depends on it."""
+    if law.n is not None:
+        return _sampled_reduce(law, functional, n_se)
     acc = None
     for obs, weight in law.pairs:
         vals = [np.asarray(v, dtype=float) for v in functional(obs)]
         if acc is None:
-            shapes = [v.shape for v in vals]
-            acc = _CompensatedSums(
-                shapes + (shapes[:n_se] if sampled else []))
-        slots = acc.slots
-        for v, slot in zip(vals, slots):
+            acc = _CompensatedSums([v.shape for v in vals])
+        for v, slot in zip(vals, acc.slots):
             np.multiply(weight, v, out=slot)
-        for v, slot, square in zip(vals, slots, slots[len(vals):]):
-            np.multiply(slot, v, out=square)
         acc.add()
-    return _moments(law, acc.sums(), len(vals), n_se)
+    means = acc.sums()
+    return means, [np.zeros_like(v) for v in means[:n_se]]
+
+
+def _sampled_reduce(law: OutcomeLaw, functional: Callable,
+                    n_se: Optional[int]):
+    """:func:`_reduce` on a sampled law, by matrix products."""
+    stacked = spans = None
+    for row, (obs, _) in enumerate(law.pairs):
+        vals = [np.asarray(v, dtype=float) for v in functional(obs)]
+        if stacked is None:
+            spans = _spans([v.shape for v in vals])
+            stacked = np.empty((len(law.pairs), spans[-1][1]))
+        for v, (a, b, _) in zip(vals, spans):
+            stacked[row, a:b] = v.ravel()
+    weights = _weights(law)
+    means = _unflatten(weights @ stacked, spans)
+    if n_se == 0:
+        return means, []
+    seconds = _unflatten(weights @ (stacked * stacked), spans)
+    return means, [_standard_error(law, v, s2)
+                   for v, s2 in zip(means[:n_se], seconds[:n_se])]
 
 
 def expect(engine, components: ModelComponents, state: ModelState,
@@ -375,25 +413,12 @@ def structural_functions(engine, components: ModelComponents,
         return engine.structural(components, state)
 
     law = outcome_law(engine, components, state)
-    evaluated = law.evaluated
-    m, p = state.eta.size, components.p
-    shapes = [(m,), (m, p), (m, m), (m, m, p)]
-    sampled = law.n is not None
-    acc = _CompensatedSums(shapes * 2 if sampled else shapes)
-    # Each outcome's values v are written straight into the last block of
-    # the term buffer and weighted in place: term = w v, and on a sampled
-    # law square = term v from the second-moment block they were written
-    # into.
-    means, seconds = np.split(acc.term, 2) if sampled else (acc.term,) * 2
-    values = acc.slots[-len(shapes):]
-    for obs, weight in law.pairs:
-        e = evaluated[obs]
-        _structural_terms(components, state, obs, e.gv, e.gd, e.fd, values)
-        np.multiply(weight, seconds, out=means)
-        if sampled:
-            np.multiply(means, seconds, out=seconds)
-        acc.add()
-    (gamma, alpha, kappa, beta), ses = _moments(law, acc.sums(), 4, None)
+    if law.n is None:
+        gamma, alpha, kappa, beta = _exact_structural(law, components, state)
+        ses = [np.zeros_like(v) for v in (gamma, alpha, kappa, beta)]
+    else:
+        (gamma, alpha, kappa, beta), ses = _sampled_structural(
+            law, components, state)
     # Symmetrize kappa; it is symmetric in exact arithmetic.
     kappa = 0.5 * (kappa + kappa.T)
     return StructuralFunctions(
@@ -401,3 +426,69 @@ def structural_functions(engine, components: ModelComponents,
         se_gamma=ses[0], se_alpha=ses[1], se_kappa=ses[2], se_beta=ses[3],
         engine="exact" if law.n is None else "mc", n=law.n,
     )
+
+
+def _exact_structural(law: OutcomeLaw, components: ModelComponents,
+                      state: ModelState) -> list:
+    """Gamma, alpha, kappa and beta over an exact law, compensated in law
+    order: each outcome's values are written straight into the term
+    buffer and weighted there in place (term = w v) before the
+    compensated step."""
+    evaluated = law.evaluated
+    m, p = state.eta.size, components.p
+    acc = _CompensatedSums([(m,), (m, p), (m, m), (m, m, p)])
+    for obs, weight in law.pairs:
+        e = evaluated[obs]
+        _structural_terms(components, state, obs, e.gv, e.gd, e.fd,
+                          acc.slots)
+        np.multiply(weight, acc.term, out=acc.term)
+        acc.add()
+    return acc.sums()
+
+
+def _sampled_structural(law: OutcomeLaw, components: ModelComponents,
+                        state: ModelState):
+    """Gamma, alpha, kappa and beta over a sampled law with their
+    standard errors, each mean and second moment one weighted matrix
+    product of factors stacked once per drawn outcome.
+
+    kappa(v, u) sums h_e(v) g_e(u) over e, with h = -g f_ddot, and beta
+    the same with g_dot_e(u, j) for g_e(u). So over the stacked
+    (outcome, e) rows of h and of [g | g_dot], kappa and beta are one
+    product (w h)^T [g | g_dot], and their second moments are the same
+    product over (outcome, e, e') rows of h_e h_e' and of the matching
+    products of [g | g_dot] rows. Gamma and alpha are one row per
+    outcome."""
+    evaluated = law.evaluated
+    m, p, d = state.eta.size, components.p, components.gdim
+    width = m * (1 + p)
+    n_out = len(law.pairs)
+    first = np.empty((n_out, width))        # gamma | alpha
+    h = np.empty((n_out, d, m))             # -g f_ddot, one row per e
+    right = np.empty((n_out, d, width))     # g | g_dot, one row per e
+    for row, (obs, _) in enumerate(law.pairs):
+        e = evaluated[obs]
+        fdd = _f_dot_terms(components, state, obs, e.gv, e.gd, e.fd,
+                           first[row, :m], first[row, m:].reshape(m, p))
+        h[row] = np.negative(e.gv @ fdd).T
+        right[row, :, :m] = e.gv.T
+        right[row, :, m:] = e.gd.transpose(1, 0, 2).reshape(d, m * p)
+    weights = _weights(law)
+    h2 = (h[:, :, np.newaxis] * h[:, np.newaxis]).reshape(-1, m)
+    right2 = (right[:, :, np.newaxis] * right[:, np.newaxis]).reshape(
+        -1, width)
+    means = [weights @ first,
+             (np.repeat(weights, d)[:, np.newaxis]
+              * h.reshape(-1, m)).T @ right.reshape(-1, width)]
+    seconds = [weights @ (first * first),
+               (np.repeat(weights, d * d)[:, np.newaxis] * h2).T @ right2]
+    ses = [_standard_error(law, v, s2) for v, s2 in zip(means, seconds)]
+    return [_split_structural(arr, m, p) for arr in (means, ses)]
+
+
+def _split_structural(flat: list, m: int, p: int) -> list:
+    """Gamma, alpha, kappa and beta from the (m (1 + p),) gamma | alpha
+    row and the (m, m (1 + p)) kappa | beta block."""
+    rows, block = flat
+    return [rows[:m], rows[m:].reshape(m, p),
+            block[:, :m], block[:, m:].reshape(m, m, p)]

@@ -255,6 +255,23 @@ def _outcome(components: ModelComponents, state: ModelState, obs,
     return _Outcome(gv, fd, score, gd)
 
 
+def _f_dot_terms(components: ModelComponents, state: ModelState, obs,
+                 gv: np.ndarray, gd: np.ndarray, fd: np.ndarray,
+                 gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Write one outcome's integrands of gamma and alpha, the structural
+    functions linear in f_dot, into the (m,) and (m, p) arrays ``gamma``
+    and ``alpha``, and return f_ddot at x, which kappa and beta take."""
+    x = state.eta.masses @ gv
+    fdd = f_ddot_values(components, x, obs)
+    if components.tangent is TangentKind.L2_ZERO:
+        np.negative((gv - x[np.newaxis, :]) @ fd, out=gamma)
+        gamma += ell_of_ones(components, state, obs)
+    else:
+        np.negative(gv @ fd, out=gamma)
+    np.negative(np.einsum("vdj,d->vj", gd, fd), out=alpha)
+    return fdd
+
+
 def _structural_terms(components: ModelComponents, state: ModelState, obs,
                       gv: np.ndarray, gd: np.ndarray, fd: np.ndarray, out):
     """Write one outcome's integrands of the structural functions into
@@ -269,14 +286,7 @@ def _structural_terms(components: ModelComponents, state: ModelState, obs,
     iterator picks from the strides, which varies with m, so kappa and
     beta are those einsums."""
     gamma, alpha, kappa, beta = out
-    x = state.eta.masses @ gv
-    fdd = f_ddot_values(components, x, obs)
-    if components.tangent is TangentKind.L2_ZERO:
-        np.negative((gv - x[np.newaxis, :]) @ fd, out=gamma)
-        gamma += ell_of_ones(components, state, obs)
-    else:
-        np.negative(gv @ fd, out=gamma)
-    np.negative(np.einsum("vdj,d->vj", gd, fd), out=alpha)
+    fdd = _f_dot_terms(components, state, obs, gv, gd, fd, gamma, alpha)
     if components.gdim == 1:
         a = (gv[:, 0] * -fdd[0, 0])[:, np.newaxis]
         np.multiply(a, gv[:, 0], out=kappa)

@@ -137,10 +137,14 @@ class SolveResult:
 
     ``solution`` has the shape of ``rhs`` (vector or matrix of columns).
     ``residual`` is the L2(eta) norm of ``T a - rhs`` (max over columns),
-    ``relative_residual`` divides by the rhs norm per column. ``condition``
-    and the singular values describe the reduced system actually solved
-    (support-restricted, centered-projected when applicable); ``rank`` is
-    the number of its singular values the solve kept.
+    ``relative_residual`` divides by the rhs norm per column. The
+    singular values are those of the reduced system actually solved
+    (support-restricted, centered-projected when applicable): ``rank``
+    counts the ones the solve kept, ``condition`` is the largest over the
+    smallest kept one (infinite at rank zero), and ``sigma_min`` and
+    ``sigma_max`` are the smallest and largest of all of them, so a
+    ``sigma_min`` far below ``sigma_max / condition`` shows what the solve
+    dropped.
     """
 
     solution: np.ndarray
@@ -206,10 +210,9 @@ def solve(op: KernelOperator, rhs) -> SolveResult:
 
     u_mat, svals, vt = svd
     sigma_max = float(svals[0])
-    sigma_min = float(svals[-1])
-    condition = sigma_max / sigma_min if sigma_min > 0.0 else float("inf")
     # The singular values come sorted, so the kept ones are a prefix.
     rank = int(np.count_nonzero(svals > SIGMA_MIN_REL_TOL * sigma_max))
+    condition = sigma_max / float(svals[rank - 1]) if rank else float("inf")
     y = vt[:rank].T @ ((u_mat[:, :rank].T @ target).T / svals[:rank]).T
 
     if q is not None:
@@ -229,7 +232,7 @@ def solve(op: KernelOperator, rhs) -> SolveResult:
         rel = np.where(col_rhs > 0.0, col_res / col_rhs, 0.0)
     return SolveResult(solution, float(np.max(col_res, initial=0.0)),
                        float(np.max(rel, initial=0.0)), condition, rank,
-                       sigma_min, sigma_max)
+                       float(svals[-1]), sigma_max)
 
 
 def min_eigen_sym(mat: np.ndarray) -> float:

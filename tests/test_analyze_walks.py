@@ -173,3 +173,25 @@ def test_identifiability_on_a_warm_law_reduces_nothing(kind, monkeypatch):
     local_identifiability(law, c, s)
     assert reduce_calls == []
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["exact", "mc"])
+def test_a_sampled_analyze_makes_no_compensated_step(kind, monkeypatch):
+    # An exact law compensates its structural functions, Fisher
+    # information and efficient information (by_score) in law order, one
+    # Kahan step per outcome each; a sampled law forms all three by
+    # matrix products.
+    model = zoo.build("cox_cs", m=20)
+    c, s = model.components, model.state
+    law = outcome_law(model.exact if kind == "exact"
+                      else MonteCarlo(model.sampler, 2000, 5), c, s)
+    steps = []
+    add = engines._CompensatedSums.add
+
+    def counting_add(self):
+        steps.append(self)
+        return add(self)
+
+    monkeypatch.setattr(engines._CompensatedSums, "add", counting_add)
+    analyze_model(c, s, law)
+    assert len(steps) == (3 * len(law.pairs) if kind == "exact" else 0)

@@ -12,6 +12,7 @@ import pytest
 
 from semiinfo import nonparametric_influence, zoo
 from semiinfo.cli import _functional_derivative, main
+from semiinfo.operators import SIGMA_MIN_REL_TOL
 from semiinfo.serialize import read_matrix_csv, write_matrix_csv
 
 
@@ -171,6 +172,27 @@ def test_influence_reports_the_singular_values_of_its_solve(tmp_path):
     assert report["sigma_min"] == sr.sigma_min
     assert report["sigma_max"] == sr.sigma_max
     assert 0.0 < report["sigma_min"] <= report["sigma_max"]
+    # full rank: the condition is over all singular values, as it was
+    # before it was restricted to the kept ones
+    assert report["rank"] == model.state.eta.size
+    assert report["condition"] == sr.sigma_max / sr.sigma_min
+
+
+def test_influence_condition_is_over_the_kept_singular_values(tmp_path):
+    # The rank-4 solve on mixture m=400 drops singular values below
+    # SIGMA_MIN_REL_TOL * sigma_max, so the condition of what it solves is
+    # at most 1 / SIGMA_MIN_REL_TOL; sigma_min still shows the dropped ones.
+    cfg = write_cfg(tmp_path, {
+        "schema_version": 1,
+        "command": "influence",
+        "model": {"id": "mixture", "params": {"parametric": False, "m": 400}},
+        "influence": {"functional": "mean"},
+    })
+    assert run(["--config", cfg, "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["rank"] == 4
+    assert 1.0 <= report["condition"] <= 1.0 / SIGMA_MIN_REL_TOL
+    assert report["sigma_min"] < SIGMA_MIN_REL_TOL * report["sigma_max"]
 
 
 def test_influence_zero_derivative_gives_zeros(tmp_path):
@@ -418,6 +440,9 @@ BAD_NUMBERS = [
     (INFLUENCE_KM, "influence", "nonregular_tol", HUGE,
      "config.influence.nonregular_tol", HUGE),
     (INFLUENCE_KM, "influence", "t", HUGE, "config.influence.t", HUGE),
+    # Sample sizes numpy refuses to draw (beyond its largest index).
+    (MC_ANALYZE, "engine", "n", HUGE, "config.engine.n", HUGE),
+    (MC_ANALYZE, "engine", "n", 2 ** 63, "config.engine.n", 2 ** 63),
 ]
 
 

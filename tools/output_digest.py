@@ -97,6 +97,10 @@ CONFIGS = dict(
          analyze("missing_cov", {"zero_cell": True}, mc(20000, 4))),
         ("analyze-mc-recurrent_transform",
          analyze("recurrent_transform", engine=mc(20000, 6))),
+        # kaplan_meier is the only model with p = 0 and an L term: this
+        # pins zero-width alpha and beta under a sampled law.
+        ("analyze-mc-kaplan_meier",
+         analyze("kaplan_meier", engine=mc(20000, 5))),
         ("influence-exact-mixture-m400",
          influence("mixture", dict(NONPARAMETRIC, m=400), MEAN)),
         ("influence-mc-mixture-m30",
