@@ -27,21 +27,22 @@ so its reduced system is expected to lose rank). The least favorable
 solve does not read it: it makes one rank-revealing solve, whose rank
 and residual it reports.
 
-Every quantity has one path. Each expectation here is one walk of the
-outcome law over the evaluations the law keeps (g and g_dot on the
-grid, f_dot at x and the parameter score, computed once per outcome on
-first use), so a law asked for several quantities evaluates the model
-once per outcome. ``analyze_model`` is the composition of the public
-functions on one law: the structural functions, Fisher information and
-identifiability before the solve, the efficient information after it,
-which evaluates only L along the solved directions. Only the structural
-functions carry standard errors, so on a sampled law no other sum forms
-second moments. On an exact law each expectation is a compensated sum in
-law order; on a sampled law it is one weighted matrix product of the
-per-outcome values (``engines``). The identifiability Gram is not a
-per-outcome sum: the joint scores of the N outcomes are stacked into one
-(N, k) matrix S and the Gram is one product ``R.T @ R`` with
-``R = sqrt(w) S``.
+Every quantity has one path. Each expectation here reads the
+evaluations the outcome law keeps, stacked one row per outcome (g and
+g_dot on the grid, x, f_dot and f_ddot at x and the parameter score,
+computed once per outcome on first use), so a law asked for several
+quantities evaluates the model once per outcome. ``analyze_model`` is
+the composition of the public functions on one law: the structural
+functions, Fisher information and identifiability before the solve, the
+efficient information after it. Only the structural functions carry
+standard errors, so on a sampled law no other sum forms second moments.
+On an exact law the Fisher information and ``by_score`` are compensated
+sums of per-outcome outer products in law order; on a sampled law each
+is one product (w V)^T V of stacked rows: V = S, the (N, p) parameter
+scores, for the Fisher information, and V = S - M a for ``by_score``,
+with M a the law's measure scores along the least favorable direction a
+(``OutcomeLaw.measure_scores``). The identifiability Gram is one product ``R.T @ R`` on
+either law, with ``R = sqrt(w) [S | M Phi]`` and Phi the tangent basis.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .likelihood import (
     TangentKind,
     _direction_scores,
     _directions,
-    _joint_score,
     _Outcome,
     _outcome,
     check_state,
@@ -157,14 +157,32 @@ def _evaluated_mean(engine, components: ModelComponents, state: ModelState,
     return value
 
 
+def _second_moment(engine, components: ModelComponents, state: ModelState,
+                   vector: Callable, rows: Callable) -> np.ndarray:
+    """E[v v^T] of a per-outcome vector, symmetrized. On an exact law it
+    is the compensated mean of ``np.outer(v, v)`` with
+    ``v = vector(obs, outcome)``; on a sampled law it is the one product
+    (w V)^T V of the (N, k) matrix ``V = rows(law)``, whose row i is v at
+    outcome i."""
+    law = outcome_law(engine, components, state)
+    if law.n is None:
+        def outer(obs, outcome):
+            v = vector(obs, outcome)
+            return np.outer(v, v)
+
+        return _symmetric(_evaluated_mean(law, components, state, outer))
+    v = rows(law)
+    return _symmetric((law.weights[:, np.newaxis] * v).T @ v)
+
+
 def fisher_information(engine, components: ModelComponents,
                        state: ModelState) -> np.ndarray:
     """Second moment of the parameter score, shape (p, p)."""
     if components.p == 0:
         return np.zeros((0, 0))
-    return _symmetric(_evaluated_mean(
-        engine, components, state,
-        lambda obs, outcome: np.outer(outcome.score, outcome.score)))
+    return _second_moment(engine, components, state,
+                          lambda obs, outcome: outcome.score,
+                          lambda law: law.stacked.score)
 
 
 def adjoint_of_score(sf: StructuralFunctions, eta: DiscreteMeasure,
@@ -256,12 +274,6 @@ def _efficient_score(components: ModelComponents, obs, outcome: _Outcome,
                                              outcome.gv, outcome.fd)
 
 
-def _efficient_term(components: ModelComponents, obs, outcome: _Outcome,
-                    dirs) -> np.ndarray:
-    v = _efficient_score(components, obs, outcome, dirs)
-    return np.outer(v, v)
-
-
 def efficient_score_function(components: ModelComponents, state: ModelState,
                              lfd_values: np.ndarray) -> Callable:
     """The map ``obs -> score_theta - B a`` with a the least favorable
@@ -296,10 +308,11 @@ def efficient_information(engine, components: ModelComponents,
     """Both routes to the efficient information from the least favorable
     direction, the adjoint of the score and the Fisher information."""
     dirs = _lfd_directions(components, state, lfd_values)
-    by_score = _symmetric(_evaluated_mean(
+    by_score = _second_moment(
         engine, components, state,
-        lambda obs, outcome: _efficient_term(components, obs, outcome,
-                                             dirs)))
+        lambda obs, outcome: _efficient_score(components, obs, outcome,
+                                              dirs),
+        lambda law: law.stacked.score - law.measure_scores(dirs))
     cross = adjoint.T @ dirs[1]
     by_adjoint = fisher - cross
     gap = float(np.max(np.abs(by_score - by_adjoint))) if fisher.size else 0.0
@@ -335,16 +348,19 @@ def _identifiability_directions(components: ModelComponents,
 def _identifiability_gram(engine, components: ModelComponents,
                           state: ModelState) -> np.ndarray:
     """The second moment of the joint score over the parameter score and
-    an L2(eta)-orthonormal tangent basis, shape (k, k): one product of
-    the weighted (N, k) score matrix of the N outcomes with itself."""
+    an L2(eta)-orthonormal tangent basis Phi, shape (k, k): one product
+    R^T R of the weighted (N, k) joint-score matrix
+    R = sqrt(w) [S_theta | M Phi] of the N outcomes, with S_theta the
+    stacked parameter scores and M Phi their measure scores along the
+    basis (``OutcomeLaw.measure_scores``)."""
     check_state(components, state)
     dirs = _identifiability_directions(components, state)
     law = outcome_law(engine, components, state)
-    evaluated = law.evaluated
-    root = np.empty((len(law.pairs), components.p + dirs[0].shape[1]))
-    for row, (obs, weight) in zip(root, law.pairs):
-        row[:] = np.sqrt(weight) * _joint_score(components, obs,
-                                                evaluated[obs], dirs)
+    p = components.p
+    root = np.empty((len(law.pairs), p + dirs[0].shape[1]))
+    root[:, :p] = law.stacked.score
+    law.measure_scores(dirs, out=root[:, p:])
+    root *= np.sqrt(law.weights)[:, np.newaxis]
     # numpy forms ``A.T @ A`` as a symmetric rank-k update, so the Gram
     # is exactly symmetric.
     return root.T @ root

@@ -15,14 +15,21 @@ closed-form engine has no outcome law: it is one callable that returns
 the structural functions analytically.
 
 A law stands in for its engine at its own state and evaluates the model
-once per outcome: on first use it keeps each outcome's g and g_dot on
-the grid, f_dot at x and parameter score (:attr:`OutcomeLaw.evaluated`),
-and every quantity summed over the law reads those (the structural
-functions here; the Fisher information, identifiability Gram and
-efficient information in ``calculus``), however many a caller asks
-for. Those evaluations start from the g a law already holds: an exact
-law's, computed once per outcome for its weights, and a resampled
-law's, taken from the exact law it was drawn from.
+once per outcome: on first use it writes each outcome's g and g_dot on
+the grid, x, f_dot and f_ddot at x and parameter score into one row of
+stacked arrays (:attr:`OutcomeLaw.stacked`; :attr:`OutcomeLaw.evaluated`
+holds each outcome's rows as views), and every quantity summed over the
+law reads those (the structural functions here; the Fisher information,
+identifiability Gram and efficient information in ``calculus``), however
+many a caller asks for. Those evaluations start from the g a law already
+holds: an exact law's, computed once per outcome for its weights, and a
+resampled law's, taken from the exact law it was drawn from. The
+measure scores of every outcome along k directions A, an (m, k) array,
+are M A with M = (f_dot . g^T) * masses plus each outcome's
+representer of L (:meth:`OutcomeLaw.measure_scores`): one product of the
+stacked g with masses * A, weighted by f_dot, plus the representers
+times A. The representers, L applied to the identity, are formed once,
+on first use; M itself is never formed.
 
 How a law sums depends only on whether it is sampled. On an exact law
 one fixed-order compensated (Kahan) step sums each expectation in place,
@@ -31,17 +38,20 @@ error, so no second moment is formed. The structural pass builds no
 per-outcome (m, m) temporaries when d == 1:
 ``likelihood._structural_terms`` writes each outcome's gamma, alpha,
 kappa and beta straight into the buffer (kappa and beta as outer
-products), and one multiply weights the block before the compensated
-step. Every element takes the operations of the expression form in the
-same law order, so its sum has the same bits. A sampled law's sums
-carry sampling noise of order n^(-1/2), far above rounding, so there
-each mean and second moment is one weighted matrix product of values
-stacked once per drawn outcome: w V and w (V V) for an (N, K) array V
-of per-outcome values, and for kappa and beta the product of the
-weighted factors -g f_ddot with g and g_dot (see
-:func:`_sampled_structural`). The identifiability Gram, which carries
-no standard error, is one matrix product of the stacked outcome scores
-on either law (``calculus``).
+products, summed over the entries of f_ddot in a fixed order), and one
+multiply weights the block before the compensated step. Every element
+takes the operations of the expression form in the same law order, so
+its sum has the same bits. A sampled law's sums carry sampling noise of
+order n^(-1/2), far above rounding, so there each mean and second moment
+is one weighted matrix product over the stacked rows, and no per-outcome
+pass runs after the evaluation: gamma and alpha rows, and for kappa and
+beta the product of the weighted factors -g f_ddot with g and g_dot (see
+:func:`_sampled_structural`); the Fisher information and efficient
+information are products of the stacked scores (``calculus``). Only
+:func:`expect`, whose values come from a caller's function, stacks them
+one outcome at a time (w V and w (V V) for an (N, K) array V). The
+identifiability Gram, which carries no standard error, is one matrix
+product of the stacked outcome scores on either law (``calculus``).
 
 The structural functions are the four expectations that assemble adjoints
 and information operators. With x the vector of integral functionals:
@@ -81,9 +91,12 @@ from .errors import DomainError, EngineError, NotAvailableError
 from .likelihood import (
     ModelComponents,
     ModelState,
-    _f_dot_terms,
+    TangentKind,
+    _ell_rows,
+    _evaluate,
     _log_density,
-    _outcome,
+    _stacked_measure_scores,
+    _Outcome,
     _structural_terms,
     check_state,
     g_values,
@@ -107,12 +120,16 @@ class OutcomeLaw:
     """The weighted outcomes an engine produces at one state.
 
     ``n`` is the Monte Carlo sample size (None when exact) and
-    ``deficit`` the exact engine's normalization deficit. ``gvs`` holds
-    each outcome's g on the grid, already computed for its weight, so
-    that :attr:`evaluated` does not evaluate g again. A law stands in for
-    its engine: asked about its own components and state (by identity)
-    it returns itself, anywhere else it has its engine build a new one,
-    with evaluations of its own.
+    ``deficit`` the exact engine's normalization deficit. ``gvs`` is the
+    (N, m, d) array of each outcome's g on the grid, already computed for
+    its weight: :attr:`stacked` takes it as its g. On first use the law
+    evaluates each outcome once into one row of :attr:`stacked` (g and
+    g_dot on the grid, x, f_dot and f_ddot at x, the parameter score);
+    :attr:`weights` is the (N,) array of weights, in law order, and
+    :meth:`measure_scores` every outcome's measure scores. A law stands in
+    for its engine: asked about its own components and state (by
+    identity) it returns itself, anywhere else it has its engine build a
+    new one, with evaluations of its own.
     """
 
     pairs: tuple
@@ -121,7 +138,7 @@ class OutcomeLaw:
     engine: object
     components: ModelComponents
     state: ModelState
-    gvs: tuple = field(repr=False)
+    gvs: np.ndarray = field(repr=False)
 
     def law(self, components: ModelComponents,
             state: ModelState) -> OutcomeLaw:
@@ -130,13 +147,49 @@ class OutcomeLaw:
         return self.engine.law(components, state)
 
     @cached_property
-    def evaluated(self) -> dict:
-        """Each outcome's evaluation at the law's state (g and g_dot on
-        the grid, f_dot at x and the parameter score), computed on first
-        use."""
+    def outcomes(self) -> tuple:
+        """The N outcomes, in law order."""
+        return tuple(obs for obs, _ in self.pairs)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The (N,) weights, in law order."""
+        return np.array([weight for _, weight in self.pairs])
+
+    @cached_property
+    def stacked(self) -> _Outcome:
+        """Every outcome's evaluation at the law's state, computed on first
+        use and stacked in law order: row i of each field is outcome i's
+        g and g_dot on the grid, x, f_dot and f_ddot at x and parameter
+        score."""
         check_state(self.components, self.state)
-        return {obs: _outcome(self.components, self.state, obs, gv)
-                for (obs, _), gv in zip(self.pairs, self.gvs)}
+        return _evaluate(self.components, self.state, self.outcomes,
+                         self.gvs)
+
+    @cached_property
+    def evaluated(self) -> dict:
+        """Each outcome's evaluation: its rows of :attr:`stacked`, as
+        views."""
+        stacked = self.stacked
+        return {obs: _Outcome(*(field[row] for field in stacked))
+                for row, obs in enumerate(self.outcomes)}
+
+    @cached_property
+    def ell_rows(self):
+        """Each outcome's (m,) representer of L, stacked (N, m), formed on
+        first use (None when the model has no L)."""
+        return _ell_rows(self.components, self.outcomes,
+                         self.state.eta.size)
+
+    def measure_scores(self, dirs,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(B a)(o_i) for each outcome i and each of k checked directions
+        a (``dirs``, from ``likelihood._directions``), written into the
+        (N, k) ``out`` (a new array by default) and checked finite."""
+        if out is None:
+            out = np.empty((len(self.pairs), dirs[0].shape[1]))
+        return _stacked_measure_scores(self.outcomes, self.stacked,
+                                       self.ell_rows, dirs, out)
 
 
 @dataclass(frozen=True)
@@ -158,7 +211,8 @@ class ExactEnumeration:
     def probabilities(self, components: ModelComponents, state: ModelState,
                       gvs: Optional[Sequence] = None) -> np.ndarray:
         """Each outcome's probability, from its g on the grid when
-        ``gvs`` holds it (one (m, d) array per outcome, in order)."""
+        ``gvs`` holds it (one (m, d) array per outcome, in order, or one
+        (N, m, d) array)."""
         check_state(components, state)
         if gvs is None:
             gvs = [g_values(components, state, o) for o in self.outcomes]
@@ -177,11 +231,12 @@ class ExactEnumeration:
     def law(self, components: ModelComponents,
             state: ModelState) -> OutcomeLaw:
         check_state(components, state)
-        gvs = [g_values(components, state, o) for o in self.outcomes]
+        gvs = np.stack([g_values(components, state, o)
+                        for o in self.outcomes])
         probs = self.probabilities(components, state, gvs)
         return OutcomeLaw(tuple(zip(self.outcomes, probs)), None,
                           abs(1.0 - float(np.sum(probs))), self,
-                          components, state, tuple(gvs))
+                          components, state, gvs)
 
     def normalization_deficit(self, components: ModelComponents,
                               state: ModelState) -> float:
@@ -236,11 +291,11 @@ class MonteCarlo:
         exact = self.sampler.law(components, state)
         counts = _categorical_counts(
             np.array([p for _, p in exact.pairs]), rng, self.n)
-        drawn = [(exact.pairs[i][0], int(counts[i]), exact.gvs[i])
+        drawn = [(exact.pairs[i][0], int(counts[i]), i)
                  for i in np.flatnonzero(counts).tolist()]
         drawn.sort(key=lambda d: repr(d[0]))
         return (tuple((obs, cnt / self.n) for obs, cnt, _ in drawn),
-                tuple(gv for _, _, gv in drawn))
+                exact.gvs[[i for _, _, i in drawn]])
 
     def law(self, components: ModelComponents,
             state: ModelState) -> OutcomeLaw:
@@ -312,10 +367,6 @@ class _CompensatedSums:
         return _unflatten(self.total, self.spans)
 
 
-def _weights(law: OutcomeLaw) -> np.ndarray:
-    return np.array([weight for _, weight in law.pairs])
-
-
 def _standard_error(law: OutcomeLaw, mean: np.ndarray,
                     second: np.ndarray) -> np.ndarray:
     """The standard error of a sampled mean from its second moment."""
@@ -362,7 +413,7 @@ def _sampled_reduce(law: OutcomeLaw, functional: Callable,
             stacked = np.empty((len(law.pairs), spans[-1][1]))
         for v, (a, b, _) in zip(vals, spans):
             stacked[row, a:b] = v.ravel()
-    weights = _weights(law)
+    weights = law.weights
     means = _unflatten(weights @ stacked, spans)
     if n_se == 0:
         return means, []
@@ -438,9 +489,7 @@ def _exact_structural(law: OutcomeLaw, components: ModelComponents,
     m, p = state.eta.size, components.p
     acc = _CompensatedSums([(m,), (m, p), (m, m), (m, m, p)])
     for obs, weight in law.pairs:
-        e = evaluated[obs]
-        _structural_terms(components, state, obs, e.gv, e.gd, e.fd,
-                          acc.slots)
+        _structural_terms(components, state, obs, evaluated[obs], acc.slots)
         np.multiply(weight, acc.term, out=acc.term)
         acc.add()
     return acc.sums()
@@ -450,7 +499,7 @@ def _sampled_structural(law: OutcomeLaw, components: ModelComponents,
                         state: ModelState):
     """Gamma, alpha, kappa and beta over a sampled law with their
     standard errors, each mean and second moment one weighted matrix
-    product of factors stacked once per drawn outcome.
+    product of factors formed from the law's stacked evaluation.
 
     kappa(v, u) sums h_e(v) g_e(u) over e, with h = -g f_ddot, and beta
     the same with g_dot_e(u, j) for g_e(u). So over the stacked
@@ -459,21 +508,25 @@ def _sampled_structural(law: OutcomeLaw, components: ModelComponents,
     product over (outcome, e, e') rows of h_e h_e' and of the matching
     products of [g | g_dot] rows. Gamma and alpha are one row per
     outcome."""
-    evaluated = law.evaluated
+    st = law.stacked
     m, p, d = state.eta.size, components.p, components.gdim
     width = m * (1 + p)
     n_out = len(law.pairs)
-    first = np.empty((n_out, width))        # gamma | alpha
-    h = np.empty((n_out, d, m))             # -g f_ddot, one row per e
-    right = np.empty((n_out, d, width))     # g | g_dot, one row per e
-    for row, (obs, _) in enumerate(law.pairs):
-        e = evaluated[obs]
-        fdd = _f_dot_terms(components, state, obs, e.gv, e.gd, e.fd,
-                           first[row, :m], first[row, m:].reshape(m, p))
-        h[row] = np.negative(e.gv @ fdd).T
-        right[row, :, :m] = e.gv.T
-        right[row, :, m:] = e.gd.transpose(1, 0, 2).reshape(d, m * p)
-    weights = _weights(law)
+    if components.tangent is TangentKind.L2_ZERO:
+        gamma = np.einsum("nid,nd->ni", st.gv - st.x[:, np.newaxis], st.fd)
+        if law.ell_rows is not None:
+            gamma -= np.sum(law.ell_rows, axis=1)[:, np.newaxis]
+    else:
+        gamma = np.einsum("nid,nd->ni", st.gv, st.fd)
+    alpha = np.einsum("nidj,nd->nij", st.gd, st.fd)
+    # gamma | alpha, one row per outcome
+    first = np.negative(np.concatenate(
+        [gamma, alpha.reshape(n_out, m * p)], axis=1))
+    h = np.negative(st.gv @ st.fdd).transpose(0, 2, 1)
+    right = np.concatenate(       # g | g_dot, one row per (outcome, e)
+        [st.gv.transpose(0, 2, 1),
+         st.gd.transpose(0, 2, 1, 3).reshape(n_out, d, m * p)], axis=2)
+    weights = law.weights
     h2 = (h[:, :, np.newaxis] * h[:, np.newaxis]).reshape(-1, m)
     right2 = (right[:, :, np.newaxis] * right[:, np.newaxis]).reshape(
         -1, width)

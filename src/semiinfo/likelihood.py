@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -232,68 +233,82 @@ def _parameter_score(obs, masses: np.ndarray, fd: np.ndarray,
 
 class _Outcome(NamedTuple):
     """What every score and structural integrand at one outcome is built
-    from: g on the grid, f_dot at x, the parameter score (empty when
-    p == 0) and g_dot on the grid."""
+    from: g on the grid, x, f_dot and f_ddot at x, the parameter score
+    (empty when p == 0) and g_dot on the grid. A law stacks these over
+    its N outcomes (:func:`_evaluate`): each field then has a leading
+    axis of length N."""
 
     gv: np.ndarray
+    x: np.ndarray
     fd: np.ndarray
+    fdd: np.ndarray
     score: np.ndarray
     gd: np.ndarray
 
 
 def _outcome(components: ModelComponents, state: ModelState, obs,
              gv: Optional[np.ndarray] = None) -> _Outcome:
-    """Evaluate g (unless ``gv`` holds it), g_dot and f_dot at one
+    """Evaluate g (unless ``gv`` holds it), g_dot, f_dot and f_ddot at one
     outcome, and r_dot when p > 0."""
     if gv is None:
         gv = g_values(components, state, obs)
-    fd = f_dot_values(components, state.eta.masses @ gv, obs)
+    x = state.eta.masses @ gv
+    fd = f_dot_values(components, x, obs)
     gd = g_dot_values(components, state, obs)
     score = _parameter_score(
         obs, state.eta.masses, fd, gd, _r_dot_values(components, state, obs)
     ) if components.p else np.zeros(0)
-    return _Outcome(gv, fd, score, gd)
+    return _Outcome(gv, x, fd, f_ddot_values(components, x, obs), score, gd)
 
 
-def _f_dot_terms(components: ModelComponents, state: ModelState, obs,
-                 gv: np.ndarray, gd: np.ndarray, fd: np.ndarray,
-                 gamma: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Write one outcome's integrands of gamma and alpha, the structural
-    functions linear in f_dot, into the (m,) and (m, p) arrays ``gamma``
-    and ``alpha``, and return f_ddot at x, which kappa and beta take."""
-    x = state.eta.masses @ gv
-    fdd = f_ddot_values(components, x, obs)
+def _evaluate(components: ModelComponents, state: ModelState, outcomes,
+              gvs: np.ndarray) -> _Outcome:
+    """Each outcome's :func:`_outcome` written into row i of stacked
+    arrays: ``gvs``, the (N, m, d) g on the grid it starts from, then
+    (N, d) x and f_dot, (N, d, d) f_ddot, (N, p) scores and (N, m, d, p)
+    g_dot."""
+    n, m, d = gvs.shape
+    stacked = _Outcome(gvs, np.empty((n, d)), np.empty((n, d)),
+                       np.empty((n, d, d)), np.empty((n, components.p)),
+                       np.empty((n, m, d, components.p)))
+    for row, obs in enumerate(outcomes):
+        outcome = _outcome(components, state, obs, gvs[row])
+        for field, value in zip(stacked[1:], outcome[1:]):
+            field[row] = value
+    return stacked
+
+
+def _structural_terms(components: ModelComponents, state: ModelState, obs,
+                      outcome: _Outcome, out):
+    """Write one outcome's integrands of the structural functions into
+    ``out``, the (m,), (m, p), (m, m) and (m, m, p) arrays for gamma,
+    alpha, kappa and beta, from its evaluation ``outcome``.
+
+    Kappa and beta are written in place, in a fixed order: over
+    (i, j) with i outer and j inner, the outer product of
+    g_i(v) (-f_ddot[i, j]) with g_j(u) and with g_dot_j(u) is written
+    (the first) or added (the rest). With d == 1 that is the one product
+    ``-np.einsum("vd,de,ue->vu", g, f_ddot, g)`` (and its beta analogue)
+    forms, so it rounds the same way; with d > 1 the order does not
+    depend on how f_ddot is laid out in memory."""
+    gamma, alpha, kappa, beta = out
+    gv, gd, fd, fdd = outcome.gv, outcome.gd, outcome.fd, outcome.fdd
     if components.tangent is TangentKind.L2_ZERO:
-        np.negative((gv - x[np.newaxis, :]) @ fd, out=gamma)
+        np.negative((gv - outcome.x[np.newaxis, :]) @ fd, out=gamma)
         gamma += ell_of_ones(components, state, obs)
     else:
         np.negative(gv @ fd, out=gamma)
     np.negative(np.einsum("vdj,d->vj", gd, fd), out=alpha)
-    return fdd
-
-
-def _structural_terms(components: ModelComponents, state: ModelState, obs,
-                      gv: np.ndarray, gd: np.ndarray, fd: np.ndarray, out):
-    """Write one outcome's integrands of the structural functions into
-    ``out``, the (m,), (m, p), (m, m) and (m, m, p) arrays for gamma,
-    alpha, kappa and beta, from g and g_dot on the grid and f_dot at x.
-
-    With d == 1, kappa and beta are written in place as the outer
-    products of g(v) (-f_ddot) with g(u) and with g_dot(u): each element
-    is the one product ``-np.einsum("vd,de,ue->vu", g, f_ddot, g)`` (and
-    its beta analogue) forms, in the same order, so it rounds the same
-    way. With d > 1 an element sums d * d products in an order numpy's
-    iterator picks from the strides, which varies with m, so kappa and
-    beta are those einsums."""
-    gamma, alpha, kappa, beta = out
-    fdd = _f_dot_terms(components, state, obs, gv, gd, fd, gamma, alpha)
-    if components.gdim == 1:
-        a = (gv[:, 0] * -fdd[0, 0])[:, np.newaxis]
-        np.multiply(a, gv[:, 0], out=kappa)
-        np.multiply(a[:, :, np.newaxis], gd[:, 0], out=beta)
-    else:
-        np.negative(np.einsum("vd,de,ue->vu", gv, fdd, gv), out=kappa)
-        np.negative(np.einsum("vd,de,uej->vuj", gv, fdd, gd), out=beta)
+    d = components.gdim
+    spare = (np.empty_like(kappa), np.empty_like(beta)) if d > 1 else None
+    for step, (i, j) in enumerate(product(range(d), repeat=2)):
+        a = (gv[:, i] * -fdd[i, j])[:, np.newaxis]
+        k, b = spare if step else (kappa, beta)
+        np.multiply(a, gv[:, j], out=k)
+        np.multiply(a[:, :, np.newaxis], gd[:, j], out=b)
+        if step:
+            kappa += k
+            beta += b
 
 
 def _measure_score(components: ModelComponents, obs, gv: np.ndarray,
@@ -333,6 +348,19 @@ def _directions(components: ModelComponents, state: ModelState,
     return arr, eta.masses[:, np.newaxis] * arr
 
 
+def _ell_values(components: ModelComponents, obs,
+                arr: np.ndarray) -> np.ndarray:
+    """L applied to the k columns of an (m, k) array, shape (k,)."""
+    lv = np.asarray(components.ell(arr, obs), dtype=float)
+    try:
+        return np.broadcast_to(lv, (arr.shape[1],))
+    except ValueError:
+        raise DimensionError(
+            f"L returned shape {lv.shape} for {arr.shape[1]} directions, "
+            f"expected a scalar or ({arr.shape[1]},)"
+        ) from None
+
+
 def _direction_scores(components: ModelComponents, obs, dirs,
                       gv: np.ndarray, fd: np.ndarray) -> np.ndarray:
     """Measure scores along checked directions ``dirs`` (from
@@ -340,16 +368,46 @@ def _direction_scores(components: ModelComponents, obs, dirs,
     arr, weighted = dirs
     out = fd @ (gv.T @ weighted)
     if components.ell is not None:
-        lv = np.asarray(components.ell(arr, obs), dtype=float)
-        try:
-            out = out + np.broadcast_to(lv, out.shape)
-        except ValueError:
-            raise DimensionError(
-                f"L returned shape {lv.shape} for {arr.shape[1]} directions, "
-                f"expected a scalar or ({arr.shape[1]},)"
-            ) from None
+        out = out + _ell_values(components, obs, arr)
     if not np.all(np.isfinite(out)):
         raise EvaluationError(f"measure score not finite at {obs!r}")
+    return out
+
+
+def _ell_rows(components: ModelComponents, outcomes,
+              m: int) -> Optional[np.ndarray]:
+    """Each outcome's representer of L, one (m,) row per outcome with
+    L(a, o) = row . a: L applied to the identity (None when L is
+    absent)."""
+    if components.ell is None:
+        return None
+    eye = np.eye(m)
+    return np.stack([_ell_values(components, obs, eye) for obs in outcomes])
+
+
+def _stacked_measure_scores(outcomes, stacked: _Outcome,
+                            ell_rows: Optional[np.ndarray], dirs,
+                            out: np.ndarray) -> np.ndarray:
+    """Write into the (N, k) ``out`` the measure scores of the N stacked
+    ``outcomes`` along checked directions ``dirs`` (from
+    :func:`_directions`): M a for each direction a, with
+    M = (f_dot . g^T) * masses plus the representers of L, formed as
+    f_dot . (g^T (masses a)) + L(a) by one product over the stacked g per
+    coordinate of x, so M itself is never formed. Raises
+    :class:`EvaluationError` naming the first outcome whose scores are
+    not finite."""
+    arr, weighted = dirs
+    gv, fd = stacked.gv, stacked.fd
+    np.matmul(gv[:, :, 0], weighted, out=out)
+    out *= fd[:, :1]
+    for e in range(1, fd.shape[1]):
+        out += (gv[:, :, e] @ weighted) * fd[:, e:e + 1]
+    if ell_rows is not None:
+        out += ell_rows @ arr
+    bad = ~np.all(np.isfinite(out), axis=1)
+    if np.any(bad):
+        raise EvaluationError("measure score not finite at "
+                              f"{outcomes[int(np.argmax(bad))]!r}")
     return out
 
 

@@ -150,7 +150,8 @@ def check_adjoint_identity(engine, components: ModelComponents,
     evaluated = law.evaluated
 
     def integrand(o):
-        gv, fd, _, gd = evaluated[o]
+        e = evaluated[o]
+        gv, fd, gd = e.gv, e.fd, e.gd
         fds = [fd] + [f_dot_values(components, st.eta.masses @ gv, o)
                       for st in states[1:]]
         g = scores(o, gv, gd, fds)

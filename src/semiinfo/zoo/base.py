@@ -55,6 +55,23 @@ def check_state(model: ZooModel, state: Optional[ModelState]) -> None:
         )
 
 
+def require_flag(name: str, value) -> bool:
+    """A boolean build parameter, refused unless it is true or false."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """An integer build parameter, refused unless it is an int (not a
+    bool) of at least ``minimum``."""
+    if isinstance(value, (bool, np.bool_)) \
+            or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def positive_measure(points, masses, tau) -> DiscreteMeasure:
     return DiscreteMeasure(Grid(np.asarray(points, dtype=float), float(tau)),
                            np.asarray(masses, dtype=float),

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..calculus import Category
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import finish, positive_measure
+from .base import finish, positive_measure, require_count
 
 CsObs = namedtuple("CsObs", ["delta", "u_index", "z_index"])
 
@@ -40,7 +40,10 @@ def _s_moments(theta, Lam, z_levels, pz):
 
 def build(theta=np.log(2.0), m=None):
     """Three-point toy by default; pass ``m`` for a refined design on
-    [0, 3] with hazard rate 0.1 + 0.08 t at grid midpoints."""
+    [0, 3] with hazard rate 0.1 + 0.08 t at grid midpoints (at least
+    two, which the difference-quotient reference needs)."""
+    if m is not None:
+        m = require_count("m", m, 2)
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     z_levels = np.array([0.0, 1.0])
     pz = np.array([0.5, 0.5])

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..calculus import Category
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import finish, positive_measure
+from .base import finish, positive_measure, require_flag
 
 RcObs = namedtuple("RcObs", ["delta", "time_index", "z_index"])
 
@@ -36,7 +36,7 @@ def build(theta=np.log(2.0), mass_scale=MASS_SCALE,
     identical coordinates; the model then carries a flat direction and the
     joint identifiability check must report a zero eigenvalue.
     """
-    if duplicated_covariate:
+    if require_flag("duplicated_covariate", duplicated_covariate):
         z_levels = np.array([[0.0, 0.0], [1.0, 1.0]])
         th = np.array([0.3, 0.4])
     else:

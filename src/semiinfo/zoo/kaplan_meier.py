@@ -19,7 +19,7 @@ import numpy as np
 from ..calculus import Category
 from ..engines import ClosedForm, StructuralFunctions
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import check_state, finish, positive_measure
+from .base import check_state, finish, positive_measure, require_flag
 
 KmObs = namedtuple("KmObs", ["delta", "time_index"])
 
@@ -33,7 +33,7 @@ CENSOR_PMF = (0.2, 0.3, 0.5)
 def build(mass_scale=MASS_SCALE, zero_mass_point=False):
     """``zero_mass_point=True`` inserts a dead grid cell between the
     second and third atoms; solves must restrict to the support."""
-    if zero_mass_point:
+    if require_flag("zero_mass_point", zero_mass_point):
         points = np.array([1.0, 2.0, 2.5, 3.0])
         profile = np.array([1.0, 1.5, 0.0, 2.0])
         cprob = np.array([0.2, 0.3, 0.0, 0.5])

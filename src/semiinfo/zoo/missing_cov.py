@@ -31,7 +31,7 @@ from ..calculus import (Category, adjoint_of_score, efficient_information,
 from ..engines import structural_functions
 from ..likelihood import ModelComponents, ModelState, TangentKind
 from ..operators import min_eigen_sym
-from .base import finish, probability_measure
+from .base import finish, probability_measure, require_flag
 
 MisObs = namedtuple("MisObs", ["observed", "y", "k"])
 
@@ -58,6 +58,8 @@ def build(theta=(0.2, -0.3), zero_cell=False, degenerate_z=False,
     tuples or by "y,cell" strings, or as a single number applied to
     every cell (1.0 recovers the fully observed model).
     """
+    zero_cell = require_flag("zero_cell", zero_cell)
+    degenerate_z = require_flag("degenerate_z", degenerate_z)
     th = np.asarray(theta, dtype=float)
     if zero_cell:
         points = np.array([0.8, 1.4, 2.0, 2.6, 3.0])

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..calculus import Category
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import finish, probability_measure
+from .base import finish, probability_measure, require_count, require_flag
 
 MixObs = namedtuple("MixObs", ["x"])
 
@@ -34,6 +34,10 @@ X_VALUES = (0, 1, 2, 3, 4)
 
 
 def build(theta=0.3, parametric=True, m=None, constant_kernel=False):
+    parametric = require_flag("parametric", parametric)
+    constant_kernel = require_flag("constant_kernel", constant_kernel)
+    if m is not None:
+        m = require_count("m", m, 1)
     xs = np.array(X_VALUES, dtype=float)
     if m is None:
         points = np.array(LATENT_POINTS)

@@ -16,6 +16,7 @@ from semiinfo import (
     fisher_information,
     info_operator,
     least_favorable_direction,
+    likelihood,
     local_identifiability,
     structural_functions,
     v_operator,
@@ -195,3 +196,43 @@ def test_a_sampled_analyze_makes_no_compensated_step(kind, monkeypatch):
     monkeypatch.setattr(engines._CompensatedSums, "add", counting_add)
     analyze_model(c, s, law)
     assert len(steps) == (3 * len(law.pairs) if kind == "exact" else 0)
+
+
+def test_a_sampled_analyze_makes_no_per_outcome_score_pass(monkeypatch):
+    # The Gram and by_score of a sampled law are products of the stacked
+    # scores; the exact law still walks its outcomes for by_score.
+    model = zoo.build("cox_cs", m=20)
+    c, s = model.components, model.state
+    calls = []
+    direction_scores = likelihood._direction_scores
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return direction_scores(*args, **kwargs)
+
+    monkeypatch.setattr(likelihood, "_direction_scores", counting)
+    monkeypatch.setattr(calculus, "_direction_scores", counting)
+    for engine, want in ((MonteCarlo(model.sampler, 2000, 5), 0),
+                         (model.exact, 1)):
+        law = outcome_law(engine, c, s)
+        calls.clear()
+        analyze_model(c, s, law)
+        assert len(calls) == want * len(law.pairs)
+
+
+def test_a_sampled_analyze_applies_l_once_per_outcome():
+    # L's representer of each drawn outcome is formed once and serves the
+    # Gram and by_score alike.
+    model = zoo.build("cox_rc")
+    calls = []
+
+    def ell(vals, obs):
+        calls.append(obs)
+        return model.components.ell(vals, obs)
+
+    c, s = dataclasses.replace(model.components, ell=ell), model.state
+    law = outcome_law(MonteCarlo(model.sampler, 20000, 5), c, s)
+    calls.clear()
+    report = analyze_model(c, s, law)
+    assert report.efficient is not None
+    assert sorted(calls, key=repr) == [obs for obs, _ in law.pairs]

@@ -573,3 +573,53 @@ def test_bad_input_fields_exit_two(tmp_path, capsys, build, field):
     err = capsys.readouterr().err
     assert "configuration error" in err and field in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+# Malformed build parameters, each refused by name before it can divide
+# by zero (cox_cs m <= 0), round to a grid size (m=2.5, m=true) or be
+# taken for its truth value (a non-bool flag).
+BAD_MODEL_PARAMS = [
+    ("cox_cs", {"m": 0}, "m must be an integer >= 2, got 0"),
+    ("cox_cs", {"m": -1}, "m must be an integer >= 2, got -1"),
+    ("cox_cs", {"m": 1}, "m must be an integer >= 2, got 1"),
+    ("cox_cs", {"m": 2.5}, "m must be an integer >= 2, got 2.5"),
+    ("mixture", {"m": True}, "m must be an integer >= 1, got True"),
+    ("mixture", {"m": 0}, "m must be an integer >= 1, got 0"),
+    ("mixture", {"parametric": "no"},
+     "parametric must be true or false, got 'no'"),
+    ("mixture", {"constant_kernel": 1},
+     "constant_kernel must be true or false, got 1"),
+    ("missing_cov", {"zero_cell": "false"},
+     "zero_cell must be true or false, got 'false'"),
+    ("missing_cov", {"degenerate_z": 1},
+     "degenerate_z must be true or false, got 1"),
+    ("cox_rc", {"duplicated_covariate": "no"},
+     "duplicated_covariate must be true or false, got 'no'"),
+    ("kaplan_meier", {"zero_mass_point": 0},
+     "zero_mass_point must be true or false, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "model_id, params, message", BAD_MODEL_PARAMS,
+    ids=[f"{model_id}-{key}={value!r}"
+         for model_id, params, _ in BAD_MODEL_PARAMS
+         for key, value in params.items()])
+def test_malformed_model_params_exit_two(tmp_path, capsys, model_id, params,
+                                         message):
+    cfg = write_cfg(tmp_path, {"schema_version": 1, "command": "analyze",
+                               "model": {"id": model_id, "params": params}})
+    assert run(["--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"cannot build {model_id!r}: {message}" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("model_id, params", [
+    ("cox_cs", {"m": 2}), ("mixture", {"m": 1}),
+    ("mixture", {"parametric": False, "constant_kernel": True}),
+    ("kaplan_meier", {"zero_mass_point": True})])
+def test_well_formed_model_params_build(model_id, params):
+    model = zoo.build(model_id, **params)
+    assert model.state.eta.size == params.get("m", model.state.eta.size)

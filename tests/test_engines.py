@@ -8,13 +8,17 @@ from semiinfo import (
     ClosedForm,
     ExactEnumeration,
     MonteCarlo,
+    analyze_model,
     expect,
     structural_functions,
     zoo,
 )
+from semiinfo.calculus import (_efficient_score, _identifiability_directions,
+                               _identifiability_gram, _lfd_directions)
 from semiinfo.engines import _reduce, outcome_law
 from semiinfo.errors import DomainError, NotAvailableError
-from semiinfo.likelihood import (ModelState, TangentKind, _g_and_f_dot,
+from semiinfo.likelihood import (ModelState, TangentKind, _direction_scores,
+                                 _directions, _g_and_f_dot,
                                  _structural_terms, ell_of_ones,
                                  f_ddot_values, g_dot_values, g_values,
                                  log_density)
@@ -172,9 +176,11 @@ def test_exact_enumeration_refuses_repeated_outcomes():
 
 
 def _structural_oracle(c, s, obs, gv, gd, fd):
-    """The per-outcome structural integrands as fresh arrays, each by one
-    numpy expression: the reference the in-place writer
-    ``likelihood._structural_terms`` must match bit for bit."""
+    """The per-outcome structural integrands as fresh arrays: the
+    reference the in-place writer ``likelihood._structural_terms`` must
+    match bit for bit. Kappa and beta sum the d * d products
+    g_i(v) (-f_ddot[i, j]) g_j(u) over (i, j), i outer and j inner, left
+    to right; with d == 1 that is one product."""
     x = s.eta.masses @ gv
     fdd = f_ddot_values(c, x, obs)
     if c.tangent is TangentKind.L2_ZERO:
@@ -182,16 +188,23 @@ def _structural_oracle(c, s, obs, gv, gd, fd):
     else:
         gamma = -(gv @ fd)
     alpha = -np.einsum("vdj,d->vj", gd, fd)
-    kappa = -np.einsum("vd,de,ue->vu", gv, fdd, gv)
-    beta = -np.einsum("vd,de,uej->vuj", gv, fdd, gd)
-    return gamma, alpha, kappa, beta
+    kappas, betas = [], []
+    for i in range(c.gdim):
+        for j in range(c.gdim):
+            a = gv[:, i] * -fdd[i, j]
+            kappas.append(np.multiply.outer(a, gv[:, j]))
+            betas.append(a[:, np.newaxis, np.newaxis] * gd[np.newaxis, :, j])
+    return gamma, alpha, sum(kappas[1:], kappas[0]), sum(betas[1:], betas[0])
 
 
 _IN_PLACE_CASES = (
     [pytest.param(model_id, {}, n, id=f"{model_id}-{n or 'exact'}")
      for model_id in zoo.MODELS for n in (None, 1, 40, 20000)]
     + [pytest.param("cox_cs", {"m": 40}, n, id=f"cox_cs-m40-{n or 'exact'}")
-       for n in (None, 20000)])
+       for n in (None, 20000)]
+    + [pytest.param("mixture", {"m": 30, "parametric": False}, n,
+                    id=f"mixture-np-m30-{n or 'exact'}")
+       for n in (None, 1, 40, 20000)])
 
 
 @pytest.mark.parametrize("model_id,params,n", _IN_PLACE_CASES)
@@ -229,25 +242,45 @@ def test_in_place_structural_pass_matches_the_reference_bit_for_bit(
         assert np.array_equal(np.signbit(got_value), np.signbit(value)), name
 
 
-def test_in_place_terms_sum_a_dense_f_ddot_in_the_reference_order():
-    # recurrent_transform's f_ddot is diagonal, so its d = 2 terms add
-    # zeros; a dense, nonsymmetric f_ddot makes the order of the sum over
-    # (i, j) show in the rounding.
-    model = zoo.build("recurrent_transform")
+def _dense_f_ddot(model, order="C"):
+    """recurrent_transform's components with a dense, nonsymmetric f_ddot
+    laid out in ``order``: its f_ddot is diagonal, so its d = 2 terms add
+    zeros, while a dense one makes the order of the sum over (i, j) show
+    in the rounding."""
     dense = np.array([[1.3, -0.7], [0.45, -2.1]]) / 3.0
-    c = dataclasses.replace(model.components,
-                            f_ddot=lambda x, o: dense * (1.0 + x[0]))
-    s = model.state
+    return dataclasses.replace(
+        model.components,
+        f_ddot=lambda x, o: np.asarray(dense * (1.0 + x[0]), order=order))
+
+
+def test_in_place_terms_sum_a_dense_f_ddot_in_the_reference_order():
+    model = zoo.build("recurrent_transform")
+    c, s = _dense_f_ddot(model), model.state
     law = outcome_law(model.exact, c, s)
     m, p = s.eta.size, c.p
     for obs, _ in law.pairs:
         e = law.evaluated[obs]
         out = [np.full(shape, np.nan)
                for shape in ((m,), (m, p), (m, m), (m, m, p))]
-        _structural_terms(c, s, obs, e.gv, e.gd, e.fd, out)
+        _structural_terms(c, s, obs, e, out)
         for got, want in zip(out, _structural_oracle(c, s, obs, e.gv, e.gd,
                                                       e.fd)):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["exact", "mc"])
+def test_a_dense_f_ddot_gives_the_same_bytes_in_either_memory_order(kind):
+    model = zoo.build("recurrent_transform")
+    s = model.state
+    got = []
+    for order in ("C", "F"):
+        c = _dense_f_ddot(model, order)
+        assert c.f_ddot(np.ones(2), None).flags[order + "_CONTIGUOUS"]
+        engine = (model.exact if kind == "exact"
+                  else MonteCarlo(model.exact, 2000, 3))
+        sf = structural_functions(engine, c, s)
+        got.append([getattr(sf, name).tobytes() for name in STRUCTURAL_NAMES])
+    assert got[0] == got[1]
 
 
 def test_reduced_means_do_not_depend_on_which_second_moments_are_formed():
@@ -423,3 +456,74 @@ def test_monte_carlo_accepts_numpy_integers():
     engine = MonteCarlo(model.sampler, np.int64(50), np.uint32(4))
     assert (engine.draw_weights(c, s)[0]
             == MonteCarlo(model.sampler, 50, 4).draw_weights(c, s)[0])
+
+
+_STACKED_CASES = (
+    [pytest.param(model_id, {}, id=model_id) for model_id in zoo.MODELS]
+    + [pytest.param("mixture", {"m": 30, "parametric": False},
+                    id="mixture-np-m30")])
+
+
+def _assert_scores_within_rounding(c, s, law, directions):
+    """The stacked measure scores M a, for the columns a of
+    ``directions``, against the per-outcome ones: each within the rounding
+    of the two length-(m d + 1) dot products that form it, gamma_{m d + 3}
+    times the sum of the absolute terms, twice."""
+    st, ell = law.stacked, law.ell_rows
+    terms = (np.einsum("nid,nd->ni", np.abs(st.gv), np.abs(st.fd))
+             * s.eta.masses
+             + (0.0 if ell is None else np.abs(ell))) @ np.abs(directions)
+    bound = 2.0 * _gamma(c.gdim * s.eta.size + 3) * terms
+    dirs = _directions(c, s, directions)
+    got = law.measure_scores(dirs)
+    for row, obs in enumerate(law.outcomes):
+        want = _direction_scores(c, obs, dirs, st.gv[row], st.fd[row])
+        assert np.all(np.abs(got[row] - want) <= bound[row]), obs
+    return got
+
+
+@pytest.mark.parametrize("n", [None, 1, 40, 20000])
+@pytest.mark.parametrize("model_id,params", _STACKED_CASES)
+def test_stacked_second_moments_are_within_rounding_of_the_kahan_oracle(
+        model_id, params, n):
+    # The identifiability Gram on every law, and on a sampled law the
+    # Fisher information and by_score, are products of stacked scores:
+    # the parameter scores, and the measure scores M a of the law's
+    # (N, m) measure-score matrix M. Each stacked score must be within
+    # rounding of the per-outcome score, and each product within rounding
+    # of the compensated mean of the outer products of its rows (bit for
+    # bit on an exact law, where Fisher and by_score stay compensated).
+    # The Gram is exactly symmetric.
+    model = zoo.build(model_id, **params)
+    c, s = model.components, model.state
+    engine = model.exact if n is None else MonteCarlo(model.exact, n, 3)
+    law = outcome_law(engine, c, s)
+    evaluated = law.evaluated
+    report = analyze_model(c, s, law)
+    basis, _ = _identifiability_directions(c, s)
+    gram = _identifiability_gram(law, c, s)
+    assert np.array_equal(gram, gram.T)
+    scores = law.stacked.score
+    got = [gram]
+    stacked = [np.concatenate(
+        [scores, _assert_scores_within_rounding(c, s, law, basis)], axis=1)]
+    if c.p:
+        lfd = _lfd_directions(c, s, report.lfd.values)
+        got += [report.fisher, report.efficient.by_score]
+        stacked += [scores,
+                    scores - _assert_scores_within_rounding(c, s, law, lfd[0])]
+        if n is None:
+            # On an exact law both stay compensated sums of the
+            # per-outcome outer products, bit for bit.
+            for got_value, vector in (
+                    (report.fisher, lambda obs: evaluated[obs].score),
+                    (report.efficient.by_score, lambda obs: _efficient_score(
+                        c, obs, evaluated[obs], lfd))):
+                (want,), _ = _kahan_oracle(
+                    law, lambda obs: [np.outer(vector(obs), vector(obs))], 0)
+                assert np.array_equal(got_value, 0.5 * (want + want.T))
+            del got[1:], stacked[1:]
+    row = {obs: i for i, obs in enumerate(law.outcomes)}
+    _assert_within_rounding(
+        law, lambda obs: [np.outer(v[row[obs]], v[row[obs]]) for v in stacked],
+        got, [], symmetrized=range(len(got)))

@@ -3,6 +3,7 @@ of an (m, k) array of directions with one evaluation of g per outcome,
 agrees with ``score_operator`` column by column, and refuses what
 ``score_operator`` refuses."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -188,3 +189,53 @@ def test_batched_scores_reject_non_finite_result(fn):
     dirs[1, 1] = np.nan
     with pytest.raises(EvaluationError, match="measure score not finite"):
         fn(c, s, 1.0, dirs)
+
+
+def _nan_on_directions(model, bad):
+    """The model's components with an L that returns NaN for the
+    outcomes in ``bad`` when applied to an (m, k) array of directions
+    (the log masses of the log density stay finite)."""
+    ell = model.components.ell
+
+    def nan_ell(vals, obs):
+        out = ell(vals, obs)
+        return out * np.nan if np.ndim(vals) == 2 and obs in bad else out
+
+    return dataclasses.replace(model.components, ell=nan_ell)
+
+
+@pytest.mark.parametrize("kind", ["exact", "mc"])
+def test_stacked_scores_name_the_first_outcome_that_is_not_finite(kind):
+    # The Gram and by_score check each stacked product once and name the
+    # first outcome, in law order, whose row is not finite.
+    model = zoo.build("missing_cov")
+    s = model.state
+    clean = outcome_law(model.exact, model.components, s)
+    bad = {o for o in model.exact.outcomes if o.observed and o.k >= 2}
+    c = _nan_on_directions(model, bad)
+    engine = (model.exact if kind == "exact"
+              else MonteCarlo(model.sampler, 20000, 5))
+    law = outcome_law(engine, c, s)
+    outcomes = [obs for obs, _ in law.pairs]
+    first = next(o for o in outcomes if o in bad)
+    assert first != outcomes[0]
+    with pytest.raises(EvaluationError,
+                       match=re.escape(f"measure score not finite at "
+                                       f"{first!r}")):
+        local_identifiability(law, c, s)
+    _, adjoint, lfd, fisher = _efficient_inputs(clean, model.components, s)
+    with pytest.raises(EvaluationError, match="measure score not finite"):
+        efficient_information(law, c, s, lfd.values, adjoint, fisher)
+
+
+def test_the_representer_of_l_is_shape_checked():
+    # An L applied elementwise returns the whole (m, m) identity.
+    model = zoo.build("cox_rc")
+    ell = model.components.ell
+    c = dataclasses.replace(
+        model.components,
+        ell=lambda vals, o: vals if np.ndim(vals) == 2 else ell(vals, o))
+    law = outcome_law(model.exact, c, model.state)
+    with pytest.raises(DimensionError, match=r"L returned shape \(3, 3\) "
+                                             r"for 3 directions"):
+        local_identifiability(law, c, model.state)

@@ -101,6 +101,10 @@ CONFIGS = dict(
         # pins zero-width alpha and beta under a sampled law.
         ("analyze-mc-kaplan_meier",
          analyze("kaplan_meier", engine=mc(20000, 5))),
+        # The only sampled p = 0 model on a mean-zero tangent: this pins
+        # the centered gamma rows and the centered-basis Gram as products.
+        ("analyze-mc-mixture-np-m30",
+         analyze("mixture", dict(NONPARAMETRIC, m=30), mc(20000, 2))),
         ("influence-exact-mixture-m400",
          influence("mixture", dict(NONPARAMETRIC, m=400), MEAN)),
         ("influence-mc-mixture-m30",
