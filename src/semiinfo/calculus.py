@@ -35,13 +35,13 @@ quantities evaluates the model once per outcome. ``analyze_model`` is
 the composition of the public functions on one law: the structural
 functions, Fisher information and identifiability before the solve, the
 efficient information after it. Only the structural functions carry
-standard errors, so on a sampled law no other sum forms second moments.
-On an exact law the Fisher information and ``by_score`` are compensated
-sums of per-outcome outer products in law order; on a sampled law each
-is one product (w V)^T V of stacked rows: V = S, the (N, p) parameter
-scores, for the Fisher information, and V = S - M a for ``by_score``,
-with M a the law's measure scores along the least favorable direction a
-(``OutcomeLaw.measure_scores``). The identifiability Gram is one product ``R.T @ R`` on
+standard errors. The Fisher information and ``by_score`` are each the
+law mean (``engines._law_mean``) of the outer products of stacked rows
+V: V = S, the (N, p) parameter scores, for the Fisher information, and
+V = S - M a for ``by_score``, with M a the law's measure scores along
+the least favorable direction a (``OutcomeLaw.measure_scores``). On an
+exact law that mean is compensated in law order, on a sampled law one
+matrix product. The identifiability Gram is one product ``R.T @ R`` on
 either law, with ``R = sqrt(w) [S | M Phi]`` and Phi the tangent basis.
 """
 
@@ -56,7 +56,7 @@ import numpy as np
 from .engines import (
     ClosedForm,
     StructuralFunctions,
-    _reduce,
+    _law_mean,
     outcome_law,
     structural_functions,
 )
@@ -67,7 +67,6 @@ from .likelihood import (
     TangentKind,
     _direction_scores,
     _directions,
-    _Outcome,
     _outcome,
     check_state,
     score_operator,
@@ -147,32 +146,11 @@ def _symmetric(value: np.ndarray) -> np.ndarray:
     return 0.5 * (value + value.T)
 
 
-def _evaluated_mean(engine, components: ModelComponents, state: ModelState,
-                    term: Callable) -> np.ndarray:
-    """The mean of ``term(obs, outcome)`` under the outcome law, with
-    ``outcome`` the law's evaluation of ``obs``."""
-    law = outcome_law(engine, components, state)
-    evaluated = law.evaluated
-    (value,), _ = _reduce(law, lambda obs: (term(obs, evaluated[obs]),), 0)
-    return value
-
-
-def _second_moment(engine, components: ModelComponents, state: ModelState,
-                   vector: Callable, rows: Callable) -> np.ndarray:
-    """E[v v^T] of a per-outcome vector, symmetrized. On an exact law it
-    is the compensated mean of ``np.outer(v, v)`` with
-    ``v = vector(obs, outcome)``; on a sampled law it is the one product
-    (w V)^T V of the (N, k) matrix ``V = rows(law)``, whose row i is v at
-    outcome i."""
-    law = outcome_law(engine, components, state)
-    if law.n is None:
-        def outer(obs, outcome):
-            v = vector(obs, outcome)
-            return np.outer(v, v)
-
-        return _symmetric(_evaluated_mean(law, components, state, outer))
-    v = rows(law)
-    return _symmetric((law.weights[:, np.newaxis] * v).T @ v)
+def _second_moment(law, rows: np.ndarray) -> np.ndarray:
+    """E[v v^T] over the law of the (N, k) ``rows``, row i being v at
+    outcome i, symmetrized: the mean of their outer products."""
+    return _symmetric(_law_mean(law, rows[:, :, np.newaxis]
+                                * rows[:, np.newaxis, :]))
 
 
 def fisher_information(engine, components: ModelComponents,
@@ -180,9 +158,8 @@ def fisher_information(engine, components: ModelComponents,
     """Second moment of the parameter score, shape (p, p)."""
     if components.p == 0:
         return np.zeros((0, 0))
-    return _second_moment(engine, components, state,
-                          lambda obs, outcome: outcome.score,
-                          lambda law: law.stacked.score)
+    law = outcome_law(engine, components, state)
+    return _second_moment(law, law.stacked.score)
 
 
 def adjoint_of_score(sf: StructuralFunctions, eta: DiscreteMeasure,
@@ -268,12 +245,6 @@ def _lfd_directions(components: ModelComponents, state: ModelState,
     return _directions(components, state, lfd)
 
 
-def _efficient_score(components: ModelComponents, obs, outcome: _Outcome,
-                     dirs) -> np.ndarray:
-    return outcome.score - _direction_scores(components, obs, dirs,
-                                             outcome.gv, outcome.fd)
-
-
 def efficient_score_function(components: ModelComponents, state: ModelState,
                              lfd_values: np.ndarray) -> Callable:
     """The map ``obs -> score_theta - B a`` with a the least favorable
@@ -281,8 +252,9 @@ def efficient_score_function(components: ModelComponents, state: ModelState,
     dirs = _lfd_directions(components, state, lfd_values)
 
     def eff_score(obs):
-        return _efficient_score(components, obs,
-                                _outcome(components, state, obs), dirs)
+        outcome = _outcome(components, state, obs)
+        return outcome.score - _direction_scores(components, obs, dirs,
+                                                 outcome.gv, outcome.fd)
 
     return eff_score
 
@@ -308,11 +280,9 @@ def efficient_information(engine, components: ModelComponents,
     """Both routes to the efficient information from the least favorable
     direction, the adjoint of the score and the Fisher information."""
     dirs = _lfd_directions(components, state, lfd_values)
-    by_score = _second_moment(
-        engine, components, state,
-        lambda obs, outcome: _efficient_score(components, obs, outcome,
-                                              dirs),
-        lambda law: law.stacked.score - law.measure_scores(dirs))
+    law = outcome_law(engine, components, state)
+    by_score = _second_moment(law,
+                              law.stacked.score - law.measure_scores(dirs))
     cross = adjoint.T @ dirs[1]
     by_adjoint = fisher - cross
     gap = float(np.max(np.abs(by_score - by_adjoint))) if fisher.size else 0.0

@@ -348,6 +348,9 @@ def cmd_paramcheck(cfg, out_dir, seed_override):
     if not pcfg or "path" not in pcfg or "p" not in pcfg:
         raise ConfigError("config needs a paramcheck section with 'path' and 'p'")
     mat = _read_matrix(pcfg["path"], "config.paramcheck.path")
+    if mat.size == 0:
+        raise ConfigError(f"config.paramcheck.path: matrix CSV "
+                          f"{pcfg['path']!r} is empty, shape {mat.shape}")
     p = _whole(pcfg["p"], "config.paramcheck.p", 0)
     if p > mat.shape[0]:
         raise ConfigError(f"paramcheck.p must be an integer in [0, {mat.shape[0]}]")

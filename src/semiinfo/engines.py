@@ -5,9 +5,9 @@ An engine's ``law(components, state)`` is its :class:`OutcomeLaw` at one
 state: the ordered (outcome, weight) pairs every expectation there sums
 over. Exact enumeration weights a finite outcome space by the
 exponentiated log density (checked to sum to one); Monte Carlo weights
-the distinct draws of a seeded sample by frequency, in a canonical
-order, so results are bit-reproducible for a given seed. Monte Carlo
-over an exact enumeration resamples the exact law at the state: it
+the distinct draws of a seeded sample by frequency, listed in the exact
+law's order, so results are bit-reproducible for a given seed. Monte
+Carlo over an exact enumeration resamples the exact law at the state: it
 draws what ``Generator.choice`` with the exact probabilities draws,
 counted per outcome on the sorted uniforms without a search per draw,
 and each drawn outcome keeps the g its exact weight was computed from. A
@@ -26,30 +26,34 @@ holds: an exact law's, computed once per outcome for its weights, and a
 resampled law's, taken from the exact law it was drawn from. The
 measure scores of every outcome along k directions A, an (m, k) array,
 are M A with M = (f_dot . g^T) * masses plus each outcome's
-representer of L (:meth:`OutcomeLaw.measure_scores`): one product of the
-stacked g with masses * A, weighted by f_dot, plus the representers
-times A. The representers, L applied to the identity, are formed once,
-on first use; M itself is never formed.
+representer of L (:meth:`OutcomeLaw.measure_scores`): one batched
+product of the stacked f_dot with g^T (masses * A), plus the
+representers times A. The representers, L applied to the identity, are
+formed once, on first use; M itself is never formed.
 
-How a law sums depends only on whether it is sampled. On an exact law
-one fixed-order compensated (Kahan) step sums each expectation in place,
-in one flat buffer for all its sums; exact results carry no standard
-error, so no second moment is formed. The structural pass builds no
-per-outcome (m, m) temporaries when d == 1:
+Every mean over a law except the structural pass is :func:`_law_mean`
+of stacked rows, one per outcome in law order: :func:`expect` over its
+callable's values, and in ``calculus`` the Fisher information and
+``by_score`` over the outer products of the stacked scores. How it sums
+depends only on whether the law is sampled. On an exact law it is one
+fixed-order compensated (Kahan) step per outcome; exact results carry
+no standard error, so no second moment is formed. A sampled law's sums
+carry sampling noise of order n^(-1/2), far above rounding, so there it
+is one weighted matrix product w V over the rows, and a standard error
+comes from the mean of the squared rows.
+
+The structural pass reads the stacked evaluation in the same two ways.
+On an exact law it is compensated too, in one flat buffer for all four
+sums, and builds no per-outcome (m, m) temporaries when d == 1:
 ``likelihood._structural_terms`` writes each outcome's gamma, alpha,
 kappa and beta straight into the buffer (kappa and beta as outer
 products, summed over the entries of f_ddot in a fixed order), and one
 multiply weights the block before the compensated step. Every element
 takes the operations of the expression form in the same law order, so
-its sum has the same bits. A sampled law's sums carry sampling noise of
-order n^(-1/2), far above rounding, so there each mean and second moment
-is one weighted matrix product over the stacked rows, and no per-outcome
-pass runs after the evaluation: gamma and alpha rows, and for kappa and
-beta the product of the weighted factors -g f_ddot with g and g_dot (see
-:func:`_sampled_structural`); the Fisher information and efficient
-information are products of the stacked scores (``calculus``). Only
-:func:`expect`, whose values come from a caller's function, stacks them
-one outcome at a time (w V and w (V V) for an (N, K) array V). The
+its sum has the same bits. On a sampled law each mean and second moment
+is one weighted matrix product over the stacked rows: gamma and alpha
+rows, and for kappa and beta the product of the weighted factors
+-g f_ddot with g and g_dot (see :func:`_sampled_structural`). The
 identifiability Gram, which carries no standard error, is one matrix
 product of the stacked outcome scores on either law (``calculus``).
 
@@ -185,7 +189,11 @@ class OutcomeLaw:
                        out: Optional[np.ndarray] = None) -> np.ndarray:
         """(B a)(o_i) for each outcome i and each of k checked directions
         a (``dirs``, from ``likelihood._directions``), written into the
-        (N, k) ``out`` (a new array by default) and checked finite."""
+        (N, k) ``out`` (a new array by default) and checked finite: one
+        batched product whose row i is, bit for bit, the score that
+        ``likelihood._direction_scores`` gives outcome i alone (for an
+        L that picks entries of a or takes integer combinations of
+        them; within rounding for any other)."""
         if out is None:
             out = np.empty((len(self.pairs), dirs[0].shape[1]))
         return _stacked_measure_scores(self.outcomes, self.stacked,
@@ -261,8 +269,9 @@ class MonteCarlo:
     """Expectation by simulation.
 
     ``sampler`` is an :class:`ExactEnumeration`, whose law at the state
-    is resampled. The engine counts the draws per outcome and reduces in
-    a canonical order, so two runs with the same seed agree bit for bit.
+    is resampled. The engine counts the draws per outcome and lists them
+    in the exact law's order, so two runs with the same seed agree bit
+    for bit.
     """
 
     sampler: ExactEnumeration
@@ -285,17 +294,15 @@ class MonteCarlo:
 
     def draw_weights(self, components: ModelComponents,
                      state: ModelState) -> tuple:
-        """``(pairs, gvs)``: the distinct draws with their frequencies in
-        canonical order, and each draw's g on the grid."""
+        """``(pairs, gvs)``: the distinct draws with their frequencies, in
+        the exact law's order, and each draw's g on the grid."""
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
         exact = self.sampler.law(components, state)
-        counts = _categorical_counts(
-            np.array([p for _, p in exact.pairs]), rng, self.n)
-        drawn = [(exact.pairs[i][0], int(counts[i]), i)
-                 for i in np.flatnonzero(counts).tolist()]
-        drawn.sort(key=lambda d: repr(d[0]))
-        return (tuple((obs, cnt / self.n) for obs, cnt, _ in drawn),
-                exact.gvs[[i for _, _, i in drawn]])
+        counts = _categorical_counts(exact.weights, rng, self.n)
+        idx = np.flatnonzero(counts)
+        return (tuple((exact.outcomes[i], int(counts[i]) / self.n)
+                      for i in idx.tolist()),
+                exact.gvs[idx])
 
     def law(self, components: ModelComponents,
             state: ModelState) -> OutcomeLaw:
@@ -373,53 +380,24 @@ def _standard_error(law: OutcomeLaw, mean: np.ndarray,
     return np.sqrt(np.maximum(second - mean * mean, 0.0) / law.n)
 
 
-def _reduce(law: OutcomeLaw, functional: Callable,
-            n_se: Optional[int] = None):
-    """Weighted sums over the law of each array ``functional(obs)``
-    returns, with the standard errors of the first ``n_se`` of them (all
-    by default; zeros unless the law is sampled).
+def _law_mean(law: OutcomeLaw, rows: np.ndarray) -> np.ndarray:
+    """The mean over the law of ``rows``, whose leading axis runs over the
+    law's outcomes in law order: sum_i w_i rows_i.
 
-    On an exact law the sums are compensated in law order, all in one
-    :class:`_CompensatedSums`: per outcome the weighted values are
-    written into its term buffer and one compensated step adds them. Each
-    sum is elementwise, so its bits do not depend on which others are
-    formed. On a sampled law, whose sums carry sampling noise far above
-    rounding, each outcome's values are one row of an (N, K) array V, and
-    the means and second moments are the products w V and w (V V) with
-    the weights w; the second moments are of all K columns whatever
-    ``n_se`` is, so no bit depends on it."""
+    On an exact law it is the compensated (Kahan) sum in law order, one
+    :class:`_CompensatedSums` step per outcome, each elementwise, so its
+    bits are those of the per-outcome sum. On a sampled law, whose sums
+    carry sampling noise far above rounding, it is the one product w V
+    with V the rows flattened to (N, K)."""
     if law.n is not None:
-        return _sampled_reduce(law, functional, n_se)
-    acc = None
-    for obs, weight in law.pairs:
-        vals = [np.asarray(v, dtype=float) for v in functional(obs)]
-        if acc is None:
-            acc = _CompensatedSums([v.shape for v in vals])
-        for v, slot in zip(vals, acc.slots):
-            np.multiply(weight, v, out=slot)
+        flat = law.weights @ rows.reshape(len(rows), -1)
+        return flat.reshape(rows.shape[1:])
+    acc = _CompensatedSums([rows.shape[1:]])
+    slot, = acc.slots
+    for weight, row in zip(law.weights, rows):
+        np.multiply(weight, row, out=slot)
         acc.add()
-    means = acc.sums()
-    return means, [np.zeros_like(v) for v in means[:n_se]]
-
-
-def _sampled_reduce(law: OutcomeLaw, functional: Callable,
-                    n_se: Optional[int]):
-    """:func:`_reduce` on a sampled law, by matrix products."""
-    stacked = spans = None
-    for row, (obs, _) in enumerate(law.pairs):
-        vals = [np.asarray(v, dtype=float) for v in functional(obs)]
-        if stacked is None:
-            spans = _spans([v.shape for v in vals])
-            stacked = np.empty((len(law.pairs), spans[-1][1]))
-        for v, (a, b, _) in zip(vals, spans):
-            stacked[row, a:b] = v.ravel()
-    weights = law.weights
-    means = _unflatten(weights @ stacked, spans)
-    if n_se == 0:
-        return means, []
-    seconds = _unflatten(weights @ (stacked * stacked), spans)
-    return means, [_standard_error(law, v, s2)
-                   for v, s2 in zip(means[:n_se], seconds[:n_se])]
+    return acc.sums()[0]
 
 
 def expect(engine, components: ModelComponents, state: ModelState,
@@ -427,7 +405,13 @@ def expect(engine, components: ModelComponents, state: ModelState,
     """Expectation of ``functional(obs)`` (scalar or array valued) under
     the model's outcome law at the given state."""
     law = outcome_law(engine, components, state)
-    (value,), (se,) = _reduce(law, lambda obs: (functional(obs),))
+    rows = np.stack([np.asarray(functional(obs), dtype=float)
+                     for obs in law.outcomes])
+    value = _law_mean(law, rows)
+    if law.n is None:
+        se = np.zeros_like(value)
+    else:
+        se = _standard_error(law, value, _law_mean(law, rows * rows))
     if np.ndim(value) == 0:
         value, se = float(value), float(se)
     return ExpectResult(value, se, law.n)

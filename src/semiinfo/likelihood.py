@@ -392,16 +392,18 @@ def _stacked_measure_scores(outcomes, stacked: _Outcome,
     ``outcomes`` along checked directions ``dirs`` (from
     :func:`_directions`): M a for each direction a, with
     M = (f_dot . g^T) * masses plus the representers of L, formed as
-    f_dot . (g^T (masses a)) + L(a) by one product over the stacked g per
-    coordinate of x, so M itself is never formed. Raises
-    :class:`EvaluationError` naming the first outcome whose scores are
-    not finite."""
+    f_dot . (g^T (masses a)) + L(a) by one batched product over the
+    stacked g and f_dot, so M itself is never formed. numpy makes each
+    outcome's slice of the batch the BLAS call that
+    :func:`_direction_scores` makes for that outcome alone, so the two
+    agree bit for bit wherever the representer product rounds as L
+    does (L picking entries of a, or integer combinations of them).
+    Raises :class:`EvaluationError` naming the first outcome whose
+    scores are not finite."""
     arr, weighted = dirs
-    gv, fd = stacked.gv, stacked.fd
-    np.matmul(gv[:, :, 0], weighted, out=out)
-    out *= fd[:, :1]
-    for e in range(1, fd.shape[1]):
-        out += (gv[:, :, e] @ weighted) * fd[:, e:e + 1]
+    np.matmul(stacked.fd[:, np.newaxis],
+              stacked.gv.transpose(0, 2, 1) @ weighted,
+              out=out[:, np.newaxis])
     if ell_rows is not None:
         out += ell_rows @ arr
     bad = ~np.all(np.isfinite(out), axis=1)

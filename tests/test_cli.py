@@ -507,6 +507,14 @@ def _unparsable_matrix(tmp_path):
     return _paramcheck(path)
 
 
+def _empty_matrix(tmp_path):
+    # what analyze writes as the lfd.csv of a p = 0 model
+    path = tmp_path / "info.csv"
+    write_matrix_csv(path, np.zeros((0, 0)))
+    assert path.read_text() == "# 0,0\n"
+    return dict(_paramcheck(path), paramcheck={"path": str(path), "p": 0})
+
+
 def _non_finite_matrix(entry):
     def build(tmp_path):
         path = tmp_path / "info.csv"
@@ -544,6 +552,7 @@ BAD_INPUTS = [
      "config.paramcheck.path"),
     ("paramcheck-nan-csv", _non_finite_matrix("nan"),
      "config.paramcheck.path"),
+    ("paramcheck-empty-csv", _empty_matrix, "config.paramcheck.path"),
     ("influence-nan-csv", _non_finite_derivative, "config.influence.path"),
     ("validate-params-misspelt-model",
      _validate(models=["kaplan_meier"],

@@ -13,9 +13,9 @@ from semiinfo import (
     structural_functions,
     zoo,
 )
-from semiinfo.calculus import (_efficient_score, _identifiability_directions,
+from semiinfo.calculus import (_identifiability_directions,
                                _identifiability_gram, _lfd_directions)
-from semiinfo.engines import _reduce, outcome_law
+from semiinfo.engines import _law_mean, outcome_law
 from semiinfo.errors import DomainError, NotAvailableError
 from semiinfo.likelihood import (ModelState, TangentKind, _direction_scores,
                                  _directions, _g_and_f_dot,
@@ -283,27 +283,9 @@ def test_a_dense_f_ddot_gives_the_same_bytes_in_either_memory_order(kind):
     assert got[0] == got[1]
 
 
-def test_reduced_means_do_not_depend_on_which_second_moments_are_formed():
-    model = zoo.build("cox_cs", m=12)
-    c, s = model.components, model.state
-    law = outcome_law(MonteCarlo(model.sampler, 3000, 11), c, s)
-
-    def terms(obs):
-        gv, fd = _g_and_f_dot(c, s, obs)
-        return _structural_oracle(c, s, obs, gv, g_dot_values(c, s, obs), fd)
-
-    means, ses = _reduce(law, terms)
-    assert len(ses) == 4 and all(np.any(se > 0.0) for se in ses)
-    for n_se in (0, 1, 2, 4):
-        got_means, got_ses = _reduce(law, terms, n_se)
-        assert len(got_ses) == n_se
-        for want, got in zip(means + ses, got_means + got_ses):
-            assert np.array_equal(want, got)
-
-
 def _kahan_oracle(law, functional, n_se=None):
     """The compensated reducer written as one pair of accumulators per
-    array, with fresh temporaries each step: the reference ``_reduce``
+    array, with fresh temporaries each step: the reference ``_law_mean``
     must match bit for bit on an exact law, and within rounding on a
     sampled one."""
     sampled = law.n is not None
@@ -370,15 +352,15 @@ def _assert_within_rounding(law, functional, means, ses, symmetrized=()):
                       <= np.sqrt(4 * n_out * UNIT_ROUNDOFF * squares / law.n))
 
 
-@pytest.mark.parametrize("n_se", [0, 1, None])
-@pytest.mark.parametrize("kind", ["exact", "mc"])
-def test_reduce_matches_the_per_array_kahan_sum(kind, n_se):
+@pytest.mark.parametrize("n", [None, 1, 40, 3000])
+def test_law_mean_matches_the_per_array_kahan_sum(n):
     # Bit for bit on an exact law; within rounding on a sampled law, which
-    # _reduce sums by matrix products.
+    # _law_mean sums by one matrix product. expect's standard errors, from
+    # the law mean of the squared rows, are within rounding too.
     model = zoo.build("cox_cs", m=12)
     c, s = model.components, model.state
-    engine = (model.exact if kind == "exact"
-              else MonteCarlo(model.sampler, 3000, 11))
+    engine = (model.exact if n is None
+              else MonteCarlo(model.sampler, n, 11))
     law = outcome_law(engine, c, s)
     evaluated = law.evaluated
 
@@ -388,21 +370,74 @@ def test_reduce_matches_the_per_array_kahan_sum(kind, n_se):
         return (float(e.fd @ e.gv.sum(axis=0)),
                 *_structural_oracle(c, s, obs, e.gv, e.gd, e.fd))
 
-    means, ses = _reduce(law, terms, n_se)
+    rows = [np.stack(column) for column in
+            zip(*(terms(obs) for obs in law.outcomes))]
+    means = [_law_mean(law, r) for r in rows]
     assert len(means) == 5 and means[0].shape == ()
-    if kind == "mc":
+    results = [expect(law, c, s, lambda obs, i=i: terms(obs)[i])
+               for i in range(5)]
+    for mean, result in zip(means, results):
+        assert np.array_equal(mean, result.value)
+    ses = [np.asarray(result.se) for result in results]
+    if n is not None:
         _assert_within_rounding(law, terms, means, ses)
-        if n_se != 0:
-            assert np.any(ses[-1] > 0.0)
+        assert np.any(ses[-1] > 0.0) == (len(law.pairs) > 1)
     else:
-        want_means, want_ses = _kahan_oracle(law, terms, n_se)
-        assert len(ses) == len(want_ses)
+        want_means, want_ses = _kahan_oracle(law, terms)
         for want, got in zip(want_means + want_ses, means + ses):
             assert got.shape == want.shape and np.array_equal(got, want)
-    out = means + ses
-    for i, a in enumerate(out):
-        for b in out[i + 1:]:
+    for i, a in enumerate(means):
+        for b in means[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def test_exact_law_means_do_not_depend_on_the_other_columns():
+    # The compensated step is elementwise, so on an exact law the mean of
+    # any block of columns has the bits of that block of the joint mean,
+    # and second moments summed apart (Fisher, by_score) equal a joint sum.
+    model = zoo.build("cox_cs", m=12)
+    law = outcome_law(model.exact, model.components, model.state)
+    st = law.stacked
+    rows = np.concatenate([st.score, st.gv.reshape(len(st.gv), -1)], axis=1)
+    joint = _law_mean(law, rows)
+    for a, b in ((0, 1), (0, 3), (1, 5), (4, rows.shape[1])):
+        assert np.array_equal(_law_mean(law, rows[:, a:b]), joint[a:b])
+    outer = rows[:, :, None] * rows[:, None, :]
+    assert np.array_equal(_law_mean(law, outer)[:2, :2],
+                          _law_mean(law, outer[:, :2, :2]))
+
+
+@pytest.mark.parametrize("shape", [(), (2,)])
+@pytest.mark.parametrize("n", [None, 500])
+def test_expect_gives_a_standard_error_in_the_shape_of_its_value(n, shape):
+    # A scalar functional gives floats; an array one gives arrays of its
+    # shape. The standard error is zero on an exact law and, on a sampled
+    # one, sqrt((E v^2 - (E v)^2) / n) over the drawn frequencies.
+    model = zoo.build("mixture")
+    c, s = model.components, model.state
+    engine = model.exact if n is None else MonteCarlo(model.sampler, n, 5)
+
+    def f(obs):
+        x = float(obs.x)
+        return x if shape == () else np.array([x, x * x])
+
+    res = expect(engine, c, s, f)
+    assert res.n == n
+    if shape == ():
+        assert type(res.value) is float and type(res.se) is float
+    else:
+        assert res.value.shape == res.se.shape == shape
+    law = outcome_law(engine, c, s)
+    values = np.array([f(obs) for obs in law.outcomes])
+    mean = np.tensordot(law.weights, values, axes=1)
+    assert np.allclose(res.value, mean, rtol=1e-13, atol=0.0)
+    if n is None:
+        assert np.all(np.asarray(res.se) == 0.0)
+    else:
+        second = np.tensordot(law.weights, values * values, axes=1)
+        want = np.sqrt((second - mean * mean) / n)
+        assert np.all(want > 0.0)
+        assert np.allclose(res.se, want, rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("model_id", list(zoo.MODELS))
@@ -417,9 +452,9 @@ def test_categorical_draws_are_those_of_generator_choice(model_id):
             idx = np.random.default_rng(seed).choice(len(outcomes), size=n,
                                                      p=probs)
             counts = np.bincount(idx, minlength=len(outcomes))
-            want = sorted(((outcomes[i], int(counts[i]) / n)
-                           for i in np.flatnonzero(counts).tolist()),
-                          key=lambda kv: repr(kv[0]))
+            # in the exact law's order
+            want = [(outcomes[i], int(counts[i]) / n)
+                    for i in np.flatnonzero(counts).tolist()]
             pairs, gvs = MonteCarlo(model.exact, n, seed).draw_weights(c, s)
             assert pairs == tuple(want)
             # each drawn outcome keeps the exact law's g
@@ -464,21 +499,18 @@ _STACKED_CASES = (
                     id="mixture-np-m30")])
 
 
-def _assert_scores_within_rounding(c, s, law, directions):
+def _assert_scores_are_per_outcome(c, s, law, directions):
     """The stacked measure scores M a, for the columns a of
-    ``directions``, against the per-outcome ones: each within the rounding
-    of the two length-(m d + 1) dot products that form it, gamma_{m d + 3}
-    times the sum of the absolute terms, twice."""
-    st, ell = law.stacked, law.ell_rows
-    terms = (np.einsum("nid,nd->ni", np.abs(st.gv), np.abs(st.fd))
-             * s.eta.masses
-             + (0.0 if ell is None else np.abs(ell))) @ np.abs(directions)
-    bound = 2.0 * _gamma(c.gdim * s.eta.size + 3) * terms
+    ``directions``, against the per-outcome ones, bit for bit: each
+    outcome's slice of the batched product is the BLAS call one outcome's
+    score makes, and the zoo's L picks entries of a (or integer
+    combinations of them), which its representer product reproduces."""
+    st = law.stacked
     dirs = _directions(c, s, directions)
     got = law.measure_scores(dirs)
     for row, obs in enumerate(law.outcomes):
         want = _direction_scores(c, obs, dirs, st.gv[row], st.fd[row])
-        assert np.all(np.abs(got[row] - want) <= bound[row]), obs
+        assert np.array_equal(got[row], want), obs
     return got
 
 
@@ -486,14 +518,14 @@ def _assert_scores_within_rounding(c, s, law, directions):
 @pytest.mark.parametrize("model_id,params", _STACKED_CASES)
 def test_stacked_second_moments_are_within_rounding_of_the_kahan_oracle(
         model_id, params, n):
-    # The identifiability Gram on every law, and on a sampled law the
-    # Fisher information and by_score, are products of stacked scores:
-    # the parameter scores, and the measure scores M a of the law's
-    # (N, m) measure-score matrix M. Each stacked score must be within
-    # rounding of the per-outcome score, and each product within rounding
-    # of the compensated mean of the outer products of its rows (bit for
-    # bit on an exact law, where Fisher and by_score stay compensated).
-    # The Gram is exactly symmetric.
+    # The identifiability Gram, the Fisher information and by_score read
+    # the stacked scores on every law: the parameter scores, and the
+    # measure scores M a of the law's (N, m) measure-score matrix M. Each
+    # stacked score must equal the per-outcome score bit for bit. The
+    # Gram is one product R^T R, exactly symmetric and within rounding of
+    # the compensated mean of the outer products of its rows; Fisher and
+    # by_score are that compensated mean bit for bit on an exact law, and
+    # within rounding of it on a sampled one.
     model = zoo.build(model_id, **params)
     c, s = model.components, model.state
     engine = model.exact if n is None else MonteCarlo(model.exact, n, 3)
@@ -506,19 +538,22 @@ def test_stacked_second_moments_are_within_rounding_of_the_kahan_oracle(
     scores = law.stacked.score
     got = [gram]
     stacked = [np.concatenate(
-        [scores, _assert_scores_within_rounding(c, s, law, basis)], axis=1)]
+        [scores, _assert_scores_are_per_outcome(c, s, law, basis)], axis=1)]
     if c.p:
         lfd = _lfd_directions(c, s, report.lfd.values)
         got += [report.fisher, report.efficient.by_score]
         stacked += [scores,
-                    scores - _assert_scores_within_rounding(c, s, law, lfd[0])]
+                    scores - _assert_scores_are_per_outcome(c, s, law, lfd[0])]
         if n is None:
-            # On an exact law both stay compensated sums of the
+            # On an exact law both are compensated sums of the
             # per-outcome outer products, bit for bit.
+            def efficient_score(obs):
+                e = evaluated[obs]
+                return e.score - _direction_scores(c, obs, lfd, e.gv, e.fd)
+
             for got_value, vector in (
                     (report.fisher, lambda obs: evaluated[obs].score),
-                    (report.efficient.by_score, lambda obs: _efficient_score(
-                        c, obs, evaluated[obs], lfd))):
+                    (report.efficient.by_score, efficient_score)):
                 (want,), _ = _kahan_oracle(
                     law, lambda obs: [np.outer(vector(obs), vector(obs))], 0)
                 assert np.array_equal(got_value, 0.5 * (want + want.T))
