@@ -136,7 +136,10 @@ def load_config(path) -> dict:
 def _read_matrix(path, where):
     """The matrix CSV a config field names; a file that cannot be read
     or parsed, or that holds a non-finite entry, is a configuration
-    error."""
+    error, and so is a ``path`` that is not a non-empty string (``open``
+    would read an integer as a file descriptor)."""
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"{where} must be a non-empty string, got {path!r}")
     try:
         mat = read_matrix_csv(path)
     except (OSError, ValueError) as exc:
@@ -216,6 +219,10 @@ def cmd_validate(cfg, out_dir, seed_override):
     kwargs = {}
     if "h" in vcfg:
         kwargs["h"] = _real(vcfg["h"], "config.validate.h", above=0)
+        if kwargs["h"] ** 2 == 0.0:
+            # The finite-difference tolerances scale with h * h.
+            raise ConfigError("config.validate.h must be a number whose "
+                              f"square is above 0, got {vcfg['h']!r}")
     for key in ("n_op_dirs", "n_pair", "n_outcomes"):
         if key in vcfg:
             kwargs[key] = _whole(vcfg[key], f"config.validate.{key}", 1)
@@ -277,10 +284,7 @@ def _functional_derivative(icfg, model):
     if kind == "mean":
         return eta.grid.points.astype(float)
     if kind == "csv":
-        path = icfg.get("path")
-        if not path:
-            raise ConfigError("functional 'csv' needs a 'path'")
-        values = _read_matrix(path, "config.influence.path")
+        values = _read_matrix(icfg.get("path"), "config.influence.path")
         if values.shape != (eta.size, 1):
             raise ConfigError(
                 f"chi_dot CSV has shape {values.shape}, expected ({eta.size}, 1)"

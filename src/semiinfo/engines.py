@@ -31,29 +31,25 @@ product of the stacked f_dot with g^T (masses * A), plus the
 representers times A. The representers, L applied to the identity, are
 formed once, on first use; M itself is never formed.
 
-Every mean over a law except the structural pass is :func:`_law_mean`
-of stacked rows, one per outcome in law order: :func:`expect` over its
-callable's values, and in ``calculus`` the Fisher information and
-``by_score`` over the outer products of the stacked scores. How it sums
-depends only on whether the law is sampled. On an exact law it is one
+Every mean over a law is summed in one of two ways, and which depends
+only on whether the law is sampled. On an exact law it is one
 fixed-order compensated (Kahan) step per outcome; exact results carry
 no standard error, so no second moment is formed. A sampled law's sums
 carry sampling noise of order n^(-1/2), far above rounding, so there it
-is one weighted matrix product w V over the rows, and a standard error
-comes from the mean of the squared rows.
+is one weighted matrix product over the rows, and a standard error
+comes from the mean of the squared rows. :func:`_law_mean` sums stacked
+rows, one per outcome in law order, this way: :func:`expect` over its
+callable's values, and in ``calculus`` the Fisher information and
+``by_score`` over the outer products of the stacked scores.
 
-The structural pass reads the stacked evaluation in the same two ways.
-On an exact law it is compensated too, in one flat buffer for all four
-sums, and builds no per-outcome (m, m) temporaries when d == 1:
-``likelihood._structural_terms`` writes each outcome's gamma, alpha,
-kappa and beta straight into the buffer (kappa and beta as outer
-products, summed over the entries of f_ddot in a fixed order), and one
-multiply weights the block before the compensated step. Every element
-takes the operations of the expression form in the same law order, so
-its sum has the same bits. On a sampled law each mean and second moment
-is one weighted matrix product over the stacked rows: gamma and alpha
-rows, and for kappa and beta the product of the weighted factors
--g f_ddot with g and g_dot (see :func:`_sampled_structural`). The
+The structural pass forms its integrands once, as stacked factors, for
+either law (:func:`_structural_factors`): each outcome's gamma | alpha
+row, and h_e = -sum_i g_i f_ddot_ie with the g_e | g_dot_e it multiplies,
+so kappa | beta is sum_e h_e (x) [g_e | g_dot_e]. An exact law sums one
+(1 + m, m (1 + p)) term per outcome, the row over that block, with one
+compensated step each, in law order (:func:`_exact_structural`); a
+sampled law sums the same layout and its second moment by weighted
+products of the factors (:func:`_sampled_structural`). The
 identifiability Gram, which carries no standard error, is one matrix
 product of the stacked outcome scores on either law (``calculus``).
 
@@ -83,10 +79,8 @@ the identity by an O(1) amount, not by rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -101,7 +95,6 @@ from .likelihood import (
     _log_density,
     _stacked_measure_scores,
     _Outcome,
-    _structural_terms,
     check_state,
     g_values,
 )
@@ -334,30 +327,14 @@ def outcome_law(engine, components: ModelComponents,
     return build(components, state)
 
 
-def _spans(shapes) -> list:
-    """``(start, stop, shape)`` of each array of ``shapes`` laid out flat,
-    one after the other."""
-    ends = list(accumulate(math.prod(shape) for shape in shapes))
-    return list(zip([0] + ends, ends, shapes))
-
-
-def _unflatten(flat: np.ndarray, spans) -> list:
-    """The arrays of ``spans`` read from ``flat``, as fresh copies."""
-    return [flat[a:b].reshape(shape).copy() for a, b, shape in spans]
-
-
 class _CompensatedSums:
-    """Compensated sums of a fixed list of arrays, in three flat buffers
-    (running total, compensation and term). The caller writes one
-    outcome's weighted terms into :attr:`slots`, views of the term
-    buffer, and :meth:`add` adds the whole buffer in one compensated
-    (Kahan) step."""
+    """A compensated sum of arrays of one shape, in three buffers (running
+    total, compensation and term). The caller writes one outcome's
+    weighted term into :attr:`term` and :meth:`add` adds it in one
+    compensated (Kahan) step; :attr:`total` holds the sum."""
 
-    def __init__(self, shapes):
-        self.spans = _spans(shapes)
-        self.total, self.comp, self.term = np.zeros((3, self.spans[-1][1]))
-        self.slots = [self.term[a:b].reshape(shape)
-                      for a, b, shape in self.spans]
+    def __init__(self, shape):
+        self.total, self.comp, self.term = (np.zeros(shape) for _ in range(3))
 
     def add(self):
         # The Kahan step y = term - comp, t = total + y,
@@ -368,10 +345,6 @@ class _CompensatedSums:
         np.subtract(comp, total, out=total)
         np.subtract(total, term, out=total)
         self.total, self.comp = comp, total
-
-    def sums(self) -> list:
-        """Copies of the sums, so no caller keeps the buffers alive."""
-        return _unflatten(self.total, self.spans)
 
 
 def _standard_error(law: OutcomeLaw, mean: np.ndarray,
@@ -392,12 +365,11 @@ def _law_mean(law: OutcomeLaw, rows: np.ndarray) -> np.ndarray:
     if law.n is not None:
         flat = law.weights @ rows.reshape(len(rows), -1)
         return flat.reshape(rows.shape[1:])
-    acc = _CompensatedSums([rows.shape[1:]])
-    slot, = acc.slots
+    acc = _CompensatedSums(rows.shape[1:])
     for weight, row in zip(law.weights, rows):
-        np.multiply(weight, row, out=slot)
+        np.multiply(weight, row, out=acc.term)
         acc.add()
-    return acc.sums()[0]
+    return acc.total
 
 
 def expect(engine, components: ModelComponents, state: ModelState,
@@ -448,12 +420,15 @@ def structural_functions(engine, components: ModelComponents,
         return engine.structural(components, state)
 
     law = outcome_law(engine, components, state)
+    factors = _structural_factors(law, components, state)
     if law.n is None:
-        gamma, alpha, kappa, beta = _exact_structural(law, components, state)
-        ses = [np.zeros_like(v) for v in (gamma, alpha, kappa, beta)]
+        sums = _exact_structural(law, *factors)
+        ses = np.zeros_like(sums)
     else:
-        (gamma, alpha, kappa, beta), ses = _sampled_structural(
-            law, components, state)
+        sums, ses = _sampled_structural(law, *factors)
+    m, p = state.eta.size, components.p
+    gamma, alpha, kappa, beta = _split_structural(sums, m, p)
+    ses = _split_structural(ses, m, p)
     # Symmetrize kappa; it is symmetric in exact arithmetic.
     kappa = 0.5 * (kappa + kappa.T)
     return StructuralFunctions(
@@ -463,69 +438,96 @@ def structural_functions(engine, components: ModelComponents,
     )
 
 
-def _exact_structural(law: OutcomeLaw, components: ModelComponents,
-                      state: ModelState) -> list:
-    """Gamma, alpha, kappa and beta over an exact law, compensated in law
-    order: each outcome's values are written straight into the term
-    buffer and weighted there in place (term = w v) before the
-    compensated step."""
-    evaluated = law.evaluated
-    m, p = state.eta.size, components.p
-    acc = _CompensatedSums([(m,), (m, p), (m, m), (m, m, p)])
-    for obs, weight in law.pairs:
-        _structural_terms(components, state, obs, evaluated[obs], acc.slots)
-        np.multiply(weight, acc.term, out=acc.term)
-        acc.add()
-    return acc.sums()
+def _structural_factors(law: OutcomeLaw, components: ModelComponents,
+                        state: ModelState) -> tuple:
+    """Every outcome's structural integrands as stacked factors, formed
+    from the law's stacked evaluation: ``(first, h, right)``.
 
-
-def _sampled_structural(law: OutcomeLaw, components: ModelComponents,
-                        state: ModelState):
-    """Gamma, alpha, kappa and beta over a sampled law with their
-    standard errors, each mean and second moment one weighted matrix
-    product of factors formed from the law's stacked evaluation.
-
-    kappa(v, u) sums h_e(v) g_e(u) over e, with h = -g f_ddot, and beta
-    the same with g_dot_e(u, j) for g_e(u). So over the stacked
-    (outcome, e) rows of h and of [g | g_dot], kappa and beta are one
-    product (w h)^T [g | g_dot], and their second moments are the same
-    product over (outcome, e, e') rows of h_e h_e' and of the matching
-    products of [g | g_dot] rows. Gamma and alpha are one row per
-    outcome."""
+    ``first`` is the (N, m (1 + p)) gamma | alpha row of each outcome.
+    kappa(v, u) sums h_e(v) g_e(u) over e, with h_e = sum_i g_i (-f_ddot_ie),
+    and beta the same with g_dot_e(u, j) for g_e(u): ``h`` is the
+    (N, d, m) array of the h_e, summed elementwise in i order so its bits
+    depend neither on BLAS nor on how f_ddot is laid out, and ``right``
+    the (N, d, m (1 + p)) array of the g_e | g_dot_e."""
     st = law.stacked
     m, p, d = state.eta.size, components.p, components.gdim
-    width = m * (1 + p)
     n_out = len(law.pairs)
-    if components.tangent is TangentKind.L2_ZERO:
-        gamma = np.einsum("nid,nd->ni", st.gv - st.x[:, np.newaxis], st.fd)
-        if law.ell_rows is not None:
-            gamma -= np.sum(law.ell_rows, axis=1)[:, np.newaxis]
-    else:
-        gamma = np.einsum("nid,nd->ni", st.gv, st.fd)
+    centered = components.tangent is TangentKind.L2_ZERO
+    gamma = np.einsum("nid,nd->ni",
+                      st.gv - st.x[:, np.newaxis] if centered else st.gv,
+                      st.fd)
     alpha = np.einsum("nidj,nd->nij", st.gd, st.fd)
-    # gamma | alpha, one row per outcome
     first = np.negative(np.concatenate(
         [gamma, alpha.reshape(n_out, m * p)], axis=1))
-    h = np.negative(st.gv @ st.fdd).transpose(0, 2, 1)
-    right = np.concatenate(       # g | g_dot, one row per (outcome, e)
-        [st.gv.transpose(0, 2, 1),
-         st.gd.transpose(0, 2, 1, 3).reshape(n_out, d, m * p)], axis=2)
-    weights = law.weights
-    h2 = (h[:, :, np.newaxis] * h[:, np.newaxis]).reshape(-1, m)
-    right2 = (right[:, :, np.newaxis] * right[:, np.newaxis]).reshape(
-        -1, width)
-    means = [weights @ first,
-             (np.repeat(weights, d)[:, np.newaxis]
-              * h.reshape(-1, m)).T @ right.reshape(-1, width)]
-    seconds = [weights @ (first * first),
-               (np.repeat(weights, d * d)[:, np.newaxis] * h2).T @ right2]
-    ses = [_standard_error(law, v, s2) for v, s2 in zip(means, seconds)]
-    return [_split_structural(arr, m, p) for arr in (means, ses)]
+    if centered and law.ell_rows is not None:
+        # L(1) of each outcome: its representer summed
+        first[:, :m] += np.sum(law.ell_rows, axis=1)[:, np.newaxis]
+    g = st.gv.transpose(0, 2, 1)
+    minus_fdd = np.negative(st.fdd)[..., np.newaxis]
+    h = sum((g[:, i, np.newaxis] * minus_fdd[:, i] for i in range(1, d)),
+            g[:, 0, np.newaxis] * minus_fdd[:, 0])
+    right = np.concatenate(
+        [g, st.gd.transpose(0, 2, 1, 3).reshape(n_out, d, m * p)], axis=2)
+    return first, h, right
 
 
-def _split_structural(flat: list, m: int, p: int) -> list:
-    """Gamma, alpha, kappa and beta from the (m (1 + p),) gamma | alpha
-    row and the (m, m (1 + p)) kappa | beta block."""
-    rows, block = flat
-    return [rows[:m], rows[m:].reshape(m, p),
-            block[:, :m], block[:, m:].reshape(m, m, p)]
+def _exact_structural(law: OutcomeLaw, first: np.ndarray, h: np.ndarray,
+                      right: np.ndarray) -> np.ndarray:
+    """The (1 + m, m (1 + p)) sum over an exact law of the gamma | alpha
+    row over the kappa | beta block, compensated in law order: each
+    outcome's term is its ``first`` row over sum_e h_e (x) right_e, added
+    elementwise in e order, weighted in place before one compensated
+    step."""
+    d = h.shape[1]
+    acc = _CompensatedSums((1 + h.shape[2], first.shape[1]))
+    term = acc.term
+    block = term[1:]
+    spare = np.empty_like(block) if d > 1 else None
+    for weight, row, hs, rs in zip(law.weights, first, h, right):
+        term[0] = row
+        np.multiply(hs[0, :, np.newaxis], rs[0], out=block)
+        for e in range(1, d):
+            np.multiply(hs[e, :, np.newaxis], rs[e], out=spare)
+            block += spare
+        np.multiply(weight, term, out=term)
+        acc.add()
+    return acc.total
+
+
+def _sampled_structural(law: OutcomeLaw, first: np.ndarray, h: np.ndarray,
+                        right: np.ndarray) -> tuple:
+    """The sum over a sampled law of the gamma | alpha row over the
+    kappa | beta block, as in :func:`_exact_structural`, with its standard
+    error: each mean and second moment is one weighted matrix product.
+
+    Over the stacked (outcome, e) rows of h and of right, the block is the
+    one product (w h)^T right; its second moment is the same product over
+    the (outcome, e, e') rows of h_e h_e' and of right_e right_e'."""
+    def pairs(a):     # the (N, d * d, K) products a_e a_e'
+        return (a[:, :, np.newaxis] * a[:, np.newaxis]).reshape(
+            len(a), -1, a.shape[2])
+
+    mean = _weighted_structural(law.weights, first, h, right)
+    second = _weighted_structural(law.weights, first * first, pairs(h),
+                                  pairs(right))
+    return mean, _standard_error(law, mean, second)
+
+
+def _weighted_structural(weights: np.ndarray, rows: np.ndarray,
+                         left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_o w_o rows_o over sum_o w_o sum_e left_oe (x) right_oe, for
+    (N, W) rows and (N, k, m) and (N, k, W) factors, by matrix products."""
+    k, m = left.shape[1:]
+    block = ((np.repeat(weights, k)[:, np.newaxis] * left.reshape(-1, m)).T
+             @ right.reshape(-1, right.shape[2]))
+    return np.concatenate([(weights @ rows)[np.newaxis], block])
+
+
+def _split_structural(sums: np.ndarray, m: int, p: int) -> list:
+    """Gamma, alpha, kappa and beta from the (1 + m, m (1 + p)) gamma |
+    alpha row over the kappa | beta block, as copies, so no caller keeps
+    the whole layout alive through a view."""
+    rows, block = sums[0], sums[1:]
+    return [part.copy() for part in (rows[:m], rows[m:].reshape(m, p),
+                                     block[:, :m],
+                                     block[:, m:].reshape(m, m, p))]

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -278,39 +277,6 @@ def _evaluate(components: ModelComponents, state: ModelState, outcomes,
     return stacked
 
 
-def _structural_terms(components: ModelComponents, state: ModelState, obs,
-                      outcome: _Outcome, out):
-    """Write one outcome's integrands of the structural functions into
-    ``out``, the (m,), (m, p), (m, m) and (m, m, p) arrays for gamma,
-    alpha, kappa and beta, from its evaluation ``outcome``.
-
-    Kappa and beta are written in place, in a fixed order: over
-    (i, j) with i outer and j inner, the outer product of
-    g_i(v) (-f_ddot[i, j]) with g_j(u) and with g_dot_j(u) is written
-    (the first) or added (the rest). With d == 1 that is the one product
-    ``-np.einsum("vd,de,ue->vu", g, f_ddot, g)`` (and its beta analogue)
-    forms, so it rounds the same way; with d > 1 the order does not
-    depend on how f_ddot is laid out in memory."""
-    gamma, alpha, kappa, beta = out
-    gv, gd, fd, fdd = outcome.gv, outcome.gd, outcome.fd, outcome.fdd
-    if components.tangent is TangentKind.L2_ZERO:
-        np.negative((gv - outcome.x[np.newaxis, :]) @ fd, out=gamma)
-        gamma += ell_of_ones(components, state, obs)
-    else:
-        np.negative(gv @ fd, out=gamma)
-    np.negative(np.einsum("vdj,d->vj", gd, fd), out=alpha)
-    d = components.gdim
-    spare = (np.empty_like(kappa), np.empty_like(beta)) if d > 1 else None
-    for step, (i, j) in enumerate(product(range(d), repeat=2)):
-        a = (gv[:, i] * -fdd[i, j])[:, np.newaxis]
-        k, b = spare if step else (kappa, beta)
-        np.multiply(a, gv[:, j], out=k)
-        np.multiply(a[:, :, np.newaxis], gd[:, j], out=b)
-        if step:
-            kappa += k
-            beta += b
-
-
 def _measure_score(components: ModelComponents, obs, gv: np.ndarray,
                    fd: np.ndarray, weighted: np.ndarray,
                    av: np.ndarray) -> float:
@@ -470,9 +436,3 @@ def _score_operator(components: ModelComponents, state: ModelState, obs, a):
     return _measure_score(components, obs, gv, fd, state.eta.masses * av,
                           av), gv
 
-
-def ell_of_ones(components: ModelComponents, state: ModelState, obs) -> float:
-    """L applied to the constant direction 1 (0 when L is absent)."""
-    if components.ell is None:
-        return 0.0
-    return float(components.ell(np.ones(state.eta.size), obs))

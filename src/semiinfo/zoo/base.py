@@ -72,6 +72,24 @@ def require_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def require_theta(value, p: int) -> np.ndarray:
+    """The parameter theta as a finite 1-d float vector of length ``p``
+    (a number counts when p == 1), refused unless it is one: a bool, a
+    string or a nested list is not."""
+    try:
+        th = np.asarray(value)
+    except ValueError:      # a ragged list
+        th = np.asarray(None)
+    if th.dtype.kind in "iuf":
+        th = th.astype(float)
+        if th.ndim == 0 and p == 1:
+            th = th.reshape(1)
+        if th.shape == (p,) and np.all(np.isfinite(th)):
+            return th
+    raise ValueError(
+        f"theta must be a finite vector of length {p}, got {value!r}")
+
+
 def positive_measure(points, masses, tau) -> DiscreteMeasure:
     return DiscreteMeasure(Grid(np.asarray(points, dtype=float), float(tau)),
                            np.asarray(masses, dtype=float),

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..calculus import Category
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import finish, positive_measure, require_count
+from .base import finish, positive_measure, require_count, require_theta
 
 CsObs = namedtuple("CsObs", ["delta", "u_index", "z_index"])
 
@@ -44,7 +44,7 @@ def build(theta=np.log(2.0), m=None):
     two, which the difference-quotient reference needs)."""
     if m is not None:
         m = require_count("m", m, 2)
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    th = require_theta(theta, 1)
     z_levels = np.array([0.0, 1.0])
     pz = np.array([0.5, 0.5])
     if m is None:

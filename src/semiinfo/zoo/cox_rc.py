@@ -16,7 +16,8 @@ import numpy as np
 
 from ..calculus import Category
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import finish, positive_measure, require_flag
+from .base import (finish, positive_measure, require_flag,
+                   require_theta)
 
 RcObs = namedtuple("RcObs", ["delta", "time_index", "z_index"])
 
@@ -36,12 +37,12 @@ def build(theta=np.log(2.0), mass_scale=MASS_SCALE,
     identical coordinates; the model then carries a flat direction and the
     joint identifiability check must report a zero eigenvalue.
     """
+    th = require_theta(theta, 1)
     if require_flag("duplicated_covariate", duplicated_covariate):
         z_levels = np.array([[0.0, 0.0], [1.0, 1.0]])
         th = np.array([0.3, 0.4])
     else:
         z_levels = np.array([[0.0], [1.0]])
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
     p = z_levels.shape[1]
     pz = np.array([0.5, 0.5])
     cprob = np.array(CENSOR_PMF)

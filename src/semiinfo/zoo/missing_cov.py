@@ -31,7 +31,8 @@ from ..calculus import (Category, adjoint_of_score, efficient_information,
 from ..engines import structural_functions
 from ..likelihood import ModelComponents, ModelState, TangentKind
 from ..operators import min_eigen_sym
-from .base import finish, probability_measure, require_flag
+from .base import (finish, probability_measure, require_flag,
+                   require_theta)
 
 MisObs = namedtuple("MisObs", ["observed", "y", "k"])
 
@@ -60,7 +61,7 @@ def build(theta=(0.2, -0.3), zero_cell=False, degenerate_z=False,
     """
     zero_cell = require_flag("zero_cell", zero_cell)
     degenerate_z = require_flag("degenerate_z", degenerate_z)
-    th = np.asarray(theta, dtype=float)
+    th = require_theta(theta, 2)
     if zero_cell:
         points = np.array([0.8, 1.4, 2.0, 2.6, 3.0])
         weights = np.array([0.2, 0.2, 0.2, 0.2, 0.2])

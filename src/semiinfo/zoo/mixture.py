@@ -24,7 +24,8 @@ import numpy as np
 
 from ..calculus import Category
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import finish, probability_measure, require_count, require_flag
+from .base import (finish, probability_measure, require_count,
+                   require_flag, require_theta)
 
 MixObs = namedtuple("MixObs", ["x"])
 
@@ -48,7 +49,7 @@ def build(theta=0.3, parametric=True, m=None, constant_kernel=False):
         weights = raw / np.sum(raw)
     npts = points.size
     p = 1 if parametric else 0
-    th = np.array([float(theta)]) if parametric else np.zeros(0)
+    th = require_theta(theta, 1)[:p]
 
     def kernel(theta_arr, pts):
         """Kernel matrix k[x_index, v], each column summing to 1 over x."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..calculus import Category
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import finish, positive_measure
+from .base import finish, positive_measure, require_theta
 
 RecObs = namedtuple("RecObs", ["z_index", "c_index", "d1", "d2"])
 
@@ -52,7 +52,7 @@ def build(theta=np.log(2.0), transform="log1p", mass_scale=MASS_SCALE):
         raise KeyError(f"unknown transform {transform!r}; "
                        f"choose from {sorted(TRANSFORMS)}")
     G, Gd, Gdd, Gddd = TRANSFORMS[transform]
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    th = require_theta(theta, 1)
     z_levels = np.array([0.0, 1.0])
     pz = np.array([0.5, 0.5])
     pc = np.array(CENSOR_PMF)

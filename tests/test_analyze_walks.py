@@ -220,10 +220,14 @@ def test_a_sampled_analyze_makes_no_per_outcome_score_pass(monkeypatch):
         assert calls == []
 
 
-def test_a_sampled_analyze_applies_l_once_per_outcome():
-    # L's representer of each drawn outcome is formed once, in law order
-    # (the exact law's), and serves the Gram and by_score alike.
-    model = zoo.build("cox_rc")
+@pytest.mark.parametrize("model_id,kind", [("cox_rc", "mc"),
+                                           ("missing_cov", "exact"),
+                                           ("kaplan_meier", "exact")])
+def test_an_analyze_applies_l_once_per_outcome(model_id, kind):
+    # L's representer of each outcome is formed once, in law order (a
+    # sampled law lists its draws in the exact law's order), and serves
+    # the structural pass, the Gram and by_score alike.
+    model = zoo.build(model_id)
     calls = []
 
     def ell(vals, obs):
@@ -231,10 +235,12 @@ def test_a_sampled_analyze_applies_l_once_per_outcome():
         return model.components.ell(vals, obs)
 
     c, s = dataclasses.replace(model.components, ell=ell), model.state
-    law = outcome_law(MonteCarlo(model.sampler, 20000, 5), c, s)
+    law = outcome_law(model.exact if kind == "exact"
+                      else MonteCarlo(model.sampler, 20000, 5), c, s)
     calls.clear()
     report = analyze_model(c, s, law)
-    assert report.efficient is not None
+    if model.components.p:
+        assert report.efficient is not None
     drawn = set(law.outcomes)
     assert calls == list(law.outcomes) \
         == [obs for obs in model.exact.outcomes if obs in drawn]

@@ -437,6 +437,9 @@ BAD_NUMBERS = [
     (INFLUENCE_KM, "influence", "t", INF, "config.influence.t", INF),
     (INFLUENCE_KM, "influence", "t", "x", "config.influence.t", "x"),
     (VALIDATE_MIXTURE, "validate", "h", HUGE, "config.validate.h", HUGE),
+    # h * h underflows to 0, which the finite-difference tolerances scale
+    # with.
+    (VALIDATE_MIXTURE, "validate", "h", 1e-300, "config.validate.h", 1e-300),
     (INFLUENCE_KM, "influence", "nonregular_tol", HUGE,
      "config.influence.nonregular_tol", HUGE),
     (INFLUENCE_KM, "influence", "t", HUGE, "config.influence.t", HUGE),
@@ -523,6 +526,15 @@ def _non_finite_matrix(entry):
     return build
 
 
+def _path_value(build, value):
+    """``build``'s config with its path set to ``value`` as is."""
+    def with_value(tmp_path):
+        doc = build(tmp_path / "info.csv")
+        section = doc["command"]
+        return dict(doc, **{section: dict(doc[section], path=value)})
+    return with_value
+
+
 def _non_finite_derivative(tmp_path):
     values = np.ones((zoo.build("kaplan_meier").state.eta.size, 1))
     values[1, 0] = np.nan
@@ -568,6 +580,21 @@ BAD_INPUTS = [
     ("validate-params-theta-beyond-float",
      _validate(models=["cox_rc"], params={"cox_rc": {"theta": HUGE}}),
      "cannot build 'cox_rc'"),
+    # open() reads an integer as a file descriptor: true is fd 1.
+    ("paramcheck-path-true", _path_value(_paramcheck, True),
+     "config.paramcheck.path must be a non-empty string, got True"),
+    ("paramcheck-path-empty", _path_value(_paramcheck, ""),
+     "config.paramcheck.path must be a non-empty string, got ''"),
+    ("influence-path-true", _path_value(_influence_csv, True),
+     "config.influence.path must be a non-empty string, got True"),
+    ("influence-path-zero", _path_value(_influence_csv, 0),
+     "config.influence.path must be a non-empty string, got 0"),
+    ("influence-path-missing",
+     lambda tmp_path: dict(INFLUENCE_KM, influence={"functional": "csv"}),
+     "config.influence.path must be a non-empty string, got None"),
+    ("validate-params-theta-empty",
+     _validate(models=["cox_cs"], params={"cox_cs": {"theta": []}}),
+     "cannot build 'cox_cs': theta must be a finite vector of length 1"),
     ("analyze-ridge-ladder-unknown-key",
      lambda tmp_path: dict(ANALYZE_COX_RC, ridge_ladder=[1e-4]),
      "unknown keys ['ridge_ladder']"),
@@ -581,6 +608,27 @@ def test_bad_input_fields_exit_two(tmp_path, capsys, build, field):
     assert run(["--config", cfg, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and field in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("build", [_paramcheck, _influence_csv],
+                         ids=["paramcheck", "influence"])
+def test_a_file_descriptor_path_exits_two(tmp_path, capsys, build):
+    # The descriptor of an opened, well-formed matrix CSV is not a path.
+    path = tmp_path / "info.csv"
+    m = zoo.build("kaplan_meier").state.eta.size
+    write_matrix_csv(path, np.ones((m, 1)) if build is _influence_csv
+                     else np.eye(2))
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        doc = _path_value(build, fd)(tmp_path)
+        cfg = write_cfg(tmp_path, doc)
+        assert run(["--config", cfg, "--out", tmp_path / "out"]) == 2
+    finally:
+        os.close(fd)
+    err = capsys.readouterr().err
+    assert f"config.{doc['command']}.path must be a non-empty string, " \
+        f"got {fd}" in err
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -606,6 +654,24 @@ BAD_MODEL_PARAMS = [
      "duplicated_covariate must be true or false, got 'no'"),
     ("kaplan_meier", {"zero_mass_point": 0},
      "zero_mass_point must be true or false, got 0"),
+    # A theta of the wrong length or kind, refused before it can index
+    # past its end, broadcast into a wrong-sized score or reach numpy.
+    ("cox_cs", {"theta": []},
+     "theta must be a finite vector of length 1, got ()"),
+    ("cox_cs", {"theta": [1, 2]},
+     "theta must be a finite vector of length 1, got (1, 2)"),
+    ("recurrent_transform", {"theta": [1, 2]},
+     "theta must be a finite vector of length 1, got (1, 2)"),
+    ("missing_cov", {"theta": [1]},
+     "theta must be a finite vector of length 2, got (1,)"),
+    ("missing_cov", {"theta": [1, 2, 3]},
+     "theta must be a finite vector of length 2, got (1, 2, 3)"),
+    ("cox_rc", {"theta": [1, 2, 3]},
+     "theta must be a finite vector of length 1, got (1, 2, 3)"),
+    ("mixture", {"theta": "x"},
+     "theta must be a finite vector of length 1, got 'x'"),
+    ("cox_cs", {"theta": True},
+     "theta must be a finite vector of length 1, got True"),
 ]
 
 

@@ -15,11 +15,10 @@ from semiinfo import (
 )
 from semiinfo.calculus import (_identifiability_directions,
                                _identifiability_gram, _lfd_directions)
-from semiinfo.engines import _law_mean, outcome_law
+from semiinfo.engines import OutcomeLaw, _law_mean, outcome_law
 from semiinfo.errors import DomainError, NotAvailableError
 from semiinfo.likelihood import (ModelState, TangentKind, _direction_scores,
                                  _directions, _g_and_f_dot,
-                                 _structural_terms, ell_of_ones,
                                  f_ddot_values, g_dot_values, g_values,
                                  log_density)
 from semiinfo.measure import center, perturb_measure
@@ -176,18 +175,34 @@ def test_exact_enumeration_refuses_repeated_outcomes():
 
 
 def _structural_oracle(c, s, obs, gv, gd, fd):
-    """The per-outcome structural integrands as fresh arrays: the
-    reference the in-place writer ``likelihood._structural_terms`` must
-    match bit for bit. Kappa and beta sum the d * d products
-    g_i(v) (-f_ddot[i, j]) g_j(u) over (i, j), i outer and j inner, left
-    to right; with d == 1 that is one product."""
+    """The per-outcome structural integrands as fresh arrays, in the order
+    of the structural factors: h_e = sum_i g_i (-f_ddot[i, e]) summed in
+    i order, then kappa = sum_e h_e (x) g_e and beta the same with g_dot_e,
+    summed in e order; with d == 1 each is one product."""
     x = s.eta.masses @ gv
     fdd = f_ddot_values(c, x, obs)
     if c.tangent is TangentKind.L2_ZERO:
-        gamma = -((gv - x[np.newaxis, :]) @ fd) + ell_of_ones(c, s, obs)
+        gamma = -((gv - x[np.newaxis, :]) @ fd)
+        if c.ell is not None:
+            gamma = gamma + float(c.ell(np.ones(s.eta.size), obs))
     else:
         gamma = -(gv @ fd)
     alpha = -np.einsum("vdj,d->vj", gd, fd)
+    hs = [sum((gv[:, i] * -fdd[i, e] for i in range(1, c.gdim)),
+              gv[:, 0] * -fdd[0, e]) for e in range(c.gdim)]
+    kappas = [np.multiply.outer(h, gv[:, e]) for e, h in enumerate(hs)]
+    betas = [h[:, np.newaxis, np.newaxis] * gd[np.newaxis, :, e]
+             for e, h in enumerate(hs)]
+    return gamma, alpha, sum(kappas[1:], kappas[0]), sum(betas[1:], betas[0])
+
+
+def _pairwise_oracle(c, s, obs, gv, gd, fd):
+    """:func:`_structural_oracle` with kappa and beta summed as the d * d
+    products g_i(v) (-f_ddot[i, j]) g_j(u) over (i, j), i outer and j
+    inner: an order that rounds differently from the factor order once
+    the components of g overlap and f_ddot is dense."""
+    gamma, alpha, _, _ = _structural_oracle(c, s, obs, gv, gd, fd)
+    fdd = f_ddot_values(c, s.eta.masses @ gv, obs)
     kappas, betas = [], []
     for i in range(c.gdim):
         for j in range(c.gdim):
@@ -253,19 +268,53 @@ def _dense_f_ddot(model, order="C"):
         f_ddot=lambda x, o: np.asarray(dense * (1.0 + x[0]), order=order))
 
 
-def test_in_place_terms_sum_a_dense_f_ddot_in_the_reference_order():
+def _overlapping_law(model, c):
+    """An exact law over ``model``'s outcomes and weights whose d = 2
+    components of g and of g_dot share every grid row: recurrent_transform's
+    g and g_dot plus seeded positive arrays, one pair per outcome."""
+    rng = np.random.default_rng(1)
+    law = outcome_law(model.exact, model.components, model.state)
+    (_, m, d), p = law.gvs.shape, c.p
+    shift = {obs: (rng.uniform(0.1, 1.0, (m, d)),
+                   rng.uniform(0.1, 1.0, (m, d, p))) for obs in law.outcomes}
+    base = model.components
+    c = dataclasses.replace(
+        c, g=lambda theta, obs, pts: base.g(theta, obs, pts) + shift[obs][0],
+        g_dot=lambda theta, obs, pts: base.g_dot(theta, obs, pts)
+        + shift[obs][1])
+    gvs = np.stack([g_values(c, model.state, obs) for obs in law.outcomes])
+    return OutcomeLaw(law.pairs, None, law.deficit, model.exact, c,
+                      model.state, gvs)
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_a_dense_f_ddot_is_summed_in_the_factor_order(overlap):
+    # The exact structural pass sums h_e = sum_i g_i (-f_ddot[i, e]) in i
+    # order, then h_e (x) g_e in e order. On recurrent_transform's own g
+    # the (i, j) pairwise order rounds the same way; with overlapping g
+    # it does not, and the pass still matches the factor-order oracle.
     model = zoo.build("recurrent_transform")
     c, s = _dense_f_ddot(model), model.state
-    law = outcome_law(model.exact, c, s)
-    m, p = s.eta.size, c.p
-    for obs, _ in law.pairs:
-        e = law.evaluated[obs]
-        out = [np.full(shape, np.nan)
-               for shape in ((m,), (m, p), (m, m), (m, m, p))]
-        _structural_terms(c, s, obs, e, out)
-        for got, want in zip(out, _structural_oracle(c, s, obs, e.gv, e.gd,
-                                                      e.fd)):
-            assert np.array_equal(got, want)
+    law = (_overlapping_law(model, c) if overlap
+           else outcome_law(model.exact, c, s))
+    c = law.components
+    evaluated = law.evaluated
+
+    def oracle(order):
+        def terms(obs):
+            e = evaluated[obs]
+            return order(c, s, obs, e.gv, e.gd, e.fd)
+        (gamma, alpha, kappa, beta), _ = _kahan_oracle(law, terms)
+        return gamma, alpha, 0.5 * (kappa + kappa.T), beta
+
+    sf = structural_functions(law, c, s)
+    got = [getattr(sf, name) for name in STRUCTURAL_NAMES]
+    for name, want, value in zip(STRUCTURAL_NAMES, oracle(_structural_oracle),
+                                 got):
+        assert np.array_equal(value, want), name
+    pairwise = oracle(_pairwise_oracle)
+    same = [np.array_equal(value, want) for value, want in zip(got, pairwise)]
+    assert same == [True, True, not overlap, not overlap]
 
 
 @pytest.mark.parametrize("kind", ["exact", "mc"])

@@ -11,7 +11,7 @@ from semiinfo import (
     score_theta,
 )
 from semiinfo.errors import DimensionError, DomainError, EvaluationError
-from semiinfo.likelihood import check_state, ell_of_ones
+from semiinfo.likelihood import check_state
 from semiinfo.measure import DiscreteMeasure, Grid, MeasureKind
 from semiinfo import zoo
 
@@ -90,12 +90,6 @@ def test_score_operator_matches_fd_along_path():
         dn = ModelState(s.theta, perturb_measure(s.eta, a, -h))
         fd = (log_density(c, up, obs) - log_density(c, dn, obs)) / (2 * h)
         assert abs(analytic - fd) < 1e-7 * (1.0 + abs(analytic))
-
-
-def test_ell_of_ones():
-    s = toy_state()
-    assert ell_of_ones(toy_components(), s, 3.0) == pytest.approx(3.0)
-    assert ell_of_ones(toy_components(ell=False), s, 3.0) == 0.0
 
 
 def test_zero_mass_event_is_minus_inf():
