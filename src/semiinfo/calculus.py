@@ -201,8 +201,6 @@ def v_operator(sf: StructuralFunctions, eta: DiscreteMeasure,
 def _v_matrix(op: KernelOperator, adjoint: np.ndarray,
               fisher: np.ndarray) -> np.ndarray:
     """:func:`v_operator` from the information operator and the adjoint."""
-    if fisher.shape[0] == 0:
-        return op._matrix
     inv_at_w = _solve_psd("parameter information", fisher,
                           (adjoint * op.base.masses[:, np.newaxis]).T)
     return op._matrix - adjoint @ inv_at_w

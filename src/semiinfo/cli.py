@@ -24,7 +24,8 @@ from .engines import MonteCarlo
 from .errors import ConfigError, SemiinfoError
 from .likelihood import TangentKind
 from .measure import MeasureKind, center
-from .operators import (BlockInformation, block_inverse_identity_check,
+from .operators import (EIGEN_REL_CUT, BlockInformation, _spectrum,
+                        block_inverse_identity_check,
                         efficient_info_parametric, invertibility_verdict)
 from .serialize import (SCHEMA_VERSION, atomic_write_text, dump_json,
                         format_float, property_results_to_dict,
@@ -206,7 +207,7 @@ def cmd_analyze(cfg, out_dir, seed_override):
     write_matrix_csv(os.path.join(out_dir, "kappa.csv"), report.structural.kappa)
     write_matrix_csv(os.path.join(out_dir, "adjoint_score.csv"), report.adjoint)
     lfd_values = report.lfd.values if report.lfd is not None \
-        else np.zeros((0, 0))
+        else np.zeros((report.m, 0))
     write_matrix_csv(os.path.join(out_dir, "lfd.csv"), lfd_values)
     print(f"analyze: {model.model_id} category={report.category.category.value} "
           f"report written to {out_dir}")
@@ -361,8 +362,8 @@ def cmd_paramcheck(cfg, out_dir, seed_override):
     try:
         if mat.shape[0] != mat.shape[1] or np.max(np.abs(mat - mat.T)) > 1e-10:
             raise ConfigError("paramcheck matrix must be square symmetric")
-        eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-        if eigs.size and eigs[0] < -1e-10 * max(float(eigs[-1]), 1.0):
+        eigs = _spectrum(mat)[0]
+        if eigs[0] < -EIGEN_REL_CUT * eigs[-1]:
             raise SemiinfoError(
                 f"input matrix is not positive semidefinite "
                 f"(min eigenvalue {eigs[0]:.3e})"

@@ -15,6 +15,12 @@ reduced system above ``SIGMA_MIN_REL_TOL`` times the largest and returns
 the min-norm least squares solution on them, which is the direct solution
 when the system has full rank.
 
+Every decision on a symmetric matrix reads its spectrum at one cut,
+``EIGEN_REL_CUT`` times the largest eigenvalue. A singular or near
+singular block (condition number above 1e10) is refused by name where it
+is inverted and is not invertible in the verdict; a matrix with an
+eigenvalue below minus the cut is indefinite, and ``paramcheck`` refuses it.
+
 A measure computes its mean-zero basis (one SVD) once, on first use.
 An operator builds its dense matrix once and factors its reduced system
 (one SVD) on its first solve; every later solve on it reuses both,
@@ -36,9 +42,9 @@ from .measure import DiscreteMeasure, as_values
 SIGMA_MIN_REL_TOL = 1e-8
 # Symmetry validation for information blocks, relative to the matrix scale.
 BLOCK_SYMMETRY_TOL = 1e-8
-# A block is invertible when its smallest eigenvalue exceeds this times
-# its largest.
-VERDICT_REL_TOL = 1e-10
+# A symmetric matrix's rank counts its eigenvalues above this times its
+# largest; it is indefinite when its smallest is below minus that.
+EIGEN_REL_CUT = 1e-10
 
 
 @dataclass(frozen=True)
@@ -235,15 +241,22 @@ def solve(op: KernelOperator, rhs) -> SolveResult:
                        float(svals[-1]), sigma_max)
 
 
-def min_eigen_sym(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric part of a square matrix."""
+def _spectrum(mat) -> tuple[np.ndarray, int]:
+    """Ascending eigenvalues of the symmetric part of a square matrix, and
+    its rank: the count of them above ``EIGEN_REL_CUT`` times the largest
+    (none when the largest is not positive)."""
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.size == 0:
-        return 0.0
-    sym = 0.5 * (arr + arr.T)
-    return float(np.linalg.eigvalsh(sym).min())
+    eig = np.linalg.eigvalsh(0.5 * (arr + arr.T))
+    top = eig[-1] if eig.size else 0.0
+    return eig, int(np.count_nonzero(eig > EIGEN_REL_CUT * top))
+
+
+def min_eigen_sym(mat: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric part of a square matrix."""
+    eig = _spectrum(mat)[0]
+    return float(eig[0]) if eig.size else 0.0
 
 
 def eta_weighted_min_eigen(mat: np.ndarray, eta: DiscreteMeasure,
@@ -259,10 +272,7 @@ def eta_weighted_min_eigen(mat: np.ndarray, eta: DiscreteMeasure,
         raise DimensionError(
             f"matrix has shape {arr.shape}, expected ({eta.size}, {eta.size})"
         )
-    reduced = _reduce(arr, eta, centered)[0]
-    if reduced.shape[0] == 0:
-        return 0.0
-    return min_eigen_sym(reduced)
+    return min_eigen_sym(_reduce(arr, eta, centered)[0])
 
 
 def centered_basis(eta: DiscreteMeasure) -> np.ndarray:
@@ -353,10 +363,8 @@ class BlockInformation:
 
 
 def _solve_psd(name: str, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if mat.shape[0] == 0:
-        return np.zeros((0,) + rhs.shape[1:])
-    eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if eig[-1] <= 0.0 or eig[0] <= 1e-12 * eig[-1]:
+    eig, rank = _spectrum(mat)
+    if rank < eig.size:
         raise NotIdentifiableError(
             f"block {name} is singular (min eigenvalue {eig[0]:.3e})"
         )
@@ -366,8 +374,6 @@ def _solve_psd(name: str, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def efficient_info_parametric(info: BlockInformation) -> np.ndarray:
     """Schur complement ``i_tt - i_tp i_pp^{-1} i_tp^T``: the information
     left for the interest block after profiling out the nuisance block."""
-    if info.q == 0:
-        return info.i_tt.copy()
     return info.i_tt - info.i_tp @ _solve_psd("nuisance (i_pp)", info.i_pp,
                                               info.i_tp.T)
 
@@ -386,8 +392,6 @@ def block_inverse_identity_check(info: BlockInformation) -> float:
     eff = efficient_info_parametric(info)
     lhs = _solve_psd("profiled interest", eff, np.eye(info.p))
     itt_inv = _solve_psd("interest (i_tt)", info.i_tt, np.eye(info.p))
-    if info.q == 0:
-        return float(np.max(np.abs(lhs - itt_inv)))
     schur_pp = info.i_pp - info.i_tp.T @ itt_inv @ info.i_tp
     mid = _solve_psd("profiled nuisance", schur_pp, np.eye(info.q))
     rhs = itt_inv + itt_inv @ info.i_tp @ mid @ info.i_tp.T @ itt_inv
@@ -397,25 +401,19 @@ def block_inverse_identity_check(info: BlockInformation) -> float:
 def invertibility_verdict(info: BlockInformation) -> dict:
     """Report whether the full matrix and the two blocks governing its
     invertibility (nuisance block and profiled interest block) are each
-    numerically invertible, and whether the equivalence between 'full
-    invertible' and 'both pieces invertible' holds at the relative
-    eigenvalue threshold ``VERDICT_REL_TOL``."""
+    of full rank at ``EIGEN_REL_CUT``, and whether the equivalence between
+    'full invertible' and 'both pieces invertible' holds. The profiled
+    block is the min-norm Schur complement ``i_tt - i_tp i_pp^+ i_tp^T``,
+    the pseudoinverse taken at the same cut."""
 
     def invertible(mat: np.ndarray) -> tuple[bool, float]:
-        if mat.shape[0] == 0:
-            return True, float("inf")
-        eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-        scale = max(float(eig[-1]), 0.0)
-        ok = bool(scale > 0.0 and eig[0] > VERDICT_REL_TOL * scale)
-        return ok, float(eig[0])
+        eig, rank = _spectrum(mat)
+        return rank == eig.size, float(eig.min(initial=np.inf))
 
     full_ok, full_min = invertible(info.full())
     pp_ok, pp_min = invertible(info.i_pp)
-    try:
-        eff = efficient_info_parametric(info)
-        eff_ok, eff_min = invertible(eff)
-    except NotIdentifiableError:
-        eff_ok, eff_min = False, 0.0
+    pp_pinv = np.linalg.pinv(info.i_pp, rtol=EIGEN_REL_CUT, hermitian=True)
+    eff_ok, eff_min = invertible(info.i_tt - info.i_tp @ pp_pinv @ info.i_tp.T)
     return {
         "full_invertible": full_ok,
         "full_min_eigen": full_min,

@@ -68,12 +68,13 @@ def read_matrix_csv(path) -> np.ndarray:
         rows, cols = (int(part) for part in lines[0][1:].strip().split(","))
     except ValueError:
         raise ConfigError(f"{path}: malformed shape header {lines[0]!r}") from None
-    data = [line for line in lines[1:] if line]
+    # Blank lines are skipped, except as the rows of a zero-column matrix.
+    data = [line for line in lines[1:] if line or cols == 0]
     if len(data) != rows:
         raise ConfigError(f"{path}: header declares {rows} rows, found {len(data)}")
     out = np.empty((rows, cols))
     for i, line in enumerate(data):
-        parts = line.split(",")
+        parts = line.split(",") if line else []
         if len(parts) != cols:
             raise ConfigError(
                 f"{path}: row {i} has {len(parts)} values, expected {cols}"

@@ -322,6 +322,8 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
     Deterministic given (model, seed, h, counts); results come back in a
     fixed declaration order with the model id in every context.
     """
+    if h * h == 0.0:  # the finite-difference tolerances scale with h * h
+        raise DomainError(f"finite-difference step h={h!r} squares to 0")
     c, s = model.components, model.state
     law = model.exact.law(c, s)
     eta = s.eta

@@ -30,16 +30,14 @@ from ..calculus import (Category, adjoint_of_score, efficient_information,
                         fisher_information, least_favorable_direction)
 from ..engines import structural_functions
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from ..operators import min_eigen_sym
+from ..operators import EIGEN_REL_CUT, _spectrum
 from .base import (finish, probability_measure, require_flag,
                    require_theta)
 
 MisObs = namedtuple("MisObs", ["observed", "y", "k"])
 
-# Condition (a)'s floor on the selection probabilities and gamma, and the
-# floor on the minimum eigenvalues of condition (b) and the conclusion.
+# Condition (a)'s floor on the selection probabilities and gamma.
 MIN_SELECTION = 1e-3
-INFO_TOL = 1e-10
 
 
 def _expit(x):
@@ -229,7 +227,7 @@ def invertibility_conditions(model):
         "threshold": MIN_SELECTION,
     }
 
-    per_cell = {}
+    spectra = {}
     for x in sorted(set(int(v) for v in cells)):
         mask = cells == x
         wcell = weights[mask] / np.sum(weights[mask])
@@ -241,11 +239,12 @@ def invertibility_conditions(model):
                                   + s.theta[1] * model.extras["zvals"][zi]))
                 py = p1 if y == 1 else 1.0 - p1
                 info += wz * py * np.outer(sc, sc)
-        per_cell[x] = float(min_eigen_sym(info))
+        spectra[x] = _spectrum(info)
     cond_b = {
-        "holds": bool(min(per_cell.values()) > INFO_TOL),
-        "min_eigen_by_cell": per_cell,
-        "tol": INFO_TOL,
+        "holds": all(rank == eig.size for eig, rank in spectra.values()),
+        "min_eigen_by_cell": {x: float(eig[0])
+                              for x, (eig, _) in spectra.items()},
+        "tol": EIGEN_REL_CUT,
     }
 
     diagnostics = {"selection_positivity": cond_a,
@@ -260,11 +259,11 @@ def invertibility_conditions(model):
     adjoint = adjoint_of_score(sf, s.eta, c.tangent)
     lfd = least_favorable_direction(sf, s.eta, c.tangent, adjoint)
     eff = efficient_information(model.exact, c, s, lfd.values, adjoint, fisher)
-    eff_min = float(min_eigen_sym(eff.by_adjoint))
+    eig, rank = _spectrum(eff.by_adjoint)
     diagnostics["efficient_information"] = {
-        "holds": bool(eff_min > INFO_TOL),
-        "min_eigen": eff_min,
-        "tol": INFO_TOL,
+        "holds": rank == eig.size,
+        "min_eigen": float(eig[0]),
+        "tol": EIGEN_REL_CUT,
     }
     holds = diagnostics["efficient_information"]["holds"]
     diagnostics["failing"] = [] if holds else ["efficient_information"]

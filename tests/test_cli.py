@@ -61,13 +61,18 @@ def test_analyze_timestamp_is_the_only_varying_field(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_analyze_csvs_round_trip(tmp_path):
+# kaplan_meier has p = 0: its lfd.csv holds m rows of no values.
+@pytest.mark.parametrize("model_id", ["cox_cs", "kaplan_meier"])
+def test_analyze_csvs_round_trip(tmp_path, model_id):
     cfg = write_cfg(tmp_path, {
         "schema_version": 1,
         "command": "analyze",
-        "model": {"id": "cox_cs"},
+        "model": {"id": model_id},
     })
     assert run(["--config", cfg, "--out", tmp_path]) == 0
+    model = zoo.build(model_id)
+    assert read_matrix_csv(tmp_path / "lfd.csv").shape == \
+        (model.state.eta.size, model.components.p)
     for name in ("gamma.csv", "kappa.csv", "adjoint_score.csv", "lfd.csv"):
         path = tmp_path / name
         original = path.read_bytes()
@@ -256,28 +261,38 @@ def test_paramcheck_happy_path(tmp_path):
     assert eff.shape == (2, 2)
 
 
-def test_paramcheck_rejects_non_psd(tmp_path, capsys):
+# The second matrix's eigenvalues are all negative, however small.
+@pytest.mark.parametrize("diag", [(1.0, -1.0), (-1e-11, -2e-11)],
+                         ids=["indefinite", "tiny-negative"])
+def test_paramcheck_rejects_non_psd(tmp_path, capsys, diag):
     mat_path = tmp_path / "info.csv"
-    write_matrix_csv(mat_path, np.array([[1.0, 0.0], [0.0, -1.0]]))
+    write_matrix_csv(mat_path, np.diag(diag))
     cfg = write_cfg(tmp_path, {
         "schema_version": 1,
         "command": "paramcheck",
         "paramcheck": {"path": str(mat_path), "p": 1},
     })
     assert run(["--config", cfg, "--out", tmp_path]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "not positive semidefinite" in err
 
 
-def test_paramcheck_names_singular_block(tmp_path, capsys):
+# diag(1, 1, 1e-11) at p = 1 has a nuisance block of condition number
+# 1e11, which the invertibility verdict calls singular too.
+@pytest.mark.parametrize("diag, p", [((1.0, 1.0, 0.0), 2),
+                                     ((1.0, 1.0, 1e-11), 1)],
+                         ids=["singular", "near-singular"])
+def test_paramcheck_names_singular_block(tmp_path, capsys, diag, p):
     mat_path = tmp_path / "info.csv"
-    write_matrix_csv(mat_path, np.diag([1.0, 1.0, 0.0]))
+    write_matrix_csv(mat_path, np.diag(diag))
     cfg = write_cfg(tmp_path, {
         "schema_version": 1,
         "command": "paramcheck",
-        "paramcheck": {"path": str(mat_path), "p": 2},
+        "paramcheck": {"path": str(mat_path), "p": p},
     })
     assert run(["--config", cfg, "--out", tmp_path]) == 3
     assert "i_pp" in capsys.readouterr().err
+    assert not (tmp_path / "efficient_info.csv").exists()
 
 
 @pytest.mark.parametrize("p", [True, False, 1.0, -1, "1", 4])

@@ -176,10 +176,12 @@ def test_inverse_identity_small_on_pd():
         assert block_inverse_identity_check(info) < 1e-10
 
 
-def test_singular_nuisance_block_is_named():
-    mat = np.zeros((3, 3))
-    mat[0, 0] = 1.0
-    info = BlockInformation.from_matrix(mat, 1)
+# The second nuisance block has condition number 1e11: above the one
+# eigenvalue cut, so it is refused where it would be inverted.
+@pytest.mark.parametrize("diag", [(1.0, 0.0, 0.0), (1.0, 1.0, 1e-11)],
+                         ids=["singular", "near-singular"])
+def test_singular_nuisance_block_is_named(diag):
+    info = BlockInformation.from_matrix(np.diag(diag), 1)
     with pytest.raises(NotIdentifiableError, match="i_pp"):
         efficient_info_parametric(info)
 
@@ -195,6 +197,14 @@ def test_verdict_keys_and_equivalence():
     assert not v2["full_invertible"]
     assert not v2["nuisance_invertible"]
     assert v2["equivalence_holds"]
+    # A singular nuisance block leaves a well defined profiled block: the
+    # min-norm Schur complement 2 - 1 * 1^+ * 1 = 1.
+    v3 = invertibility_verdict(BlockInformation.from_matrix(
+        np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]), 1))
+    assert v3["profiled_min_eigen"] == pytest.approx(1.0, abs=1e-15)
+    assert v3["profiled_invertible"] is True
+    assert v3["nuisance_invertible"] is False
+    assert v3["equivalence_holds"] is True
 
 
 def test_block_shape_errors():

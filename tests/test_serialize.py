@@ -55,11 +55,15 @@ def test_vector_becomes_column(tmp_path):
     assert back.shape == (2, 1)
 
 
-def test_empty_matrix_round_trips(tmp_path):
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0)], ids=["0x0", "3x0"])
+def test_empty_matrix_round_trips(tmp_path, shape):
     path = tmp_path / "e.csv"
-    write_matrix_csv(path, np.zeros((0, 0)))
+    write_matrix_csv(path, np.zeros(shape))
+    first = path.read_bytes()
     back = read_matrix_csv(path)
-    assert back.shape == (0, 0)
+    assert back.shape == shape
+    write_matrix_csv(path, back)
+    assert path.read_bytes() == first
 
 
 def test_csv_header_is_validated(tmp_path):

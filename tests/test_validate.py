@@ -125,6 +125,17 @@ def test_run_suite_accepts_params():
     assert all(r.name.startswith("cox_rc:") for r in results)
 
 
+# 1e-300 squared underflows to 0, and every finite-difference tolerance
+# scales with h * h.
+@pytest.mark.parametrize("suite", [
+    lambda h: run_suite(["cox_rc"], seed=1, h=h),
+    lambda h: suite_for_model(zoo.build("cox_rc"), seed=1, h=h)],
+    ids=["run_suite", "suite_for_model"])
+def test_suite_refuses_a_step_whose_square_underflows(suite):
+    with pytest.raises(DomainError, match="h=1e-300"):
+        suite(1e-300)
+
+
 def test_suite_catches_injected_sign_error():
     model = zoo.build("mixture")
     c = model.components
