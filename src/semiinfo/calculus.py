@@ -27,6 +27,14 @@ so its reduced system is expected to lose rank). The least favorable
 solve does not read it: it makes one rank-revealing solve, whose rank
 and residual it reports.
 
+The influence of a functional of the measure (:func:`nonparametric_influence`)
+solves the same way, on one of two factorizations of the operator's
+reduced system. On an exact law with fewer outcomes N than that system's
+dimension, and a score mean at rounding, it takes the thin SVD of the
+(N, m) score factor (``operators.outcome_factored``) and never builds
+the m x m mean-zero basis; everywhere else, and in ``analyze``, it takes
+the SVD of the operator's matrix.
+
 Every quantity has one path. Each expectation here reads the
 evaluations the outcome law keeps, stacked one row per outcome (g and
 g_dot on the grid, x, f_dot and f_ddot at x and the parameter score,
@@ -78,6 +86,7 @@ from .operators import (
     centered_basis,
     eta_weighted_min_eigen,
     min_eigen_sym,
+    outcome_factored,
     solve,
     _solve_psd,
 )
@@ -90,6 +99,11 @@ CATEGORY_ZERO_TOL_EXACT = 1e-10
 # declared non-regular: no square-integrable influence direction exists
 # at numerical precision.
 NONREGULAR_RESID_TOL = 1e-3
+# The influence solve runs in outcome space only where the score mean is
+# at most this times the largest singular value of the score factor:
+# there the Hessian-form information operator is the outer product the
+# factor gives, to rounding.
+SCORE_MEAN_REL_TOL = 1e-12
 
 
 class Category(enum.Enum):
@@ -342,12 +356,39 @@ def local_identifiability(engine, components: ModelComponents,
 
 @dataclass(frozen=True)
 class InfluenceResult:
-    """Efficient influence computation for a functional of the measure."""
+    """Efficient influence computation for a functional of the measure.
+
+    ``factorization`` names the reduced system the solve factored:
+    ``"outcome"`` (the thin SVD of the score factor) or ``"operator"``
+    (the SVD of the operator's matrix). ``score_mean`` is the outcome
+    route's gate value, None where the gate was not evaluated."""
 
     lfd: np.ndarray
     solve_result: SolveResult
     non_regular: bool
     influence: Callable
+    factorization: str
+    score_mean: Optional[float]
+
+
+def _outcome_factorization(law, eta: DiscreteMeasure, centered: bool):
+    """``(factored, score_mean)``: the information operator's reduced
+    system factored in outcome space (``operators.outcome_factored``)
+    where that route applies, else None, and the score mean its gate
+    read, None where the gate was not evaluated.
+
+    The route applies on an exact law (``law`` is None for a closed-form
+    engine) with fewer outcomes than the reduced dimension, and only
+    where the score mean is at most ``SCORE_MEAN_REL_TOL`` times the
+    factor's largest singular value."""
+    if law is None or law.n is not None \
+            or len(law.pairs) >= eta._support_and_root[0].size - centered:
+        return None, None
+    factored, score_mean, s_max = outcome_factored(
+        eta, centered, law.score_matrix(), law.weights)
+    if score_mean > SCORE_MEAN_REL_TOL * s_max:
+        factored = None
+    return factored, score_mean
 
 
 def nonparametric_influence(engine, components: ModelComponents,
@@ -364,6 +405,15 @@ def nonparametric_influence(engine, components: ModelComponents,
     non-regular (its derivative is not attained by any square-integrable
     direction at numerical precision) and the returned influence is that
     of the min-norm least squares direction.
+
+    On an exact law with N outcomes, fewer than the reduced dimension,
+    B*B has rank at most N (N - 1 on a mean-zero tangent), and where the
+    score mean is at rounding the solve runs on the thin SVD of the
+    (N, m) score factor: it never builds the m x m mean-zero basis or
+    factors an m x m system. Everywhere else it is
+    :func:`least_favorable_direction`'s solve. Either way the residual is
+    that of the Hessian-form operator, so ``nonregular_tol`` reads the
+    same quantity.
     """
     if components.p != 0:
         raise DomainError(
@@ -374,16 +424,26 @@ def nonparametric_influence(engine, components: ModelComponents,
         chi_vec = require_centered(chi_dot, state.eta, "functional derivative")
     else:
         chi_vec = np.asarray(chi_dot, dtype=float)
-    sf = structural_functions(engine, components, state)
-    lfd = least_favorable_direction(sf, state.eta, components.tangent,
-                                    chi_vec)
-    non_regular = lfd.solve_result.relative_residual > nonregular_tol
+    eta, tangent = state.eta, components.tangent
+    law = None if isinstance(engine, ClosedForm) \
+        else outcome_law(engine, components, state)
+    sf = structural_functions(engine if law is None else law, components,
+                              state)
+    factored, score_mean = _outcome_factorization(
+        law, eta, tangent is TangentKind.L2_ZERO)
+    if factored is None:
+        res = least_favorable_direction(sf, eta, tangent,
+                                        chi_vec).solve_result
+    else:
+        res = solve(info_operator(sf, eta, tangent), chi_vec, factored)
+    lfd = res.solution
 
     def influence(obs):
-        return score_operator(components, state, obs, lfd.values)
+        return score_operator(components, state, obs, lfd)
 
-    return InfluenceResult(lfd.values, lfd.solve_result, bool(non_regular),
-                           influence)
+    return InfluenceResult(
+        lfd, res, bool(res.relative_residual > nonregular_tol), influence,
+        "operator" if factored is None else "outcome", score_mean)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,10 @@ EXIT_NUMERICAL = 3
 
 COMMANDS = ("analyze", "validate", "influence", "paramcheck")
 
+# A paramcheck matrix is symmetric when no entry differs from its mirror
+# by more than this times max(largest |entry|, 1).
+PARAMCHECK_SYMMETRY_TOL = 1e-10
+
 _TOP_KEYS = {"schema_version", "command", "model", "seed", "engine",
              "validate", "influence", "paramcheck"}
 _MODEL_KEYS = {"id", "params"}
@@ -336,6 +340,8 @@ def cmd_influence(cfg, out_dir, seed_override):
         "model": model.model_id,
         "functional": {k: icfg[k] for k in sorted(icfg)},
         "non_regular": result.non_regular,
+        "factorization": result.factorization,
+        "score_mean": result.score_mean,
         "relative_residual": sr.relative_residual,
         "rank": sr.rank,
         "condition": sr.condition,
@@ -360,7 +366,8 @@ def cmd_paramcheck(cfg, out_dir, seed_override):
     if p > mat.shape[0]:
         raise ConfigError(f"paramcheck.p must be an integer in [0, {mat.shape[0]}]")
     try:
-        if mat.shape[0] != mat.shape[1] or np.max(np.abs(mat - mat.T)) > 1e-10:
+        if mat.shape[0] != mat.shape[1] or np.max(np.abs(mat - mat.T)) \
+                > PARAMCHECK_SYMMETRY_TOL * max(np.max(np.abs(mat)), 1.0):
             raise ConfigError("paramcheck matrix must be square symmetric")
         eigs = _spectrum(mat)[0]
         if eigs[0] < -EIGEN_REL_CUT * eigs[-1]:

@@ -44,12 +44,14 @@ callable's values, and in ``calculus`` the Fisher information and
 
 The structural pass forms its integrands once, as stacked factors, for
 either law (:func:`_structural_factors`): each outcome's gamma | alpha
-row, and h_e = -sum_i g_i f_ddot_ie with the g_e | g_dot_e it multiplies,
-so kappa | beta is sum_e h_e (x) [g_e | g_dot_e]. An exact law sums one
-(1 + m, m (1 + p)) term per outcome, the row over that block, with one
-compensated step each, in law order (:func:`_exact_structural`); a
-sampled law sums the same layout and its second moment by weighted
-products of the factors (:func:`_sampled_structural`). The
+row, and h_e = -sum_i g_i f_ddot_ie, which multiplies the stacked
+g_e | g_dot_e, so kappa | beta is sum_e h_e (x) [g_e | g_dot_e]. An
+exact law sums one (1 + m, m (1 + p)) term per outcome, the row over
+that block, with one compensated step each, in law order, reading g
+and g_dot from the law's own stacks one outcome at a time
+(:func:`_exact_structural`); a sampled law sums the same layout and its
+second moment by weighted products of the factors
+(:func:`_sampled_structural`). The
 identifiability Gram, which carries no standard error, is one matrix
 product of the stacked outcome scores on either law (``calculus``).
 
@@ -94,6 +96,7 @@ from .likelihood import (
     _evaluate,
     _log_density,
     _stacked_measure_scores,
+    _stacked_score_matrix,
     _Outcome,
     check_state,
     g_values,
@@ -191,6 +194,13 @@ class OutcomeLaw:
             out = np.empty((len(self.pairs), dirs[0].shape[1]))
         return _stacked_measure_scores(self.outcomes, self.stacked,
                                        self.ell_rows, dirs, out)
+
+    def score_matrix(self) -> np.ndarray:
+        """M, the (N, m) measure scores of every outcome along the m
+        coordinate directions, checked finite: the matrix that
+        :meth:`measure_scores` multiplies without forming it."""
+        return _stacked_score_matrix(self.outcomes, self.stacked,
+                                     self.ell_rows, self.state.eta.masses)
 
 
 @dataclass(frozen=True)
@@ -420,7 +430,7 @@ def structural_functions(engine, components: ModelComponents,
         return engine.structural(components, state)
 
     law = outcome_law(engine, components, state)
-    factors = _structural_factors(law, components, state)
+    factors = _structural_factors(law, components)
     if law.n is None:
         sums = _exact_structural(law, *factors)
         ses = np.zeros_like(sums)
@@ -438,27 +448,29 @@ def structural_functions(engine, components: ModelComponents,
     )
 
 
-def _structural_factors(law: OutcomeLaw, components: ModelComponents,
-                        state: ModelState) -> tuple:
+def _structural_factors(law: OutcomeLaw,
+                        components: ModelComponents) -> tuple:
     """Every outcome's structural integrands as stacked factors, formed
-    from the law's stacked evaluation: ``(first, h, right)``.
+    from the law's stacked evaluation: ``(first, h)``.
 
     ``first`` is the (N, m (1 + p)) gamma | alpha row of each outcome.
     kappa(v, u) sums h_e(v) g_e(u) over e, with h_e = sum_i g_i (-f_ddot_ie),
     and beta the same with g_dot_e(u, j) for g_e(u): ``h`` is the
     (N, d, m) array of the h_e, summed elementwise in i order so its bits
-    depend neither on BLAS nor on how f_ddot is laid out, and ``right``
-    the (N, d, m (1 + p)) array of the g_e | g_dot_e."""
+    depend neither on BLAS nor on how f_ddot is laid out. The g_e and
+    g_dot_e it multiplies are the law's own stacked g and g_dot."""
     st = law.stacked
-    m, p, d = state.eta.size, components.p, components.gdim
-    n_out = len(law.pairs)
+    n_out, m, d, p = st.gd.shape
     centered = components.tangent is TangentKind.L2_ZERO
-    gamma = np.einsum("nid,nd->ni",
-                      st.gv - st.x[:, np.newaxis] if centered else st.gv,
-                      st.fd)
-    alpha = np.einsum("nidj,nd->nij", st.gd, st.fd)
-    first = np.negative(np.concatenate(
-        [gamma, alpha.reshape(n_out, m * p)], axis=1))
+    # gamma and alpha written in place (alpha's columns viewed as
+    # (m, p)), then negated in place
+    first = np.empty((n_out, m * (1 + p)))
+    np.einsum("nid,nd->ni",
+              st.gv - st.x[:, np.newaxis] if centered else st.gv, st.fd,
+              out=first[:, :m])
+    np.einsum("nidj,nd->nij", st.gd, st.fd,
+              out=first[:, m:].reshape(n_out, m, p))
+    np.negative(first, out=first)
     if centered and law.ell_rows is not None:
         # L(1) of each outcome: its representer summed
         first[:, :m] += np.sum(law.ell_rows, axis=1)[:, np.newaxis]
@@ -466,47 +478,58 @@ def _structural_factors(law: OutcomeLaw, components: ModelComponents,
     minus_fdd = np.negative(st.fdd)[..., np.newaxis]
     h = sum((g[:, i, np.newaxis] * minus_fdd[:, i] for i in range(1, d)),
             g[:, 0, np.newaxis] * minus_fdd[:, 0])
-    right = np.concatenate(
-        [g, st.gd.transpose(0, 2, 1, 3).reshape(n_out, d, m * p)], axis=2)
-    return first, h, right
+    return first, h
 
 
-def _exact_structural(law: OutcomeLaw, first: np.ndarray, h: np.ndarray,
-                      right: np.ndarray) -> np.ndarray:
+def _exact_structural(law: OutcomeLaw, first: np.ndarray,
+                      h: np.ndarray) -> np.ndarray:
     """The (1 + m, m (1 + p)) sum over an exact law of the gamma | alpha
     row over the kappa | beta block, compensated in law order: each
-    outcome's term is its ``first`` row over sum_e h_e (x) right_e, added
-    elementwise in e order, weighted in place before one compensated
-    step."""
-    d = h.shape[1]
-    acc = _CompensatedSums((1 + h.shape[2], first.shape[1]))
+    outcome's term is its ``first`` row over sum_e h_e (x) [g_e | g_dot_e],
+    added elementwise in e order, weighted in place before one
+    compensated step. g_e | g_dot_e is copied from the law's stacked
+    evaluation into one row buffer, one outcome and e at a time."""
+    st = law.stacked
+    m, d, p = st.gd.shape[1:]
+    acc = _CompensatedSums((1 + m, first.shape[1]))
     term = acc.term
     block = term[1:]
     spare = np.empty_like(block) if d > 1 else None
-    for weight, row, hs, rs in zip(law.weights, first, h, right):
+    right = np.empty(first.shape[1])
+    right_g, right_dot = right[:m], right[m:].reshape(m, p)
+    for weight, row, hs, gv, gd in zip(law.weights, first, h, st.gv, st.gd):
         term[0] = row
-        np.multiply(hs[0, :, np.newaxis], rs[0], out=block)
-        for e in range(1, d):
-            np.multiply(hs[e, :, np.newaxis], rs[e], out=spare)
-            block += spare
+        for e in range(d):
+            np.copyto(right_g, gv[:, e])
+            np.copyto(right_dot, gd[:, e])
+            np.multiply(hs[e, :, np.newaxis], right,
+                        out=spare if e else block)
+            if e:
+                block += spare
         np.multiply(weight, term, out=term)
         acc.add()
     return acc.total
 
 
-def _sampled_structural(law: OutcomeLaw, first: np.ndarray, h: np.ndarray,
-                        right: np.ndarray) -> tuple:
+def _sampled_structural(law: OutcomeLaw, first: np.ndarray,
+                        h: np.ndarray) -> tuple:
     """The sum over a sampled law of the gamma | alpha row over the
     kappa | beta block, as in :func:`_exact_structural`, with its standard
     error: each mean and second moment is one weighted matrix product.
 
-    Over the stacked (outcome, e) rows of h and of right, the block is the
-    one product (w h)^T right; its second moment is the same product over
-    the (outcome, e, e') rows of h_e h_e' and of right_e right_e'."""
+    With right the (N, d, m (1 + p)) stacked g_e | g_dot_e, over the
+    stacked (outcome, e) rows of h and of right the block is the one
+    product (w h)^T right; its second moment is the same product over the
+    (outcome, e, e') rows of h_e h_e' and of right_e right_e'."""
     def pairs(a):     # the (N, d * d, K) products a_e a_e'
         return (a[:, :, np.newaxis] * a[:, np.newaxis]).reshape(
             len(a), -1, a.shape[2])
 
+    st = law.stacked
+    n_out, m, d, p = st.gd.shape
+    right = np.concatenate(
+        [st.gv.transpose(0, 2, 1),
+         st.gd.transpose(0, 2, 1, 3).reshape(n_out, d, m * p)], axis=2)
     mean = _weighted_structural(law.weights, first, h, right)
     second = _weighted_structural(law.weights, first * first, pairs(h),
                                   pairs(right))

@@ -372,6 +372,29 @@ def _stacked_measure_scores(outcomes, stacked: _Outcome,
               out=out[:, np.newaxis])
     if ell_rows is not None:
         out += ell_rows @ arr
+    return _finite_scores(outcomes, out)
+
+
+def _stacked_score_matrix(outcomes, stacked: _Outcome,
+                          ell_rows: Optional[np.ndarray],
+                          masses: np.ndarray) -> np.ndarray:
+    """M, the (N, m) measure scores of the N stacked ``outcomes`` along
+    the m coordinate directions, checked finite: M = (f_dot . g^T) *
+    masses plus the representers of L, by the batched product of
+    :func:`_stacked_measure_scores` with no directions. It bypasses
+    :func:`_directions`, which refuses the uncentered coordinate
+    directions on a mean-zero tangent."""
+    out = np.matmul(stacked.fd[:, np.newaxis],
+                    stacked.gv.transpose(0, 2, 1))[:, 0] * masses
+    if ell_rows is not None:
+        out += ell_rows
+    return _finite_scores(outcomes, out)
+
+
+def _finite_scores(outcomes, out: np.ndarray) -> np.ndarray:
+    """``out``, the (N, k) scores of the N ``outcomes``, once checked
+    finite; raises :class:`EvaluationError` naming the first outcome, in
+    law order, whose scores are not."""
     bad = ~np.all(np.isfinite(out), axis=1)
     if np.any(bad):
         raise EvaluationError("measure score not finite at "

@@ -26,6 +26,14 @@ An operator builds its dense matrix once and factors its reduced system
 (one SVD) on its first solve; every later solve on it reuses both,
 whatever its right-hand side. ``analyze`` builds one operator per state
 and forms V from its matrix.
+
+An information operator over N outcomes has a second factorization:
+its reduced system is F^T F for the weighted (N, m) score factor F, so
+one thin SVD of F (:func:`outcome_factored`) gives the singular vectors
+and values the solve needs. That costs O(N^2 m) instead of O(m^3), and a
+solve on it never builds the m x m mean-zero basis: on a centered
+operator F's rows are projected off ``sqrt(w)`` instead. The solve, its
+rank cut and its Hessian-form residual are the same code either way.
 """
 
 from __future__ import annotations
@@ -177,7 +185,49 @@ def _reduce(mat: np.ndarray, eta: DiscreteMeasure, centered: bool):
     return reduced, sup, root, q
 
 
-def solve(op: KernelOperator, rhs) -> SolveResult:
+def outcome_factored(eta: DiscreteMeasure, centered: bool,
+                     scores: np.ndarray, probs: np.ndarray) -> tuple:
+    """The reduced system of an outer-product information operator on eta,
+    factored through its N outcomes: ``(factored, score_mean, s_max)``.
+
+    ``scores`` is M, the (N, m) measure scores of the outcomes along the
+    coordinate directions, and ``probs`` their (N,) probabilities. In the
+    solve coordinates on the support the operator ``a -> E[(B a) B]``
+    reduces to F^T F, with F = sqrt(p) M diag(w)^(-1/2) restricted to the
+    support's columns and, when ``centered``, its rows projected off
+    ``sqrt(w) / |sqrt(w)|``; neither step builds the m x m mean-zero
+    basis. With the thin SVD F = U S V^T that system is V S^2 V^T, so
+    ``factored``, the factorization :func:`solve` takes, holds V for both
+    singular-vector factors and S^2 padded with zeros up to the reduced
+    dimension (the support size, less one when centered), where the
+    system's other eigenvalues are exactly zero. N must be below that
+    dimension.
+
+    ``score_mean`` is |F^T sqrt(p)|, the largest |E[B a]| over unit
+    tangent directions a, and ``s_max`` the largest singular value of F.
+    A Hessian-form operator equals F^T F only where the score mean is at
+    rounding; the caller decides which to solve.
+    """
+    sup, root = eta._support_and_root
+    reduced = sup.size - centered
+    if probs.shape[0] >= reduced:
+        raise DimensionError(
+            f"{probs.shape[0]} outcomes do not factor a reduced system of "
+            f"dimension {reduced}: need fewer outcomes"
+        )
+    root_p = np.sqrt(probs)
+    factor = (root_p[:, np.newaxis] * scores[:, sup]) / root
+    if centered:
+        unit = root / np.linalg.norm(root)
+        factor -= np.outer(factor @ unit, unit)
+    _, svals, vt = np.linalg.svd(factor, full_matrices=False)
+    squares = np.zeros(reduced)
+    squares[:svals.size] = svals * svals
+    return ((sup, root, None, (vt.T, squares, vt)),
+            float(np.linalg.norm(factor.T @ root_p)), float(svals[0]))
+
+
+def solve(op: KernelOperator, rhs, factored=None) -> SolveResult:
     """Solve ``T a = rhs`` in L2(eta) by a truncated SVD.
 
     The singular values of the reduced system above ``SIGMA_MIN_REL_TOL``
@@ -193,6 +243,12 @@ def solve(op: KernelOperator, rhs) -> SolveResult:
 
     ``rhs`` may be a vector ``(m,)`` or a matrix of columns ``(m, k)``,
     and must be finite.
+
+    ``factored`` is the factorization of the reduced system to solve on:
+    by default the operator's own SVD of its matrix, built on first use;
+    :func:`outcome_factored` gives the outcome-space one, on which the
+    solve never builds the mean-zero basis. Either way the residual is
+    that of the operator's matrix.
     """
     rhs_arr = np.asarray(rhs, dtype=float)
     if rhs_arr.ndim not in (1, 2) or rhs_arr.shape[0] != op.size:
@@ -203,7 +259,7 @@ def solve(op: KernelOperator, rhs) -> SolveResult:
     if not np.all(np.isfinite(rhs_arr)):
         raise DomainError("rhs must be finite")
 
-    sup, root, q, svd = op._factored
+    sup, root, q, svd = op._factored if factored is None else factored
     if svd is None:
         return SolveResult(np.zeros_like(rhs_arr), 0.0, 0.0, 1.0, 0, 0.0,
                            0.0)
@@ -339,6 +395,9 @@ class BlockInformation:
 
     @classmethod
     def from_matrix(cls, mat, p: int) -> "BlockInformation":
+        """Split a square matrix after its first ``p`` rows and columns.
+        The lower-left block must be the transpose of the cross block
+        ``i_tp`` within ``BLOCK_SYMMETRY_TOL`` times the matrix scale."""
         arr = np.asarray(mat, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"expected a square matrix, got {arr.shape}")
@@ -346,7 +405,17 @@ class BlockInformation:
             raise DomainError(
                 f"split {p} outside [0, {arr.shape[0]}]"
             )
-        return cls(arr[:p, :p], arr[:p, p:], arr[p:, p:])
+        info = cls(arr[:p, :p], arr[:p, p:], arr[p:, p:])
+        if info.i_tp.size:
+            # Not ``>``: a NaN in the lower-left block must fail too.
+            scale = max(float(np.max(np.abs(arr))), 1.0)
+            if not float(np.max(np.abs(arr[p:, :p] - info.i_tp.T))) \
+                    <= BLOCK_SYMMETRY_TOL * scale:
+                raise DomainError(
+                    "block lower-left (i_tp^T) differs from the transpose "
+                    "of the cross block i_tp"
+                )
+        return info
 
     @property
     def p(self) -> int:

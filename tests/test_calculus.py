@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,102 @@ def test_influence_regular_case_has_small_residual():
                                   rhs)
     assert not res.non_regular
     np.testing.assert_allclose(res.lfd, chi_dot(t), atol=1e-9)
+
+
+def _solve_fields(res):
+    return (res.solution.tobytes(), res.residual, res.relative_residual,
+            res.condition, res.rank, res.sigma_min, res.sigma_max)
+
+
+@pytest.mark.parametrize("m", [10, 30, 100, 400, 800])
+def test_outcome_route_separates_regular_from_non_regular(m):
+    # Five outcomes leave the information operator rank 4 at every m: the
+    # derivative of P(X = 2), its kernel row, is in its range and the mean
+    # is not. Both are solved in outcome space, without the m x m
+    # mean-zero basis.
+    model = zoo.build("mixture", parametric=False, m=m)
+    c, s = model.components, model.state
+    row = center(model.extras["kernel"][2], s.eta).values
+    start = time.perf_counter()
+    mean = nonparametric_influence(
+        model.exact, c, s, center(s.eta.grid.points, s.eta).values)
+    elapsed = time.perf_counter() - start
+    regular = nonparametric_influence(model.exact, c, s, row)
+    assert "_mean_zero_basis" not in vars(s.eta)
+    for res in (mean, regular):
+        assert res.factorization == "outcome"
+        assert 0.0 <= res.score_mean <= 1e-12 * np.sqrt(
+            res.solve_result.sigma_max)
+        assert res.solve_result.rank == 4
+        assert res.solve_result.sigma_min == 0.0
+    assert not regular.non_regular
+    assert regular.solve_result.relative_residual <= 1e-13
+    assert mean.non_regular
+    if m == 800:
+        assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("m", [30, 400])
+def test_outcome_route_agrees_with_the_operator_solve(m):
+    from semiinfo.engines import outcome_law
+
+    model = zoo.build("mixture", parametric=False, m=m)
+    c, s = model.components, model.state
+    sf = structural_functions(outcome_law(model.exact, c, s), c, s)
+    for chi in (center(s.eta.grid.points, s.eta).values,
+                center(model.extras["kernel"][2], s.eta).values):
+        res = nonparametric_influence(model.exact, c, s, chi)
+        assert res.factorization == "outcome"
+        hessian = least_favorable_direction(sf, s.eta, c.tangent,
+                                            chi).solve_result
+        sr = res.solve_result
+        assert sr.rank == hessian.rank == 4
+        gap = sr.solution - hessian.solution
+        assert np.sqrt(np.sum(s.eta.masses * gap * gap)) <= 1e-11
+        assert sr.condition == pytest.approx(hessian.condition, rel=1e-9)
+        # a regular residual is rounding: compare it on the residual's scale
+        assert sr.relative_residual == pytest.approx(
+            hessian.relative_residual, rel=1e-9, abs=1e-13)
+        assert sr.sigma_max == pytest.approx(hessian.sigma_max, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["kaplan_meier-exact", "kaplan_meier-closed",
+                                  "mixture-mc"])
+def test_operator_route_keeps_the_least_favorable_solve(case):
+    # Where the outcome route does not apply (as many outcomes as grid
+    # points, a closed-form engine, a sampled law) the solve is
+    # least_favorable_direction's, bit for bit, and the gate is not read.
+    from semiinfo.engines import MonteCarlo
+
+    if case == "mixture-mc":
+        model = zoo.build("mixture", parametric=False, m=30)
+        engine = MonteCarlo(model.exact, 20000, 3)
+        chi = center(model.state.eta.grid.points, model.state.eta).values
+    else:
+        model = zoo.build("kaplan_meier")
+        engine = model.extras["closed_engine"] if case.endswith("closed") \
+            else model.exact
+        chi = model.references["chi_dot"](model.state.eta.grid.points[1])
+    c, s = model.components, model.state
+    res = nonparametric_influence(engine, c, s, chi)
+    sf = structural_functions(engine, c, s)
+    lfd = least_favorable_direction(sf, s.eta, c.tangent, chi)
+    assert res.factorization == "operator" and res.score_mean is None
+    assert _solve_fields(res.solve_result) == _solve_fields(lfd.solve_result)
+
+
+def test_a_score_mean_above_the_gate_keeps_the_operator_solve(monkeypatch):
+    # A gate of zero refuses the rounding-level score mean of mixture: the
+    # gate is read and reported, and the solve is the operator's.
+    import semiinfo.calculus as calculus
+
+    model = zoo.build("mixture", parametric=False, m=30)
+    c, s = model.components, model.state
+    chi = center(s.eta.grid.points, s.eta).values
+    monkeypatch.setattr(calculus, "SCORE_MEAN_REL_TOL", 0.0)
+    res = nonparametric_influence(model.exact, c, s, chi)
+    sf = structural_functions(model.exact, c, s)
+    lfd = least_favorable_direction(sf, s.eta, c.tangent, chi)
+    assert res.factorization == "operator"
+    assert 0.0 < res.score_mean <= 1e-15
+    assert _solve_fields(res.solve_result) == _solve_fields(lfd.solve_result)

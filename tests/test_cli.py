@@ -183,6 +183,31 @@ def test_influence_reports_the_singular_values_of_its_solve(tmp_path):
     assert report["condition"] == sr.sigma_max / sr.sigma_min
 
 
+@pytest.mark.parametrize("model, icfg, engine, factorization", [
+    ({"id": "mixture", "params": {"parametric": False, "m": 30}},
+     {"functional": "mean"}, {"kind": "exact"}, "outcome"),
+    ({"id": "mixture", "params": {"parametric": False, "m": 30}},
+     {"functional": "mean"}, {"kind": "mc", "n": 2000, "seed": 3},
+     "operator"),
+    ({"id": "kaplan_meier"}, {"functional": "survival_at", "t": 1.0},
+     {"kind": "exact"}, "operator"),
+], ids=["exact-mixture", "mc-mixture", "kaplan_meier"])
+def test_influence_reports_its_factorization(tmp_path, model, icfg, engine,
+                                             factorization):
+    cfg = write_cfg(tmp_path, {"schema_version": 1, "command": "influence",
+                               "model": model, "engine": engine,
+                               "influence": icfg})
+    assert run(["--config", cfg, "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["factorization"] == factorization
+    # the gate is read on the exact mixture law only, and passes there
+    if factorization == "outcome":
+        assert 0.0 <= report["score_mean"] \
+            <= 1e-12 * np.sqrt(report["sigma_max"])
+    else:
+        assert report["score_mean"] is None
+
+
 def test_influence_condition_is_over_the_kept_singular_values(tmp_path):
     # The rank-4 solve on mixture m=400 drops singular values below
     # SIGMA_MIN_REL_TOL * sigma_max, so the condition of what it solves is
@@ -259,6 +284,40 @@ def test_paramcheck_happy_path(tmp_path):
     assert report["verdict"]["equivalence_holds"] is True
     eff = read_matrix_csv(tmp_path / "efficient_info.csv")
     assert eff.shape == (2, 2)
+
+
+def _spd4(scale, moved):
+    """A 4 x 4 symmetric positive definite matrix times ``scale``, with
+    entry (0, 1) moved by ``moved`` off its mirror."""
+    mat = scale * np.array([[4.0, 1.0, 0.5, 0.25], [1.0, 3.0, 0.5, 0.125],
+                            [0.5, 0.5, 2.0, 0.25], [0.25, 0.125, 0.25, 1.5]])
+    mat[0, 1] += moved
+    return mat
+
+
+# The symmetry test is relative to max(largest |entry|, 1): an asymmetry
+# of 1e-6 is rounding on entries near 1e8 and is accepted there, while on
+# entries at most 1 the test is absolute at 1e-10, as it always was.
+@pytest.mark.parametrize("scale, moved, code", [(1e8, 1e-6, 0),
+                                                (0.25, 2e-10, 2),
+                                                (0.25, 5e-11, 0)],
+                         ids=["large-entries", "unit-entries",
+                              "unit-entries-within"])
+def test_paramcheck_symmetry_is_relative_to_the_entries(tmp_path, capsys,
+                                                         scale, moved, code):
+    mat_path = tmp_path / "info.csv"
+    write_matrix_csv(mat_path, _spd4(scale, moved))
+    cfg = write_cfg(tmp_path, {
+        "schema_version": 1,
+        "command": "paramcheck",
+        "paramcheck": {"path": str(mat_path), "p": 2},
+    })
+    assert run(["--config", cfg, "--out", tmp_path / "out"]) == code
+    if code:
+        assert "must be square symmetric" in capsys.readouterr().err
+    else:
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["verdict"]["full_invertible"] is True
 
 
 # The second matrix's eigenvalues are all negative, however small.

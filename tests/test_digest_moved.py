@@ -19,6 +19,9 @@ BASE = ("analyze-exact-cox_rc 0 aaa\n"
     (BASE.replace("bbb", "bcd") + "paramcheck-spd4-p2 0 ddd\n", 1,
      ["validate-318", "paramcheck-spd4-p2"]),
     ("analyze-exact-cox_rc 0 aaa\n", 1, ["validate-318", "validate-7"]),
+    # a config that only the head has is reported, and does not fail
+    (BASE + "influence-exact-mixture-m800 0 eee\n", 0,
+     ["influence-exact-mixture-m800"]),
 ])
 def test_only_a_moved_validate_line_fails(tmp_path, head, code, moved):
     (tmp_path / "base.txt").write_text(BASE)

@@ -14,7 +14,8 @@ from semiinfo import (
 )
 from semiinfo.errors import DimensionError, DomainError, NotIdentifiableError
 from semiinfo.measure import DiscreteMeasure, Grid, MeasureKind
-from semiinfo.operators import centered_basis, eta_weighted_min_eigen
+from semiinfo.operators import (centered_basis, eta_weighted_min_eigen,
+                                 outcome_factored)
 
 
 def measure(masses, kind=MeasureKind.POSITIVE_FINITE):
@@ -125,6 +126,59 @@ def test_centering_variant_respects_mean_zero():
         np.testing.assert_allclose(apply(op, a), mat @ a, atol=1e-13)
 
 
+def _outer_product_operator(eta, scores, probs, centering):
+    """The operator a -> E[(M a) M] / w on the support, with kernel
+    diag(w)^-1 M^T P M diag(w)^-1 (zero at dead points) and no
+    multiplier, as a KernelOperator."""
+    w = eta.masses
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0.0)
+    kernel = (scores * inv).T @ (probs[:, np.newaxis] * (scores * inv))
+    return op_from(np.zeros(w.size), kernel, eta, centering)
+
+
+@pytest.mark.parametrize("centering", [False, True])
+def test_outcome_factorization_solves_as_the_operator_does(centering):
+    # Three outcomes with mean-zero scores on seven grid points, one of
+    # them dead: the operator has rank 2, the scores' span.
+    rng = np.random.default_rng(23)
+    kind = MeasureKind.PROBABILITY if centering else \
+        MeasureKind.POSITIVE_FINITE
+    w = rng.uniform(0.5, 1.5, 7)
+    w[3] = 0.0
+    eta = measure(w / w.sum() if centering else w, kind)
+    probs = np.array([0.2, 0.3, 0.5])
+    scores = rng.normal(size=(3, 7))
+    scores -= probs @ scores
+    op = _outer_product_operator(eta, scores, probs, centering)
+    rhs = rng.normal(size=(7, 2))
+    if centering:
+        rhs -= eta.masses @ rhs
+    factored, score_mean, s_max = outcome_factored(eta, centering, scores,
+                                                   probs)
+    outcome = solve(op, rhs, factored)
+    # the outcome route never builds the mean-zero basis
+    assert "_mean_zero_basis" not in vars(eta)
+    operator = solve(op, rhs)
+    assert outcome.rank == operator.rank == 2
+    assert outcome.sigma_min == 0.0
+    assert outcome.sigma_max == pytest.approx(s_max ** 2, rel=1e-15)
+    assert outcome.sigma_max == pytest.approx(operator.sigma_max, rel=1e-12)
+    assert outcome.condition == pytest.approx(operator.condition, rel=1e-10)
+    assert outcome.relative_residual == pytest.approx(
+        operator.relative_residual, rel=1e-10)
+    np.testing.assert_allclose(outcome.solution, operator.solution,
+                               rtol=0.0, atol=1e-12)
+    assert outcome.solution[3].tolist() == [0.0, 0.0]
+    # scores with mean zero have a score mean at rounding
+    assert score_mean <= 1e-15 * s_max
+
+
+def test_outcome_factorization_needs_fewer_outcomes_than_dimensions():
+    eta = measure(np.full(3, 1.0 / 3.0), MeasureKind.PROBABILITY)
+    with pytest.raises(DimensionError, match="fewer outcomes"):
+        outcome_factored(eta, True, np.ones((2, 3)), np.full(2, 0.5))
+
+
 def test_eta_weighted_min_eigen_diagonal():
     eta = measure([0.5, 0.5])
     mat = np.diag([3.0, 7.0])
@@ -205,6 +259,24 @@ def test_verdict_keys_and_equivalence():
     assert v3["profiled_invertible"] is True
     assert v3["nuisance_invertible"] is False
     assert v3["equivalence_holds"] is True
+
+
+def test_from_matrix_refuses_a_lower_left_block_off_the_cross_block():
+    # from_matrix reads the cross block above the diagonal; the block below
+    # must be its transpose, or the split would pass an asymmetric matrix.
+    mat = np.eye(3)
+    mat[0, 2], mat[2, 0] = 0.5, -7.0
+    with pytest.raises(DomainError, match="lower-left"):
+        BlockInformation.from_matrix(mat, 1)
+    nan_below = np.eye(3)
+    nan_below[2, 0] = np.nan
+    with pytest.raises(DomainError, match="lower-left"):
+        BlockInformation.from_matrix(nan_below, 1)
+    # within BLOCK_SYMMETRY_TOL times the matrix scale it is accepted
+    near = 1e8 * np.eye(3)
+    near[0, 2], near[2, 0] = 0.5, 0.5 + 1e-6
+    info = BlockInformation.from_matrix(near, 1)
+    assert info.i_tp[0, 1] == 0.5
 
 
 def test_block_shape_errors():

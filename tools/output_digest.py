@@ -10,7 +10,7 @@ bit-identical outputs must print the same lines. Each line is
 exits nonzero (a config error, or a `validate` check that fails).
 
 BLAS is pinned to one thread before numpy is imported, as in the
-benchmark: output bytes depend on the BLAS thread count (`influence` on
+benchmark: output bytes depend on the BLAS thread count (`analyze` on
 `mixture` m=400 writes different bytes with one thread than with two).
 
 For `validate` the digest is of `report.json` as written, so seed 318
@@ -105,8 +105,15 @@ CONFIGS = dict(
         # the centered gamma rows and the centered-basis Gram as products.
         ("analyze-mc-mixture-np-m30",
          analyze("mixture", dict(NONPARAMETRIC, m=30), mc(20000, 2))),
+        # The exact mixture influence runs in outcome space (five
+        # outcomes): these pin it at a small and two large sizes, m=30
+        # next to the Monte Carlo line, which keeps the operator solve.
+        ("influence-exact-mixture-m30",
+         influence("mixture", dict(NONPARAMETRIC, m=30), MEAN)),
         ("influence-exact-mixture-m400",
          influence("mixture", dict(NONPARAMETRIC, m=400), MEAN)),
+        ("influence-exact-mixture-m800",
+         influence("mixture", dict(NONPARAMETRIC, m=800), MEAN)),
         ("influence-mc-mixture-m30",
          influence("mixture", dict(NONPARAMETRIC, m=30), MEAN, mc(20000, 3))),
         ("influence-exact-kaplan_meier-survival",
