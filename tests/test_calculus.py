@@ -314,28 +314,67 @@ def test_outcome_route_separates_regular_from_non_regular(m):
         assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("m", [30, 400])
+@pytest.mark.parametrize("m", [10, 30, 100, 400, 800])
 def test_outcome_route_agrees_with_the_operator_solve(m):
+    # The outcome route differs from a solve on its own factorization with
+    # the Hessian-form matrix as residual map only in that residual.
+    from dataclasses import replace
+
     from semiinfo.engines import outcome_law
+    from semiinfo.operators import outcome_factored, solve
 
     model = zoo.build("mixture", parametric=False, m=m)
     c, s = model.components, model.state
-    sf = structural_functions(outcome_law(model.exact, c, s), c, s)
-    for chi in (center(s.eta.grid.points, s.eta).values,
-                center(model.extras["kernel"][2], s.eta).values):
+    law = outcome_law(model.exact, c, s)
+    sf = structural_functions(law, c, s)
+    factored = outcome_factored(s.eta, True, law.score_matrix(),
+                                law.weights)[0]
+    matrix = as_matrix(info_operator(sf, s.eta, c.tangent))
+    hessian_map = replace(factored, apply=matrix.__matmul__)
+    for chi, regular in ((center(s.eta.grid.points, s.eta).values, False),
+                         (center(model.extras["kernel"][2], s.eta).values,
+                          True)):
         res = nonparametric_influence(model.exact, c, s, chi)
         assert res.factorization == "outcome"
+        sr = res.solve_result
+        assert _solve_fields(sr) == _solve_fields(solve(factored, chi))
+        swapped = solve(hessian_map, chi)
+        assert sr.solution.tobytes() == swapped.solution.tobytes()
+        assert (sr.rank, sr.condition, sr.sigma_min, sr.sigma_max) == \
+            (swapped.rank, swapped.condition, swapped.sigma_min,
+             swapped.sigma_max)
+        # a regular residual is rounding: compare it on the residual's scale
+        assert sr.relative_residual == pytest.approx(
+            swapped.relative_residual, rel=1e-9, abs=1e-13 if regular else 0)
         hessian = least_favorable_direction(sf, s.eta, c.tangent,
                                             chi).solve_result
-        sr = res.solve_result
         assert sr.rank == hessian.rank == 4
         gap = sr.solution - hessian.solution
         assert np.sqrt(np.sum(s.eta.masses * gap * gap)) <= 1e-11
         assert sr.condition == pytest.approx(hessian.condition, rel=1e-9)
-        # a regular residual is rounding: compare it on the residual's scale
         assert sr.relative_residual == pytest.approx(
-            hessian.relative_residual, rel=1e-9, abs=1e-13)
+            hessian.relative_residual, rel=1e-9, abs=1e-13 if regular else 0)
         assert sr.sigma_max == pytest.approx(hessian.sigma_max, rel=1e-12)
+
+
+def test_outcome_route_forms_no_structural_functions_or_matrix(monkeypatch):
+    import semiinfo.calculus as calculus
+    import semiinfo.operators as operators
+
+    model = zoo.build("mixture", parametric=False, m=400)
+    c, s = model.components, model.state
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the outcome route formed an m x m quantity")
+
+    monkeypatch.setattr(calculus, "structural_functions", refuse)
+    monkeypatch.setattr(operators, "as_matrix", refuse)
+    res = nonparametric_influence(model.exact, c, s,
+                                  center(s.eta.grid.points, s.eta).values)
+    assert res.factorization == "outcome"
+    assert res.solve_result.rank == 4
+    assert res.non_regular
+    assert "_mean_zero_basis" not in vars(s.eta)
 
 
 @pytest.mark.parametrize("case", ["kaplan_meier-exact", "kaplan_meier-closed",

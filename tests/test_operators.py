@@ -149,16 +149,17 @@ def test_outcome_factorization_solves_as_the_operator_does(centering):
     probs = np.array([0.2, 0.3, 0.5])
     scores = rng.normal(size=(3, 7))
     scores -= probs @ scores
-    op = _outer_product_operator(eta, scores, probs, centering)
     rhs = rng.normal(size=(7, 2))
     if centering:
         rhs -= eta.masses @ rhs
     factored, score_mean, s_max = outcome_factored(eta, centering, scores,
                                                    probs)
-    outcome = solve(op, rhs, factored)
-    # the outcome route never builds the mean-zero basis
+    # the outcome route needs no operator and never builds the mean-zero
+    # basis
+    outcome = solve(factored, rhs)
     assert "_mean_zero_basis" not in vars(eta)
-    operator = solve(op, rhs)
+    operator = solve(_outer_product_operator(eta, scores, probs, centering),
+                     rhs)
     assert outcome.rank == operator.rank == 2
     assert outcome.sigma_min == 0.0
     assert outcome.sigma_max == pytest.approx(s_max ** 2, rel=1e-15)
