@@ -3,14 +3,15 @@
 Each module in this package builds one finite-outcome model wired for the
 operator pipeline, together with independently derived reference values
 (structural functions, least favorable directions, influence functions)
-used to cross-validate the generic machinery.  Models are addressed by a
-snake_case id string, the same id the CLI accepts.
+used to cross-validate the generic machinery; the references are
+computed on their first read (see ``base.References``).  Models are
+addressed by a snake_case id string, the same id the CLI accepts.
 """
 from __future__ import annotations
 
 from ..errors import ConfigError, NotAvailableError
 from . import cox_cs, cox_rc, kaplan_meier, missing_cov, mixture, recurrent
-from .base import ZooModel, check_state
+from .base import BUILD_ERRORS, ZooModel, build_error, check_state
 from .missing_cov import invertibility_conditions
 
 MODELS = {
@@ -27,7 +28,8 @@ def build(model_id, **params):
     """Construct the zoo model named by ``model_id``.
 
     Keyword arguments are passed to the model's builder; see the
-    individual modules for what each accepts.
+    individual modules for what each accepts. The model's references are
+    computed on their first read, not here.
     """
     try:
         builder = MODELS[model_id]
@@ -36,8 +38,8 @@ def build(model_id, **params):
         raise ConfigError(f"unknown model id {model_id!r}; known ids: {known}") from None
     try:
         return builder(**params)
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        raise ConfigError(f"cannot build {model_id!r}: {exc}") from exc
+    except BUILD_ERRORS as exc:
+        raise build_error(model_id, exc) from exc
 
 
 def _reference(model, name, state=None):

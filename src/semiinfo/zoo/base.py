@@ -8,29 +8,81 @@ engine's law; ``sampler`` is the same engine under the name the benchmark
 workloads (``perfbench/workloads.py``) read. The references are computed
 from simplified closed forms, never through the structural-function
 pipeline, so agreement between the two is evidence rather than tautology.
+
+The references are computed on first read and kept for the model's life.
+Only ``validate`` and the tests read them; ``analyze`` and ``influence``
+never do, so they do not pay for them. What the components, the engines
+or ``extras`` read is computed when the model is built.
 """
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..calculus import Category
 from ..engines import ExactEnumeration
-from ..errors import NotAvailableError
+from ..errors import ConfigError, NotAvailableError
 from ..likelihood import ModelComponents, ModelState
 from ..measure import DiscreteMeasure, Grid, MeasureKind
 
 
+# What a builder raises for parameters it cannot build; ``zoo.build`` and
+# the first read of the references turn them into a ConfigError.
+BUILD_ERRORS = (TypeError, ValueError, KeyError, OverflowError)
+
+
+def build_error(model_id: str, exc: Exception) -> ConfigError:
+    return ConfigError(f"cannot build {model_id!r}: {exc}")
+
+
+class References(Mapping):
+    """A model's closed-form references: ``compute()`` runs once, on the
+    first read, and its dict is kept. A build error it raises becomes the
+    ConfigError ``zoo.build`` gives, naming the model. Two of these compare
+    by identity, so a comparison computes nothing."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, model_id: str, compute: Callable[[], dict]):
+        self._model_id = model_id
+        self._compute = compute
+        self._values = None
+
+    def _read(self) -> dict:
+        if self._values is None:
+            try:
+                self._values = self._compute()
+            except BUILD_ERRORS as exc:
+                raise build_error(self._model_id, exc) from exc
+        return self._values
+
+    def __getitem__(self, name):
+        return self._read()[name]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self):
+        return len(self._read())
+
+
 @dataclass(frozen=True)
 class ZooModel:
-    """A ready-to-run example model with reference answers."""
+    """A ready-to-run example model with reference answers.
+
+    ``references`` is a read-only mapping computed on its first read and
+    kept (see ``References``); ``analyze`` and ``influence`` never read
+    it, only ``validate`` and the tests do.
+    """
 
     model_id: str
     components: ModelComponents
     state: ModelState
     exact: ExactEnumeration
     sampler: ExactEnumeration
-    references: dict
+    references: References
     expected_category: Category
     adjoint_tol: float
     notes: str = ""
@@ -103,14 +155,15 @@ def probability_measure(points, masses, tau) -> DiscreteMeasure:
 
 
 def finish(model_id: str, components: ModelComponents, state: ModelState,
-           outcomes, references: dict, expected_category: Category,
-           adjoint_tol: float, notes: str = "",
+           outcomes, references: Callable[[], dict],
+           expected_category: Category, adjoint_tol: float, notes: str = "",
            extras: Optional[dict] = None) -> ZooModel:
-    """Wire the exact engine around a model."""
+    """Wire the exact engine around a model; ``references`` returns the
+    reference dict and runs on the first read of ``model.references``."""
     exact = ExactEnumeration(outcomes)
     return ZooModel(
         model_id=model_id, components=components, state=state, exact=exact,
-        sampler=exact, references=references,
+        sampler=exact, references=References(model_id, references),
         expected_category=expected_category, adjoint_tol=adjoint_tol,
         notes=notes, extras=dict(extras or {}),
     )

@@ -102,57 +102,60 @@ def build(theta=np.log(2.0), m=None):
                 for zi in range(z_levels.size)
                 for delta in (1, 0)]
 
-    s0, s1 = _s_moments(th, Lam, z_levels, pz)
-    zeta = s1 / s0
+    def references():
+        s0, s1 = _s_moments(th, Lam, z_levels, pz)
+        zeta = s1 / s0
 
-    # The kernel depends on its two slots only through their maximum:
-    # kappa(v, u) = sum_{i >= max(v, u)} pu_i s0(u_i), and beta replaces
-    # s0 with s1. Reverse cumulative sums give both at once.
-    R0 = np.flip(np.cumsum(np.flip(pu * s0)))
-    R1 = np.flip(np.cumsum(np.flip(pu * s1)))
-    vmax = np.maximum(np.arange(npts)[:, np.newaxis], np.arange(npts))
-    kappa_ref = R0[vmax]
-    beta_ref = R1[vmax][:, :, np.newaxis]
+        # The kernel depends on its two slots only through their maximum:
+        # kappa(v, u) = sum_{i >= max(v, u)} pu_i s0(u_i), and beta
+        # replaces s0 with s1. Reverse cumulative sums give both at once.
+        R0 = np.flip(np.cumsum(np.flip(pu * s0)))
+        R1 = np.flip(np.cumsum(np.flip(pu * s1)))
+        vmax = np.maximum(np.arange(npts)[:, np.newaxis], np.arange(npts))
+        kappa_ref = R0[vmax]
+        beta_ref = R1[vmax][:, :, np.newaxis]
 
-    # Second differences of zeta bound the quotient reference's truncation
-    # error on refined grids; endpoints get the worst interior bound.
-    bound = np.abs(Lam[1:-1] * (zeta[2:] - 2 * zeta[1:-1] + zeta[:-2]))
-    if bound.size:
-        trunc = np.full(npts, float(np.max(bound)))
-        trunc[1:-1] = bound
-    else:
-        trunc = np.full(npts, np.finfo(float).eps)
+        # Second differences of zeta bound the quotient reference's
+        # truncation error on refined grids; endpoints get the worst
+        # interior bound.
+        bound = np.abs(Lam[1:-1] * (zeta[2:] - 2 * zeta[1:-1] + zeta[:-2]))
+        if bound.size:
+            trunc = np.full(npts, float(np.max(bound)))
+            trunc[1:-1] = bound
+        else:
+            trunc = np.full(npts, np.finfo(float).eps)
 
-    def efficient_score_ref(o):
-        z = z_levels[o.z_index]
-        ez = np.exp(float(th[0]) * z)
-        x = ez * Lam[o.u_index]
-        fd = np.exp(-x) / (1.0 - np.exp(-x)) if o.delta else -1.0
-        return fd * ez * Lam[o.u_index] * (z - zeta[o.u_index])
+        def efficient_score_ref(o):
+            z = z_levels[o.z_index]
+            ez = np.exp(float(th[0]) * z)
+            x = ez * Lam[o.u_index]
+            fd = np.exp(-x) / (1.0 - np.exp(-x)) if o.delta else -1.0
+            return fd * ez * Lam[o.u_index] * (z - zeta[o.u_index])
 
-    # Pointwise solution via central difference quotients of zeta.  This
-    # targets the continuous-time expression, so it agrees with the
-    # discrete solver only to O(grid spacing); the backward-difference
-    # form below is exact for the grid model because differencing the
-    # cumulative identity recovers the direction cell by cell.
-    rate = dlam / np.gradient(points)
-    lfd_quotient = zeta + Lam * np.gradient(zeta, points) / rate
-    lam_left = np.concatenate(([0.0], Lam[:-1]))
-    lfd_exact = zeta + lam_left * np.diff(zeta, prepend=zeta[0]) / dlam
+        # Pointwise solution via central difference quotients of zeta.
+        # This targets the continuous-time expression, so it agrees with
+        # the discrete solver only to O(grid spacing); the
+        # backward-difference form below is exact for the grid model
+        # because differencing the cumulative identity recovers the
+        # direction cell by cell.
+        rate = dlam / np.gradient(points)
+        lfd_quotient = zeta + Lam * np.gradient(zeta, points) / rate
+        lam_left = np.concatenate(([0.0], Lam[:-1]))
+        lfd_exact = zeta + lam_left * np.diff(zeta, prepend=zeta[0]) / dlam
 
-    references = {
-        "gamma": np.zeros(npts),
-        "alpha": np.zeros((npts, 1)),
-        "kappa": kappa_ref,
-        "beta": beta_ref,
-        "adjoint": np.einsum("vuj,u->vj", beta_ref, dlam),
-        "zeta": zeta,
-        "cumulative_target": Lam * zeta,
-        "truncation_bound": trunc,
-        "efficient_score": efficient_score_ref,
-        "lfd": lfd_quotient[:, np.newaxis],
-        "lfd_exact": lfd_exact[:, np.newaxis],
-    }
+        return {
+            "gamma": np.zeros(npts),
+            "alpha": np.zeros((npts, 1)),
+            "kappa": kappa_ref,
+            "beta": beta_ref,
+            "adjoint": np.einsum("vuj,u->vj", beta_ref, dlam),
+            "zeta": zeta,
+            "cumulative_target": Lam * zeta,
+            "truncation_bound": trunc,
+            "efficient_score": efficient_score_ref,
+            "lfd": lfd_quotient[:, np.newaxis],
+            "lfd_exact": lfd_exact[:, np.newaxis],
+        }
 
     return finish(
         "cox_cs", components, state, outcomes, references,

@@ -91,25 +91,26 @@ def build(theta=np.log(2.0), mass_scale=MASS_SCALE,
                 for delta in (1, 0)
                 for i in range(m)]
 
-    # References straight from the outcome law: at-risk averages of the
-    # relative hazard, with and without the covariate factor.
-    W = np.cumsum(w)
-    gamma_ref = np.zeros(m)
-    adjoint_ref = np.zeros((m, p))
-    for zi in range(z_levels.shape[0]):
-        c = np.exp(float(th @ z_levels[zi]))
-        atoms = cbar * w * c * np.exp(-c * W) + cprob * np.exp(-c * W)
-        at_risk = np.flip(np.cumsum(np.flip(atoms)))
-        gamma_ref += pz[zi] * c * at_risk
-        adjoint_ref += pz[zi] * c * np.outer(at_risk, z_levels[zi])
-    references = {
-        "gamma": gamma_ref,
-        "alpha": adjoint_ref.copy(),
-        "kappa": np.zeros((m, m)),
-        "beta": np.zeros((m, m, p)),
-        "adjoint": adjoint_ref,
-        "lfd": adjoint_ref / gamma_ref[:, np.newaxis],
-    }
+    def references():
+        # References straight from the outcome law: at-risk averages of the
+        # relative hazard, with and without the covariate factor.
+        W = np.cumsum(w)
+        gamma_ref = np.zeros(m)
+        adjoint_ref = np.zeros((m, p))
+        for zi in range(z_levels.shape[0]):
+            c = np.exp(float(th @ z_levels[zi]))
+            atoms = cbar * w * c * np.exp(-c * W) + cprob * np.exp(-c * W)
+            at_risk = np.flip(np.cumsum(np.flip(atoms)))
+            gamma_ref += pz[zi] * c * at_risk
+            adjoint_ref += pz[zi] * c * np.outer(at_risk, z_levels[zi])
+        return {
+            "gamma": gamma_ref,
+            "alpha": adjoint_ref.copy(),
+            "kappa": np.zeros((m, m)),
+            "beta": np.zeros((m, m, p)),
+            "adjoint": adjoint_ref,
+            "lfd": adjoint_ref / gamma_ref[:, np.newaxis],
+        }
 
     return finish(
         "cox_rc", components, state, outcomes, references,

@@ -91,42 +91,43 @@ def build(mass_scale=MASS_SCALE, zero_mass_point=False):
     atoms = cbar * w * np.exp(-W) + cprob * np.exp(-W)
     pi = np.flip(np.cumsum(np.flip(atoms)))
 
-    def survival(t):
-        return float(np.exp(-np.sum(w[points <= t])))
+    def references():
+        def survival(t):
+            return float(np.exp(-np.sum(w[points <= t])))
 
-    def chi_dot(t):
-        return -survival(t) * (points <= t).astype(float)
+        def chi_dot(t):
+            return -survival(t) * (points <= t).astype(float)
 
-    def influence_ref(t):
-        s_t = survival(t)
-        live = w > 0.0
+        def influence_ref(t):
+            s_t = survival(t)
+            live = w > 0.0
 
-        def fn(o):
-            x = points[o.time_index]
-            upto = (points <= min(x, t)) & live
-            comp = float(np.sum(w[upto] / pi[upto]))
-            jump = o.delta * (x <= t) / pi[o.time_index]
-            return -s_t * (jump - comp)
+            def fn(o):
+                x = points[o.time_index]
+                upto = (points <= min(x, t)) & live
+                comp = float(np.sum(w[upto] / pi[upto]))
+                jump = o.delta * (x <= t) / pi[o.time_index]
+                return -s_t * (jump - comp)
 
-        return fn
+            return fn
 
-    def lfd_ref(t):
-        # Division by the at-risk multiplier; meaningful only where the
-        # hazard measure has mass, so compare on the support.
-        return chi_dot(t) / pi
+        def lfd_ref(t):
+            # Division by the at-risk multiplier; meaningful only where the
+            # hazard measure has mass, so compare on the support.
+            return chi_dot(t) / pi
 
-    references = {
-        "gamma": pi,
-        "alpha": np.zeros((m, 0)),
-        "kappa": np.zeros((m, m)),
-        "beta": np.zeros((m, m, 0)),
-        "adjoint": np.zeros((m, 0)),
-        "pi": pi,
-        "survival": survival,
-        "chi_dot": chi_dot,
-        "influence": influence_ref,
-        "lfd": lfd_ref,
-    }
+        return {
+            "gamma": pi,
+            "alpha": np.zeros((m, 0)),
+            "kappa": np.zeros((m, m)),
+            "beta": np.zeros((m, m, 0)),
+            "adjoint": np.zeros((m, 0)),
+            "pi": pi,
+            "survival": survival,
+            "chi_dot": chi_dot,
+            "influence": influence_ref,
+            "lfd": lfd_ref,
+        }
 
     def closed_structural(c, s):
         check_state(model, s)

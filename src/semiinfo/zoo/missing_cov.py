@@ -159,40 +159,43 @@ def build(theta=(0.2, -0.3), zero_cell=False, degenerate_z=False,
     outcomes = [MisObs(1, y, i) for y in (0, 1) for i in range(m)]
     outcomes += [MisObs(0, y, x) for y in (0, 1) for x in range(ncells)]
 
-    sel_grid = {y: np.array([sel[(y, int(cells[i]))] for i in range(m)])
-                for y in (0, 1)}
-    same_cell = cells[:, np.newaxis] == cells
-    gamma_ref = np.zeros(m)
-    alpha_ref = np.zeros((m, 2))
-    kappa_ref = np.zeros((m, m))
-    beta_ref = np.zeros((m, m, 2))
-    for y in (0, 1):
-        py = p_y(th, y)
-        pd = p_y_dot(th, y)
-        gamma_ref += sel_grid[y] * py
-        alpha_ref += sel_grid[y][:, np.newaxis] * pd
-        q = np.array([np.sum(py[cells == x] * weights[cells == x])
-                      for x in range(ncells)])
-        q_on_grid = q[cells]
-        one_minus = 1.0 - sel_grid[y]
-        kappa_ref += same_cell * np.outer(py, py) * (one_minus / q_on_grid)
-        beta_ref += (same_cell[:, :, np.newaxis] * py[:, np.newaxis, np.newaxis]
-                     * pd[np.newaxis, :, :]
-                     * (one_minus / q_on_grid)[:, np.newaxis, np.newaxis])
+    def references():
+        sel_grid = {y: np.array([sel[(y, int(cells[i]))] for i in range(m)])
+                    for y in (0, 1)}
+        same_cell = cells[:, np.newaxis] == cells
+        gamma_ref = np.zeros(m)
+        alpha_ref = np.zeros((m, 2))
+        kappa_ref = np.zeros((m, m))
+        beta_ref = np.zeros((m, m, 2))
+        for y in (0, 1):
+            py = p_y(th, y)
+            pd = p_y_dot(th, y)
+            gamma_ref += sel_grid[y] * py
+            alpha_ref += sel_grid[y][:, np.newaxis] * pd
+            q = np.array([np.sum(py[cells == x] * weights[cells == x])
+                          for x in range(ncells)])
+            q_on_grid = q[cells]
+            one_minus = 1.0 - sel_grid[y]
+            kappa_ref += (same_cell * np.outer(py, py)
+                          * (one_minus / q_on_grid))
+            beta_ref += (same_cell[:, :, np.newaxis]
+                         * py[:, np.newaxis, np.newaxis]
+                         * pd[np.newaxis, :, :]
+                         * (one_minus / q_on_grid)[:, np.newaxis, np.newaxis])
 
-    adj_raw = alpha_ref + np.einsum("vuj,u->vj", beta_ref, weights)
-    adjoint_ref = adj_raw - weights @ adj_raw
+        adj_raw = alpha_ref + np.einsum("vuj,u->vj", beta_ref, weights)
+        adjoint_ref = adj_raw - weights @ adj_raw
 
-    references = {
-        "gamma": gamma_ref,
-        "alpha": alpha_ref,
-        "kappa": kappa_ref,
-        "beta": beta_ref,
-        "adjoint": adjoint_ref,
-        "selection_mean": float(sum(
-            sel[(y, int(cells[i]))] * p_y(th, y)[i] * weights[i]
-            for y in (0, 1) for i in range(m))),
-    }
+        return {
+            "gamma": gamma_ref,
+            "alpha": alpha_ref,
+            "kappa": kappa_ref,
+            "beta": beta_ref,
+            "adjoint": adjoint_ref,
+            "selection_mean": float(sum(
+                sel[(y, int(cells[i]))] * p_y(th, y)[i] * weights[i]
+                for y in (0, 1) for i in range(m))),
+        }
 
     return finish(
         "missing_cov", components, state, outcomes, references,

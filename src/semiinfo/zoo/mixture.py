@@ -34,6 +34,11 @@ TAU = 4.0
 X_VALUES = (0, 1, 2, 3, 4)
 
 
+def _kernel_moment(k, right, marg):
+    """sum_x k[x, v] right[x, u] / marg[x], the (v, u) kernel moment."""
+    return np.einsum("xv,xu,x->vu", k, right, 1.0 / marg)
+
+
 def build(theta=0.3, parametric=True, m=None, constant_kernel=False):
     parametric = require_flag("parametric", parametric)
     constant_kernel = require_flag("constant_kernel", constant_kernel)
@@ -104,26 +109,27 @@ def build(theta=0.3, parametric=True, m=None, constant_kernel=False):
 
     k = kernel(th, points)
     marg = k @ weights
-    kappa_ref = np.einsum("xv,xu,x->vu", k, k, 1.0 / marg)
-    if parametric:
-        kd = kernel_dot(th, points)
-        alpha_ref = np.zeros((npts, 1))
-        beta_ref = np.einsum("xv,xu,x->vu", k, kd, 1.0 / marg)[:, :, np.newaxis]
-        marg_dot = kd @ weights
-        adj_raw = k.T @ (marg_dot / marg)
-        adjoint_ref = (adj_raw - weights @ adj_raw)[:, np.newaxis]
-    else:
-        alpha_ref = np.zeros((npts, 0))
-        beta_ref = np.zeros((npts, npts, 0))
-        adjoint_ref = np.zeros((npts, 0))
 
-    references = {
-        "gamma": np.zeros(npts),
-        "alpha": alpha_ref,
-        "kappa": kappa_ref,
-        "beta": beta_ref,
-        "adjoint": adjoint_ref,
-    }
+    def references():
+        kappa_ref = _kernel_moment(k, k, marg)
+        if parametric:
+            kd = kernel_dot(th, points)
+            alpha_ref = np.zeros((npts, 1))
+            beta_ref = _kernel_moment(k, kd, marg)[:, :, np.newaxis]
+            marg_dot = kd @ weights
+            adj_raw = k.T @ (marg_dot / marg)
+            adjoint_ref = (adj_raw - weights @ adj_raw)[:, np.newaxis]
+        else:
+            alpha_ref = np.zeros((npts, 0))
+            beta_ref = np.zeros((npts, npts, 0))
+            adjoint_ref = np.zeros((npts, 0))
+        return {
+            "gamma": np.zeros(npts),
+            "alpha": alpha_ref,
+            "kappa": kappa_ref,
+            "beta": beta_ref,
+            "adjoint": adjoint_ref,
+        }
 
     return finish(
         "mixture", components, state, outcomes, references,

@@ -116,41 +116,43 @@ def build(theta=np.log(2.0), transform="log1p", mass_scale=MASS_SCALE):
                         continue
                     outcomes.append(RecObs(zi, ci, d1, d2))
 
-    # Post-simplification references: the intensity cumulative is a
-    # deterministic function of (z, c) and the counts enter only through
-    # their conditional means, so every average collapses to four terms.
-    # gamma and alpha use left limits of the cumulative; the kernel keeps
-    # the first-order count-mean term explicitly because it does not
-    # telescope away.
-    hp = lambda t: (Gddd(t) * Gd(t) - Gdd(t) ** 2) / Gd(t) ** 2
-    gamma_ref = np.zeros(m)
-    alpha_ref = np.zeros((m, 1))
-    kappa_ref = np.zeros((m, m))
-    beta_ref = np.zeros((m, m, 1))
-    vmax = np.maximum(np.arange(m)[:, np.newaxis], np.arange(m))
-    for zi in range(z_levels.size):
-        z = z_levels[zi]
-        ez = np.exp(float(th[0]) * z)
-        for ci in range(pc.size):
-            Y = np.array([1.0, 1.0 if ci >= 1 else 0.0])
-            S = ez * np.cumsum(Y * w)
-            S_left = np.concatenate(([0.0], S[:-1]))
-            gamma_ref += pz[zi] * pc[ci] * Y * ez * Gd(S_left)
-            alpha_ref[:, 0] += pz[zi] * pc[ci] * z * Y * ez * Gd(S_left)
-            counts_mean = Gd(S) * ez * w * Y
-            tail = np.flip(np.cumsum(np.flip(counts_mean * hp(S))))
-            bracket = Gdd(S[-1]) - tail
-            block = pz[zi] * pc[ci] * ez ** 2 * np.outer(Y, Y) * bracket[vmax]
-            kappa_ref += block
-            beta_ref[:, :, 0] += z * block
+    def references():
+        # Post-simplification references: the intensity cumulative is a
+        # deterministic function of (z, c) and the counts enter only
+        # through their conditional means, so every average collapses to
+        # four terms. gamma and alpha use left limits of the cumulative;
+        # the kernel keeps the first-order count-mean term explicitly
+        # because it does not telescope away.
+        hp = lambda t: (Gddd(t) * Gd(t) - Gdd(t) ** 2) / Gd(t) ** 2
+        gamma_ref = np.zeros(m)
+        alpha_ref = np.zeros((m, 1))
+        kappa_ref = np.zeros((m, m))
+        beta_ref = np.zeros((m, m, 1))
+        vmax = np.maximum(np.arange(m)[:, np.newaxis], np.arange(m))
+        for zi in range(z_levels.size):
+            z = z_levels[zi]
+            ez = np.exp(float(th[0]) * z)
+            for ci in range(pc.size):
+                Y = np.array([1.0, 1.0 if ci >= 1 else 0.0])
+                S = ez * np.cumsum(Y * w)
+                S_left = np.concatenate(([0.0], S[:-1]))
+                gamma_ref += pz[zi] * pc[ci] * Y * ez * Gd(S_left)
+                alpha_ref[:, 0] += pz[zi] * pc[ci] * z * Y * ez * Gd(S_left)
+                counts_mean = Gd(S) * ez * w * Y
+                tail = np.flip(np.cumsum(np.flip(counts_mean * hp(S))))
+                bracket = Gdd(S[-1]) - tail
+                block = (pz[zi] * pc[ci] * ez ** 2 * np.outer(Y, Y)
+                         * bracket[vmax])
+                kappa_ref += block
+                beta_ref[:, :, 0] += z * block
 
-    references = {
-        "gamma": gamma_ref,
-        "alpha": alpha_ref,
-        "kappa": kappa_ref,
-        "beta": beta_ref,
-        "adjoint": alpha_ref + np.einsum("vuj,u->vj", beta_ref, w),
-    }
+        return {
+            "gamma": gamma_ref,
+            "alpha": alpha_ref,
+            "kappa": kappa_ref,
+            "beta": beta_ref,
+            "adjoint": alpha_ref + np.einsum("vuj,u->vj", beta_ref, w),
+        }
 
     return finish(
         f"recurrent[{transform}]", components, state, outcomes, references,

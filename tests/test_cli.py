@@ -12,6 +12,8 @@ import pytest
 
 from semiinfo import nonparametric_influence, zoo
 from semiinfo.cli import _functional_derivative, main
+from semiinfo.errors import ConfigError
+from semiinfo.zoo import cox_cs, mixture
 from semiinfo.operators import SIGMA_MIN_REL_TOL
 from semiinfo.serialize import read_matrix_csv, write_matrix_csv
 
@@ -762,6 +764,58 @@ def test_malformed_model_params_exit_two(tmp_path, capsys, model_id, params,
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert f"cannot build {model_id!r}: {message}" in err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _outputs_without_timestamp(out):
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    report = json.loads(files.pop("report.json"))
+    report.pop("timestamp", None)
+    return files, report
+
+
+def _no_reference(*args):
+    raise AssertionError("a closed-form reference was computed")
+
+
+@pytest.mark.parametrize("doc", [
+    {"command": "analyze", "model": {"id": "cox_cs", "params": {"m": 100}}},
+    {"command": "analyze", "model": {"id": "cox_cs", "params": {"m": 100}},
+     "engine": {"kind": "mc", "n": 2000, "seed": 3}},
+    {"command": "influence",
+     "model": {"id": "mixture", "params": {"parametric": False, "m": 400}},
+     "influence": {"functional": "mean"}},
+], ids=["analyze-exact-cox_cs", "analyze-mc-cox_cs", "influence-mixture"])
+def test_analyze_and_influence_compute_no_reference(tmp_path, monkeypatch,
+                                                    doc):
+    cfg = write_cfg(tmp_path, {"schema_version": 1, **doc})
+    assert run(["--config", cfg, "--out", tmp_path / "usual"]) == 0
+    monkeypatch.setattr(cox_cs, "_s_moments", _no_reference)
+    monkeypatch.setattr(mixture, "_kernel_moment", _no_reference)
+    assert run(["--config", cfg, "--out", tmp_path / "patched"]) == 0
+    assert _outputs_without_timestamp(tmp_path / "patched") \
+        == _outputs_without_timestamp(tmp_path / "usual")
+
+
+def test_a_reference_build_error_exits_two(tmp_path, capsys, monkeypatch):
+    # References are computed on first read, after zoo.build returned; a
+    # build error raised then is the same configuration error.
+    def bad_kernel(*args):
+        raise ValueError("no kernel moment")
+
+    monkeypatch.setattr(mixture, "_kernel_moment", bad_kernel)
+    model = zoo.build("mixture")
+    with pytest.raises(ConfigError,
+                       match="cannot build 'mixture': no kernel moment"):
+        model.references["kappa"]
+    cfg = write_cfg(tmp_path, {
+        "schema_version": 1, "command": "validate",
+        "validate": {"models": ["mixture"], "params": {"mixture": {"m": 10}}},
+    })
+    assert run(["--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: cannot build 'mixture': no kernel moment" \
+        in err
     assert not (tmp_path / "out" / "report.json").exists()
 
 

@@ -15,6 +15,8 @@ from semiinfo import (
 )
 from semiinfo.errors import ConfigError, NotAvailableError
 from semiinfo.likelihood import ModelState
+from semiinfo.validate import suite_for_model
+from semiinfo.zoo import base
 from semiinfo.zoo import (
     invertibility_conditions,
     reference_adjoint,
@@ -58,13 +60,51 @@ def test_structural_functions_match_references(model_id):
     assert maxabs(sf.beta - model.references["beta"]) < tol
 
 
+@pytest.fixture
+def reference_calls(monkeypatch):
+    """The model ids whose references were computed, one entry per
+    computation, for every model built while the fixture is active."""
+    calls = []
+    init = base.References.__init__
+
+    def counted_init(self, model_id, compute):
+        def counted():
+            calls.append(model_id)
+            return compute()
+        init(self, model_id, counted)
+
+    monkeypatch.setattr(base.References, "__init__", counted_init)
+    return calls
+
+
 @pytest.mark.parametrize("model_id", ALL_IDS)
-def test_reference_accessors_return_build_values(model_id):
+def test_reference_accessors_return_build_values(model_id, reference_calls):
     model = zoo.build(model_id)
+    # Building, comparing and refusing another state compute nothing.
+    assert model.references == model.references
+    assert model.references != zoo.build(model_id).references
+    theta, eta = model.state.theta, model.state.eta
+    other = ModelState(theta + 0.1, eta) if theta.size else ModelState(
+        theta, type(eta)(eta.grid, eta.masses * 0.5, eta.kind))
+    with pytest.raises(NotAvailableError):
+        reference_gamma(model, other)
+    assert reference_calls == []
+
     np.testing.assert_array_equal(reference_gamma(model),
                                   model.references["gamma"])
     np.testing.assert_array_equal(reference_kappa(model, model.state),
                                   model.references["kappa"])
+    assert reference_adjoint(model) is model.references["adjoint"]
+    assert "adjoint" in model.references
+    if "lfd" in model.references:
+        assert reference_lfd(model) is model.references["lfd"]
+    else:
+        with pytest.raises(NotAvailableError):
+            reference_lfd(model)
+    with pytest.raises(NotAvailableError):
+        reference_kappa(model, other)
+    assert all(r.passed for r in suite_for_model(model))
+    assert reference_calls == [model.model_id]
 
 
 def test_reference_accessors_guard_against_other_states():
