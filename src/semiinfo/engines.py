@@ -16,10 +16,11 @@ the structural functions analytically.
 
 A law stands in for its engine at its own state and evaluates the model
 once per outcome: on first use it writes each outcome's g and g_dot on
-the grid, x, f_dot and f_ddot at x and parameter score into one row of
-stacked arrays (:attr:`OutcomeLaw.stacked`; :attr:`OutcomeLaw.evaluated`
-holds each outcome's rows as views), and every quantity summed over the
-law reads those (the structural functions here; the Fisher information,
+the grid, x, f_dot and f_ddot at x into one row of stacked arrays and
+forms every parameter score as one product over those stacks
+(:attr:`OutcomeLaw.stacked`; :attr:`OutcomeLaw.evaluated` holds each
+outcome's rows as views), and every quantity summed over the law reads
+those (the structural functions here; the Fisher information,
 identifiability Gram and efficient information in ``calculus``), however
 many a caller asks for. Those evaluations start from the g a law already
 holds: an exact law's, computed once per outcome for its weights, and a
@@ -49,9 +50,12 @@ g_e | g_dot_e, so kappa | beta is sum_e h_e (x) [g_e | g_dot_e]. An
 exact law sums one (1 + m, m (1 + p)) term per outcome, the row over
 that block, with one compensated step each, in law order, reading g
 and g_dot from the law's own stacks one outcome at a time
-(:func:`_exact_structural`); a sampled law sums the same layout and its
-second moment by weighted products of the factors
-(:func:`_sampled_structural`). The
+(:func:`_exact_structural`). A term is +-0 on every block row where all
+of the outcome's h_e are zero, so each step covers only the leading
+rows some outcome has reached so far; rows past them hold +0, where a
+step of a +-0 term changes nothing, so the sum keeps the bits of the
+full step. A sampled law sums the same layout and its second moment by
+weighted products of the factors (:func:`_sampled_structural`). The
 identifiability Gram, which carries no standard error, is one matrix
 product of the stacked outcome scores on either law (``calculus``).
 
@@ -341,20 +345,33 @@ class _CompensatedSums:
     """A compensated sum of arrays of one shape, in three buffers (running
     total, compensation and term). The caller writes one outcome's
     weighted term into :attr:`term` and :meth:`add` adds it in one
-    compensated (Kahan) step; :attr:`total` holds the sum."""
+    compensated (Kahan) step; :attr:`total` holds the sum.
 
-    def __init__(self, shape):
+    ``rows`` is the leading-row extent each step covers (None: the whole
+    shape). :meth:`reach` only grows it, and :meth:`add` steps only
+    ``[:rows]`` of the buffers, one contiguous pass per ufunc. Rows past
+    the extent hold +0 in total and compensation, so stepping a +-0 term
+    there would be a no-op: y = +-0, t = +0 and comp = +0."""
+
+    def __init__(self, shape, rows=None):
         self.total, self.comp, self.term = (np.zeros(shape) for _ in range(3))
+        self.rows = rows
+
+    def reach(self, rows):
+        """Grow the extent to at least ``rows`` leading rows."""
+        if rows > self.rows:
+            self.rows = rows
 
     def add(self):
         # The Kahan step y = term - comp, t = total + y,
         # comp = (t - total) - y, total = t, in place in three buffers.
-        total, comp, term = self.total, self.comp, self.term
+        part = ... if self.rows is None else slice(self.rows)
+        total, comp, term = self.total[part], self.comp[part], self.term[part]
         np.subtract(term, comp, out=term)
         np.add(total, term, out=comp)
         np.subtract(comp, total, out=total)
         np.subtract(total, term, out=total)
-        self.total, self.comp = comp, total
+        self.total, self.comp = self.comp, self.total
 
 
 def _standard_error(law: OutcomeLaw, mean: np.ndarray,
@@ -488,27 +505,53 @@ def _exact_structural(law: OutcomeLaw, first: np.ndarray,
     outcome's term is its ``first`` row over sum_e h_e (x) [g_e | g_dot_e],
     added elementwise in e order, weighted in place before one
     compensated step. g_e | g_dot_e is copied from the law's stacked
-    evaluation into one row buffer, one outcome and e at a time."""
+    evaluation into one row buffer, one outcome and e at a time.
+
+    An outcome's term is +-0 on every block row where all its h_e are
+    zero, so each step covers only the leading rows reached so far
+    (:meth:`_CompensatedSums.reach`): an outcome reaches 1 plus the last
+    block row where any h_e is nonzero. The rows it writes, weights and
+    steps are those of the extent, which keeps every bit of the full
+    step. If any of h, g or g_dot is not finite, a zero term could be
+    NaN (0 * inf), so every step covers every row (the weights are
+    checked finite when the law is built)."""
     st = law.stacked
     m, d, p = st.gd.shape[1:]
-    acc = _CompensatedSums((1 + m, first.shape[1]))
+    acc = _CompensatedSums((1 + m, first.shape[1]), rows=1)
     term = acc.term
-    block = term[1:]
-    spare = np.empty_like(block) if d > 1 else None
+    spare = np.empty_like(term[1:]) if d > 1 else None
     right = np.empty(first.shape[1])
     right_g, right_dot = right[:m], right[m:].reshape(m, p)
-    for weight, row, hs, gv, gd in zip(law.weights, first, h, st.gv, st.gd):
-        term[0] = row
+    for weight, row, hs, gv, gd, reach in zip(
+            law.weights, first, h, st.gv, st.gd, _structural_reach(law, h)):
+        acc.reach(reach)
+        live = term[:acc.rows]
+        live[0] = row
+        block = live[1:]
+        reached = len(block)
         for e in range(d):
             np.copyto(right_g, gv[:, e])
             np.copyto(right_dot, gd[:, e])
-            np.multiply(hs[e, :, np.newaxis], right,
-                        out=spare if e else block)
+            np.multiply(hs[e, :reached, np.newaxis], right,
+                        out=spare[:reached] if e else block)
             if e:
-                block += spare
-        np.multiply(weight, term, out=term)
+                block += spare[:reached]
+        np.multiply(weight, live, out=live)
         acc.add()
     return acc.total
+
+
+def _structural_reach(law: OutcomeLaw, h: np.ndarray) -> list:
+    """Each outcome's leading-row reach in :func:`_exact_structural`: 1
+    plus the last block row where any of its h_e is nonzero, or every
+    row when any of h, g or g_dot is not finite."""
+    n_out, _, m = h.shape
+    st = law.stacked
+    if not all(np.all(np.isfinite(a)) for a in (h, st.gv, st.gd)):
+        return [1 + m] * n_out
+    nonzero = np.any(h != 0.0, axis=1)
+    last = m - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(np.any(nonzero, axis=1), 1 + last, 1).tolist()
 
 
 def _sampled_structural(law: OutcomeLaw, first: np.ndarray,

@@ -265,16 +265,37 @@ def _evaluate(components: ModelComponents, state: ModelState, outcomes,
     """Each outcome's :func:`_outcome` written into row i of stacked
     arrays: ``gvs``, the (N, m, d) g on the grid it starts from, then
     (N, d) x and f_dot, (N, d, d) f_ddot, (N, p) scores and (N, m, d, p)
-    g_dot."""
+    g_dot. Only the model is called per outcome; the parameter scores
+    are one product over the stacks (:func:`_stacked_parameter_score`)."""
     n, m, d = gvs.shape
-    stacked = _Outcome(gvs, np.empty((n, d)), np.empty((n, d)),
-                       np.empty((n, d, d)), np.empty((n, components.p)),
-                       np.empty((n, m, d, components.p)))
+    p = components.p
+    masses = state.eta.masses
+    x, fd, fdd = np.empty((n, d)), np.empty((n, d)), np.empty((n, d, d))
+    gd, r_dot = np.empty((n, m, d, p)), np.empty((n, p))
     for row, obs in enumerate(outcomes):
-        outcome = _outcome(components, state, obs, gvs[row])
-        for field, value in zip(stacked[1:], outcome[1:]):
-            field[row] = value
-    return stacked
+        x_row = masses @ gvs[row]
+        x[row] = x_row
+        fd[row] = f_dot_values(components, x_row, obs)
+        gd[row] = g_dot_values(components, state, obs)
+        fdd[row] = f_ddot_values(components, x_row, obs)
+        if p:
+            r_dot[row] = _r_dot_values(components, state, obs)
+    # with p == 0 the scores are the empty (N, 0) r_dot
+    score = (_stacked_parameter_score(outcomes, masses, fd, gd, r_dot)
+             if p else r_dot)
+    return _Outcome(gvs, x, fd, fdd, score, gd)
+
+
+def _stacked_parameter_score(outcomes, masses: np.ndarray, fd: np.ndarray,
+                             gd: np.ndarray, r_dot: np.ndarray) -> np.ndarray:
+    """The (N, p) parameter scores of the N stacked ``outcomes``,
+    r_dot + f_dot . (integral of g_dot deta), as one product over the
+    stacks: row i is, bit for bit, what :func:`_parameter_score` gives
+    outcome i alone. Raises :class:`EvaluationError` naming the first
+    outcome, in law order, whose score is not finite."""
+    score = r_dot + np.einsum("nd,nde->ne", fd,
+                              np.einsum("nide,i->nde", gd, masses))
+    return _finite_rows(outcomes, score, "parameter score")
 
 
 def _measure_score(components: ModelComponents, obs, gv: np.ndarray,
@@ -372,7 +393,7 @@ def _stacked_measure_scores(outcomes, stacked: _Outcome,
               out=out[:, np.newaxis])
     if ell_rows is not None:
         out += ell_rows @ arr
-    return _finite_scores(outcomes, out)
+    return _finite_rows(outcomes, out, "measure score")
 
 
 def _stacked_score_matrix(outcomes, stacked: _Outcome,
@@ -388,16 +409,16 @@ def _stacked_score_matrix(outcomes, stacked: _Outcome,
                     stacked.gv.transpose(0, 2, 1))[:, 0] * masses
     if ell_rows is not None:
         out += ell_rows
-    return _finite_scores(outcomes, out)
+    return _finite_rows(outcomes, out, "measure score")
 
 
-def _finite_scores(outcomes, out: np.ndarray) -> np.ndarray:
+def _finite_rows(outcomes, out: np.ndarray, what: str) -> np.ndarray:
     """``out``, the (N, k) scores of the N ``outcomes``, once checked
     finite; raises :class:`EvaluationError` naming the first outcome, in
-    law order, whose scores are not."""
+    law order, whose ``what`` is not."""
     bad = ~np.all(np.isfinite(out), axis=1)
     if np.any(bad):
-        raise EvaluationError("measure score not finite at "
+        raise EvaluationError(f"{what} not finite at "
                               f"{outcomes[int(np.argmax(bad))]!r}")
     return out
 

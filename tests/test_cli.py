@@ -137,6 +137,25 @@ def test_validate_failure_exits_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_validate_passes_on_the_zero_cell_design(tmp_path, capsys):
+    # gamma is zero on three of the five points of missing_cov's zero
+    # cell, so its multiplier is neither bounded away from zero nor
+    # vanishing: the expected category is indeterminate
+    cfg = write_cfg(tmp_path, {
+        "schema_version": 1,
+        "command": "validate",
+        "validate": {"models": ["missing_cov"],
+                     "params": {"missing_cov": {"zero_cell": True}}},
+    })
+    assert run(["--config", cfg, "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_failed"] == 0
+    category, = (check for check in report["checks"]
+                 if check["name"] == "missing_cov:category")
+    assert category["context"]["got"] == "INDETERMINATE"
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def read_influence(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))

@@ -15,10 +15,13 @@ from semiinfo import (
 )
 from semiinfo.calculus import (_identifiability_directions,
                                _identifiability_gram, _lfd_directions)
-from semiinfo.engines import OutcomeLaw, _law_mean, outcome_law
-from semiinfo.errors import DomainError, NotAvailableError
+from semiinfo.engines import (OutcomeLaw, _CompensatedSums, _law_mean,
+                              _structural_factors, _structural_reach,
+                              outcome_law)
+from semiinfo.errors import DomainError, EvaluationError, NotAvailableError
 from semiinfo.likelihood import (ModelState, TangentKind, _direction_scores,
-                                 _directions, _g_and_f_dot,
+                                 _directions, _g_and_f_dot, _parameter_score,
+                                 _r_dot_values,
                                  f_ddot_values, g_dot_values, g_values,
                                  log_density)
 from semiinfo.measure import center, perturb_measure
@@ -212,33 +215,69 @@ def _pairwise_oracle(c, s, obs, gv, gd, fd):
     return gamma, alpha, sum(kappas[1:], kappas[0]), sum(betas[1:], betas[0])
 
 
+def _reversed_law(law):
+    """``law`` with its outcomes in reverse order: on cox_cs the first
+    outcome with a nonzero h, the second in law order, then reaches every
+    row of the structural pass."""
+    return OutcomeLaw(law.pairs[::-1], law.n, law.deficit, law.engine,
+                      law.components, law.state, law.gvs[::-1])
+
+
+def _infinite_g_dot_law(law):
+    """``law`` with an infinite g_dot written into its stacked evaluation,
+    for the first outcome, on a grid row where that outcome's h is zero:
+    0 * inf there makes NaN on rows the outcome does not reach."""
+    _, h = _structural_factors(law, law.components)
+    row = int(np.flatnonzero(np.all(h[0] == 0.0, axis=0))[-1])
+    law.stacked.gd[0, row] = np.inf
+    return law
+
+
 _IN_PLACE_CASES = (
-    [pytest.param(model_id, {}, n, id=f"{model_id}-{n or 'exact'}")
+    [pytest.param(model_id, {}, n, None, id=f"{model_id}-{n or 'exact'}")
      for model_id in zoo.MODELS for n in (None, 1, 40, 20000)]
-    + [pytest.param("cox_cs", {"m": 40}, n, id=f"cox_cs-m40-{n or 'exact'}")
+    + [pytest.param("cox_cs", {"m": 40}, n, None,
+                    id=f"cox_cs-m40-{n or 'exact'}")
        for n in (None, 20000)]
-    + [pytest.param("mixture", {"m": 30, "parametric": False}, n,
+    + [pytest.param("mixture", {"m": 30, "parametric": False}, n, None,
                     id=f"mixture-np-m30-{n or 'exact'}")
-       for n in (None, 1, 40, 20000)])
+       for n in (None, 1, 40, 20000)]
+    + [pytest.param("cox_cs", {"m": 40}, None, _reversed_law,
+                    id="cox_cs-m40-exact-reversed"),
+       pytest.param("cox_cs", {"m": 40}, None, _infinite_g_dot_law,
+                    id="cox_cs-m40-exact-infinite-g_dot")])
 
 
-@pytest.mark.parametrize("model_id,params,n", _IN_PLACE_CASES)
+@pytest.mark.parametrize("model_id,params,n,variant", _IN_PLACE_CASES)
 def test_in_place_structural_pass_matches_the_reference_bit_for_bit(
-        model_id, params, n):
+        model_id, params, n, variant):
     # Exact laws are compensated in law order and match the Kahan oracle
     # bit for bit; sampled laws sum by matrix products and match it within
-    # the rounding bounds of _assert_within_rounding.
+    # the rounding bounds of _assert_within_rounding. The exact pass
+    # steps only the rows reached so far: with the outcomes reversed the
+    # steps cover every row from the start, and a non-finite g_dot makes
+    # every step cover every row, so its NaN lands where the full step
+    # puts it.
     model = zoo.build(model_id, **params)
     c, s = model.components, model.state
     engine = model.exact if n is None else MonteCarlo(model.exact, n, 3)
     law = outcome_law(engine, c, s)
+    if variant is not None:
+        law = variant(law)
+        reach = _structural_reach(law, _structural_factors(law, c)[1])
+        assert max(reach[:2]) == 1 + s.eta.size
     evaluated = law.evaluated
 
     def terms(obs):
         e = evaluated[obs]
         return _structural_oracle(c, s, obs, e.gv, e.gd, e.fd)
 
-    sf = structural_functions(law, c, s)
+    # 0 * inf and inf - inf are the point of the infinite g_dot case
+    infinite = variant is _infinite_g_dot_law
+    with np.errstate(invalid="ignore" if infinite else "warn"):
+        sf = structural_functions(law, c, s)
+        if n is None:
+            (gamma, alpha, kappa, beta), ses = _kahan_oracle(law, terms)
     if n is not None and n >= 40:
         assert sf.max_se() > 0.0
     got = [getattr(sf, name) for name in STRUCTURAL_NAMES]
@@ -247,14 +286,34 @@ def test_in_place_structural_pass_matches_the_reference_bit_for_bit(
         _assert_within_rounding(law, terms, got, got_ses,
                                 symmetrized=(2,))
         return
-    (gamma, alpha, kappa, beta), ses = _kahan_oracle(law, terms)
+    assert np.any(np.isnan(sf.beta)) == infinite
     want = (gamma, alpha, 0.5 * (kappa + kappa.T), beta) + tuple(ses)
     for name, value, got_value in zip(
             STRUCTURAL_NAMES + tuple("se_" + x for x in STRUCTURAL_NAMES),
             want, got + got_ses):
         assert got_value.shape == value.shape, name
-        assert np.array_equal(got_value, value), name
+        assert np.array_equal(got_value, value, equal_nan=True), name
         assert np.array_equal(np.signbit(got_value), np.signbit(value)), name
+
+
+def test_the_exact_structural_pass_steps_only_the_rows_reached_so_far(
+        monkeypatch):
+    # cox_cs's law runs up the inspection index u, and its g(v) is
+    # e^(theta z) 1{v <= u}, so h is zero past grid row u: by outcome u
+    # each step covers the gamma | alpha row and block rows 0..u.
+    model = zoo.build("cox_cs", m=20)
+    c, s = model.components, model.state
+    law = outcome_law(model.exact, c, s)
+    rows = []
+    add = _CompensatedSums.add
+
+    def recording_add(acc):
+        rows.append(acc.rows)
+        add(acc)
+
+    monkeypatch.setattr(_CompensatedSums, "add", recording_add)
+    structural_functions(law, c, s)
+    assert rows == [obs.u_index + 2 for obs in law.outcomes]
 
 
 def _dense_f_ddot(model, order="C"):
@@ -540,6 +599,40 @@ def test_monte_carlo_accepts_numpy_integers():
     engine = MonteCarlo(model.sampler, np.int64(50), np.uint32(4))
     assert (engine.draw_weights(c, s)[0]
             == MonteCarlo(model.sampler, 50, 4).draw_weights(c, s)[0])
+
+
+@pytest.mark.parametrize("n", [None, 20000])
+@pytest.mark.parametrize("model_id", list(zoo.MODELS))
+def test_stacked_parameter_scores_are_the_per_outcome_ones(model_id, n):
+    # The law forms every parameter score as one product over its stacks;
+    # each row must be what _parameter_score gives that outcome alone.
+    model = zoo.build(model_id)
+    c, s = model.components, model.state
+    engine = model.exact if n is None else MonteCarlo(model.exact, n, 3)
+    law = outcome_law(engine, c, s)
+    st = law.stacked
+    assert st.score.shape == (len(law.pairs), c.p)
+    if not c.p:
+        return
+    for row, obs in enumerate(law.outcomes):
+        want = _parameter_score(obs, s.eta.masses, st.fd[row], st.gd[row],
+                                _r_dot_values(c, s, obs))
+        assert st.score[row].tobytes() == want.tobytes(), obs
+
+
+def test_a_non_finite_parameter_score_names_the_first_bad_outcome():
+    model = zoo.build("cox_cs")
+    outcomes = model.exact.outcomes
+    bad = {outcomes[2]: np.nan, outcomes[5]: np.inf}
+    base = model.components.r_dot
+    c = dataclasses.replace(
+        model.components,
+        r_dot=lambda theta, obs: base(theta, obs) + bad.get(obs, 0.0))
+    law = outcome_law(model.exact, c, model.state)
+    with pytest.raises(EvaluationError,
+                       match=re.escape(f"parameter score not finite at "
+                                       f"{outcomes[2]!r}")):
+        law.stacked
 
 
 _STACKED_CASES = (

@@ -86,6 +86,10 @@ CONFIGS = dict(
         ("analyze-exact-mixture-np-m30",
          analyze("mixture", dict(NONPARAMETRIC, m=30))),
         ("analyze-exact-cox_cs-m100", analyze("cox_cs", {"m": 100})),
+        # Most of the exact structural pass at m=200 is rows an outcome
+        # cannot reach, which the pass skips: this pins that it skips
+        # only zeros.
+        ("analyze-exact-cox_cs-m200", analyze("cox_cs", {"m": 200})),
         # m=30 and m=400 leave the operator rank deficient: these pin the
         # truncated solve at a small and a large size.
         ("analyze-exact-mixture-m30", analyze("mixture", {"m": 30})),
