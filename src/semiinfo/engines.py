@@ -347,25 +347,20 @@ class _CompensatedSums:
     weighted term into :attr:`term` and :meth:`add` adds it in one
     compensated (Kahan) step; :attr:`total` holds the sum.
 
-    ``rows`` is the leading-row extent each step covers (None: the whole
-    shape). :meth:`reach` only grows it, and :meth:`add` steps only
-    ``[:rows]`` of the buffers, one contiguous pass per ufunc. Rows past
-    the extent hold +0 in total and compensation, so stepping a +-0 term
-    there would be a no-op: y = +-0, t = +0 and comp = +0."""
+    A step covers :attr:`part` of the three buffers: every entry, or a
+    caller's ``slice(rows)`` of leading rows, one contiguous pass per
+    ufunc. Rows that were never stepped hold +0 in total and
+    compensation, so stepping a +-0 term there would be a no-op:
+    y = +-0, t = +0 and comp = +0."""
 
-    def __init__(self, shape, rows=None):
+    def __init__(self, shape):
         self.total, self.comp, self.term = (np.zeros(shape) for _ in range(3))
-        self.rows = rows
-
-    def reach(self, rows):
-        """Grow the extent to at least ``rows`` leading rows."""
-        if rows > self.rows:
-            self.rows = rows
+        self.part = ...
 
     def add(self):
         # The Kahan step y = term - comp, t = total + y,
         # comp = (t - total) - y, total = t, in place in three buffers.
-        part = ... if self.rows is None else slice(self.rows)
+        part = self.part
         total, comp, term = self.total[part], self.comp[part], self.term[part]
         np.subtract(term, comp, out=term)
         np.add(total, term, out=comp)
@@ -508,50 +503,49 @@ def _exact_structural(law: OutcomeLaw, first: np.ndarray,
     evaluation into one row buffer, one outcome and e at a time.
 
     An outcome's term is +-0 on every block row where all its h_e are
-    zero, so each step covers only the leading rows reached so far
-    (:meth:`_CompensatedSums.reach`): an outcome reaches 1 plus the last
-    block row where any h_e is nonzero. The rows it writes, weights and
-    steps are those of the extent, which keeps every bit of the full
-    step. If any of h, g or g_dot is not finite, a zero term could be
-    NaN (0 * inf), so every step covers every row (the weights are
-    checked finite when the law is built)."""
+    zero, so each step covers only the leading rows some outcome has
+    reached so far (:func:`_structural_reach`). The rows it writes,
+    weights and steps are those of that extent, which keeps every bit of
+    the full step."""
     st = law.stacked
     m, d, p = st.gd.shape[1:]
-    acc = _CompensatedSums((1 + m, first.shape[1]), rows=1)
-    term = acc.term
-    spare = np.empty_like(term[1:]) if d > 1 else None
+    acc = _CompensatedSums((1 + m, first.shape[1]))
+    spare = np.empty_like(acc.term[1:]) if d > 1 else None
     right = np.empty(first.shape[1])
     right_g, right_dot = right[:m], right[m:].reshape(m, p)
-    for weight, row, hs, gv, gd, reach in zip(
+    for weight, row, hs, gv, gd, rows in zip(
             law.weights, first, h, st.gv, st.gd, _structural_reach(law, h)):
-        acc.reach(reach)
-        live = term[:acc.rows]
+        acc.part = slice(rows)
+        live = acc.term[acc.part]
         live[0] = row
         block = live[1:]
-        reached = len(block)
         for e in range(d):
             np.copyto(right_g, gv[:, e])
             np.copyto(right_dot, gd[:, e])
-            np.multiply(hs[e, :reached, np.newaxis], right,
-                        out=spare[:reached] if e else block)
+            np.multiply(hs[e, :rows - 1, np.newaxis], right,
+                        out=spare[:rows - 1] if e else block)
             if e:
-                block += spare[:reached]
+                block += spare[:rows - 1]
         np.multiply(weight, live, out=live)
         acc.add()
     return acc.total
 
 
 def _structural_reach(law: OutcomeLaw, h: np.ndarray) -> list:
-    """Each outcome's leading-row reach in :func:`_exact_structural`: 1
-    plus the last block row where any of its h_e is nonzero, or every
-    row when any of h, g or g_dot is not finite."""
+    """The leading rows each outcome's step covers in
+    :func:`_exact_structural`: the running maximum, in law order, of 1
+    plus the last block row where any of the outcome's h_e is nonzero.
+    If any of h, g or g_dot is not finite, a zero term could be NaN
+    (0 * inf), so every step covers every row (the weights are checked
+    finite when the law is built)."""
     n_out, _, m = h.shape
     st = law.stacked
     if not all(np.all(np.isfinite(a)) for a in (h, st.gv, st.gd)):
         return [1 + m] * n_out
     nonzero = np.any(h != 0.0, axis=1)
     last = m - np.argmax(nonzero[:, ::-1], axis=1)
-    return np.where(np.any(nonzero, axis=1), 1 + last, 1).tolist()
+    reach = np.where(np.any(nonzero, axis=1), 1 + last, 1)
+    return np.maximum.accumulate(reach).tolist()
 
 
 def _sampled_structural(law: OutcomeLaw, first: np.ndarray,

@@ -222,14 +222,6 @@ def _r_dot_values(components: ModelComponents, state: ModelState,
                       dtype=float).reshape(components.p)
 
 
-def _parameter_score(obs, masses: np.ndarray, fd: np.ndarray,
-                     gd: np.ndarray, r_dot: np.ndarray) -> np.ndarray:
-    out = r_dot + fd @ np.einsum("ide,i->de", gd, masses)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"parameter score not finite at {obs!r}")
-    return out
-
-
 class _Outcome(NamedTuple):
     """What every score and structural integrand at one outcome is built
     from: g on the grid, x, f_dot and f_ddot at x, the parameter score
@@ -248,25 +240,21 @@ class _Outcome(NamedTuple):
 def _outcome(components: ModelComponents, state: ModelState, obs,
              gv: Optional[np.ndarray] = None) -> _Outcome:
     """Evaluate g (unless ``gv`` holds it), g_dot, f_dot and f_ddot at one
-    outcome, and r_dot when p > 0."""
+    outcome, and r_dot when p > 0: the one-row case of :func:`_evaluate`."""
     if gv is None:
         gv = g_values(components, state, obs)
-    x = state.eta.masses @ gv
-    fd = f_dot_values(components, x, obs)
-    gd = g_dot_values(components, state, obs)
-    score = _parameter_score(
-        obs, state.eta.masses, fd, gd, _r_dot_values(components, state, obs)
-    ) if components.p else np.zeros(0)
-    return _Outcome(gv, x, fd, f_ddot_values(components, x, obs), score, gd)
+    stacked = _evaluate(components, state, [obs], gv[np.newaxis])
+    return _Outcome(*(field[0] for field in stacked))
 
 
 def _evaluate(components: ModelComponents, state: ModelState, outcomes,
               gvs: np.ndarray) -> _Outcome:
-    """Each outcome's :func:`_outcome` written into row i of stacked
+    """The evaluations of each outcome written into row i of stacked
     arrays: ``gvs``, the (N, m, d) g on the grid it starts from, then
-    (N, d) x and f_dot, (N, d, d) f_ddot, (N, p) scores and (N, m, d, p)
-    g_dot. Only the model is called per outcome; the parameter scores
-    are one product over the stacks (:func:`_stacked_parameter_score`)."""
+    (N, d) x and f_dot, (N, d, d) f_ddot, (N, p) parameter scores and
+    (N, m, d, p) g_dot. Only the model is called per outcome; the
+    parameter scores are one product over the stacks
+    (:func:`_stacked_parameter_score`)."""
     n, m, d = gvs.shape
     p = components.p
     masses = state.eta.masses
@@ -290,9 +278,9 @@ def _stacked_parameter_score(outcomes, masses: np.ndarray, fd: np.ndarray,
                              gd: np.ndarray, r_dot: np.ndarray) -> np.ndarray:
     """The (N, p) parameter scores of the N stacked ``outcomes``,
     r_dot + f_dot . (integral of g_dot deta), as one product over the
-    stacks: row i is, bit for bit, what :func:`_parameter_score` gives
-    outcome i alone. Raises :class:`EvaluationError` naming the first
-    outcome, in law order, whose score is not finite."""
+    stacks; every parameter score is formed here, a single outcome as
+    N = 1. Raises :class:`EvaluationError` naming the first outcome, in
+    law order, whose score is not finite."""
     score = r_dot + np.einsum("nd,nde->ne", fd,
                               np.einsum("nide,i->nde", gd, masses))
     return _finite_rows(outcomes, score, "parameter score")
@@ -415,12 +403,14 @@ def _stacked_score_matrix(outcomes, stacked: _Outcome,
 def _finite_rows(outcomes, out: np.ndarray, what: str) -> np.ndarray:
     """``out``, the (N, k) scores of the N ``outcomes``, once checked
     finite; raises :class:`EvaluationError` naming the first outcome, in
-    law order, whose ``what`` is not."""
-    bad = ~np.all(np.isfinite(out), axis=1)
-    if np.any(bad):
-        raise EvaluationError(f"{what} not finite at "
-                              f"{outcomes[int(np.argmax(bad))]!r}")
-    return out
+    law order, whose ``what`` is not. The finite case is one pass: the
+    parameter score of every outcome of every perturbed state in
+    ``validate`` comes through here."""
+    finite = np.isfinite(out)
+    if finite.all():
+        return out
+    bad = int(np.argmin(finite.all(axis=1)))
+    raise EvaluationError(f"{what} not finite at {outcomes[bad]!r}")
 
 
 def _joint_score(components: ModelComponents, obs, outcome: _Outcome,

@@ -24,9 +24,9 @@ from .calculus import (adjoint_of_score, classify_category,
 from .engines import expect, outcome_law, structural_functions
 from .errors import DomainError
 from .likelihood import (ModelComponents, ModelState, TangentKind,
-                         _log_density, _measure_score, _parameter_score,
-                         _r_dot_values, _score_operator, check_state,
-                         f_dot_values)
+                         _log_density, _measure_score, _r_dot_values,
+                         _score_operator, _stacked_parameter_score,
+                         check_state, f_dot_values)
 from .measure import (as_values, center, inner_product, perturb_measure,
                       require_centered)
 from .operators import apply
@@ -91,8 +91,9 @@ def _score_family(components, sf, states, which_score):
 
         def scores(o, gv, gd, fds):
             r_dot = _r_dot_values(components, states[0], o)
-            return [float(_parameter_score(o, w, fd, gd, r_dot)[j])
-                    for w, fd in zip(masses, fds)]
+            return [float(_stacked_parameter_score(
+                [o], w, fd[np.newaxis], gd[np.newaxis],
+                r_dot[np.newaxis])[0, j]) for w, fd in zip(masses, fds)]
 
         return f"score[{j}]", adjoint_values, scores
 
