@@ -139,18 +139,25 @@ class CategoryResult:
 def classify_category(sf: StructuralFunctions) -> CategoryResult:
     """Classify the information operator by its multiplier.
 
-    For Monte Carlo structural functions the zero test widens to four
-    standard errors.
+    For Monte Carlo structural functions both tests widen to four
+    standard errors: the multiplier is invertible only if the whole band
+    gamma +- 4 se_gamma lies in [1 / CATEGORY_BOUND, CATEGORY_BOUND] at
+    every point, and vanishing if |gamma| stays within the largest
+    4 se_gamma.
     """
+    g = sf.gamma
     if sf.is_exact() or not sf.se_gamma.size:
         tol_zero = CATEGORY_ZERO_TOL_EXACT
+        low, high = g, g
     else:
-        tol_zero = 4.0 * float(np.max(sf.se_gamma))
-    g = sf.gamma
+        band = 4.0 * sf.se_gamma
+        tol_zero = float(np.max(band))
+        low, high = g - band, g + band
     gmin = float(np.min(g)) if g.size else 0.0
     gmax = float(np.max(g)) if g.size else 0.0
     absmax = float(np.max(np.abs(g))) if g.size else 0.0
-    if g.size and gmin >= 1.0 / CATEGORY_BOUND and gmax <= CATEGORY_BOUND:
+    if (g.size and float(np.min(low)) >= 1.0 / CATEGORY_BOUND
+            and float(np.max(high)) <= CATEGORY_BOUND):
         cat = Category.INVERTIBLE_MULTIPLIER
     elif absmax <= tol_zero:
         cat = Category.VANISHING_MULTIPLIER

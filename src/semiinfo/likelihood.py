@@ -107,7 +107,7 @@ class ModelState:
         th = np.asarray(self.theta, dtype=float)
         if th.ndim != 1:
             raise DimensionError(f"theta must be 1-d, got shape {th.shape}")
-        if not np.all(np.isfinite(th)):
+        if not np.isfinite(th).all():
             raise DomainError("theta has non-finite entries")
         th = th.copy()
         th.setflags(write=False)
@@ -286,17 +286,23 @@ def _stacked_parameter_score(outcomes, masses: np.ndarray, fd: np.ndarray,
     return _finite_rows(outcomes, score, "parameter score")
 
 
-def _measure_score(components: ModelComponents, obs, gv: np.ndarray,
-                   fd: np.ndarray, weighted: np.ndarray,
-                   av: np.ndarray) -> float:
-    """(B a)(o) from g on the grid, f_dot at x and ``weighted``, the
-    masses times a."""
-    val = float(fd @ (weighted @ gv))
+def _measure_scores_along(components: ModelComponents, outcomes,
+                          gvs: np.ndarray, fd: np.ndarray,
+                          weighted: np.ndarray,
+                          av: np.ndarray) -> np.ndarray:
+    """(B a)(o) along one direction a for each of the N stacked
+    ``outcomes``, shape (N,), from their (N, m, d) g on the grid, their
+    (N, d) f_dot and ``weighted``, the masses times a: f_dot .
+    ((masses a) g) by one batched product for (masses a) g and one for
+    the N dot products, plus L(a, o) called per outcome, so no
+    representer of L rounds into it (:func:`score_operator` is the
+    case N = 1). Raises :class:`EvaluationError` naming the first
+    outcome, in law order, whose score is not finite."""
+    wg = np.matmul(weighted, gvs)
+    out = np.matmul(fd[:, np.newaxis], wg[:, :, np.newaxis])[:, 0]
     if components.ell is not None:
-        val += float(components.ell(av, obs))
-    if not np.isfinite(val):
-        raise EvaluationError(f"measure score not finite at {obs!r}")
-    return val
+        out += [[float(components.ell(av, obs))] for obs in outcomes]
+    return _finite_rows(outcomes, out, "measure score")[:, 0]
 
 
 def _directions(components: ModelComponents, state: ModelState,
@@ -403,9 +409,9 @@ def _stacked_score_matrix(outcomes, stacked: _Outcome,
 def _finite_rows(outcomes, out: np.ndarray, what: str) -> np.ndarray:
     """``out``, the (N, k) scores of the N ``outcomes``, once checked
     finite; raises :class:`EvaluationError` naming the first outcome, in
-    law order, whose ``what`` is not. The finite case is one pass: the
-    parameter score of every outcome of every perturbed state in
-    ``validate`` comes through here."""
+    law order, whose ``what`` is not. The finite case is one pass over
+    the stack: ``validate``'s adjoint check scores all N outcomes of each
+    perturbed state in one stacked product and checks them here."""
     finite = np.isfinite(out)
     if finite.all():
         return out
@@ -467,6 +473,7 @@ def _score_operator(components: ModelComponents, state: ModelState, obs, a):
     else:
         av = as_values(a, state.eta.size)
     gv, fd = _g_and_f_dot(components, state, obs)
-    return _measure_score(components, obs, gv, fd, state.eta.masses * av,
-                          av), gv
+    return float(_measure_scores_along(
+        components, [obs], gv[np.newaxis], fd[np.newaxis],
+        state.eta.masses * av, av)[0]), gv
 

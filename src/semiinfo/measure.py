@@ -15,12 +15,13 @@ in one place.
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, MeasureKindWarning
 
 # Absolute tolerance on |<a, 1>_eta| for a direction claimed to be centered.
 TOL_CENTERED = 1e-10
@@ -118,10 +119,10 @@ class DiscreteMeasure:
             raise DimensionError(
                 f"masses have shape {w.shape}, expected ({self.grid.size},)"
             )
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             bad = int(np.flatnonzero(~np.isfinite(w))[0])
             raise DomainError(f"mass {bad} is not finite")
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             bad = int(np.flatnonzero(w < 0.0)[0])
             raise DomainError(f"mass {bad} is negative ({w[bad]})")
         if not isinstance(self.kind, MeasureKind):
@@ -248,33 +249,42 @@ def cumulative(a, eta: DiscreteMeasure, t: float) -> float:
 
 
 def perturb_measure(eta: DiscreteMeasure, a, t: float) -> DiscreteMeasure:
-    """One-parameter mass perturbation ``w_i -> w_i (1 + t a_i)``.
+    """One-parameter mass perturbation ``w_i -> w_i (1 + t a_i)``: the
+    one-t case of :func:`_mass_path`.
 
     Requires ``|t| * max|a| < 1`` so masses stay positive on the support.
     A probability measure stays a probability measure when ``a`` is mean
     zero; otherwise the result is demoted to POSITIVE_FINITE and a
     :class:`~semiinfo.errors.MeasureKindWarning` is emitted.
     """
-    import warnings
+    return _mass_path(eta, a, (t,))[0]
 
-    from .errors import MeasureKindWarning
 
+def _mass_path(eta: DiscreteMeasure, a, ts) -> list:
+    """The measures ``w_i (1 + t a_i)`` for each t in ``ts``, in order,
+    as :func:`perturb_measure` gives them one at a time. The direction
+    is checked once: the ``|t| * max|a| < 1`` error names the first
+    offending t, and an uncentered ``a`` on a probability measure demotes
+    every measure of the path with one warning. Every caller reaches
+    this through one function of its own, so the warning points at that
+    function's caller."""
     av = as_values(a, eta.size)
-    t = float(t)
+    ts = [float(t) for t in ts]
     amax = float(np.max(np.abs(av))) if av.size else 0.0
-    if abs(t) * amax >= 1.0:
-        raise DomainError(
-            f"|t| * max|a| = {abs(t) * amax!r} >= 1 would produce "
-            "nonpositive masses"
-        )
-    new_masses = eta.masses * (1.0 + t * av)
+    for t in ts:
+        if abs(t) * amax >= 1.0:
+            raise DomainError(
+                f"|t| * max|a| = {abs(t) * amax!r} >= 1 would produce "
+                "nonpositive masses"
+            )
     kind = eta.kind
     if kind is MeasureKind.PROBABILITY and not is_centered(av, eta):
         warnings.warn(
             "perturbation direction is not mean zero; result demoted to "
             "a positive finite measure",
             MeasureKindWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         kind = MeasureKind.POSITIVE_FINITE
-    return DiscreteMeasure(eta.grid, new_masses, kind)
+    return [DiscreteMeasure(eta.grid, eta.masses * (1.0 + t * av), kind)
+            for t in ts]

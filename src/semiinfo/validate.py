@@ -6,11 +6,14 @@ only approximation used here; every FD-based check therefore carries an
 order-of-convergence probe (halving the step must divide the error by
 about four) so a failing identity cannot hide behind step-size error.
 
-Each adjoint check walks the outcome law once and reads each outcome's
-g, g_dot and f_dot from the law's own evaluation, so it evaluates no g
-of its own: the mass path through b moves only the masses, and
-components take ``(theta, obs, points)``, so the law's g serves the base
-state and all six perturbed states of the three central differences.
+Each adjoint check reads each outcome's g, g_dot and f_dot from the
+law's own evaluation, so it evaluates no g of its own: the mass path
+through b moves only the masses, and components take
+``(theta, obs, points)``, so the law's g serves the base state and all
+six perturbed states of the three central differences. The six
+perturbed measures come from one walk of the mass path, each state
+scores all of the law's outcomes in one stacked product, and one mean
+over the law sums g Bb and the three central differences.
 """
 from __future__ import annotations
 
@@ -21,14 +24,15 @@ import numpy as np
 from .calculus import (adjoint_of_score, classify_category,
                        efficient_information, fisher_information,
                        info_operator, least_favorable_direction)
-from .engines import expect, outcome_law, structural_functions
+from .engines import _law_mean, outcome_law, structural_functions
 from .errors import DomainError
 from .likelihood import (ModelComponents, ModelState, TangentKind,
-                         _log_density, _measure_score, _r_dot_values,
-                         _score_operator, _stacked_parameter_score,
-                         check_state, f_dot_values)
-from .measure import (as_values, center, inner_product, perturb_measure,
-                      require_centered)
+                         _log_density, _measure_scores_along,
+                         _r_dot_values, _score_operator,
+                         _stacked_parameter_score, check_state,
+                         f_dot_values)
+from .measure import (_mass_path, as_values, center, inner_product,
+                      perturb_measure, require_centered)
 from .operators import apply
 
 FD_STEP_DEFAULT = 1e-4
@@ -69,31 +73,48 @@ class PropertyResult:
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
-def _score_family(components, sf, states, which_score):
+def _central_states(components, state, av, h):
+    """The three central-difference steps (h, then the order probe's
+    FD_ORDER_STEP and its half) and the six checked states at
+    +-each step, in that order, from one walk of the mass path through
+    ``av``."""
+    steps = (h, FD_ORDER_STEP, FD_ORDER_STEP / 2.0)
+    moved = _mass_path(state.eta, av, [sign * step for step in steps
+                                       for sign in (1.0, -1.0)])
+    states = [ModelState(state.theta, eta) for eta in moved]
+    for st in states:
+        check_state(components, st)
+    return steps, states
+
+
+def _score_family(components, sf, law, states, which_score):
     """Resolve the scrutinized score into (label, adjoint values on the
     grid, scorer).
 
     An integer selects a component of the parameter score; a direction
     selects the measure score along it, re-centered under each state's
-    measure on a mean-zero tangent space. The scorer takes an outcome,
-    g and g_dot on the grid and f_dot at each state's x, and returns the
-    score at every state, in the arithmetic of ``score_theta`` and
+    measure on a mean-zero tangent space. The scorer takes the (N, d)
+    f_dot of the law's N outcomes at each state's x and returns the (N,)
+    scores at every state, one stacked product per state over the law's
+    g and g_dot, in the arithmetic of ``score_theta`` and
     ``score_operator``.
     """
     eta = states[0].eta
     tangent = components.tangent
+    outcomes, stacked = law.outcomes, law.stacked
     masses = [st.eta.masses for st in states]
     if isinstance(which_score, (int, np.integer)):
         j = int(which_score)
         if not 0 <= j < components.p:
             raise DomainError(f"score component {j} outside range({components.p})")
         adjoint_values = adjoint_of_score(sf, eta, tangent)[:, j]
+        r_dot = np.array([_r_dot_values(components, states[0], o)
+                          for o in outcomes])
 
-        def scores(o, gv, gd, fds):
-            r_dot = _r_dot_values(components, states[0], o)
-            return [float(_stacked_parameter_score(
-                [o], w, fd[np.newaxis], gd[np.newaxis],
-                r_dot[np.newaxis])[0, j]) for w, fd in zip(masses, fds)]
+        def scores(fds):
+            return [_stacked_parameter_score(outcomes, w, fd, stacked.gd,
+                                             r_dot)[:, j]
+                    for w, fd in zip(masses, fds)]
 
         return f"score[{j}]", adjoint_values, scores
 
@@ -107,8 +128,9 @@ def _score_family(components, sf, states, which_score):
     adjoint_values = apply(info_operator(sf, eta, tangent), a)
     weighted = [w * d for w, d in zip(masses, dirs)]
 
-    def scores(o, gv, gd, fds):
-        return [_measure_score(components, o, gv, fd, wd, d)
+    def scores(fds):
+        return [_measure_scores_along(components, outcomes, stacked.gv, fd,
+                                      wd, d)
                 for fd, wd, d in zip(fds, weighted, dirs)]
 
     return "operator", adjoint_values, scores
@@ -127,8 +149,9 @@ def check_adjoint_identity(engine, components: ModelComponents,
     all agree.  The first two are exact; the third is approximated by a
     central difference of step h.  The convergence order is probed at
     the coarser step FD_ORDER_STEP where truncation dominates roundoff.
-    One pass over the outcome law sums g Bb and the three central
-    differences, from the law's own evaluation of each outcome.
+    Each of the seven states scores all of the law's outcomes in one
+    stacked product, and one mean over the law sums g Bb and the three
+    central differences, from the law's own evaluation of each outcome.
     """
     law = outcome_law(engine, components, state)
     if sf is None:
@@ -138,30 +161,25 @@ def check_adjoint_identity(engine, components: ModelComponents,
     if components.tangent is TangentKind.L2_ZERO:
         require_centered(bv, eta, "pairing direction")
 
-    steps = (h, FD_ORDER_STEP, FD_ORDER_STEP / 2.0)
-    states = [state] + [ModelState(state.theta,
-                                   perturb_measure(eta, bv, sign * step))
-                        for step in steps for sign in (1.0, -1.0)]
-    for st in states:
-        check_state(components, st)
-    label, adjoint_values, scores = _score_family(components, sf, states,
-                                                  which_score)
+    steps, moved = _central_states(components, state, bv, h)
+    check_state(components, state)
+    states = [state] + moved
+    label, adjoint_values, scores = _score_family(components, sf, law,
+                                                  states, which_score)
     t1 = inner_product(adjoint_values, bv, eta)
-    weighted_b = eta.masses * bv
-    evaluated = law.evaluated
-
-    def integrand(o):
-        e = evaluated[o]
-        gv, fd, gd = e.gv, e.fd, e.gd
-        fds = [fd] + [f_dot_values(components, st.eta.masses @ gv, o)
-                      for st in states[1:]]
-        g = scores(o, gv, gd, fds)
-        bb = _measure_score(components, o, gv, fds[0], weighted_b, bv)
-        return np.array([g[0] * bb] + [
-            (plus - minus) / (2.0 * step)
-            for plus, minus, step in zip(g[1::2], g[2::2], steps)])
-
-    sums = expect(law, components, state, integrand).value
+    stacked = law.stacked
+    outcomes, gvs = law.outcomes, stacked.gv
+    fds = [stacked.fd] + [
+        np.array([f_dot_values(components, x, o)
+                  for x, o in zip(np.matmul(st.eta.masses, gvs), outcomes)])
+        for st in moved]
+    g = scores(fds)
+    bb = _measure_scores_along(components, outcomes, gvs, stacked.fd,
+                               eta.masses * bv, bv)
+    rows = np.column_stack([g[0] * bb] + [
+        (plus - minus) / (2.0 * step)
+        for plus, minus, step in zip(g[1::2], g[2::2], steps)])
+    sums = _law_mean(law, rows)
     t2 = float(sums[0])
     t3, fd_order, fd_order_half = (-float(v) for v in sums[1:])
     order_err = abs(fd_order - t2)
@@ -227,23 +245,16 @@ def check_score_fd(components: ModelComponents, state: ModelState, o, a,
     the log density along the mass path through the direction.
 
     The mass path moves only the masses, so the g on the grid that the
-    analytic score evaluates serves every log density along it.
+    analytic score evaluates serves every log density along it; its six
+    measures (+-h and the two order-probe steps) come from one walk.
     """
     analytic, gv = _score_operator(components, state, o, a)
-    av = as_values(a, state.eta.size)
-
-    def log_density(st):
-        check_state(components, st)
-        return _log_density(components, st, o, gv)
-
-    def quotient(hh):
-        plus = ModelState(state.theta, perturb_measure(state.eta, av, +hh))
-        minus = ModelState(state.theta, perturb_measure(state.eta, av, -hh))
-        return (log_density(plus) - log_density(minus)) / (2.0 * hh)
-
-    err = abs(analytic - quotient(h))
-    order_err = abs(analytic - quotient(FD_ORDER_STEP))
-    order_err_half = abs(analytic - quotient(FD_ORDER_STEP / 2.0))
+    steps, states = _central_states(components, state,
+                                    as_values(a, state.eta.size), h)
+    densities = [_log_density(components, st, o, gv) for st in states]
+    err, order_err, order_err_half = (
+        abs(analytic - (plus - minus) / (2.0 * step))
+        for plus, minus, step in zip(densities[::2], densities[1::2], steps))
     scale = max(1.0, abs(analytic))
     ctx = {
         "analytic": float(analytic),

@@ -5,6 +5,7 @@ import pytest
 
 from semiinfo import (
     Category,
+    MonteCarlo,
     adjoint_of_score,
     analyze_model,
     apply,
@@ -70,6 +71,30 @@ def test_classify_mc_widens_zero_tolerance():
     res = classify_category(noisy)
     assert res.tol_zero == pytest.approx(4e-9)
     assert res.category is Category.VANISHING_MULTIPLIER
+
+
+def test_classify_mc_invertible_needs_the_whole_band_inside_the_bound():
+    # gamma itself lies inside [1e-6, 1e6], but four standard errors
+    # reach below the lower bound at the first point
+    gamma, se = [1e-5, 1.0], [3e-6, 0.0]
+    assert classify_category(fake_sf(gamma, se=se)).category \
+        is Category.INVERTIBLE_MULTIPLIER
+    res = classify_category(fake_sf(gamma, se=se, engine="mc"))
+    assert res.category is Category.INDETERMINATE
+    assert (res.gamma_min, res.gamma_max) == (1e-5, 1.0)
+    assert classify_category(fake_sf(gamma, se=[2e-6, 0.0], engine="mc")
+                             ).category is Category.INVERTIBLE_MULTIPLIER
+
+
+def test_sampled_zero_cell_is_never_called_invertible():
+    # gamma is exactly zero on three of the zero cell's five points; a
+    # sample puts small positive noise there, which the band must cover
+    model = zoo.build("missing_cov", zero_cell=True)
+    for seed in range(1, 11):
+        sf = structural_functions(MonteCarlo(model.sampler, 20000, seed),
+                                  model.components, model.state)
+        assert classify_category(sf).category \
+            is not Category.INVERTIBLE_MULTIPLIER, seed
 
 
 def test_info_operator_apply_matches_matrix():

@@ -156,6 +156,37 @@ def test_validate_passes_on_the_zero_cell_design(tmp_path, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+# Every build option the zoo ships, as a model's params.
+BUILD_OPTIONS = [
+    ("missing_cov", {"zero_cell": True}),
+    ("missing_cov", {"degenerate_z": True}),
+    ("mixture", {"parametric": False}),
+    ("mixture", {"constant_kernel": True}),
+    ("mixture", {"m": 30}),
+    ("cox_rc", {"duplicated_covariate": True}),
+    ("cox_cs", {"m": 30}),
+    ("kaplan_meier", {"zero_mass_point": True}),
+    ("recurrent_transform", {"transform": "identity"}),
+]
+
+
+@pytest.mark.parametrize("model_id, params", BUILD_OPTIONS, ids=[
+    mid + "".join(f"-{key}={value}" for key, value in kw.items())
+    for mid, kw in BUILD_OPTIONS])
+def test_validate_passes_on_every_build_option(tmp_path, capsys, model_id,
+                                               params):
+    cfg = write_cfg(tmp_path, {
+        "schema_version": 1,
+        "command": "validate",
+        "validate": {"seed": 318, "models": [model_id],
+                     "params": {model_id: params}},
+    })
+    assert run(["--config", cfg, "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_failed"] == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def read_influence(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))

@@ -8,6 +8,7 @@ from semiinfo.measure import (
     Direction,
     Grid,
     MeasureKind,
+    _mass_path,
     as_values,
     is_centered,
     require_centered,
@@ -118,14 +119,64 @@ def test_perturb_step_too_large():
         perturb_measure(eta, [2.0, 0.0], 0.5)
 
 
+STEPS = (1e-4, -1e-4, 2e-3, -2e-3, 1e-3, -1e-3)
+
+
+@pytest.mark.parametrize("kind", ["probability", "positive_finite"])
+def test_mass_path_matches_perturb_measure_bit_for_bit(kind):
+    rng = np.random.default_rng(8)
+    points = np.linspace(0.0, 3.0, 7)
+    masses = rng.uniform(0.1, 1.0, 7)
+    if kind == "probability":
+        eta = prob(points, masses / masses.sum())
+        a = center(rng.uniform(-1.0, 1.0, 7), eta).values
+    else:
+        eta = pos(points, masses)
+        a = rng.uniform(-1.0, 1.0, 7)
+    path = _mass_path(eta, a, STEPS)
+    assert len(path) == len(STEPS)
+    for t, moved in zip(STEPS, path):
+        one = perturb_measure(eta, a, t)
+        assert moved.masses.tobytes() == one.masses.tobytes()
+        assert moved.kind is one.kind is eta.kind
+
+
+def test_mass_path_refuses_the_first_step_too_large():
+    eta = pos([0.0, 1.0], [0.5, 0.5])
+    a = [2.0, 0.0]
+    with pytest.raises(DomainError) as one:
+        perturb_measure(eta, a, -0.6)
+    with pytest.raises(DomainError) as path:
+        _mass_path(eta, a, [0.1, -0.6, 0.7])
+    assert str(path.value) == str(one.value)
+
+
+def test_mass_path_warns_once_and_demotes_every_measure():
+    eta = prob([0.0, 1.0], [0.5, 0.5])
+    with pytest.warns(MeasureKindWarning) as one:
+        perturb_measure(eta, [1.0, 0.0], 0.1)
+    def walk():  # callers reach the path through a function of their own
+        return _mass_path(eta, [1.0, 0.0], [0.1, -0.1, 0.2])
+
+    with pytest.warns(MeasureKindWarning) as path:
+        moved = walk()
+    assert len(one) == len(path) == 1
+    assert str(path[0].message) == str(one[0].message)
+    assert path[0].filename == one[0].filename == __file__
+    assert all(m.kind is MeasureKind.POSITIVE_FINITE for m in moved)
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
         Grid(np.array([2.0, 1.0]), 3.0)
     with pytest.raises(DomainError):
         Grid(np.array([1.0, 2.0]), 1.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="mass 1 is negative"):
         DiscreteMeasure(Grid(np.array([1.0, 2.0]), 2.0),
                         np.array([0.5, -0.1]), MeasureKind.POSITIVE_FINITE)
+    with pytest.raises(DomainError, match="mass 1 is not finite"):
+        DiscreteMeasure(Grid(np.array([1.0, 2.0]), 2.0),
+                        np.array([0.5, np.nan]), MeasureKind.POSITIVE_FINITE)
     with pytest.raises(DomainError):
         DiscreteMeasure(Grid(np.array([1.0, 2.0]), 2.0),
                         np.array([0.5, 0.4]), MeasureKind.PROBABILITY)

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from semiinfo import (
     zoo,
 )
 from semiinfo.engines import expect, outcome_law, structural_functions
+from semiinfo import validate
 from semiinfo.errors import DomainError
+from semiinfo.likelihood import _stacked_parameter_score as stacked_parameter_score
 from semiinfo.measure import center, perturb_measure
 from semiinfo.validate import (FD_ORDER_STEP, FD_ORDER_WINDOW,
                                FD_STEP_DEFAULT, fd_order_ok)
@@ -191,9 +194,23 @@ def _separate_passes(law, c, s, which, bv, h=FD_STEP_DEFAULT,
             "order_error_half": abs(fd(h_order / 2.0) - t2)}
 
 
-@pytest.mark.parametrize("model_id", list(zoo.MODELS))
-def test_adjoint_check_sums_match_separate_passes_exactly(model_id):
-    model = zoo.build(model_id)
+# Every zoo model as built by default, then the build options that move
+# the grid's support or the likelihood's form.
+BUILDS = [(model_id, {}) for model_id in zoo.MODELS] + [
+    ("missing_cov", {"zero_cell": True}),
+    ("missing_cov", {"degenerate_z": True}),
+    ("mixture", {"parametric": False}),
+    ("cox_rc", {"duplicated_covariate": True}),
+    ("kaplan_meier", {"zero_mass_point": True}),
+    ("recurrent_transform", {"transform": "identity"}),
+]
+
+
+@pytest.mark.parametrize("model_id, params", BUILDS, ids=[
+    mid + "".join(f"-{key}={value}" for key, value in kw.items())
+    for mid, kw in BUILDS])
+def test_adjoint_check_sums_match_separate_passes_exactly(model_id, params):
+    model = zoo.build(model_id, **params)
     c, s = model.components, model.state
     law = outcome_law(model.exact, c, s)
     sf = structural_functions(law, c, s)
@@ -228,3 +245,47 @@ def test_adjoint_check_evaluates_g_once_per_outcome(family):
     calls.clear()
     check_adjoint_identity(law, c, s, which, b, sf=sf)
     assert calls == []
+
+
+def _law_and_sf(c, s, model):
+    law = outcome_law(model.exact, c, s)
+    return law, structural_functions(law, c, s)
+
+
+def test_adjoint_check_scores_each_state_in_one_product(monkeypatch):
+    model = zoo.build("missing_cov")
+    c, s = model.components, model.state
+    law, sf = _law_and_sf(c, s, model)
+    calls = []
+
+    def counted(outcomes, *args):
+        calls.append(len(outcomes))
+        return stacked_parameter_score(outcomes, *args)
+
+    monkeypatch.setattr(validate, "_stacked_parameter_score", counted)
+    rng = np.random.default_rng(3)
+    check_adjoint_identity(law, c, s, 1, _admissible(rng, c, s.eta), sf=sf)
+    # the base state and the six states of the three central differences
+    assert calls == [len(law.outcomes)] * 7
+
+
+@pytest.mark.parametrize("family", ["score", "operator"])
+def test_adjoint_check_evaluates_f_dot_once_per_moved_outcome(family):
+    model = zoo.build("missing_cov")
+    calls = []
+
+    def f_dot(x, obs):
+        calls.append(obs)
+        return model.components.f_dot(x, obs)
+
+    c = dataclasses.replace(model.components, f_dot=f_dot)
+    s = model.state
+    law, sf = _law_and_sf(c, s, model)
+    rng = np.random.default_rng(3)
+    which = 1 if family == "score" else _admissible(rng, c, s.eta)
+    b = _admissible(rng, c, s.eta)
+    calls.clear()
+    check_adjoint_identity(law, c, s, which, b, sf=sf)
+    # the base state reads the law's f_dot; each of the six moved states
+    # evaluates it once per outcome
+    assert Counter(calls) == {obs: 6 for obs in law.outcomes}
