@@ -77,9 +77,9 @@ from .likelihood import (
     ModelComponents,
     ModelState,
     TangentKind,
-    _direction_scores,
     _directions,
     _outcome,
+    _outcome_scores,
     check_state,
     score_operator,
 )
@@ -276,8 +276,8 @@ def efficient_score_function(components: ModelComponents, state: ModelState,
 
     def eff_score(obs):
         outcome = _outcome(components, state, obs)
-        return outcome.score - _direction_scores(components, obs, dirs,
-                                                 outcome.gv, outcome.fd)
+        return outcome.score - _outcome_scores(components, obs, dirs,
+                                               outcome.gv, outcome.fd)
 
     return eff_score
 

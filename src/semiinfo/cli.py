@@ -47,8 +47,7 @@ _TOP_KEYS = {"schema_version", "command", "model", "seed", "engine",
              "validate", "influence", "paramcheck"}
 _MODEL_KEYS = {"id", "params"}
 _ENGINE_KEYS = {"kind", "n", "seed"}
-_VALIDATE_KEYS = {"models", "params", "seed", "h", "n_op_dirs", "n_pair",
-                  "n_outcomes"}
+_VALIDATE_KEYS = {"models", "params", "seed", "h"}
 _INFLUENCE_KEYS = {"functional", "t", "path", "nonregular_tol"}
 _PARAMCHECK_KEYS = {"path", "p"}
 
@@ -228,9 +227,6 @@ def cmd_validate(cfg, out_dir, seed_override):
             # The finite-difference tolerances scale with h * h.
             raise ConfigError("config.validate.h must be a number whose "
                               f"square is above 0, got {vcfg['h']!r}")
-    for key in ("n_op_dirs", "n_pair", "n_outcomes"):
-        if key in vcfg:
-            kwargs[key] = _whole(vcfg[key], f"config.validate.{key}", 1)
     models = vcfg.get("models")
     if models is not None and (
             not isinstance(models, list) or not models

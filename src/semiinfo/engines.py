@@ -18,8 +18,7 @@ A law stands in for its engine at its own state and evaluates the model
 once per outcome: on first use it writes each outcome's g and g_dot on
 the grid, x, f_dot and f_ddot at x into one row of stacked arrays and
 forms every parameter score as one product over those stacks
-(:attr:`OutcomeLaw.stacked`; :attr:`OutcomeLaw.evaluated` holds each
-outcome's rows as views), and every quantity summed over the law reads
+(:attr:`OutcomeLaw.stacked`), and every quantity summed over the law reads
 those (the structural functions here; the Fisher information,
 identifiability Gram and efficient information in ``calculus``), however
 many a caller asks for. Those evaluations start from the g a law already
@@ -29,8 +28,10 @@ measure scores of every outcome along k directions A, an (m, k) array,
 are M A with M = (f_dot . g^T) * masses plus each outcome's
 representer of L (:meth:`OutcomeLaw.measure_scores`): one batched
 product of the stacked f_dot with g^T (masses * A), plus the
-representers times A. The representers, L applied to the identity, are
-formed once, on first use; M itself is never formed.
+representers times A, the one measure-score product of ``likelihood``.
+The representers, L applied to the identity, are formed once, on first
+use, and serve every direction and every caller of the law, ``validate``'s
+mass-path states among them; M itself is never formed.
 
 Every mean over a law is summed in one of two ways, and which depends
 only on whether the law is sampled. On an exact law it is one
@@ -99,7 +100,7 @@ from .likelihood import (
     _ell_rows,
     _evaluate,
     _log_density,
-    _stacked_measure_scores,
+    _measure_scores,
     _stacked_score_matrix,
     _Outcome,
     check_state,
@@ -171,14 +172,6 @@ class OutcomeLaw:
                          self.gvs)
 
     @cached_property
-    def evaluated(self) -> dict:
-        """Each outcome's evaluation: its rows of :attr:`stacked`, as
-        views."""
-        stacked = self.stacked
-        return {obs: _Outcome(*(field[row] for field in stacked))
-                for row, obs in enumerate(self.outcomes)}
-
-    @cached_property
     def ell_rows(self):
         """Each outcome's (m,) representer of L, stacked (N, m), formed on
         first use (None when the model has no L)."""
@@ -191,13 +184,10 @@ class OutcomeLaw:
         a (``dirs``, from ``likelihood._directions``), written into the
         (N, k) ``out`` (a new array by default) and checked finite: one
         batched product whose row i is, bit for bit, the score that
-        ``likelihood._direction_scores`` gives outcome i alone (for an
-        L that picks entries of a or takes integer combinations of
-        them; within rounding for any other)."""
-        if out is None:
-            out = np.empty((len(self.pairs), dirs[0].shape[1]))
-        return _stacked_measure_scores(self.outcomes, self.stacked,
-                                       self.ell_rows, dirs, out)
+        ``score_matrix`` gives outcome i alone."""
+        stacked = self.stacked
+        return _measure_scores(self.outcomes, stacked.gv, stacked.fd,
+                               self.ell_rows, dirs, out)
 
     def score_matrix(self) -> np.ndarray:
         """M, the (N, m) measure scores of every outcome along the m

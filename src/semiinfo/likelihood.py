@@ -16,9 +16,15 @@ and the measure score in a tangent direction a is
 
     (B a)(o) = f_dot . (integral of g a deta) + L(a, o).
 
-B is linear in a, so k directions stacked as the columns of an (m, k)
-array A cost one evaluation of g and f_dot per outcome:
-``f_dot . g^T (eta * A) + L(A, o)`` (:func:`score_matrix`).
+B is linear in a, and L is linear too, so L(a, o) = l_o . a with l_o
+its representer: L applied to the m coordinate directions. Every
+measure score is then one product over outcomes stacked N high, for k
+directions stacked as the columns of an (m, k) array A:
+``f_dot . g^T (eta * A) + l_o . A`` (:func:`_measure_scores`). The
+public one-outcome functions (:func:`score_operator`,
+:func:`score_matrix`, :func:`joint_score`) are its case N = 1. Only the
+log density applies L to anything else, the log masses: there a
+representer would meet log 0 = -inf at a zero mass and give NaN.
 
 On a probability measure the tangent space is the mean-zero subspace of
 L2(eta) and directions fed to B must be centered; on a positive finite
@@ -26,9 +32,10 @@ measure it is all of L2(eta).
 
 Component callables receive ``(theta, obs, points)`` for g and g_dot,
 ``(x, obs)`` for f and its derivatives, ``(values, obs)`` for L, and
-``(theta, obs)`` for r and r_dot. L may receive an (m, k) array of
-directions, one per column, and must then return a scalar or a (k,)
-vector (indexing rows of ``values`` does this). Scalar models (d == 1)
+``(theta, obs)`` for r and r_dot. L receives either the (m,) log
+masses or the (m, m) identity, one coordinate direction per column,
+and must then return a scalar or an (m,) vector (indexing rows of
+``values`` does this). Scalar models (d == 1)
 may work with scalars and flat arrays; the accessors below normalize
 shapes.
 """
@@ -286,25 +293,6 @@ def _stacked_parameter_score(outcomes, masses: np.ndarray, fd: np.ndarray,
     return _finite_rows(outcomes, score, "parameter score")
 
 
-def _measure_scores_along(components: ModelComponents, outcomes,
-                          gvs: np.ndarray, fd: np.ndarray,
-                          weighted: np.ndarray,
-                          av: np.ndarray) -> np.ndarray:
-    """(B a)(o) along one direction a for each of the N stacked
-    ``outcomes``, shape (N,), from their (N, m, d) g on the grid, their
-    (N, d) f_dot and ``weighted``, the masses times a: f_dot .
-    ((masses a) g) by one batched product for (masses a) g and one for
-    the N dot products, plus L(a, o) called per outcome, so no
-    representer of L rounds into it (:func:`score_operator` is the
-    case N = 1). Raises :class:`EvaluationError` naming the first
-    outcome, in law order, whose score is not finite."""
-    wg = np.matmul(weighted, gvs)
-    out = np.matmul(fd[:, np.newaxis], wg[:, :, np.newaxis])[:, 0]
-    if components.ell is not None:
-        out += [[float(components.ell(av, obs))] for obs in outcomes]
-    return _finite_rows(outcomes, out, "measure score")[:, 0]
-
-
 def _directions(components: ModelComponents, state: ModelState,
                 directions):
     """Check an (m, k) array of tangent directions, one per column (on a
@@ -329,65 +317,66 @@ def _directions(components: ModelComponents, state: ModelState,
     return arr, eta.masses[:, np.newaxis] * arr
 
 
-def _ell_values(components: ModelComponents, obs,
-                arr: np.ndarray) -> np.ndarray:
-    """L applied to the k columns of an (m, k) array, shape (k,)."""
-    lv = np.asarray(components.ell(arr, obs), dtype=float)
-    try:
-        return np.broadcast_to(lv, (arr.shape[1],))
-    except ValueError:
-        raise DimensionError(
-            f"L returned shape {lv.shape} for {arr.shape[1]} directions, "
-            f"expected a scalar or ({arr.shape[1]},)"
-        ) from None
-
-
-def _direction_scores(components: ModelComponents, obs, dirs,
-                      gv: np.ndarray, fd: np.ndarray) -> np.ndarray:
-    """Measure scores along checked directions ``dirs`` (from
-    :func:`_directions`) from g on the grid and f_dot at x."""
-    arr, weighted = dirs
-    out = fd @ (gv.T @ weighted)
-    if components.ell is not None:
-        out = out + _ell_values(components, obs, arr)
-    if not np.all(np.isfinite(out)):
-        raise EvaluationError(f"measure score not finite at {obs!r}")
-    return out
+def _column(masses: np.ndarray, a: np.ndarray):
+    """One checked direction a as :func:`_directions` gives it: a and the
+    masses times a, each an (m, 1) column."""
+    return a[:, np.newaxis], (masses * a)[:, np.newaxis]
 
 
 def _ell_rows(components: ModelComponents, outcomes,
               m: int) -> Optional[np.ndarray]:
     """Each outcome's representer of L, one (m,) row per outcome with
-    L(a, o) = row . a: L applied to the identity (None when L is
-    absent)."""
+    L(a, o) = row . a: L applied to the (m, m) identity, whose columns
+    are the m coordinate directions (None when L is absent)."""
     if components.ell is None:
         return None
     eye = np.eye(m)
-    return np.stack([_ell_values(components, obs, eye) for obs in outcomes])
+    rows = []
+    for obs in outcomes:
+        lv = np.asarray(components.ell(eye, obs), dtype=float)
+        try:
+            rows.append(np.broadcast_to(lv, (m,)))
+        except ValueError:
+            raise DimensionError(
+                f"L returned shape {lv.shape} for {m} directions, the "
+                f"columns of the ({m}, {m}) identity; expected a scalar "
+                f"or ({m},)"
+            ) from None
+    return np.stack(rows)
 
 
-def _stacked_measure_scores(outcomes, stacked: _Outcome,
-                            ell_rows: Optional[np.ndarray], dirs,
-                            out: np.ndarray) -> np.ndarray:
-    """Write into the (N, k) ``out`` the measure scores of the N stacked
-    ``outcomes`` along checked directions ``dirs`` (from
-    :func:`_directions`): M a for each direction a, with
-    M = (f_dot . g^T) * masses plus the representers of L, formed as
-    f_dot . (g^T (masses a)) + L(a) by one batched product over the
-    stacked g and f_dot, so M itself is never formed. numpy makes each
-    outcome's slice of the batch the BLAS call that
-    :func:`_direction_scores` makes for that outcome alone, so the two
-    agree bit for bit wherever the representer product rounds as L
-    does (L picking entries of a, or integer combinations of them).
-    Raises :class:`EvaluationError` naming the first outcome whose
-    scores are not finite."""
+def _measure_scores(outcomes, gvs: np.ndarray, fd: np.ndarray,
+                    ell_rows: Optional[np.ndarray], dirs,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (N, k) measure scores of the N stacked ``outcomes`` along
+    checked directions ``dirs`` (from :func:`_directions`), written into
+    ``out`` (a new array by default), from their (N, m, d) g on the
+    grid, their (N, d) f_dot and their (N, m) representers of L
+    (:func:`_ell_rows`; None when L is absent): M a for each direction
+    a, with M = (f_dot . g^T) * masses plus the representers, formed as
+    f_dot . (g^T (masses a)) + representer . a by one batched product
+    over the stacks, so M itself is never formed. Every measure score is
+    formed here, a single outcome as N = 1 (:func:`_outcome_scores`).
+    Raises :class:`EvaluationError` naming the first outcome, in law
+    order, whose scores are not finite."""
     arr, weighted = dirs
-    np.matmul(stacked.fd[:, np.newaxis],
-              stacked.gv.transpose(0, 2, 1) @ weighted,
+    if out is None:
+        out = np.empty((len(outcomes), arr.shape[1]))
+    np.matmul(fd[:, np.newaxis], gvs.transpose(0, 2, 1) @ weighted,
               out=out[:, np.newaxis])
     if ell_rows is not None:
         out += ell_rows @ arr
     return _finite_rows(outcomes, out, "measure score")
+
+
+def _outcome_scores(components: ModelComponents, obs, dirs,
+                    gv: np.ndarray, fd: np.ndarray) -> np.ndarray:
+    """The (k,) measure scores of one outcome along checked directions
+    ``dirs`` from its g on the grid and f_dot at x: the case N = 1 of
+    :func:`_measure_scores`, with the outcome's own representer of L."""
+    return _measure_scores([obs], gv[np.newaxis], fd[np.newaxis],
+                           _ell_rows(components, [obs], gv.shape[0]),
+                           dirs)[0]
 
 
 def _stacked_score_matrix(outcomes, stacked: _Outcome,
@@ -396,9 +385,11 @@ def _stacked_score_matrix(outcomes, stacked: _Outcome,
     """M, the (N, m) measure scores of the N stacked ``outcomes`` along
     the m coordinate directions, checked finite: M = (f_dot . g^T) *
     masses plus the representers of L, by the batched product of
-    :func:`_stacked_measure_scores` with no directions. It bypasses
+    :func:`_measure_scores` with no directions. It bypasses
     :func:`_directions`, which refuses the uncentered coordinate
-    directions on a mean-zero tangent."""
+    directions on a mean-zero tangent, and is not that product with the
+    identity, which would cost O(N d m^2) and round (f_dot . g^T) * masses
+    differently."""
     out = np.matmul(stacked.fd[:, np.newaxis],
                     stacked.gv.transpose(0, 2, 1))[:, 0] * masses
     if ell_rows is not None:
@@ -419,12 +410,6 @@ def _finite_rows(outcomes, out: np.ndarray, what: str) -> np.ndarray:
     raise EvaluationError(f"{what} not finite at {outcomes[bad]!r}")
 
 
-def _joint_score(components: ModelComponents, obs, outcome: _Outcome,
-                 dirs) -> np.ndarray:
-    return np.concatenate([outcome.score, _direction_scores(
-        components, obs, dirs, outcome.gv, outcome.fd)])
-
-
 def score_theta(components: ModelComponents, state: ModelState, obs) -> np.ndarray:
     """Parameter score, shape (p,)."""
     check_state(components, state)
@@ -441,8 +426,8 @@ def score_matrix(components: ModelComponents, state: ModelState, obs,
     """
     check_state(components, state)
     dirs = _directions(components, state, directions)
-    return _direction_scores(components, obs, dirs,
-                             *_g_and_f_dot(components, state, obs))
+    return _outcome_scores(components, obs, dirs,
+                           *_g_and_f_dot(components, state, obs))
 
 
 def joint_score(components: ModelComponents, state: ModelState, obs,
@@ -452,8 +437,9 @@ def joint_score(components: ModelComponents, state: ModelState, obs,
     f_dot."""
     check_state(components, state)
     dirs = _directions(components, state, directions)
-    return _joint_score(components, obs, _outcome(components, state, obs),
-                        dirs)
+    outcome = _outcome(components, state, obs)
+    return np.concatenate([outcome.score, _outcome_scores(
+        components, obs, dirs, outcome.gv, outcome.fd)])
 
 
 def score_operator(components: ModelComponents, state: ModelState, obs, a) -> float:
@@ -472,8 +458,7 @@ def _score_operator(components: ModelComponents, state: ModelState, obs, a):
         av = require_centered(a, state.eta, "tangent direction")
     else:
         av = as_values(a, state.eta.size)
+    dirs = _column(state.eta.masses, av)
     gv, fd = _g_and_f_dot(components, state, obs)
-    return float(_measure_scores_along(
-        components, [obs], gv[np.newaxis], fd[np.newaxis],
-        state.eta.masses * av, av)[0]), gv
+    return float(_outcome_scores(components, obs, dirs, gv, fd)[0]), gv
 

@@ -10,10 +10,12 @@ Each adjoint check reads each outcome's g, g_dot and f_dot from the
 law's own evaluation, so it evaluates no g of its own: the mass path
 through b moves only the masses, and components take
 ``(theta, obs, points)``, so the law's g serves the base state and all
-six perturbed states of the three central differences. The six
-perturbed measures come from one walk of the mass path, each state
-scores all of the law's outcomes in one stacked product, and one mean
-over the law sums g Bb and the three central differences.
+six perturbed states of the three central differences. So do the law's
+representers of L, which do not depend on the masses: a law that has
+formed them makes the check call no L. The six perturbed measures come
+from one walk of the mass path, each state scores all of the law's
+outcomes in one stacked product, and one mean over the law sums g Bb
+and the three central differences.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .calculus import (adjoint_of_score, classify_category,
 from .engines import _law_mean, outcome_law, structural_functions
 from .errors import DomainError
 from .likelihood import (ModelComponents, ModelState, TangentKind,
-                         _log_density, _measure_scores_along,
+                         _column, _log_density, _measure_scores,
                          _r_dot_values, _score_operator,
                          _stacked_parameter_score, check_state,
                          f_dot_values)
@@ -54,6 +56,14 @@ REFERENCE_TOL = 1e-9
 DEFICIT_TOL = 1e-10
 ROUTE_TOL = 1e-8
 SUITE_SEED_DEFAULT = 318
+# The suite's counts: random measure-score families checked by the
+# adjoint identity (after the p parameter-score components), pairing
+# directions per family (also the centering check's), and the most
+# probable outcomes whose measure score is checked against finite
+# differences (two random directions each).
+SUITE_OP_DIRS = 2
+SUITE_PAIRS = 4
+SUITE_OUTCOMES = 3
 
 
 @dataclass(frozen=True)
@@ -121,17 +131,17 @@ def _score_family(components, sf, law, states, which_score):
     a = as_values(which_score, eta.size)
     if tangent is TangentKind.L2_ZERO:
         require_centered(a, eta, "operator direction")
-        dirs = [require_centered(center(a, st.eta).values, st.eta,
-                                 "tangent direction") for st in states]
+        values = [require_centered(center(a, st.eta).values, st.eta,
+                                   "tangent direction") for st in states]
     else:
-        dirs = [a] * len(states)
+        values = [a] * len(states)
     adjoint_values = apply(info_operator(sf, eta, tangent), a)
-    weighted = [w * d for w, d in zip(masses, dirs)]
+    dirs = [_column(w, v) for w, v in zip(masses, values)]
 
     def scores(fds):
-        return [_measure_scores_along(components, outcomes, stacked.gv, fd,
-                                      wd, d)
-                for fd, wd, d in zip(fds, weighted, dirs)]
+        return [_measure_scores(outcomes, stacked.gv, fd, law.ell_rows,
+                                d)[:, 0]
+                for fd, d in zip(fds, dirs)]
 
     return "operator", adjoint_values, scores
 
@@ -174,8 +184,8 @@ def check_adjoint_identity(engine, components: ModelComponents,
                   for x, o in zip(np.matmul(st.eta.masses, gvs), outcomes)])
         for st in moved]
     g = scores(fds)
-    bb = _measure_scores_along(components, outcomes, gvs, stacked.fd,
-                               eta.masses * bv, bv)
+    bb = _measure_scores(outcomes, gvs, stacked.fd, law.ell_rows,
+                         _column(eta.masses, bv))[:, 0]
     rows = np.column_stack([g[0] * bb] + [
         (plus - minus) / (2.0 * step)
         for plus, minus, step in zip(g[1::2], g[2::2], steps)])
@@ -327,12 +337,11 @@ def _admissible(rng, eta, tangent):
 
 
 def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
-                    h: float = FD_STEP_DEFAULT, n_op_dirs: int = 2,
-                    n_pair: int = 4, n_outcomes: int = 3) -> list:
+                    h: float = FD_STEP_DEFAULT) -> list:
     """All property checks for one zoo model under its exact engine.
 
-    Deterministic given (model, seed, h, counts); results come back in a
-    fixed declaration order with the model id in every context.
+    Deterministic given (model, seed, h); results come back in a fixed
+    declaration order with the model id in every context.
     """
     if h * h == 0.0:  # the finite-difference tolerances scale with h * h
         raise DomainError(f"finite-difference step h={h!r} squares to 0")
@@ -374,14 +383,14 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
         0.0, expected=model.expected_category.name, got=cat.category.name)
 
     score_list = list(range(c.p))
-    for _ in range(n_op_dirs):
+    for _ in range(SUITE_OP_DIRS):
         score_list.append(_admissible(rng, eta, tangent))
     exact_pair = 0.0
     fd_norm = 0.0
     order_dist = 0.0
     worst_ratio = None
     for which in score_list:
-        for _ in range(n_pair):
+        for _ in range(SUITE_PAIRS):
             b = _admissible(rng, eta, tangent)
             res = check_adjoint_identity(law, c, s, which, b, h, sf=sf)
             exact_pair = max(exact_pair, res.context["exact_pair"])
@@ -397,12 +406,11 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
     add("adjoint_identity_fd", fd_norm, 1.0)
     add("adjoint_identity_order", order_dist, 0.0, worst_ratio=worst_ratio)
 
-    probs = np.array([weight for _, weight in law.pairs])
-    order = np.argsort(probs)[::-1][:n_outcomes]
+    order = np.argsort(law.weights)[::-1][:SUITE_OUTCOMES]
     score_fd_norm = 0.0
     score_order = 0.0
     for idx in order:
-        o = law.pairs[int(idx)][0]
+        o = law.outcomes[int(idx)]
         for _ in range(2):
             a = _admissible(rng, eta, tangent)
             res = check_score_fd(c, s, o, a, h)
@@ -417,7 +425,7 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
     if tangent is TangentKind.L2_ZERO:
         a = _admissible(rng, eta, tangent)
         res = check_centering_construction(law, c, s, a, 0.1, h,
-                                           n_pair=n_pair, seed=seed)
+                                           n_pair=SUITE_PAIRS, seed=seed)
         add("centering_construction", res.max_discrepancy, res.tolerance,
             orders_ok=res.context["orders_ok"])
 
@@ -435,14 +443,12 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
 
 
 def run_suite(model_ids=None, *, seed: int = SUITE_SEED_DEFAULT,
-              h: float = FD_STEP_DEFAULT, n_op_dirs: int = 2,
-              n_pair: int = 4, n_outcomes: int = 3,
-              params=None) -> list:
+              h: float = FD_STEP_DEFAULT, params=None) -> list:
     """Run every property check over the selected zoo models.
 
     ``params`` maps a model id to builder keyword arguments.  Results
-    are deterministic for a fixed (ids, seed, h, counts, params) and
-    come back in model order, check order.
+    are deterministic for a fixed (ids, seed, h, params) and come back
+    in model order, check order.
     """
     from . import zoo
 
@@ -451,7 +457,5 @@ def run_suite(model_ids=None, *, seed: int = SUITE_SEED_DEFAULT,
     results = []
     for mid in ids:
         model = zoo.build(mid, **params.get(mid, {}))
-        results.extend(suite_for_model(model, seed=seed, h=h,
-                                       n_op_dirs=n_op_dirs, n_pair=n_pair,
-                                       n_outcomes=n_outcomes))
+        results.extend(suite_for_model(model, seed=seed, h=h))
     return results

@@ -25,7 +25,7 @@ from semiinfo import (
 )
 from semiinfo.calculus import _identifiability_directions, _identifiability_gram
 from semiinfo.engines import outcome_law
-from semiinfo.likelihood import TangentKind, _joint_score
+from semiinfo.likelihood import TangentKind, _outcome_scores
 from semiinfo.operators import (as_matrix, eta_weighted_min_eigen,
                                 min_eigen_sym)
 
@@ -126,9 +126,12 @@ def test_stacked_gram_matches_the_compensated_outer_product_gram(
     law = outcome_law(model.exact if kind == "exact"
                       else MonteCarlo(model.sampler, 2000, 5), c, s)
     dirs = _identifiability_directions(c, s)
+    st, row = law.stacked, {obs: i for i, obs in enumerate(law.outcomes)}
 
     def outer(obs):
-        v = _joint_score(c, obs, law.evaluated[obs], dirs)
+        i = row[obs]
+        v = np.concatenate([st.score[i], _outcome_scores(
+            c, obs, dirs, st.gv[i], st.fd[i])])
         return np.outer(v, v)
 
     want = expect(law, c, s, outer).value
@@ -200,18 +203,19 @@ def test_a_sampled_analyze_makes_no_compensated_step(kind, monkeypatch):
 
 def test_a_sampled_analyze_makes_no_per_outcome_score_pass(monkeypatch):
     # The Gram and by_score read the law's stacked measure scores, on a
-    # sampled and an exact law alike: no outcome is scored on its own.
+    # sampled and an exact law alike: no outcome is scored on its own
+    # (the one-outcome case N = 1 of the stacked product).
     model = zoo.build("cox_cs", m=20)
     c, s = model.components, model.state
     calls = []
-    direction_scores = likelihood._direction_scores
+    outcome_scores = likelihood._outcome_scores
 
     def counting(*args, **kwargs):
         calls.append(args[1])
-        return direction_scores(*args, **kwargs)
+        return outcome_scores(*args, **kwargs)
 
-    monkeypatch.setattr(likelihood, "_direction_scores", counting)
-    monkeypatch.setattr(calculus, "_direction_scores", counting)
+    monkeypatch.setattr(likelihood, "_outcome_scores", counting)
+    monkeypatch.setattr(calculus, "_outcome_scores", counting)
     for engine in (MonteCarlo(model.sampler, 2000, 5), model.exact):
         law = outcome_law(engine, c, s)
         calls.clear()

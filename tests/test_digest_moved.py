@@ -22,6 +22,11 @@ BASE = ("analyze-exact-cox_rc 0 aaa\n"
     # a config that only the head has is reported, and does not fail
     (BASE + "influence-exact-mixture-m800 0 eee\n", 0,
      ["influence-exact-mixture-m800"]),
+    # so does a validate config that only the head has: there is no base
+    # report to keep
+    (BASE + "validate-318-options 0 fff\n", 0, ["validate-318-options"]),
+    (BASE.replace("ccc", "cde") + "validate-318-options 0 fff\n", 1,
+     ["validate-7", "validate-318-options"]),
 ])
 def test_only_a_moved_validate_line_fails(tmp_path, head, code, moved):
     (tmp_path / "base.txt").write_text(BASE)

@@ -19,13 +19,20 @@ from semiinfo.engines import (OutcomeLaw, _CompensatedSums, _law_mean,
                               _structural_factors, _structural_reach,
                               outcome_law)
 from semiinfo.errors import DomainError, EvaluationError, NotAvailableError
-from semiinfo.likelihood import (ModelState, TangentKind, _direction_scores,
-                                 _directions, _g_and_f_dot, _r_dot_values,
+from semiinfo.likelihood import (ModelState, TangentKind, _Outcome,
+                                 _directions, _r_dot_values,
                                  f_ddot_values, g_dot_values, g_values,
                                  log_density, score_theta)
 from semiinfo.measure import center, perturb_measure
 
 STRUCTURAL_NAMES = ("gamma", "alpha", "kappa", "beta")
+
+
+def _rows(law):
+    """Each outcome's rows of the law's stacked evaluation, by outcome."""
+    stacked = law.stacked
+    return {obs: _Outcome(*(field[row] for field in stacked))
+            for row, obs in enumerate(law.outcomes)}
 
 
 def test_exact_probabilities_sum_to_one():
@@ -265,7 +272,7 @@ def test_in_place_structural_pass_matches_the_reference_bit_for_bit(
         law = variant(law)
         reach = _structural_reach(law, _structural_factors(law, c)[1])
         assert reach[1] == 1 + s.eta.size
-    evaluated = law.evaluated
+    evaluated = _rows(law)
 
     def terms(obs):
         e = evaluated[obs]
@@ -356,7 +363,7 @@ def test_a_dense_f_ddot_is_summed_in_the_factor_order(overlap):
     law = (_overlapping_law(model, c) if overlap
            else outcome_law(model.exact, c, s))
     c = law.components
-    evaluated = law.evaluated
+    evaluated = _rows(law)
 
     def oracle(order):
         def terms(obs):
@@ -469,7 +476,7 @@ def test_law_mean_matches_the_per_array_kahan_sum(n):
     engine = (model.exact if n is None
               else MonteCarlo(model.sampler, n, 11))
     law = outcome_law(engine, c, s)
-    evaluated = law.evaluated
+    evaluated = _rows(law)
 
     def terms(obs):
         e = evaluated[obs]
@@ -643,17 +650,29 @@ _STACKED_CASES = (
                     id="mixture-np-m30")])
 
 
+def _direct_scores(c, obs, dirs, gv, fd):
+    """One outcome's measure scores along checked directions with L
+    applied to the directions themselves, not through its representer:
+    f_dot . (g^T (masses a)) + L(a, o)."""
+    arr, weighted = dirs
+    out = fd @ (gv.T @ weighted)
+    if c.ell is not None:
+        out = out + np.asarray(c.ell(arr, obs), dtype=float)
+    return out
+
+
 def _assert_scores_are_per_outcome(c, s, law, directions):
     """The stacked measure scores M a, for the columns a of
-    ``directions``, against the per-outcome ones, bit for bit: each
-    outcome's slice of the batched product is the BLAS call one outcome's
-    score makes, and the zoo's L picks entries of a (or integer
-    combinations of them), which its representer product reproduces."""
+    ``directions``, against the per-outcome ones with L applied to a
+    directly, bit for bit: each outcome's slice of the batched product is
+    the BLAS call one outcome's score makes, and the zoo's L picks
+    entries of a (or integer combinations of them), which its
+    representer product reproduces."""
     st = law.stacked
     dirs = _directions(c, s, directions)
     got = law.measure_scores(dirs)
     for row, obs in enumerate(law.outcomes):
-        want = _direction_scores(c, obs, dirs, st.gv[row], st.fd[row])
+        want = _direct_scores(c, obs, dirs, st.gv[row], st.fd[row])
         assert np.array_equal(got[row], want), obs
     return got
 
@@ -674,7 +693,7 @@ def test_stacked_second_moments_are_within_rounding_of_the_kahan_oracle(
     c, s = model.components, model.state
     engine = model.exact if n is None else MonteCarlo(model.exact, n, 3)
     law = outcome_law(engine, c, s)
-    evaluated = law.evaluated
+    evaluated = _rows(law)
     report = analyze_model(c, s, law)
     basis, _ = _identifiability_directions(c, s)
     gram = _identifiability_gram(law, c, s)
@@ -693,7 +712,7 @@ def test_stacked_second_moments_are_within_rounding_of_the_kahan_oracle(
             # per-outcome outer products, bit for bit.
             def efficient_score(obs):
                 e = evaluated[obs]
-                return e.score - _direction_scores(c, obs, lfd, e.gv, e.fd)
+                return e.score - _direct_scores(c, obs, lfd, e.gv, e.fd)
 
             for got_value, vector in (
                     (report.fisher, lambda obs: evaluated[obs].score),

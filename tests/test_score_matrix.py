@@ -164,9 +164,12 @@ def test_batched_scores_reject_misshapen_directions(fn, directions):
 
 @pytest.mark.parametrize("fn", BATCHED)
 def test_batched_scores_reject_ell_that_does_not_broadcast(fn):
-    # An L applied elementwise returns the whole (m, k) array.
+    # An L applied elementwise returns the whole array it is given: here
+    # the (m, m) identity, whose product with the directions forms L.
     c, s = _toy(lambda vals, o: vals * o)
-    with pytest.raises(DimensionError, match=r"L returned shape \(3, 2\)"):
+    with pytest.raises(DimensionError,
+                       match=r"L returned shape \(3, 3\) for 3 directions, "
+                             r"the columns of the \(3, 3\) identity"):
         fn(c, s, 1.0, np.ones((3, 2)))
 
 

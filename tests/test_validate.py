@@ -289,3 +289,56 @@ def test_adjoint_check_evaluates_f_dot_once_per_moved_outcome(family):
     # the base state reads the law's f_dot; each of the six moved states
     # evaluates it once per outcome
     assert Counter(calls) == {obs: 6 for obs in law.outcomes}
+
+
+@pytest.mark.parametrize("family", ["score", "operator"])
+def test_adjoint_check_applies_no_l_on_a_law_with_representers(family):
+    # L's representer does not depend on the masses, so the law's one
+    # representer per outcome scores the base state, the six moved states
+    # and g Bb alike.
+    model = zoo.build("missing_cov")
+    calls = []
+
+    def ell(vals, obs):
+        calls.append(obs)
+        return model.components.ell(vals, obs)
+
+    c = dataclasses.replace(model.components, ell=ell)
+    s = model.state
+    law, sf = _law_and_sf(c, s, model)
+    assert law.ell_rows is not None
+    rng = np.random.default_rng(3)
+    which = 1 if family == "score" else _admissible(rng, c, s.eta)
+    b = _admissible(rng, c, s.eta)
+    calls.clear()
+    check_adjoint_identity(law, c, s, which, b, sf=sf)
+    assert calls == []
+
+
+def test_the_suite_applies_l_once_per_outcome_of_each_law(monkeypatch):
+    # Each law applies L once per outcome for its weights (the log
+    # density) and once for its representers; a mean-zero model's
+    # centering check adds a second law. Each of score_fd's 3 outcomes
+    # x 2 directions applies L once for its score and once per log
+    # density of its six moved states.
+    build, calls, want = zoo.build, Counter(), Counter()
+
+    def counting_build(model_id, **params):
+        model = build(model_id, **params)
+        ell = model.components.ell
+        if ell is None:
+            return model
+        laws = 2 if model.components.tangent is TangentKind.L2_ZERO else 1
+        want[model_id] = 2 * laws * len(model.exact.outcomes) + 3 * 2 * 7
+
+        def counting(vals, obs):
+            calls[model_id] += 1
+            return ell(vals, obs)
+
+        return dataclasses.replace(model, components=dataclasses.replace(
+            model.components, ell=counting))
+
+    monkeypatch.setattr(zoo, "build", counting_build)
+    run_suite(seed=318)
+    assert calls == want
+    assert sum(calls.values()) == 288

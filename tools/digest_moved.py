@@ -8,9 +8,11 @@ commit and at the commit under test:
 It prints each config whose line moved (a changed exit code or digest,
 or a config only one side has) with both lines, and appends the same
 report to the file that `GITHUB_STEP_SUMMARY` names, when it is set. It
-exits 1 when a `validate-*` line moved: `validate` reports are promised
-byte-identical. Other lines may move on purpose, with CHANGES.md saying
-why, so they are reported but do not fail.
+exits 1 when a `validate-*` line of the base changed or is gone:
+`validate` reports are promised byte-identical. A line only the head
+has, a `validate-*` one too, has no base report to keep; it and other
+lines may move on purpose, with CHANGES.md saying why, so they are
+reported but do not fail.
 """
 import os
 import sys
@@ -53,8 +55,8 @@ def main(argv):
         with open(summary, "a") as handle:
             handle.write("### Output digest against the base commit\n\n```\n"
                          + text + "```\n")
-    return 1 if any(name.startswith("validate-") for name, _, _ in moved) \
-        else 0
+    return 1 if any(name.startswith("validate-") and old is not None
+                    for name, old, _ in moved) else 0
 
 
 if __name__ == "__main__":

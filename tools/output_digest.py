@@ -63,9 +63,9 @@ def influence(model_id, params, functional, engine=None):
             "influence": functional}
 
 
-def validate(seed):
+def validate(seed, **options):
     return {"schema_version": 1, "command": "validate",
-            "validate": {"seed": seed}}
+            "validate": dict(options, seed=seed)}
 
 
 def paramcheck(p):
@@ -124,6 +124,15 @@ CONFIGS = dict(
          influence("kaplan_meier", {}, {"functional": "survival_at", "t": 1})),
         ("validate-318", validate(318)),
         ("validate-7", validate(7)),
+        # The build options that move the grid's support or the
+        # likelihood's form: this pins the measure scores, L's
+        # representer among them, at dead cells and flat directions.
+        ("validate-318-options", validate(318, params={
+            "cox_rc": {"duplicated_covariate": True},
+            "kaplan_meier": {"zero_mass_point": True},
+            "missing_cov": {"zero_cell": True},
+            "mixture": NONPARAMETRIC,
+            "recurrent_transform": {"transform": "identity"}})),
         ("paramcheck-spd4-p2", paramcheck(2)),
     ])
 
