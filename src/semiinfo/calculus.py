@@ -41,8 +41,8 @@ matrix's.
 
 Every quantity has one path. Each expectation here reads the
 evaluations the outcome law keeps, stacked one row per outcome (g and
-g_dot on the grid, x, f_dot and f_ddot at x and the parameter score,
-computed once per outcome on first use), so a law asked for several
+g_dot on the grid, x, f_dot and f_ddot at x, the parameter score and
+r_dot, computed once per outcome on first use), so a law asked for several
 quantities evaluates the model once per outcome. ``analyze_model`` is
 the composition of the public functions on one law: the structural
 functions, Fisher information and identifiability before the solve, the

@@ -16,8 +16,8 @@ the structural functions analytically.
 
 A law stands in for its engine at its own state and evaluates the model
 once per outcome: on first use it writes each outcome's g and g_dot on
-the grid, x, f_dot and f_ddot at x into one row of stacked arrays and
-forms every parameter score as one product over those stacks
+the grid, x, f_dot and f_ddot at x and r_dot into one row of stacked
+arrays and forms every parameter score as one product over those stacks
 (:attr:`OutcomeLaw.stacked`), and every quantity summed over the law reads
 those (the structural functions here; the Fisher information,
 identifiability Gram and efficient information in ``calculus``), however
@@ -129,7 +129,8 @@ class OutcomeLaw:
     (N, m, d) array of each outcome's g on the grid, already computed for
     its weight: :attr:`stacked` takes it as its g. On first use the law
     evaluates each outcome once into one row of :attr:`stacked` (g and
-    g_dot on the grid, x, f_dot and f_ddot at x, the parameter score);
+    g_dot on the grid, x, f_dot and f_ddot at x, the parameter score and
+    r_dot);
     :attr:`weights` is the (N,) array of weights, in law order, and
     :meth:`measure_scores` every outcome's measure scores. A law stands in
     for its engine: asked about its own components and state (by
@@ -165,8 +166,8 @@ class OutcomeLaw:
     def stacked(self) -> _Outcome:
         """Every outcome's evaluation at the law's state, computed on first
         use and stacked in law order: row i of each field is outcome i's
-        g and g_dot on the grid, x, f_dot and f_ddot at x and parameter
-        score."""
+        g and g_dot on the grid, x, f_dot and f_ddot at x, parameter
+        score and r_dot."""
         check_state(self.components, self.state)
         return _evaluate(self.components, self.state, self.outcomes,
                          self.gvs)

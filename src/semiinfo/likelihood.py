@@ -31,13 +31,21 @@ L2(eta) and directions fed to B must be centered; on a positive finite
 measure it is all of L2(eta).
 
 Component callables receive ``(theta, obs, points)`` for g and g_dot,
-``(x, obs)`` for f and its derivatives, ``(values, obs)`` for L, and
-``(theta, obs)`` for r and r_dot. L receives either the (m,) log
-masses or the (m, m) identity, one coordinate direction per column,
-and must then return a scalar or an (m,) vector (indexing rows of
-``values`` does this). Scalar models (d == 1)
-may work with scalars and flat arrays; the accessors below normalize
-shapes.
+``(x, obs)`` for f and its derivatives (x a float when d == 1),
+``(values, obs)`` for L, and ``(theta, obs)`` for r and r_dot. With m
+grid points, every output must have its shape:
+
+    r, f, L(log w)   a scalar
+    r_dot            (p,)
+    g                (m, d), or (m,) when d == 1
+    g_dot            (m, d, p), or (m, p) when d == 1
+    f_dot            (d,), or a scalar when d == 1
+    f_ddot           (d, d), or a scalar when d == 1
+
+and any other shape raises :class:`DimensionError` naming the component
+(:func:`_output`). L also receives the (m, m) identity, one coordinate
+direction per column, and must then return a scalar or an (m,) vector,
+its representer (indexing rows of ``values`` does both).
 """
 
 from __future__ import annotations
@@ -74,7 +82,8 @@ _KIND_FOR_TANGENT = {
 
 @dataclass(frozen=True)
 class ModelComponents:
-    """The six building blocks of a model likelihood plus dimensions.
+    """The eight building blocks of a model likelihood (r, r_dot, g,
+    g_dot, f, f_dot, f_ddot and L) plus dimensions and a label.
 
     ``ell`` is the linear functional L (None when the likelihood has no
     point-mass factor). ``gdim`` is d, the number of integral functionals
@@ -137,32 +146,28 @@ def check_state(components: ModelComponents, state: ModelState) -> None:
         )
 
 
+def _output(name: str, value, shape: tuple,
+            bare: Optional[tuple] = None) -> np.ndarray:
+    """The output of component ``name`` as a float array of ``shape``.
+    When d == 1 the caller passes ``bare``, ``shape`` without its d
+    axes, and an output of that shape gets the d axes back; any other
+    shape raises :class:`DimensionError` naming the component."""
+    arr = np.asarray(value, dtype=float)
+    if bare is not None and arr.shape == bare:
+        arr = arr.reshape(shape)
+    if arr.shape != shape:
+        raise DimensionError(
+            f"{name} returned shape {arr.shape}, expected {shape}"
+        )
+    return arr
+
+
 def g_values(components: ModelComponents, state: ModelState, obs) -> np.ndarray:
     """g on the grid as an (m, d) array."""
     pts = state.eta.grid.points
-    arr = np.asarray(components.g(state.theta, obs, pts), dtype=float)
     m, d = pts.size, components.gdim
-    if d == 1 and arr.shape == (m,):
-        arr = arr[:, np.newaxis]
-    if arr.shape != (m, d):
-        raise DimensionError(
-            f"g returned shape {arr.shape}, expected ({m}, {d})"
-        )
-    return arr
-
-
-def g_dot_values(components: ModelComponents, state: ModelState, obs) -> np.ndarray:
-    """dg/dtheta on the grid as an (m, d, p) array."""
-    pts = state.eta.grid.points
-    arr = np.asarray(components.g_dot(state.theta, obs, pts), dtype=float)
-    m, d, p = pts.size, components.gdim, components.p
-    if d == 1 and arr.shape == (m, p):
-        arr = arr[:, np.newaxis, :]
-    if arr.shape != (m, d, p):
-        raise DimensionError(
-            f"g_dot returned shape {arr.shape}, expected ({m}, {d}, {p})"
-        )
-    return arr
+    return _output("g", components.g(state.theta, obs, pts), (m, d),
+                   (m,) if d == 1 else None)
 
 
 def _f_args(components: ModelComponents, x: np.ndarray):
@@ -170,25 +175,10 @@ def _f_args(components: ModelComponents, x: np.ndarray):
 
 
 def f_dot_values(components: ModelComponents, x: np.ndarray, obs) -> np.ndarray:
-    out = np.asarray(components.f_dot(_f_args(components, x), obs), dtype=float)
+    """f_dot at x as a (d,) array."""
     d = components.gdim
-    if out.shape == ():
-        out = out.reshape(1)
-    if out.shape != (d,):
-        raise DimensionError(f"f_dot returned shape {out.shape}, expected ({d},)")
-    return out
-
-
-def f_ddot_values(components: ModelComponents, x: np.ndarray, obs) -> np.ndarray:
-    out = np.asarray(components.f_ddot(_f_args(components, x), obs), dtype=float)
-    d = components.gdim
-    if out.shape == ():
-        out = out.reshape(1, 1)
-    if out.shape != (d, d):
-        raise DimensionError(
-            f"f_ddot returned shape {out.shape}, expected ({d}, {d})"
-        )
-    return out
+    return _output("f_dot", components.f_dot(_f_args(components, x), obs),
+                   (d,), () if d == 1 else None)
 
 
 def log_density(components: ModelComponents, state: ModelState, obs) -> float:
@@ -205,12 +195,13 @@ def _log_density(components: ModelComponents, state: ModelState, obs,
     """:func:`log_density` from g on the grid, which depends on theta,
     the outcome and the grid points but not on the masses."""
     x = state.eta.masses @ gv
-    val = float(components.r(state.theta, obs))
-    val += float(components.f(_f_args(components, x), obs))
+    val = float(_output("r", components.r(state.theta, obs), ()))
+    val += float(_output("f", components.f(_f_args(components, x), obs),
+                         ()))
     if components.ell is not None:
         with np.errstate(divide="ignore"):
             logw = np.log(state.eta.masses)
-        val += float(components.ell(logw, obs))
+        val += float(_output("L", components.ell(logw, obs), ()))
     if np.isnan(val):
         raise EvaluationError(f"log density is NaN at observation {obs!r}")
     return val
@@ -223,18 +214,12 @@ def _g_and_f_dot(components: ModelComponents, state: ModelState, obs):
     return gv, f_dot_values(components, state.eta.masses @ gv, obs)
 
 
-def _r_dot_values(components: ModelComponents, state: ModelState,
-                  obs) -> np.ndarray:
-    return np.asarray(components.r_dot(state.theta, obs),
-                      dtype=float).reshape(components.p)
-
-
 class _Outcome(NamedTuple):
     """What every score and structural integrand at one outcome is built
-    from: g on the grid, x, f_dot and f_ddot at x, the parameter score
-    (empty when p == 0) and g_dot on the grid. A law stacks these over
-    its N outcomes (:func:`_evaluate`): each field then has a leading
-    axis of length N."""
+    from: g on the grid, x, f_dot and f_ddot at x, the parameter score,
+    g_dot on the grid and r_dot (both scores empty when p == 0). A law
+    stacks these over its N outcomes (:func:`_evaluate`): each field
+    then has a leading axis of length N."""
 
     gv: np.ndarray
     x: np.ndarray
@@ -242,6 +227,7 @@ class _Outcome(NamedTuple):
     fdd: np.ndarray
     score: np.ndarray
     gd: np.ndarray
+    r_dot: np.ndarray
 
 
 def _outcome(components: ModelComponents, state: ModelState, obs,
@@ -258,27 +244,31 @@ def _evaluate(components: ModelComponents, state: ModelState, outcomes,
               gvs: np.ndarray) -> _Outcome:
     """The evaluations of each outcome written into row i of stacked
     arrays: ``gvs``, the (N, m, d) g on the grid it starts from, then
-    (N, d) x and f_dot, (N, d, d) f_ddot, (N, p) parameter scores and
-    (N, m, d, p) g_dot. Only the model is called per outcome; the
-    parameter scores are one product over the stacks
+    (N, d) x and f_dot, (N, d, d) f_ddot, (N, p) parameter scores,
+    (N, m, d, p) g_dot and (N, p) r_dot. Only the model is called per
+    outcome; the parameter scores are one product over the stacks
     (:func:`_stacked_parameter_score`)."""
     n, m, d = gvs.shape
     p = components.p
-    masses = state.eta.masses
+    theta, pts, masses = state.theta, state.eta.grid.points, state.eta.masses
     x, fd, fdd = np.empty((n, d)), np.empty((n, d)), np.empty((n, d, d))
     gd, r_dot = np.empty((n, m, d, p)), np.empty((n, p))
     for row, obs in enumerate(outcomes):
         x_row = masses @ gvs[row]
         x[row] = x_row
         fd[row] = f_dot_values(components, x_row, obs)
-        gd[row] = g_dot_values(components, state, obs)
-        fdd[row] = f_ddot_values(components, x_row, obs)
+        gd[row] = _output("g_dot", components.g_dot(theta, obs, pts),
+                          (m, d, p), (m, p) if d == 1 else None)
+        fdd[row] = _output("f_ddot",
+                           components.f_ddot(_f_args(components, x_row), obs),
+                           (d, d), () if d == 1 else None)
         if p:
-            r_dot[row] = _r_dot_values(components, state, obs)
+            r_dot[row] = _output("r_dot", components.r_dot(theta, obs),
+                                 (p,))
     # with p == 0 the scores are the empty (N, 0) r_dot
     score = (_stacked_parameter_score(outcomes, masses, fd, gd, r_dot)
              if p else r_dot)
-    return _Outcome(gvs, x, fd, fdd, score, gd)
+    return _Outcome(gvs, x, fd, fdd, score, gd, r_dot)
 
 
 def _stacked_parameter_score(outcomes, masses: np.ndarray, fd: np.ndarray,

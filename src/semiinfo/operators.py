@@ -162,11 +162,11 @@ def apply(op: KernelOperator, a) -> np.ndarray:
 
 
 def as_matrix(op: KernelOperator) -> np.ndarray:
-    """Dense matrix M with ``M @ a == apply(op, a)`` exactly.
+    """Dense matrix M with ``M @ a == apply(op, a)`` up to rounding.
 
     The construction mirrors apply() term by term (diagonal, kernel times
-    mass, rank-one centering), so the agreement is exact, not just up to
-    rounding differences.
+    mass, rank-one centering), but M @ a sums those terms in another
+    order than apply() does, so the two can differ in the last bits.
     """
     w = op.base.masses
     mat = np.diag(op.multiplier) + op.kernel * w[np.newaxis, :]

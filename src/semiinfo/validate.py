@@ -6,16 +6,16 @@ only approximation used here; every FD-based check therefore carries an
 order-of-convergence probe (halving the step must divide the error by
 about four) so a failing identity cannot hide behind step-size error.
 
-Each adjoint check reads each outcome's g, g_dot and f_dot from the
-law's own evaluation, so it evaluates no g of its own: the mass path
-through b moves only the masses, and components take
-``(theta, obs, points)``, so the law's g serves the base state and all
-six perturbed states of the three central differences. So do the law's
-representers of L, which do not depend on the masses: a law that has
-formed them makes the check call no L. The six perturbed measures come
-from one walk of the mass path, each state scores all of the law's
-outcomes in one stacked product, and one mean over the law sums g Bb
-and the three central differences.
+Each adjoint check reads each outcome's g, g_dot, f_dot and r_dot from
+the law's own evaluation, so it evaluates no g and no r_dot of its own:
+the mass path through b moves only the masses, and components take
+``(theta, obs, points)`` and ``(theta, obs)``, so the law's g, g_dot and
+r_dot serve the base state and all six perturbed states of the three
+central differences. So do the law's representers of L, which do not
+depend on the masses: a law that has formed them makes the check call
+no L. The six perturbed measures come from one walk of the mass path,
+each state scores all of the law's outcomes in one stacked product, and
+one mean over the law sums g Bb and the three central differences.
 """
 from __future__ import annotations
 
@@ -30,9 +30,8 @@ from .engines import _law_mean, outcome_law, structural_functions
 from .errors import DomainError
 from .likelihood import (ModelComponents, ModelState, TangentKind,
                          _column, _log_density, _measure_scores,
-                         _r_dot_values, _score_operator,
-                         _stacked_parameter_score, check_state,
-                         f_dot_values)
+                         _score_operator, _stacked_parameter_score,
+                         check_state, f_dot_values)
 from .measure import (_mass_path, as_values, center, inner_product,
                       perturb_measure, require_centered)
 from .operators import apply
@@ -106,7 +105,7 @@ def _score_family(components, sf, law, states, which_score):
     measure on a mean-zero tangent space. The scorer takes the (N, d)
     f_dot of the law's N outcomes at each state's x and returns the (N,)
     scores at every state, one stacked product per state over the law's
-    g and g_dot, in the arithmetic of ``score_theta`` and
+    g, g_dot and r_dot, in the arithmetic of ``score_theta`` and
     ``score_operator``.
     """
     eta = states[0].eta
@@ -118,12 +117,10 @@ def _score_family(components, sf, law, states, which_score):
         if not 0 <= j < components.p:
             raise DomainError(f"score component {j} outside range({components.p})")
         adjoint_values = adjoint_of_score(sf, eta, tangent)[:, j]
-        r_dot = np.array([_r_dot_values(components, states[0], o)
-                          for o in outcomes])
 
         def scores(fds):
             return [_stacked_parameter_score(outcomes, w, fd, stacked.gd,
-                                             r_dot)[:, j]
+                                             stacked.r_dot)[:, j]
                     for w, fd in zip(masses, fds)]
 
         return f"score[{j}]", adjoint_values, scores
@@ -284,15 +281,14 @@ def check_score_fd(components: ModelComponents, state: ModelState, o, a,
 def check_centering_construction(engine, components: ModelComponents,
                                  state: ModelState, a, t: float,
                                  h: float = FD_STEP_DEFAULT, *,
-                                 n_pair: int = 10,
                                  seed: int = 0) -> PropertyResult:
     """Stability of the mean-zero construction off the base point.
 
     Moves the measure along an admissible direction a, re-centers a
     under the moved measure, and reruns the adjoint identity there for
-    randomly drawn pairing directions.  At t = 0 this is exactly the
-    base-point identity.  Discrepancies are reported relative to each
-    rerun's own FD tolerance, so the tolerance here is 1.
+    SUITE_PAIRS randomly drawn pairing directions.  At t = 0 this is
+    exactly the base-point identity.  Discrepancies are reported relative
+    to each rerun's own FD tolerance, so the tolerance here is 1.
     """
     if components.tangent is not TangentKind.L2_ZERO:
         raise DomainError(
@@ -310,7 +306,7 @@ def check_centering_construction(engine, components: ModelComponents,
     worst = 0.0
     ratios = []
     all_orders_ok = True
-    for _ in range(n_pair):
+    for _ in range(SUITE_PAIRS):
         b = center(rng.uniform(-1.0, 1.0, eta.size), eta_t).values
         res = check_adjoint_identity(law_t, components, state_t, a_t, b, h,
                                      sf=sf_t)
@@ -322,7 +318,6 @@ def check_centering_construction(engine, components: ModelComponents,
     ctx = {
         "t": float(t),
         "h": float(h),
-        "n_pair": int(n_pair),
         "richardson_ratios": [float(r) for r in ratios],
         "orders_ok": bool(all_orders_ok),
     }
@@ -424,8 +419,7 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
 
     if tangent is TangentKind.L2_ZERO:
         a = _admissible(rng, eta, tangent)
-        res = check_centering_construction(law, c, s, a, 0.1, h,
-                                           n_pair=SUITE_PAIRS, seed=seed)
+        res = check_centering_construction(law, c, s, a, 0.1, h, seed=seed)
         add("centering_construction", res.max_discrepancy, res.tolerance,
             orders_ok=res.context["orders_ok"])
 

@@ -20,9 +20,8 @@ from semiinfo.engines import (OutcomeLaw, _CompensatedSums, _law_mean,
                               outcome_law)
 from semiinfo.errors import DomainError, EvaluationError, NotAvailableError
 from semiinfo.likelihood import (ModelState, TangentKind, _Outcome,
-                                 _directions, _r_dot_values,
-                                 f_ddot_values, g_dot_values, g_values,
-                                 log_density, score_theta)
+                                 _directions, g_values, log_density,
+                                 score_theta)
 from semiinfo.measure import center, perturb_measure
 
 STRUCTURAL_NAMES = ("gamma", "alpha", "kappa", "beta")
@@ -183,13 +182,20 @@ def test_exact_enumeration_refuses_repeated_outcomes():
         ExactEnumeration(outcomes[:3] + outcomes[1:2] + outcomes[:1])
 
 
+def _f_ddot(c, x, obs):
+    """The model's own f_ddot at x as a (d, d) array."""
+    d = c.gdim
+    return np.asarray(c.f_ddot(float(x[0]) if d == 1 else x, obs),
+                      dtype=float).reshape(d, d)
+
+
 def _structural_oracle(c, s, obs, gv, gd, fd):
     """The per-outcome structural integrands as fresh arrays, in the order
     of the structural factors: h_e = sum_i g_i (-f_ddot[i, e]) summed in
     i order, then kappa = sum_e h_e (x) g_e and beta the same with g_dot_e,
     summed in e order; with d == 1 each is one product."""
     x = s.eta.masses @ gv
-    fdd = f_ddot_values(c, x, obs)
+    fdd = _f_ddot(c, x, obs)
     if c.tangent is TangentKind.L2_ZERO:
         gamma = -((gv - x[np.newaxis, :]) @ fd)
         if c.ell is not None:
@@ -211,7 +217,7 @@ def _pairwise_oracle(c, s, obs, gv, gd, fd):
     inner: an order that rounds differently from the factor order once
     the components of g overlap and f_ddot is dense."""
     gamma, alpha, _, _ = _structural_oracle(c, s, obs, gv, gd, fd)
-    fdd = f_ddot_values(c, s.eta.masses @ gv, obs)
+    fdd = _f_ddot(c, s.eta.masses @ gv, obs)
     kappas, betas = [], []
     for i in range(c.gdim):
         for j in range(c.gdim):
@@ -623,7 +629,7 @@ def test_stacked_parameter_scores_are_the_per_outcome_ones(model_id, n):
     if not c.p:
         return
     for row, obs in enumerate(law.outcomes):
-        want = _r_dot_values(c, s, obs) + st.fd[row] @ np.einsum(
+        want = c.r_dot(s.theta, obs) + st.fd[row] @ np.einsum(
             "ide,i->de", st.gd[row], s.eta.masses)
         assert st.score[row].tobytes() == want.tobytes(), obs
         assert score_theta(c, s, obs).tobytes() == want.tobytes(), obs

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from semiinfo import (
     score_theta,
 )
 from semiinfo.errors import DimensionError, DomainError, EvaluationError
-from semiinfo.likelihood import check_state
+from semiinfo.likelihood import _Outcome, _outcome, check_state
 from semiinfo.measure import DiscreteMeasure, Grid, MeasureKind
 from semiinfo import zoo
 
@@ -121,13 +124,55 @@ def test_mean_zero_tangent_requires_centered_direction():
                        model.exact.outcomes[0], np.ones(model.state.eta.size))
 
 
-def test_bad_g_shape_is_reported():
-    c = toy_components()
-    broken = ModelComponents(
-        p=1, tangent=TangentKind.L2,
-        r=c.r, r_dot=c.r_dot,
-        g=lambda th, o, pts: np.ones((pts.size, 3)),
-        g_dot=c.g_dot, f=c.f, f_dot=c.f_dot, f_ddot=c.f_ddot,
-    )
-    with pytest.raises(DimensionError):
-        log_density(broken, toy_state(), 1.0)
+# One wrong-shaped output per case, for the toy's m = 2, d = 1, p = 1:
+# (component, replacement, message). r, f, L(log w) and g reach the log
+# density; r_dot, g_dot, f_dot and f_ddot the parameter score.
+BAD_OUTPUTS = [
+    pytest.param("r", lambda th, o: np.array([th[0] * o]),
+                 "r returned shape (1,), expected ()", id="r"),
+    pytest.param("f", lambda x, o: np.array([-0.5 * x * x]),
+                 "f returned shape (1,), expected ()", id="f"),
+    pytest.param("ell", lambda vals, o: np.atleast_1d(vals[0] * o),
+                 "L returned shape (1,), expected ()", id="ell"),
+    pytest.param("r_dot", lambda th, o: np.array([o, o]),
+                 "r_dot returned shape (2,), expected (1,)", id="r_dot-size"),
+    pytest.param("r_dot", lambda th, o: np.array([[o]]),
+                 "r_dot returned shape (1, 1), expected (1,)",
+                 id="r_dot-ndim"),
+    pytest.param("g", lambda th, o, pts: np.ones((pts.size, 3)),
+                 "g returned shape (2, 3), expected (2, 1)", id="g"),
+    pytest.param("g_dot", lambda th, o, pts: np.ones((pts.size, 2)),
+                 "g_dot returned shape (2, 2), expected (2, 1, 1)",
+                 id="g_dot"),
+    pytest.param("f_dot", lambda x, o: np.array([-x, x]),
+                 "f_dot returned shape (2,), expected (1,)", id="f_dot"),
+    pytest.param("f_ddot", lambda x, o: np.array([-1.0, 0.0]),
+                 "f_ddot returned shape (2,), expected (1, 1)", id="f_ddot"),
+]
+
+
+@pytest.mark.parametrize("name, bad, message", BAD_OUTPUTS)
+def test_a_wrong_output_shape_names_the_component(name, bad, message):
+    c = dataclasses.replace(toy_components(), **{name: bad})
+    compute = (log_density if name in ("r", "f", "ell", "g")
+               else score_theta)
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        compute(c, toy_state(), 1.0)
+
+
+def test_bare_d1_outputs_match_the_full_shapes():
+    # The toy returns g, g_dot, f_dot and f_ddot in their d == 1 bare
+    # forms; with the d axes written out every evaluation is the same.
+    bare = toy_components()
+    full = dataclasses.replace(
+        bare,
+        g=lambda th, o, pts: bare.g(th, o, pts)[:, np.newaxis],
+        g_dot=lambda th, o, pts: bare.g_dot(th, o, pts)[:, np.newaxis],
+        f_dot=lambda x, o: np.array([bare.f_dot(x, o)]),
+        f_ddot=lambda x, o: np.array([[bare.f_ddot(x, o)]]))
+    s = toy_state()
+    for obs in (0.5, 2.0):
+        got, want = _outcome(bare, s, obs), _outcome(full, s, obs)
+        for field in _Outcome._fields:
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert log_density(bare, s, obs) == log_density(full, s, obs)

@@ -104,11 +104,9 @@ def test_centering_construction_at_zero_step():
     eta = model.state.eta
     a = center(np.linspace(0.0, 1.0, eta.size), eta).values
     at_zero = check_centering_construction(model.exact, model.components,
-                                           model.state, a, 0.0,
-                                           n_pair=3, seed=4)
+                                           model.state, a, 0.0, seed=4)
     moved = check_centering_construction(model.exact, model.components,
-                                         model.state, a, 0.1,
-                                         n_pair=3, seed=4)
+                                         model.state, a, 0.1, seed=4)
     assert at_zero.passed and moved.passed
 
 
@@ -342,3 +340,30 @@ def test_the_suite_applies_l_once_per_outcome_of_each_law(monkeypatch):
     run_suite(seed=318)
     assert calls == want
     assert sum(calls.values()) == 288
+
+
+def test_the_suite_calls_r_dot_once_per_outcome_of_each_law(monkeypatch):
+    # Each law evaluates r_dot once per outcome into its stacks, and the
+    # parameter-score adjoint checks read it there; a mean-zero model's
+    # centering check adds a second law. A p = 0 model calls no r_dot.
+    build, calls, want = zoo.build, Counter(), Counter()
+
+    def counting_build(model_id, **params):
+        model = build(model_id, **params)
+        r_dot = model.components.r_dot
+        if model.components.p:
+            laws = 2 if model.components.tangent is TangentKind.L2_ZERO else 1
+            want[model_id] = laws * len(model.exact.outcomes)
+
+        def counting(theta, obs):
+            calls[model_id] += 1
+            return r_dot(theta, obs)
+
+        return dataclasses.replace(model, components=dataclasses.replace(
+            model.components, r_dot=counting))
+
+    monkeypatch.setattr(zoo, "build", counting_build)
+    run_suite(seed=318)
+    assert calls == want
+    assert want == {"cox_rc": 12, "cox_cs": 12, "recurrent_transform": 18,
+                    "mixture": 10, "missing_cov": 24}

@@ -85,6 +85,10 @@ CONFIGS = dict(
     + [
         ("analyze-exact-mixture-np-m30",
          analyze("mixture", dict(NONPARAMETRIC, m=30))),
+        # The only analyze line at p = 2: a two-column r_dot stack and a
+        # singular Fisher information.
+        ("analyze-exact-cox_rc-duplicated",
+         analyze("cox_rc", {"duplicated_covariate": True})),
         ("analyze-exact-cox_cs-m100", analyze("cox_cs", {"m": 100})),
         # Most of the exact structural pass at m=200 is rows an outcome
         # cannot reach, which the pass skips: this pins that it skips
