@@ -14,8 +14,8 @@ from .calculus import (Category, CategoryResult, EfficientInformation,
                        info_operator, least_favorable_direction,
                        local_identifiability, nonparametric_influence,
                        v_operator)
-from .engines import (ClosedForm, ExactEnumeration, MonteCarlo,
-                      StructuralFunctions, expect, structural_functions)
+from .engines import (ExactEnumeration, MonteCarlo, StructuralFunctions,
+                      expect, structural_functions)
 from .errors import (ConfigError, DimensionError, DomainError, EngineError,
                      EvaluationError, NotAvailableError,
                      NotIdentifiableError, SemiinfoError)

@@ -66,7 +66,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .engines import (
-    ClosedForm,
     StructuralFunctions,
     _law_mean,
     outcome_law,
@@ -77,6 +76,7 @@ from .likelihood import (
     ModelComponents,
     ModelState,
     TangentKind,
+    _column,
     _directions,
     _outcome,
     _outcome_scores,
@@ -388,11 +388,10 @@ def _outcome_factorization(law, eta: DiscreteMeasure, centered: bool):
     where that route applies, else None, and the score mean its gate
     read, None where the gate was not evaluated.
 
-    The route applies on an exact law (``law`` is None for a closed-form
-    engine) with fewer outcomes than the reduced dimension, and only
-    where the score mean is at most ``SCORE_MEAN_REL_TOL`` times the
-    factor's largest singular value."""
-    if law is None or law.n is not None \
+    The route applies on an exact law with fewer outcomes than the
+    reduced dimension, and only where the score mean is at most
+    ``SCORE_MEAN_REL_TOL`` times the factor's largest singular value."""
+    if law.n is not None \
             or len(law.pairs) >= eta._support_and_root[0].size - centered:
         return None, None
     factored, score_mean, s_max = outcome_factored(
@@ -427,6 +426,12 @@ def nonparametric_influence(engine, components: ModelComponents,
     reads the same quantity on both routes. Everywhere else it is
     :func:`least_favorable_direction`'s solve, with the residual of the
     Hessian-form operator.
+
+    The influence of each of the law's outcomes is its row of one
+    stacked product, the law's measure scores along the direction
+    (``OutcomeLaw.measure_scores``), so it evaluates no component; an
+    outcome outside the law (one a sampled law never drew) is scored
+    alone by :func:`likelihood.score_operator`, with the same formula.
     """
     if components.p != 0:
         raise DomainError(
@@ -438,21 +443,24 @@ def nonparametric_influence(engine, components: ModelComponents,
     else:
         chi_vec = np.asarray(chi_dot, dtype=float)
     eta, tangent = state.eta, components.tangent
-    law = None if isinstance(engine, ClosedForm) \
-        else outcome_law(engine, components, state)
+    law = outcome_law(engine, components, state)
     factored, score_mean = _outcome_factorization(
         law, eta, tangent is TangentKind.L2_ZERO)
     if factored is None:
-        sf = structural_functions(engine if law is None else law,
-                                  components, state)
+        sf = structural_functions(law, components, state)
         res = least_favorable_direction(sf, eta, tangent,
                                         chi_vec).solve_result
     else:
         res = solve(factored, chi_vec)
     lfd = res.solution
+    row_of = {obs: i for i, obs in enumerate(law.outcomes)}
+    scores = law.measure_scores(_column(eta.masses, lfd))[:, 0]
 
     def influence(obs):
-        return score_operator(components, state, obs, lfd)
+        i = row_of.get(obs)
+        if i is None:
+            return score_operator(components, state, obs, lfd)
+        return float(scores[i])
 
     return InfluenceResult(
         lfd, res, bool(res.relative_residual > nonregular_tol), influence,
@@ -475,8 +483,8 @@ class InfoReport:
     lfd: Optional[LfdResult]
     efficient: Optional[EfficientInformation]
     v_min_eigen: float
-    identifiability: Optional[IdentifiabilityResult]
-    normalization_deficit: Optional[float]
+    identifiability: IdentifiabilityResult
+    normalization_deficit: Optional[float]    # None on a sampled law
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -490,15 +498,13 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
     Fisher information and identifiability before the least favorable
     solve, the efficient information after it. It builds one information
     operator per state: the least favorable solve factors it and V is
-    formed from its dense matrix. A closed-form engine answers through
-    its structural callable and reports no identifiability.
+    formed from its dense matrix.
     """
     eta = state.eta
-    closed = isinstance(engine, ClosedForm)
-    law = engine if closed else outcome_law(engine, components, state)
+    law = outcome_law(engine, components, state)
     sf = structural_functions(law, components, state)
     fisher = fisher_information(law, components, state)
-    ident = None if closed else local_identifiability(law, components, state)
+    ident = local_identifiability(law, components, state)
     cat = classify_category(sf)
     adjoint = adjoint_of_score(sf, eta, components.tangent)
 
@@ -542,6 +548,6 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
         structural=sf, category=cat, fisher=fisher, adjoint=adjoint,
         lfd=lfd, efficient=efficient, v_min_eigen=float(v_min),
         identifiability=ident,
-        normalization_deficit=None if closed else law.deficit,
+        normalization_deficit=law.deficit,
         diagnostics=diagnostics,
     )

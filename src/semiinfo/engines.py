@@ -10,9 +10,7 @@ law's order, so results are bit-reproducible for a given seed. Monte
 Carlo over an exact enumeration resamples the exact law at the state: it
 draws what ``Generator.choice`` with the exact probabilities draws,
 counted per outcome on the sorted uniforms without a search per draw,
-and each drawn outcome keeps the g its exact weight was computed from. A
-closed-form engine has no outcome law: it is one callable that returns
-the structural functions analytically.
+and each drawn outcome keeps the g its exact weight was computed from.
 
 A law stands in for its engine at its own state and evaluates the model
 once per outcome: on first use it writes each outcome's g and g_dot on
@@ -92,7 +90,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, EngineError, NotAvailableError
+from .errors import DomainError, EngineError
 from .likelihood import (
     ModelComponents,
     ModelState,
@@ -308,20 +306,6 @@ class MonteCarlo:
         return OutcomeLaw(pairs, self.n, None, self, components, state, gvs)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
-    """Engine for models whose structural functions have closed form.
-
-    ``structural(components, state)`` returns the
-    :class:`StructuralFunctions`; every other expectation is refused.
-    """
-
-    structural: Callable
-
-    def law(self, components: ModelComponents, state: ModelState):
-        raise NotAvailableError("closed-form engines have no outcome law")
-
-
 def outcome_law(engine, components: ModelComponents,
                 state: ModelState) -> OutcomeLaw:
     """The engine's outcome law at the state (a law at that state is
@@ -429,9 +413,6 @@ class StructuralFunctions:
 def structural_functions(engine, components: ModelComponents,
                          state: ModelState) -> StructuralFunctions:
     """Assemble the structural functions under the given engine."""
-    if isinstance(engine, ClosedForm):
-        return engine.structural(components, state)
-
     law = outcome_law(engine, components, state)
     factors = _structural_factors(law, components)
     if law.n is None:

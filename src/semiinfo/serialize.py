@@ -135,6 +135,10 @@ def report_to_dict(report) -> dict:
         "fisher": report.fisher,
         "v_min_eigen": report.v_min_eigen,
         "normalization_deficit": report.normalization_deficit,
+        "identifiability": {
+            "min_eigen": report.identifiability.min_eigen,
+            "dimension": report.identifiability.dimension,
+        },
         "diagnostics": report.diagnostics,
     }
     if report.lfd is not None:
@@ -151,11 +155,6 @@ def report_to_dict(report) -> dict:
             "by_score": report.efficient.by_score,
             "by_adjoint": report.efficient.by_adjoint,
             "discrepancy": report.efficient.discrepancy,
-        }
-    if report.identifiability is not None:
-        out["identifiability"] = {
-            "min_eigen": report.identifiability.min_eigen,
-            "dimension": report.identifiability.dimension,
         }
     return to_jsonable(out)
 

@@ -91,7 +91,7 @@ class ZooModel:
 
 def check_state(model: ZooModel, state: Optional[ModelState]) -> None:
     """Refuse a state other than the build state (None means the build
-    state); references and closed forms are computed there only."""
+    state); references are computed there only."""
     if state is None:
         return
     s0 = model.state

@@ -1,25 +1,25 @@
 """Random right censoring with no covariate and no parametric part.
 
 The information operator degenerates to multiplication by the at-risk
-probability pi, so everything has closed form: the operator itself, its
-inverse, and the efficient influence of the survival probability at any
-grid point, which takes the classic centered-counting-process shape
+probability pi, so everything has closed form: the structural functions
+(gamma = pi, the rest zero), the operator itself, its inverse, and the
+efficient influence of the survival probability at any grid point, which
+takes the classic centered-counting-process shape
 
     -S(t) * (1{delta=1, x <= t} / pi(x) - sum_{u_i <= min(x, t)} w_i / pi(u_i)).
 
-A ClosedForm engine built on one structural callable serves the
-structural functions analytically at the build state (elsewhere it
-raises NotAvailableError); the exact enumeration engine is still
-attached for cross-checks.
+These closed forms are references, computed at the build state
+(``references["structural"]`` is the structural functions); the model's
+engine is the exact enumeration of its 2m outcomes, like every other.
 """
 from collections import namedtuple
 
 import numpy as np
 
 from ..calculus import Category
-from ..engines import ClosedForm, StructuralFunctions
+from ..engines import StructuralFunctions
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import check_state, finish, positive_measure, require_flag
+from .base import finish, positive_measure, require_flag
 
 KmObs = namedtuple("KmObs", ["delta", "time_index"])
 
@@ -116,6 +116,12 @@ def build(mass_scale=MASS_SCALE, zero_mass_point=False):
             # hazard measure has mass, so compare on the support.
             return chi_dot(t) / pi
 
+        zeros = np.zeros
+        structural = StructuralFunctions(
+            gamma=pi.copy(), alpha=zeros((m, 0)), kappa=zeros((m, m)),
+            beta=zeros((m, m, 0)), se_gamma=zeros(m), se_alpha=zeros((m, 0)),
+            se_kappa=zeros((m, m)), se_beta=zeros((m, m, 0)),
+        )
         return {
             "gamma": pi,
             "alpha": np.zeros((m, 0)),
@@ -127,24 +133,13 @@ def build(mass_scale=MASS_SCALE, zero_mass_point=False):
             "chi_dot": chi_dot,
             "influence": influence_ref,
             "lfd": lfd_ref,
+            "structural": structural,
         }
 
-    def closed_structural(c, s):
-        check_state(model, s)
-        zeros = np.zeros
-        return StructuralFunctions(
-            gamma=pi.copy(), alpha=zeros((m, 0)), kappa=zeros((m, m)),
-            beta=zeros((m, m, 0)), se_gamma=zeros(m), se_alpha=zeros((m, 0)),
-            se_kappa=zeros((m, m)), se_beta=zeros((m, m, 0)),
-            engine="closed",
-        )
-
-    model = finish(
+    return finish(
         "kaplan_meier", components, state, outcomes, references,
         expected_category=Category.INVERTIBLE_MULTIPLIER,
         adjoint_tol=1e-9,
         notes="tiny-mass design; pi reference is exact for the literal "
               "exponential-form outcome law",
-        extras={"closed_engine": ClosedForm(closed_structural)},
     )
-    return model

@@ -1,4 +1,6 @@
+import dataclasses
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from semiinfo import (
 )
 from semiinfo.engines import StructuralFunctions
 from semiinfo.errors import DomainError
-from semiinfo.likelihood import TangentKind
+from semiinfo.likelihood import TangentKind, score_operator
 from semiinfo.measure import center, inner_product
 from semiinfo.operators import centered_basis
 
@@ -402,11 +404,10 @@ def test_outcome_route_forms_no_structural_functions_or_matrix(monkeypatch):
     assert "_mean_zero_basis" not in vars(s.eta)
 
 
-@pytest.mark.parametrize("case", ["kaplan_meier-exact", "kaplan_meier-closed",
-                                  "mixture-mc"])
+@pytest.mark.parametrize("case", ["kaplan_meier-exact", "mixture-mc"])
 def test_operator_route_keeps_the_least_favorable_solve(case):
     # Where the outcome route does not apply (as many outcomes as grid
-    # points, a closed-form engine, a sampled law) the solve is
+    # points, a sampled law) the solve is
     # least_favorable_direction's, bit for bit, and the gate is not read.
     from semiinfo.engines import MonteCarlo
 
@@ -416,8 +417,7 @@ def test_operator_route_keeps_the_least_favorable_solve(case):
         chi = center(model.state.eta.grid.points, model.state.eta).values
     else:
         model = zoo.build("kaplan_meier")
-        engine = model.extras["closed_engine"] if case.endswith("closed") \
-            else model.exact
+        engine = model.exact
         chi = model.references["chi_dot"](model.state.eta.grid.points[1])
     c, s = model.components, model.state
     res = nonparametric_influence(engine, c, s, chi)
@@ -425,6 +425,58 @@ def test_operator_route_keeps_the_least_favorable_solve(case):
     lfd = least_favorable_direction(sf, s.eta, c.tangent, chi)
     assert res.factorization == "operator" and res.score_mean is None
     assert _solve_fields(res.solve_result) == _solve_fields(lfd.solve_result)
+
+
+def test_influence_evaluates_no_component_after_the_solve():
+    # The influence of each of the law's outcomes is its row of the law's
+    # stacked measure scores: over kaplan_meier's six outcomes it calls
+    # neither g nor L (each once per outcome when every outcome was scored
+    # alone).
+    model = zoo.build("kaplan_meier")
+    calls = Counter()
+
+    def counting(name, component):
+        def counted(*args):
+            calls[name] += 1
+            return component(*args)
+        return counted
+
+    c = dataclasses.replace(model.components,
+                            g=counting("g", model.components.g),
+                            ell=counting("L", model.components.ell))
+    res = nonparametric_influence(model.exact, c, model.state,
+                                  model.references["chi_dot"](2.0))
+    calls.clear()
+    for obs in model.exact.outcomes:
+        res.influence(obs)
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("case", ["kaplan_meier-exact", "kaplan_meier-mc",
+                                  "mixture-m30-exact", "mixture-m400-exact",
+                                  "mixture-m30-mc"])
+def test_influence_rows_are_the_one_outcome_scores(case):
+    # The stacked rows equal score_operator's one-outcome scores bit for
+    # bit, on both routes, exact and sampled. A sampled kaplan_meier law
+    # draws none of the three tiny-mass event outcomes, whose influence
+    # is scored alone.
+    if case.startswith("kaplan_meier"):
+        model = zoo.build("kaplan_meier")
+        chis = [model.references["chi_dot"](t) for t in (1.0, 2.0, 3.0)]
+    else:
+        model = zoo.build("mixture", parametric=False,
+                          m=400 if "m400" in case else 30)
+        chis = [center(model.state.eta.grid.points, model.state.eta).values]
+    c, s = model.components, model.state
+    engine = MonteCarlo(model.exact, 20000, 3) if case.endswith("mc") \
+        else model.exact
+    if case == "kaplan_meier-mc":
+        assert len(engine.law(c, s).outcomes) == 3
+    for chi in chis:
+        res = nonparametric_influence(engine, c, s, chi)
+        for obs in model.exact.outcomes:
+            want = score_operator(c, s, obs, res.lfd)
+            assert res.influence(obs) == want, (case, obs)
 
 
 def test_a_score_mean_above_the_gate_keeps_the_operator_solve(monkeypatch):

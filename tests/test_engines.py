@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from semiinfo import (
-    ClosedForm,
     ExactEnumeration,
     MonteCarlo,
     analyze_model,
@@ -18,7 +17,7 @@ from semiinfo.calculus import (_identifiability_directions,
 from semiinfo.engines import (OutcomeLaw, _CompensatedSums, _law_mean,
                               _structural_factors, _structural_reach,
                               outcome_law)
-from semiinfo.errors import DomainError, EvaluationError, NotAvailableError
+from semiinfo.errors import DomainError, EvaluationError
 from semiinfo.likelihood import (ModelState, TangentKind, _Outcome,
                                  _directions, g_values, log_density,
                                  score_theta)
@@ -112,16 +111,6 @@ def test_structural_kappa_is_symmetric():
     np.testing.assert_array_equal(sf.kappa, sf.kappa.T)
 
 
-def test_closed_form_dispatch():
-    model = zoo.build("kaplan_meier")
-    engine = model.extras["closed_engine"]
-    assert isinstance(engine, ClosedForm)
-    sf = structural_functions(engine, model.components, model.state)
-    np.testing.assert_allclose(sf.gamma, model.references["gamma"], atol=1e-12)
-    with pytest.raises(NotAvailableError):
-        expect(engine, model.components, model.state, lambda o: 1.0)
-
-
 def test_sampler_determinism():
     model = zoo.build("cox_rc")
     c, s = model.components, model.state
@@ -157,13 +146,8 @@ def test_every_engine_matches_exact_or_refuses_at_a_moved_state():
         ref = structural_functions(model.exact, c, moved)
         engines = [model.exact]
         engines += [MonteCarlo(model.sampler, 4000, seed) for seed in range(3)]
-        if "closed_engine" in model.extras:
-            engines.append(model.extras["closed_engine"])
         for engine in engines:
-            try:
-                sf = structural_functions(engine, c, moved)
-            except NotAvailableError:
-                continue
+            sf = structural_functions(engine, c, moved)
             for name in STRUCTURAL_NAMES:
                 gap = np.abs(getattr(sf, name) - getattr(ref, name))
                 if sf.is_exact():

@@ -8,7 +8,6 @@ from semiinfo import (
     MonteCarlo,
     adjoint_of_score,
     analyze_model,
-    check_adjoint_identity,
     efficient_information,
     expect,
     fisher_information,
@@ -18,8 +17,6 @@ from semiinfo import (
     suite_for_model,
     zoo,
 )
-from semiinfo.engines import outcome_law
-from semiinfo.errors import NotAvailableError
 from semiinfo.likelihood import ModelState, TangentKind, score_theta
 from semiinfo.measure import perturb_measure
 
@@ -108,20 +105,3 @@ def test_law_in_place_of_engine_gives_identical_results(kind):
 
     for got, want in zip(run(law), run(engine)):
         assert np.array_equal(got, want)
-
-
-def test_closed_form_engine_has_no_outcome_law():
-    model = zoo.build("kaplan_meier")
-    c, s = model.components, model.state
-    closed = model.extras["closed_engine"]
-    with pytest.raises(NotAvailableError):
-        outcome_law(closed, c, s)
-    with pytest.raises(NotAvailableError):
-        local_identifiability(closed, c, s)
-    with pytest.raises(NotAvailableError):
-        check_adjoint_identity(closed, c, s, np.ones(s.eta.size),
-                               np.ones(s.eta.size))
-    report = analyze_model(c, s, closed)
-    assert report.engine == "closed"
-    assert report.normalization_deficit is None
-    assert report.identifiability is None

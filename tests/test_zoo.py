@@ -13,9 +13,10 @@ from semiinfo import (
     structural_functions,
     zoo,
 )
+from semiinfo.engines import StructuralFunctions
 from semiinfo.errors import ConfigError, NotAvailableError
 from semiinfo.likelihood import ModelState
-from semiinfo.validate import suite_for_model
+from semiinfo.validate import REFERENCE_TOL, suite_for_model
 from semiinfo.zoo import base
 from semiinfo.zoo import (
     invertibility_conditions,
@@ -193,6 +194,21 @@ def test_km_ratio_solves_normal_equation_on_support():
     rhs = model.references["chi_dot"](t)
     live = model.state.eta.masses > 0.0
     assert np.max(np.abs((apply(op, a) - rhs)[live])) < 1e-12
+
+
+@pytest.mark.parametrize("zero_mass_point", [False, True])
+def test_km_structural_reference_is_pi_and_matches_the_exact_engine(
+        zero_mass_point):
+    model = zoo.build("kaplan_meier", zero_mass_point=zero_mass_point)
+    ref = model.references["structural"]
+    assert isinstance(ref, StructuralFunctions)
+    assert np.array_equal(ref.gamma, model.references["pi"])
+    assert np.all(ref.kappa == 0.0)
+    sf = structural_functions(model.exact, model.components, model.state)
+    for name in ("gamma", "alpha", "kappa", "beta"):
+        got, want = getattr(ref, name), getattr(sf, name)
+        assert got.shape == want.shape, name
+        assert np.all(np.abs(got - want) <= REFERENCE_TOL), name
 
 
 def test_km_direction_at_first_point_is_minus_survival():
