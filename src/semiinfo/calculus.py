@@ -42,8 +42,8 @@ matrix's.
 Every quantity has one path. Each expectation here reads the
 evaluations the outcome law keeps, stacked one row per outcome (g and
 g_dot on the grid, x, f_dot and f_ddot at x, the parameter score and
-r_dot, computed once per outcome on first use), so a law asked for several
-quantities evaluates the model once per outcome. ``analyze_model`` is
+r_dot, computed on first use), so a law asked for several quantities
+calls each component once per law. ``analyze_model`` is
 the composition of the public functions on one law: the structural
 functions, Fisher information and identifiability before the solve, the
 efficient information after it. Only the structural functions carry
@@ -78,8 +78,8 @@ from .likelihood import (
     TangentKind,
     _column,
     _directions,
-    _outcome,
-    _outcome_scores,
+    _evaluate_one,
+    _measure_scores,
     check_state,
     score_operator,
 )
@@ -275,9 +275,8 @@ def efficient_score_function(components: ModelComponents, state: ModelState,
     dirs = _lfd_directions(components, state, lfd_values)
 
     def eff_score(obs):
-        outcome = _outcome(components, state, obs)
-        return outcome.score - _outcome_scores(components, obs, dirs,
-                                               outcome.gv, outcome.fd)
+        st = _evaluate_one(components, state, obs)[1]
+        return st.score[0] - _measure_scores((obs,), st, dirs)[0]
 
     return eff_score
 
@@ -493,8 +492,8 @@ def analyze_model(components: ModelComponents, state: ModelState, engine, *,
     """Run the full calculus at one state and collect the results.
 
     This is the public functions composed on one outcome law, which
-    evaluates the model once per outcome (building an exact law
-    evaluates the log density besides): the structural functions, the
+    calls each component once per law (building an exact law evaluates
+    the log density besides): the structural functions, the
     Fisher information and identifiability before the least favorable
     solve, the efficient information after it. It builds one information
     operator per state: the least favorable solve factors it and V is

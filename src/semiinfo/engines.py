@@ -12,24 +12,22 @@ draws what ``Generator.choice`` with the exact probabilities draws,
 counted per outcome on the sorted uniforms without a search per draw,
 and each drawn outcome keeps the g its exact weight was computed from.
 
-A law stands in for its engine at its own state and evaluates the model
-once per outcome: on first use it writes each outcome's g and g_dot on
-the grid, x, f_dot and f_ddot at x and r_dot into one row of stacked
-arrays and forms every parameter score as one product over those stacks
-(:attr:`OutcomeLaw.stacked`), and every quantity summed over the law reads
+A law stands in for its engine at its own state and calls each
+component once per law, on its outcome table (a resampled law's is the
+drawn rows of the exact law's): on first use it stacks g and g_dot on
+the grid, x, f_dot and f_ddot at x, r_dot and the representers of L
+(L applied to the identity), one row per outcome, and forms every
+parameter score as one product over those stacks
+(:attr:`OutcomeLaw.stacked`). Every quantity summed over the law reads
 those (the structural functions here; the Fisher information,
-identifiability Gram and efficient information in ``calculus``), however
-many a caller asks for. Those evaluations start from the g a law already
-holds: an exact law's, computed once per outcome for its weights, and a
-resampled law's, taken from the exact law it was drawn from. The
-measure scores of every outcome along k directions A, an (m, k) array,
-are M A with M = (f_dot . g^T) * masses plus each outcome's
-representer of L (:meth:`OutcomeLaw.measure_scores`): one batched
-product of the stacked f_dot with g^T (masses * A), plus the
-representers times A, the one measure-score product of ``likelihood``.
-The representers, L applied to the identity, are formed once, on first
-use, and serve every direction and every caller of the law, ``validate``'s
-mass-path states among them; M itself is never formed.
+identifiability Gram and efficient information in ``calculus``), and so
+does ``validate`` at its mass-path states. The g they start from is
+the one the law's weights came from. The measure scores of every
+outcome along k directions A, an (m, k) array, are M A with
+M = (f_dot . g^T) * masses plus each outcome's representer of L
+(:meth:`OutcomeLaw.measure_scores`): one batched product of the stacked
+f_dot with g^T (masses * A), plus the representers times A, the one
+measure-score product of ``likelihood``; M itself is never formed.
 
 Every mean over a law is summed in one of two ways, and which depends
 only on whether the law is sampled. On an exact law it is one
@@ -95,7 +93,6 @@ from .likelihood import (
     ModelComponents,
     ModelState,
     TangentKind,
-    _ell_rows,
     _evaluate,
     _log_density,
     _measure_scores,
@@ -103,6 +100,7 @@ from .likelihood import (
     _Outcome,
     check_state,
     g_values,
+    outcome_table,
 )
 
 # Exact enumeration must normalize to this absolute accuracy.
@@ -123,12 +121,10 @@ class OutcomeLaw:
     """The weighted outcomes an engine produces at one state.
 
     ``n`` is the Monte Carlo sample size (None when exact) and
-    ``deficit`` the exact engine's normalization deficit. ``gvs`` is the
-    (N, m, d) array of each outcome's g on the grid, already computed for
-    its weight: :attr:`stacked` takes it as its g. On first use the law
-    evaluates each outcome once into one row of :attr:`stacked` (g and
-    g_dot on the grid, x, f_dot and f_ddot at x, the parameter score and
-    r_dot);
+    ``deficit`` the exact engine's normalization deficit. ``table`` is
+    the outcome table every component is called on, and ``gvs`` the
+    (N, m, d) g on the grid computed for the weights, which
+    :attr:`stacked`, the evaluation of the table, takes as its g;
     :attr:`weights` is the (N,) array of weights, in law order, and
     :meth:`measure_scores` every outcome's measure scores. A law stands in
     for its engine: asked about its own components and state (by
@@ -143,6 +139,7 @@ class OutcomeLaw:
     components: ModelComponents
     state: ModelState
     gvs: np.ndarray = field(repr=False)
+    table: tuple = field(repr=False)
 
     def law(self, components: ModelComponents,
             state: ModelState) -> OutcomeLaw:
@@ -168,14 +165,7 @@ class OutcomeLaw:
         score and r_dot."""
         check_state(self.components, self.state)
         return _evaluate(self.components, self.state, self.outcomes,
-                         self.gvs)
-
-    @cached_property
-    def ell_rows(self):
-        """Each outcome's (m,) representer of L, stacked (N, m), formed on
-        first use (None when the model has no L)."""
-        return _ell_rows(self.components, self.outcomes,
-                         self.state.eta.size)
+                         self.table, self.gvs)
 
     def measure_scores(self, dirs,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -185,20 +175,20 @@ class OutcomeLaw:
         batched product whose row i is, bit for bit, the score that
         ``score_matrix`` gives outcome i alone."""
         stacked = self.stacked
-        return _measure_scores(self.outcomes, stacked.gv, stacked.fd,
-                               self.ell_rows, dirs, out)
+        return _measure_scores(self.outcomes, self.stacked, dirs, out)
 
     def score_matrix(self) -> np.ndarray:
         """M, the (N, m) measure scores of every outcome along the m
         coordinate directions, checked finite: the matrix that
         :meth:`measure_scores` multiplies without forming it."""
         return _stacked_score_matrix(self.outcomes, self.stacked,
-                                     self.ell_rows, self.state.eta.masses)
+                                     self.state.eta.masses)
 
 
 @dataclass(frozen=True)
 class ExactEnumeration:
-    """Expectation by exact enumeration of a finite outcome space."""
+    """Expectation by exact enumeration of a finite outcome space: distinct
+    outcomes of one namedtuple type, whose outcome table is ``table``."""
 
     outcomes: tuple
 
@@ -206,22 +196,17 @@ class ExactEnumeration:
         object.__setattr__(self, "outcomes", tuple(outcomes))
         if not self.outcomes:
             raise DomainError("outcome list is empty")
-        seen = set()
-        for obs in self.outcomes:
-            if obs in seen:
-                raise DomainError(f"outcome {obs!r} is listed twice")
-            seen.add(obs)
+        object.__setattr__(self, "table", outcome_table(self.outcomes))
 
     def probabilities(self, components: ModelComponents, state: ModelState,
-                      gvs: Optional[Sequence] = None) -> np.ndarray:
-        """Each outcome's probability, from its g on the grid when
-        ``gvs`` holds it (one (m, d) array per outcome, in order, or one
-        (N, m, d) array)."""
+                      gvs: Optional[np.ndarray] = None) -> np.ndarray:
+        """Each outcome's probability, from the (N, m, d) g on the grid
+        when ``gvs`` holds it."""
         check_state(components, state)
         if gvs is None:
-            gvs = [g_values(components, state, o) for o in self.outcomes]
-        probs = np.array([np.exp(_log_density(components, state, o, gv))
-                          for o, gv in zip(self.outcomes, gvs)])
+            gvs = g_values(components, state, self.table)
+        probs = np.exp(_log_density(components, state, self.outcomes,
+                                    self.table, gvs))
         if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
             raise EngineError("outcome probabilities must be finite and >= 0")
         total = float(np.sum(probs))
@@ -235,12 +220,11 @@ class ExactEnumeration:
     def law(self, components: ModelComponents,
             state: ModelState) -> OutcomeLaw:
         check_state(components, state)
-        gvs = np.stack([g_values(components, state, o)
-                        for o in self.outcomes])
+        gvs = g_values(components, state, self.table)
         probs = self.probabilities(components, state, gvs)
         return OutcomeLaw(tuple(zip(self.outcomes, probs)), None,
                           abs(1.0 - float(np.sum(probs))), self,
-                          components, state, gvs)
+                          components, state, gvs, self.table)
 
     def normalization_deficit(self, components: ModelComponents,
                               state: ModelState) -> float:
@@ -290,20 +274,23 @@ class MonteCarlo:
 
     def draw_weights(self, components: ModelComponents,
                      state: ModelState) -> tuple:
-        """``(pairs, gvs)``: the distinct draws with their frequencies, in
-        the exact law's order, and each draw's g on the grid."""
+        """``(pairs, gvs, table)``: the distinct draws with their
+        frequencies, in the exact law's order, their g on the grid and
+        their outcome table."""
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
         exact = self.sampler.law(components, state)
         counts = _categorical_counts(exact.weights, rng, self.n)
         idx = np.flatnonzero(counts)
         return (tuple((exact.outcomes[i], int(counts[i]) / self.n)
                       for i in idx.tolist()),
-                exact.gvs[idx])
+                exact.gvs[idx],
+                type(exact.table)._make(col[idx] for col in exact.table))
 
     def law(self, components: ModelComponents,
             state: ModelState) -> OutcomeLaw:
-        pairs, gvs = self.draw_weights(components, state)
-        return OutcomeLaw(pairs, self.n, None, self, components, state, gvs)
+        pairs, gvs, table = self.draw_weights(components, state)
+        return OutcomeLaw(pairs, self.n, None, self, components, state, gvs,
+                          table)
 
 
 def outcome_law(engine, components: ModelComponents,
@@ -455,9 +442,9 @@ def _structural_factors(law: OutcomeLaw,
     np.einsum("nidj,nd->nij", st.gd, st.fd,
               out=first[:, m:].reshape(n_out, m, p))
     np.negative(first, out=first)
-    if centered and law.ell_rows is not None:
+    if centered and st.ell is not None:
         # L(1) of each outcome: its representer summed
-        first[:, :m] += np.sum(law.ell_rows, axis=1)[:, np.newaxis]
+        first[:, :m] += np.sum(st.ell, axis=1)[:, np.newaxis]
     g = st.gv.transpose(0, 2, 1)
     minus_fdd = np.negative(st.fdd)[..., np.newaxis]
     h = sum((g[:, i, np.newaxis] * minus_fdd[:, i] for i in range(1, d)),

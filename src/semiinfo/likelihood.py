@@ -18,11 +18,9 @@ and the measure score in a tangent direction a is
 
 B is linear in a, and L is linear too, so L(a, o) = l_o . a with l_o
 its representer: L applied to the m coordinate directions. Every
-measure score is then one product over outcomes stacked N high, for k
-directions stacked as the columns of an (m, k) array A:
-``f_dot . g^T (eta * A) + l_o . A`` (:func:`_measure_scores`). The
-public one-outcome functions (:func:`score_operator`,
-:func:`score_matrix`, :func:`joint_score`) are its case N = 1. Only the
+measure score is then one product over N outcomes, for k directions
+stacked as the columns of an (m, k) array A:
+``f_dot . g^T (eta * A) + l_o . A`` (:func:`_measure_scores`). Only the
 log density applies L to anything else, the log masses: there a
 representer would meet log 0 = -inf at a zero mass and give NaN.
 
@@ -30,22 +28,26 @@ On a probability measure the tangent space is the mean-zero subspace of
 L2(eta) and directions fed to B must be centered; on a positive finite
 measure it is all of L2(eta).
 
-Component callables receive ``(theta, obs, points)`` for g and g_dot,
-``(x, obs)`` for f and its derivatives (x a float when d == 1),
-``(values, obs)`` for L, and ``(theta, obs)`` for r and r_dot. With m
-grid points, every output must have its shape:
+Each component is called once per law, on its outcome table: the
+outcomes' namedtuple type built with one (N,) array per field
+(:func:`outcome_table`), so ``o.u_index`` reads a column. The public
+one-outcome functions are the table of N = 1. Components receive
+``(theta, table, points)`` for g and g_dot, ``(x, table)`` for f and its
+derivatives (x (N, d), or (N,) when d == 1), ``(values, table)`` for L
+and ``(theta, table)`` for r and r_dot. With m grid points, every
+output must have its shape:
 
-    r, f, L(log w)   a scalar
-    r_dot            (p,)
-    g                (m, d), or (m,) when d == 1
-    g_dot            (m, d, p), or (m, p) when d == 1
-    f_dot            (d,), or a scalar when d == 1
-    f_ddot           (d, d), or a scalar when d == 1
+    r, f             (N,)
+    r_dot            (N, p)
+    g                (N, m, d), or (N, m) when d == 1
+    g_dot            (N, m, d, p), or (N, m, p) when d == 1
+    f_dot            (N, d), or (N,) when d == 1
+    f_ddot           (N, d, d), or (N,) when d == 1
+    L(values)        (N, k), for an (m, k) array of values
 
 and any other shape raises :class:`DimensionError` naming the component
-(:func:`_output`). L also receives the (m, m) identity, one coordinate
-direction per column, and must then return a scalar or an (m,) vector,
-its representer (indexing rows of ``values`` does both).
+(:func:`_output`). L receives the log masses as one (m, 1) column, and
+the (m, m) identity, whose (N, m) image is the representers.
 """
 
 from __future__ import annotations
@@ -146,12 +148,29 @@ def check_state(components: ModelComponents, state: ModelState) -> None:
         )
 
 
+def outcome_table(outcomes) -> tuple:
+    """The table of N distinct outcomes of one namedtuple type: that type
+    built with one (N,) array per field. Raises :class:`DomainError`
+    naming the first outcome that is of another type or repeated."""
+    kind, seen = type(outcomes[0]), set()
+    for obs in outcomes:
+        if type(obs) is not kind or not hasattr(kind, "_fields"):
+            raise DomainError(
+                f"outcome {obs!r} is not a namedtuple of the first "
+                f"outcome's type ({kind.__name__})")
+        if obs in seen:
+            raise DomainError(f"outcome {obs!r} is listed twice")
+        seen.add(obs)
+    return kind._make(np.array(column) for column in zip(*outcomes))
+
+
 def _output(name: str, value, shape: tuple,
             bare: Optional[tuple] = None) -> np.ndarray:
-    """The output of component ``name`` as a float array of ``shape``.
-    When d == 1 the caller passes ``bare``, ``shape`` without its d
-    axes, and an output of that shape gets the d axes back; any other
-    shape raises :class:`DimensionError` naming the component."""
+    """The output of component ``name``, one row per outcome, as a float
+    array of ``shape``. When d == 1 the caller passes ``bare``, ``shape``
+    without its d axes, and an output of that shape gets the d axes
+    back; any other shape raises :class:`DimensionError` naming the
+    component."""
     arr = np.asarray(value, dtype=float)
     if bare is not None and arr.shape == bare:
         arr = arr.reshape(shape)
@@ -162,23 +181,23 @@ def _output(name: str, value, shape: tuple,
     return arr
 
 
-def g_values(components: ModelComponents, state: ModelState, obs) -> np.ndarray:
-    """g on the grid as an (m, d) array."""
+def g_values(components: ModelComponents, state: ModelState,
+             table) -> np.ndarray:
+    """g on the grid for the table's N outcomes, an (N, m, d) array."""
     pts = state.eta.grid.points
-    m, d = pts.size, components.gdim
-    return _output("g", components.g(state.theta, obs, pts), (m, d),
-                   (m,) if d == 1 else None)
+    n, m, d = len(table[0]), pts.size, components.gdim
+    return _output("g", components.g(state.theta, table, pts), (n, m, d),
+                   (n, m) if d == 1 else None)
 
 
-def _f_args(components: ModelComponents, x: np.ndarray):
-    return float(x[0]) if components.gdim == 1 else x
-
-
-def f_dot_values(components: ModelComponents, x: np.ndarray, obs) -> np.ndarray:
-    """f_dot at x as a (d,) array."""
-    d = components.gdim
-    return _output("f_dot", components.f_dot(_f_args(components, x), obs),
-                   (d,), () if d == 1 else None)
+def _at_x(components: ModelComponents, name: str, x: np.ndarray,
+          table) -> np.ndarray:
+    """f, f_dot or f_ddot (``name``) at the table's (N, d) x, passed as
+    (N,) when d == 1: an (N,), (N, d) or (N, d, d) array."""
+    n, d = x.shape
+    shape = {"f": (n,), "f_dot": (n, d), "f_ddot": (n, d, d)}[name]
+    value = getattr(components, name)(x[:, 0] if d == 1 else x, table)
+    return _output(name, value, shape, (n,) if d == 1 else None)
 
 
 def log_density(components: ModelComponents, state: ModelState, obs) -> float:
@@ -186,40 +205,38 @@ def log_density(components: ModelComponents, state: ModelState, obs) -> float:
     outcome, for example an event at a zero-mass grid point); NaN raises
     :class:`EvaluationError`."""
     check_state(components, state)
-    return _log_density(components, state, obs,
-                        g_values(components, state, obs))
+    table = outcome_table((obs,))
+    return float(_log_density(components, state, (obs,), table,
+                              g_values(components, state, table))[0])
 
 
-def _log_density(components: ModelComponents, state: ModelState, obs,
-                 gv: np.ndarray) -> float:
-    """:func:`log_density` from g on the grid, which depends on theta,
-    the outcome and the grid points but not on the masses."""
-    x = state.eta.masses @ gv
-    val = float(_output("r", components.r(state.theta, obs), ()))
-    val += float(_output("f", components.f(_f_args(components, x), obs),
-                         ()))
+def _log_density(components: ModelComponents, state: ModelState, outcomes,
+                 table, gvs: np.ndarray) -> np.ndarray:
+    """The (N,) log densities of the N ``outcomes`` (``table``) from their
+    (N, m, d) g on the grid, which does not depend on the masses. Raises
+    :class:`EvaluationError` naming the first outcome whose log density
+    is NaN."""
+    n = len(outcomes)
+    val = _output("r", components.r(state.theta, table), (n,))
+    val = val + _at_x(components, "f", np.matmul(state.eta.masses, gvs), table)
     if components.ell is not None:
         with np.errstate(divide="ignore"):
-            logw = np.log(state.eta.masses)
-        val += float(_output("L", components.ell(logw, obs), ()))
-    if np.isnan(val):
-        raise EvaluationError(f"log density is NaN at observation {obs!r}")
+            logw = np.log(state.eta.masses)[:, np.newaxis]
+        val += _output("L", components.ell(logw, table), (n, 1))[:, 0]
+    nan = np.isnan(val)
+    if nan.any():
+        raise EvaluationError(
+            f"log density is NaN at observation {outcomes[np.argmax(nan)]!r}")
     return val
 
 
-def _g_and_f_dot(components: ModelComponents, state: ModelState, obs):
-    """g on the grid and f_dot at x: the evaluations of one outcome that
-    the parameter score and every measure score share."""
-    gv = g_values(components, state, obs)
-    return gv, f_dot_values(components, state.eta.masses @ gv, obs)
-
-
 class _Outcome(NamedTuple):
-    """What every score and structural integrand at one outcome is built
-    from: g on the grid, x, f_dot and f_ddot at x, the parameter score,
-    g_dot on the grid and r_dot (both scores empty when p == 0). A law
-    stacks these over its N outcomes (:func:`_evaluate`): each field
-    then has a leading axis of length N."""
+    """What every score and structural integrand of a law's outcomes is
+    built from, one row per outcome (:func:`_evaluate`): (N, m, d) g on
+    the grid, (N, d) x, f_dot at x, (N, d, d) f_ddot at x, (N, p)
+    parameter scores, (N, m, d, p) g_dot on the grid, (N, p) r_dot and
+    the (N, m) representers of L, L(a, o_i) = row i . a (None when L is
+    absent)."""
 
     gv: np.ndarray
     x: np.ndarray
@@ -228,47 +245,40 @@ class _Outcome(NamedTuple):
     score: np.ndarray
     gd: np.ndarray
     r_dot: np.ndarray
-
-
-def _outcome(components: ModelComponents, state: ModelState, obs,
-             gv: Optional[np.ndarray] = None) -> _Outcome:
-    """Evaluate g (unless ``gv`` holds it), g_dot, f_dot and f_ddot at one
-    outcome, and r_dot when p > 0: the one-row case of :func:`_evaluate`."""
-    if gv is None:
-        gv = g_values(components, state, obs)
-    stacked = _evaluate(components, state, [obs], gv[np.newaxis])
-    return _Outcome(*(field[0] for field in stacked))
+    ell: Optional[np.ndarray]
 
 
 def _evaluate(components: ModelComponents, state: ModelState, outcomes,
-              gvs: np.ndarray) -> _Outcome:
-    """The evaluations of each outcome written into row i of stacked
-    arrays: ``gvs``, the (N, m, d) g on the grid it starts from, then
-    (N, d) x and f_dot, (N, d, d) f_ddot, (N, p) parameter scores,
-    (N, m, d, p) g_dot and (N, p) r_dot. Only the model is called per
-    outcome; the parameter scores are one product over the stacks
-    (:func:`_stacked_parameter_score`)."""
+              table, gvs: np.ndarray) -> _Outcome:
+    """The evaluations of the N ``outcomes`` (``table``) from ``gvs``,
+    their (N, m, d) g on the grid: one call each of f_dot, f_ddot, g_dot,
+    r_dot and L (on the (m, m) identity), and the parameter scores as one
+    product over the stacks (:func:`_stacked_parameter_score`)."""
     n, m, d = gvs.shape
-    p = components.p
-    theta, pts, masses = state.theta, state.eta.grid.points, state.eta.masses
-    x, fd, fdd = np.empty((n, d)), np.empty((n, d)), np.empty((n, d, d))
-    gd, r_dot = np.empty((n, m, d, p)), np.empty((n, p))
-    for row, obs in enumerate(outcomes):
-        x_row = masses @ gvs[row]
-        x[row] = x_row
-        fd[row] = f_dot_values(components, x_row, obs)
-        gd[row] = _output("g_dot", components.g_dot(theta, obs, pts),
-                          (m, d, p), (m, p) if d == 1 else None)
-        fdd[row] = _output("f_ddot",
-                           components.f_ddot(_f_args(components, x_row), obs),
-                           (d, d), () if d == 1 else None)
-        if p:
-            r_dot[row] = _output("r_dot", components.r_dot(theta, obs),
-                                 (p,))
+    p, theta, masses = components.p, state.theta, state.eta.masses
+    x = np.matmul(masses, gvs)
+    fd = _at_x(components, "f_dot", x, table)
+    fdd = _at_x(components, "f_ddot", x, table)
+    gd = _output("g_dot",
+                 components.g_dot(theta, table, state.eta.grid.points),
+                 (n, m, d, p), (n, m, p) if d == 1 else None)
+    r_dot = _output("r_dot", components.r_dot(theta, table), (n, p))
+    ell = (None if components.ell is None else
+           _output("L", components.ell(np.eye(m), table), (n, m)))
     # with p == 0 the scores are the empty (N, 0) r_dot
     score = (_stacked_parameter_score(outcomes, masses, fd, gd, r_dot)
              if p else r_dot)
-    return _Outcome(gvs, x, fd, fdd, score, gd, r_dot)
+    return _Outcome(gvs, x, fd, fdd, score, gd, r_dot, ell)
+
+
+def _evaluate_one(components: ModelComponents, state: ModelState,
+                  obs) -> tuple:
+    """One outcome's table and evaluation, the case N = 1 of
+    :func:`_evaluate`."""
+    check_state(components, state)
+    table = outcome_table((obs,))
+    return table, _evaluate(components, state, (obs,), table,
+                            g_values(components, state, table))
 
 
 def _stacked_parameter_score(outcomes, masses: np.ndarray, fd: np.ndarray,
@@ -313,64 +323,30 @@ def _column(masses: np.ndarray, a: np.ndarray):
     return a[:, np.newaxis], (masses * a)[:, np.newaxis]
 
 
-def _ell_rows(components: ModelComponents, outcomes,
-              m: int) -> Optional[np.ndarray]:
-    """Each outcome's representer of L, one (m,) row per outcome with
-    L(a, o) = row . a: L applied to the (m, m) identity, whose columns
-    are the m coordinate directions (None when L is absent)."""
-    if components.ell is None:
-        return None
-    eye = np.eye(m)
-    rows = []
-    for obs in outcomes:
-        lv = np.asarray(components.ell(eye, obs), dtype=float)
-        try:
-            rows.append(np.broadcast_to(lv, (m,)))
-        except ValueError:
-            raise DimensionError(
-                f"L returned shape {lv.shape} for {m} directions, the "
-                f"columns of the ({m}, {m}) identity; expected a scalar "
-                f"or ({m},)"
-            ) from None
-    return np.stack(rows)
-
-
-def _measure_scores(outcomes, gvs: np.ndarray, fd: np.ndarray,
-                    ell_rows: Optional[np.ndarray], dirs,
+def _measure_scores(outcomes, stacked: _Outcome, dirs,
                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The (N, k) measure scores of the N stacked ``outcomes`` along
-    checked directions ``dirs`` (from :func:`_directions`), written into
-    ``out`` (a new array by default), from their (N, m, d) g on the
-    grid, their (N, d) f_dot and their (N, m) representers of L
-    (:func:`_ell_rows`; None when L is absent): M a for each direction
+    """The (N, k) measure scores of the N ``outcomes`` along checked
+    directions ``dirs`` (from :func:`_directions`), written into ``out``
+    (a new array by default), from their ``stacked`` evaluation (g on
+    the grid, f_dot and the representers of L): M a for each direction
     a, with M = (f_dot . g^T) * masses plus the representers, formed as
     f_dot . (g^T (masses a)) + representer . a by one batched product
     over the stacks, so M itself is never formed. Every measure score is
-    formed here, a single outcome as N = 1 (:func:`_outcome_scores`).
-    Raises :class:`EvaluationError` naming the first outcome, in law
-    order, whose scores are not finite."""
+    formed here, a single outcome as N = 1. Raises
+    :class:`EvaluationError` naming the first outcome, in law order,
+    whose scores are not finite."""
     arr, weighted = dirs
     if out is None:
         out = np.empty((len(outcomes), arr.shape[1]))
-    np.matmul(fd[:, np.newaxis], gvs.transpose(0, 2, 1) @ weighted,
+    np.matmul(stacked.fd[:, np.newaxis],
+              stacked.gv.transpose(0, 2, 1) @ weighted,
               out=out[:, np.newaxis])
-    if ell_rows is not None:
-        out += ell_rows @ arr
+    if stacked.ell is not None:
+        out += stacked.ell @ arr
     return _finite_rows(outcomes, out, "measure score")
 
 
-def _outcome_scores(components: ModelComponents, obs, dirs,
-                    gv: np.ndarray, fd: np.ndarray) -> np.ndarray:
-    """The (k,) measure scores of one outcome along checked directions
-    ``dirs`` from its g on the grid and f_dot at x: the case N = 1 of
-    :func:`_measure_scores`, with the outcome's own representer of L."""
-    return _measure_scores([obs], gv[np.newaxis], fd[np.newaxis],
-                           _ell_rows(components, [obs], gv.shape[0]),
-                           dirs)[0]
-
-
 def _stacked_score_matrix(outcomes, stacked: _Outcome,
-                          ell_rows: Optional[np.ndarray],
                           masses: np.ndarray) -> np.ndarray:
     """M, the (N, m) measure scores of the N stacked ``outcomes`` along
     the m coordinate directions, checked finite: M = (f_dot . g^T) *
@@ -382,8 +358,8 @@ def _stacked_score_matrix(outcomes, stacked: _Outcome,
     differently."""
     out = np.matmul(stacked.fd[:, np.newaxis],
                     stacked.gv.transpose(0, 2, 1))[:, 0] * masses
-    if ell_rows is not None:
-        out += ell_rows
+    if stacked.ell is not None:
+        out += stacked.ell
     return _finite_rows(outcomes, out, "measure score")
 
 
@@ -402,34 +378,29 @@ def _finite_rows(outcomes, out: np.ndarray, what: str) -> np.ndarray:
 
 def score_theta(components: ModelComponents, state: ModelState, obs) -> np.ndarray:
     """Parameter score, shape (p,)."""
-    check_state(components, state)
-    return _outcome(components, state, obs).score
+    return _evaluate_one(components, state, obs)[1].score[0]
 
 
 def score_matrix(components: ModelComponents, state: ModelState, obs,
                  directions) -> np.ndarray:
     """Measure scores (B a_j)(o) for the k columns a_j of an (m, k)
-    array, shape (k,), from one evaluation of g and f_dot.
+    array, shape (k,): :func:`joint_score` without the parameter score.
 
     For a mean-zero tangent space every column must be centered under
     the state's measure (checked numerically).
     """
-    check_state(components, state)
-    dirs = _directions(components, state, directions)
-    return _outcome_scores(components, obs, dirs,
-                           *_g_and_f_dot(components, state, obs))
+    return joint_score(components, state, obs, directions)[components.p:]
 
 
 def joint_score(components: ModelComponents, state: ModelState, obs,
                 directions) -> np.ndarray:
-    """The parameter score followed by the measure scores of
-    :func:`score_matrix`, shape (p + k,), from one evaluation of g and
-    f_dot."""
+    """The parameter score followed by the measure scores (B a_j)(o) for
+    the k columns a_j of an (m, k) array, shape (p + k,), from one
+    evaluation of the outcome."""
     check_state(components, state)
     dirs = _directions(components, state, directions)
-    outcome = _outcome(components, state, obs)
-    return np.concatenate([outcome.score, _outcome_scores(
-        components, obs, dirs, outcome.gv, outcome.fd)])
+    st = _evaluate_one(components, state, obs)[1]
+    return np.concatenate([st.score[0], _measure_scores((obs,), st, dirs)[0]])
 
 
 def score_operator(components: ModelComponents, state: ModelState, obs, a) -> float:
@@ -442,13 +413,12 @@ def score_operator(components: ModelComponents, state: ModelState, obs, a) -> fl
 
 
 def _score_operator(components: ModelComponents, state: ModelState, obs, a):
-    """:func:`score_operator` with the g on the grid it evaluated."""
+    """:func:`score_operator` with the outcome's :func:`_evaluate_one`."""
     check_state(components, state)
     if components.tangent is TangentKind.L2_ZERO:
         av = require_centered(a, state.eta, "tangent direction")
     else:
         av = as_values(a, state.eta.size)
-    dirs = _column(state.eta.masses, av)
-    gv, fd = _g_and_f_dot(components, state, obs)
-    return float(_outcome_scores(components, obs, dirs, gv, fd)[0]), gv
-
+    one = _evaluate_one(components, state, obs)
+    return float(_measure_scores((obs,), one[1],
+                                 _column(state.eta.masses, av))[0, 0]), one

@@ -6,16 +6,15 @@ only approximation used here; every FD-based check therefore carries an
 order-of-convergence probe (halving the step must divide the error by
 about four) so a failing identity cannot hide behind step-size error.
 
-Each adjoint check reads each outcome's g, g_dot, f_dot and r_dot from
-the law's own evaluation, so it evaluates no g and no r_dot of its own:
-the mass path through b moves only the masses, and components take
-``(theta, obs, points)`` and ``(theta, obs)``, so the law's g, g_dot and
-r_dot serve the base state and all six perturbed states of the three
-central differences. So do the law's representers of L, which do not
-depend on the masses: a law that has formed them makes the check call
-no L. The six perturbed measures come from one walk of the mass path,
-each state scores all of the law's outcomes in one stacked product, and
-one mean over the law sums g Bb and the three central differences.
+Each adjoint check calls each component once per law. It reads g,
+g_dot, f_dot, r_dot and the representers of L from the law's own
+evaluation: the mass path through b moves only the masses, and
+components take ``(theta, table, points)`` and ``(theta, table)``, so
+these serve the base state and all six perturbed states of the three
+central differences. Each perturbed state, from one walk of the mass
+path, calls f_dot once on the law's table, at its own x, and scores all
+of the law's outcomes in one stacked product; one mean over the law
+sums g Bb and the three central differences.
 """
 from __future__ import annotations
 
@@ -29,9 +28,9 @@ from .calculus import (adjoint_of_score, classify_category,
 from .engines import _law_mean, outcome_law, structural_functions
 from .errors import DomainError
 from .likelihood import (ModelComponents, ModelState, TangentKind,
-                         _column, _log_density, _measure_scores,
+                         _at_x, _column, _log_density, _measure_scores,
                          _score_operator, _stacked_parameter_score,
-                         check_state, f_dot_values)
+                         check_state)
 from .measure import (_mass_path, as_values, center, inner_product,
                       perturb_measure, require_centered)
 from .operators import apply
@@ -136,8 +135,7 @@ def _score_family(components, sf, law, states, which_score):
     dirs = [_column(w, v) for w, v in zip(masses, values)]
 
     def scores(fds):
-        return [_measure_scores(outcomes, stacked.gv, fd, law.ell_rows,
-                                d)[:, 0]
+        return [_measure_scores(outcomes, stacked._replace(fd=fd), d)[:, 0]
                 for fd, d in zip(fds, dirs)]
 
     return "operator", adjoint_values, scores
@@ -175,14 +173,11 @@ def check_adjoint_identity(engine, components: ModelComponents,
                                                   states, which_score)
     t1 = inner_product(adjoint_values, bv, eta)
     stacked = law.stacked
-    outcomes, gvs = law.outcomes, stacked.gv
     fds = [stacked.fd] + [
-        np.array([f_dot_values(components, x, o)
-                  for x, o in zip(np.matmul(st.eta.masses, gvs), outcomes)])
-        for st in moved]
+        _at_x(components, "f_dot", np.matmul(st.eta.masses, stacked.gv),
+              law.table) for st in moved]
     g = scores(fds)
-    bb = _measure_scores(outcomes, gvs, stacked.fd, law.ell_rows,
-                         _column(eta.masses, bv))[:, 0]
+    bb = _measure_scores(law.outcomes, stacked, _column(eta.masses, bv))[:, 0]
     rows = np.column_stack([g[0] * bb] + [
         (plus - minus) / (2.0 * step)
         for plus, minus, step in zip(g[1::2], g[2::2], steps)])
@@ -255,10 +250,11 @@ def check_score_fd(components: ModelComponents, state: ModelState, o, a,
     analytic score evaluates serves every log density along it; its six
     measures (+-h and the two order-probe steps) come from one walk.
     """
-    analytic, gv = _score_operator(components, state, o, a)
+    analytic, (table, one) = _score_operator(components, state, o, a)
     steps, states = _central_states(components, state,
                                     as_values(a, state.eta.size), h)
-    densities = [_log_density(components, st, o, gv) for st in states]
+    densities = [_log_density(components, st, (o,), table, one.gv)[0]
+                 for st in states]
     err, order_err, order_err_half = (
         abs(analytic - (plus - minus) / (2.0 * step))
         for plus, minus, step in zip(densities[::2], densities[1::2], steps))

@@ -14,6 +14,7 @@ Only ``validate`` and the tests read them; ``analyze`` and ``influence``
 never do, so they do not pay for them. What the components, the engines
 or ``extras`` read is computed when the model is built.
 """
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -140,6 +141,15 @@ def require_theta(value, p: int) -> np.ndarray:
             return th
     raise ValueError(
         f"theta must be a finite vector of length {p}, got {value!r}")
+
+
+def power(x, n) -> np.ndarray:
+    """x ** n by math.pow on each real entry, the C pow that scalar ``**``
+    computes: numpy's vector power rounds some results differently."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":     # a complex-step derivative
+        return x ** n
+    return np.reshape([math.pow(v, n) for v in x.ravel().tolist()], x.shape)
 
 
 def positive_measure(points, masses, tau) -> DiscreteMeasure:

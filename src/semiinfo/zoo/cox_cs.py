@@ -18,7 +18,8 @@ import numpy as np
 
 from ..calculus import Category
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import finish, positive_measure, require_count, require_theta
+from .base import (finish, positive_measure, power, require_count,
+                   require_theta)
 
 CsObs = namedtuple("CsObs", ["delta", "u_index", "z_index"])
 
@@ -67,29 +68,34 @@ def build(theta=np.log(2.0), m=None):
         return np.log(pu[o.u_index]) + np.log(pz[o.z_index])
 
     def r_dot(theta, o):
-        return np.zeros(1)
+        return np.zeros((o.delta.size, 1))
 
     def g(theta, o, pts):
-        ez = np.exp(float(theta[0]) * z_levels[o.z_index])
-        return ez * (np.arange(pts.size) <= o.u_index)
+        ez = np.exp(theta[0] * z_levels[o.z_index])
+        return ez[:, np.newaxis] * (np.arange(pts.size)
+                                    <= o.u_index[:, np.newaxis])
 
     def g_dot(theta, o, pts):
-        return np.outer(g(theta, o, pts), [z_levels[o.z_index]])
+        return g(theta, o, pts)[:, :, np.newaxis] \
+            * z_levels[o.z_index][:, np.newaxis, np.newaxis]
 
+    # Each branch runs on its own rows only, so no other row can warn.
     def f(x, o):
-        return float(np.log1p(-np.exp(-x))) if o.delta else -x
+        out, ev = -x, o.delta == 1
+        out[ev] = np.log1p(-np.exp(-x[ev]))
+        return out
 
     def f_dot(x, o):
-        if o.delta:
-            e = np.exp(-x)
-            return e / (1.0 - e)
-        return -1.0
+        out, ev = np.full_like(x, -1.0), o.delta == 1
+        e = np.exp(-x[ev])
+        out[ev] = e / (1.0 - e)
+        return out
 
     def f_ddot(x, o):
-        if o.delta:
-            e = np.exp(-x)
-            return -e / (1.0 - e) ** 2
-        return 0.0
+        out, ev = np.zeros_like(x), o.delta == 1
+        e = np.exp(-x[ev])
+        out[ev] = -e / power(1.0 - e, 2)
+        return out
 
     components = ModelComponents(
         p=1, tangent=TangentKind.L2, r=r, r_dot=r_dot, g=g, g_dot=g_dot,

@@ -53,32 +53,37 @@ def build(theta=np.log(2.0), mass_scale=MASS_SCALE,
     eta = positive_measure(GRID_POINTS, w, TAU)
     state = ModelState(theta=th, eta=eta)
 
+    log_pz, log_cbar, log_cprob = np.log(pz), np.log(cbar), np.log(cprob)
+
     def r(theta, o):
-        base = np.log(pz[o.z_index])
-        base += np.log(cbar[o.time_index]) if o.delta else np.log(cprob[o.time_index])
-        return base + o.delta * float(theta @ z_levels[o.z_index])
+        t = o.time_index
+        return (log_pz[o.z_index]
+                + np.where(o.delta == 1, log_cbar[t], log_cprob[t])
+                + o.delta * (z_levels @ theta)[o.z_index])
 
     def r_dot(theta, o):
-        return o.delta * z_levels[o.z_index]
+        return o.delta[:, np.newaxis] * z_levels[o.z_index]
 
     def g(theta, o, pts):
-        ez = np.exp(float(theta @ z_levels[o.z_index]))
-        return ez * (np.arange(pts.size) <= o.time_index)
+        ez = np.exp(z_levels @ theta)[o.z_index]
+        return ez[:, np.newaxis] * (np.arange(pts.size)
+                                    <= o.time_index[:, np.newaxis])
 
     def g_dot(theta, o, pts):
-        return np.outer(g(theta, o, pts), z_levels[o.z_index])
+        return g(theta, o, pts)[:, :, np.newaxis] \
+            * z_levels[o.z_index][:, np.newaxis]
 
     def f(x, o):
         return -x
 
     def f_dot(x, o):
-        return -1.0
+        return np.full_like(x, -1.0)
 
     def f_ddot(x, o):
-        return 0.0
+        return np.zeros_like(x)
 
     def ell(vals, o):
-        return vals[o.time_index] if o.delta else 0.0
+        return np.where(o.delta[:, np.newaxis] == 1, vals[o.time_index], 0.0)
 
     components = ModelComponents(
         p=p, tangent=TangentKind.L2, r=r, r_dot=r_dot, g=g, g_dot=g_dot,

@@ -52,30 +52,31 @@ def build(mass_scale=MASS_SCALE, zero_mass_point=False):
     state = ModelState(theta=np.zeros(0), eta=eta)
 
     def r(theta, o):
-        return log_cbar[o.time_index] if o.delta else log_cprob[o.time_index]
+        return np.where(o.delta == 1, log_cbar[o.time_index],
+                        log_cprob[o.time_index])
 
     def r_dot(theta, o):
-        return np.zeros(0)
+        return np.zeros((o.delta.size, 0))
 
     def g(theta, o, pts):
-        return (np.arange(pts.size) <= o.time_index).astype(float)
+        return 1.0 * (np.arange(pts.size) <= o.time_index[:, np.newaxis])
 
     def g_dot(theta, o, pts):
-        return np.zeros((pts.size, 0))
+        return np.zeros((o.delta.size, pts.size, 0))
 
     def f(x, o):
         return -x
 
     def f_dot(x, o):
-        return -1.0
+        return np.full_like(x, -1.0)
 
     def f_ddot(x, o):
-        return 0.0
+        return np.zeros_like(x)
 
     def ell(vals, o):
-        # Guard, not optimization: vals may hold -inf log masses at dead
-        # cells and 0 * -inf is NaN.
-        return vals[o.time_index] if o.delta else 0.0
+        # Select, not multiply by delta: vals may hold -inf log masses at
+        # dead cells and 0 * -inf is NaN.
+        return np.where(o.delta[:, np.newaxis] == 1, vals[o.time_index], 0.0)
 
     components = ModelComponents(
         p=0, tangent=TangentKind.L2, r=r, r_dot=r_dot, g=g, g_dot=g_dot,

@@ -29,9 +29,10 @@ import numpy as np
 from ..calculus import (Category, adjoint_of_score, efficient_information,
                         fisher_information, least_favorable_direction)
 from ..engines import structural_functions
-from ..likelihood import ModelComponents, ModelState, TangentKind
+from ..likelihood import (ModelComponents, ModelState, TangentKind,
+                          outcome_table)
 from ..operators import EIGEN_REL_CUT, _spectrum
-from .base import (finish, probability_measure, require_flag,
+from .base import (finish, power, probability_measure, require_flag,
                    require_theta)
 
 MisObs = namedtuple("MisObs", ["observed", "y", "k"])
@@ -96,56 +97,70 @@ def build(theta=(0.2, -0.3), zero_cell=False, degenerate_z=False,
             if not 0.0 <= val <= 1.0:
                 raise ValueError(
                     f"selection probability {val} for {key} outside [0, 1]")
+    sel_by_cell = np.array([[sel[(y, cell)] for cell in range(ncells)]
+                            for y in (0, 1)])
     with np.errstate(divide="ignore"):
-        log_sel = {key: np.log(val) for key, val in sel.items()}
-        log1m_sel = {key: np.log1p(-val) for key, val in sel.items()}
+        log_sel, log1m_sel = np.log(sel_by_cell), np.log1p(-sel_by_cell)
+    design = np.column_stack((np.ones(m), zvals))
 
     def p_y(theta, y):
-        """Outcome kernel on the grid, shape (m,)."""
+        """Outcome kernel on the grid, (m,), or (N, m) for (N,) y."""
         p1 = _expit(theta[0] + theta[1] * zvals)
-        return p1 if y == 1 else 1.0 - p1
+        return np.stack((1.0 - p1, p1))[y]
 
     def p_y_dot(theta, y):
-        """Theta gradient of the kernel, shape (m, 2)."""
+        """Theta gradient of the kernel, shape (m, 2), or (N, m, 2)."""
         p1 = _expit(theta[0] + theta[1] * zvals)
-        resid = y - p1
-        base = p_y(theta, y)
-        return (base * resid)[:, np.newaxis] * np.column_stack(
-            (np.ones(m), zvals))
+        resid = np.subtract.outer(y, p1)
+        return (p_y(theta, y) * resid)[..., np.newaxis] * design
 
-    def cell_of(o):
-        return int(cells[o.k]) if o.observed else o.k
+    def in_cell(o):
+        """(N, m): whether each grid point is in the outcome's cell."""
+        return cells == np.where(o.observed == 1, cells[o.k],
+                                 o.k)[:, np.newaxis]
 
+    # Each branch runs on its own rows only, so no other row can warn.
     def r(theta, o):
-        if o.observed:
-            p1 = _expit(float(theta[0] + theta[1] * zvals[o.k]))
-            py = p1 if o.y == 1 else 1.0 - p1
-            return log_sel[(o.y, int(cells[o.k]))] + float(np.log(py))
-        return float(log1m_sel[(o.y, o.k)])
+        seen = o.observed == 1
+        y, k = o.y[seen], o.k[seen]
+        p1 = _expit(theta[0] + theta[1] * zvals[k])
+        out = np.empty(seen.shape, p1.dtype)
+        out[seen] = log_sel[y, cells[k]] + np.log(np.where(y == 1, p1,
+                                                           1.0 - p1))
+        out[~seen] = log1m_sel[o.y[~seen], o.k[~seen]]
+        return out
 
     def r_dot(theta, o):
-        if o.observed:
-            p1 = _expit(float(theta[0] + theta[1] * zvals[o.k]))
-            return (o.y - p1) * np.array([1.0, zvals[o.k]])
-        return np.zeros(2)
+        seen = o.observed == 1
+        y, k = o.y[seen], o.k[seen]
+        p1 = _expit(theta[0] + theta[1] * zvals[k])
+        out = np.zeros((seen.size, 2), p1.dtype)
+        out[seen] = (y - p1)[:, np.newaxis] * design[k]
+        return out
 
     def g(theta, o, pts):
-        return p_y(theta, o.y) * (cells == cell_of(o))
+        return p_y(theta, o.y) * in_cell(o)
 
     def g_dot(theta, o, pts):
-        return p_y_dot(theta, o.y) * (cells == cell_of(o))[:, np.newaxis]
+        return p_y_dot(theta, o.y) * in_cell(o)[:, :, np.newaxis]
 
     def f(x, o):
-        return 0.0 if o.observed else float(np.log(x))
+        out, missing = np.zeros_like(x), o.observed == 0
+        out[missing] = np.log(x[missing])
+        return out
 
     def f_dot(x, o):
-        return 0.0 if o.observed else 1.0 / x
+        out, missing = np.zeros_like(x), o.observed == 0
+        out[missing] = 1.0 / x[missing]
+        return out
 
     def f_ddot(x, o):
-        return 0.0 if o.observed else -1.0 / x ** 2
+        out, missing = np.zeros_like(x), o.observed == 0
+        out[missing] = -1.0 / power(x[missing], 2)
+        return out
 
     def ell(vals, o):
-        return vals[o.k] if o.observed else 0.0
+        return np.where(o.observed[:, np.newaxis] == 1, vals[o.k], 0.0)
 
     components = ModelComponents(
         p=2, tangent=TangentKind.L2_ZERO, r=r, r_dot=r_dot, g=g, g_dot=g_dot,
@@ -233,6 +248,13 @@ def invertibility_conditions(model):
         "threshold": MIN_SELECTION,
     }
 
+    # Each observed outcome (row y * m + zi): its parameter score, and
+    # p(y | z_zi) in column zi of its g.
+    m = weights.size
+    table = outcome_table([MisObs(1, y, zi) for y in (0, 1)
+                           for zi in range(m)])
+    scores = c.r_dot(s.theta, table)
+    probs = c.g(s.theta, table, s.eta.grid.points)
     spectra = {}
     for x in sorted(set(int(v) for v in cells)):
         mask = cells == x
@@ -240,11 +262,8 @@ def invertibility_conditions(model):
         info = np.zeros((2, 2))
         for y in (0, 1):
             for zi, wz in zip(np.flatnonzero(mask), wcell):
-                sc = model.components.r_dot(s.theta, MisObs(1, y, int(zi)))
-                p1 = _expit(float(s.theta[0]
-                                  + s.theta[1] * model.extras["zvals"][zi]))
-                py = p1 if y == 1 else 1.0 - p1
-                info += wz * py * np.outer(sc, sc)
+                sc = scores[y * m + zi]
+                info += wz * probs[y * m + zi, zi] * np.outer(sc, sc)
         spectra[x] = _spectrum(info)
     cond_b = {
         "holds": all(rank == eig.size for eig, rank in spectra.values()),

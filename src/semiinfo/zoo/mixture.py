@@ -24,7 +24,7 @@ import numpy as np
 
 from ..calculus import Category
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import (finish, probability_measure, require_count,
+from .base import (finish, power, probability_measure, require_count,
                    require_flag, require_theta)
 
 MixObs = namedtuple("MixObs", ["x"])
@@ -58,7 +58,7 @@ def build(theta=0.3, parametric=True, m=None, constant_kernel=False):
 
     def kernel(theta_arr, pts):
         """Kernel matrix k[x_index, v], each column summing to 1 over x."""
-        shift = float(theta_arr[0]) if parametric else 0.0
+        shift = theta_arr[0] if parametric else 0.0
         centers = 2.0 if constant_kernel else pts
         raw = np.exp(-0.5 * (xs[:, np.newaxis] - centers - shift) ** 2)
         raw = np.broadcast_to(raw, (xs.size, pts.size))
@@ -67,7 +67,7 @@ def build(theta=0.3, parametric=True, m=None, constant_kernel=False):
     def kernel_dot(theta_arr, pts):
         """d kernel / d theta, same shape."""
         k = kernel(theta_arr, pts)
-        shift = float(theta_arr[0])
+        shift = theta_arr[0]
         centers = 2.0 if constant_kernel else pts
         dev = xs[:, np.newaxis] - centers - shift
         dev = np.broadcast_to(dev, k.shape)
@@ -77,27 +77,27 @@ def build(theta=0.3, parametric=True, m=None, constant_kernel=False):
     state = ModelState(theta=th, eta=eta)
 
     def r(theta, o):
-        return 0.0
+        return np.zeros(o.x.size)
 
     def r_dot(theta, o):
-        return np.zeros(p)
+        return np.zeros((o.x.size, p))
 
     def g(theta, o, pts):
         return kernel(theta, pts)[o.x]
 
     def g_dot(theta, o, pts):
         if not parametric:
-            return np.zeros((pts.size, 0))
-        return kernel_dot(theta, pts)[o.x][:, np.newaxis]
+            return np.zeros((o.x.size, pts.size, 0))
+        return kernel_dot(theta, pts)[o.x][:, :, np.newaxis]
 
     def f(x, o):
-        return float(np.log(x))
+        return np.log(x)
 
     def f_dot(x, o):
         return 1.0 / x
 
     def f_ddot(x, o):
-        return -1.0 / x ** 2
+        return -1.0 / power(x, 2)
 
     components = ModelComponents(
         p=p, tangent=TangentKind.L2_ZERO, r=r, r_dot=r_dot, g=g, g_dot=g_dot,

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..calculus import Category
 from ..likelihood import ModelComponents, ModelState, TangentKind
-from .base import finish, positive_measure, require_theta
+from .base import finish, positive_measure, power, require_theta
 
 RecObs = namedtuple("RecObs", ["z_index", "c_index", "d1", "d2"])
 
@@ -31,18 +31,21 @@ MASS_SCALE = 2e-6
 CENSOR_PMF = (0.3, 0.7)
 CAP = 2
 
+# log(d! ) for the counts 0..CAP.
+LOG_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(CAP + 1)])
+
 TRANSFORMS = {
     "identity": (
         lambda x: x,
-        lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        np.ones_like,
+        np.zeros_like,
+        np.zeros_like,
     ),
     "log1p": (
         np.log1p,
         lambda x: 1.0 / (1.0 + x),
-        lambda x: -1.0 / (1.0 + x) ** 2,
-        lambda x: 2.0 / (1.0 + x) ** 3,
+        lambda x: -1.0 / power(1.0 + x, 2),
+        lambda x: 2.0 / power(1.0 + x, 3),
     ),
 }
 
@@ -62,44 +65,47 @@ def build(theta=np.log(2.0), transform="log1p", mass_scale=MASS_SCALE):
     eta = positive_measure(GRID_POINTS, w, TAU)
     state = ModelState(theta=th, eta=eta)
 
-    def at_risk(o):
-        # Y(u_1) = 1 always; Y(u_2) requires censoring at the later point.
-        return np.array([1.0, 1.0 if o.c_index >= 1 else 0.0])
+    def hp(t):
+        return (Gddd(t) * Gd(t) - power(Gdd(t), 2)) / power(Gd(t), 2)
 
     def r(theta, o):
-        z = z_levels[o.z_index]
-        total = o.d1 + o.d2
         return (np.log(pz[o.z_index]) + np.log(pc[o.c_index])
-                + total * float(theta[0]) * z
-                - math.lgamma(o.d1 + 1) - math.lgamma(o.d2 + 1))
+                + (o.d1 + o.d2) * theta[0] * z_levels[o.z_index]
+                - LOG_FACTORIAL[o.d1] - LOG_FACTORIAL[o.d2])
 
     def r_dot(theta, o):
-        return np.array([(o.d1 + o.d2) * z_levels[o.z_index]])
+        return ((o.d1 + o.d2) * z_levels[o.z_index])[:, np.newaxis]
+
+    # g[n, v, t] = relative hazard * at-risk(u_v) * 1(u_v <= u_t), where
+    # Y(u_1) = 1 always and Y(u_2) requires censoring at the later point.
+    upper = np.arange(m)[:, np.newaxis] <= np.arange(m)
 
     def g(theta, o, pts):
-        ez = np.exp(float(theta[0]) * z_levels[o.z_index])
-        Y = at_risk(o)
-        # g[v, t] = relative hazard * at-risk(u_v) * 1(u_v <= u_t)
-        idx = np.arange(m)
-        return ez * Y[:, np.newaxis] * (idx[:, np.newaxis] <= idx)
+        ez = np.exp(theta[0] * z_levels[o.z_index])
+        Y = np.column_stack((np.ones(ez.size), o.c_index >= 1))
+        return ez[:, np.newaxis, np.newaxis] * Y[:, :, np.newaxis] * upper
 
     def g_dot(theta, o, pts):
-        return g(theta, o, pts)[:, :, np.newaxis] * z_levels[o.z_index]
+        return g(theta, o, pts)[..., np.newaxis] \
+            * z_levels[o.z_index][:, np.newaxis, np.newaxis, np.newaxis]
 
     def f(x, o):
-        return (o.d1 * float(np.log(Gd(x[0]))) + o.d2 * float(np.log(Gd(x[1])))
-                - float(G(x[1])))
+        return (o.d1 * np.log(Gd(x[:, 0])) + o.d2 * np.log(Gd(x[:, 1]))
+                - G(x[:, 1]))
 
     def f_dot(x, o):
-        h = lambda t: Gdd(t) / Gd(t)
-        return np.array([o.d1 * h(x[0]), o.d2 * h(x[1]) - Gd(x[1])])
+        x1, x2 = x[:, 0], x[:, 1]
+        return np.column_stack((o.d1 * (Gdd(x1) / Gd(x1)),
+                                o.d2 * (Gdd(x2) / Gd(x2)) - Gd(x2)))
 
     def f_ddot(x, o):
-        hp = lambda t: (Gddd(t) * Gd(t) - Gdd(t) ** 2) / Gd(t) ** 2
-        return np.diag([o.d1 * hp(x[0]), o.d2 * hp(x[1]) - Gdd(x[1])])
+        out = np.zeros(x.shape + (2,), x.dtype)
+        out[:, 0, 0] = o.d1 * hp(x[:, 0])
+        out[:, 1, 1] = o.d2 * hp(x[:, 1]) - Gdd(x[:, 1])
+        return out
 
     def ell(vals, o):
-        return o.d1 * vals[0] + o.d2 * vals[1]
+        return o.d1[:, np.newaxis] * vals[0] + o.d2[:, np.newaxis] * vals[1]
 
     components = ModelComponents(
         p=1, tangent=TangentKind.L2, r=r, r_dot=r_dot, g=g, g_dot=g_dot,
@@ -123,7 +129,6 @@ def build(theta=np.log(2.0), transform="log1p", mass_scale=MASS_SCALE):
         # four terms. gamma and alpha use left limits of the cumulative;
         # the kernel keeps the first-order count-mean term explicitly
         # because it does not telescope away.
-        hp = lambda t: (Gddd(t) * Gd(t) - Gdd(t) ** 2) / Gd(t) ** 2
         gamma_ref = np.zeros(m)
         alpha_ref = np.zeros((m, 1))
         kappa_ref = np.zeros((m, m))

@@ -1,5 +1,5 @@
 """``analyze_model`` is the public functions composed on one outcome law:
-the law evaluates g once per outcome, and every quantity the report
+the law calls each model component once, and every quantity the report
 carries is bit for bit what the separate public functions return."""
 import dataclasses
 
@@ -25,24 +25,49 @@ from semiinfo import (
 )
 from semiinfo.calculus import _identifiability_directions, _identifiability_gram
 from semiinfo.engines import outcome_law
-from semiinfo.likelihood import TangentKind, _outcome_scores
+from semiinfo.likelihood import TangentKind, score_matrix
 from semiinfo.operators import (as_matrix, eta_weighted_min_eigen,
                                 min_eigen_sym)
 
 
-def test_analyze_model_evaluates_g_once_per_outcome():
-    model = zoo.build("cox_cs", m=20)
+COMPONENTS = ("r", "r_dot", "g", "g_dot", "f", "f_dot", "f_ddot", "ell")
+
+
+def _counting(components):
+    """``components`` with every component recording its name and the
+    number of rows of each table it is called on."""
     calls = []
 
-    def g(theta, obs, pts):
-        calls.append(obs)
-        return model.components.g(theta, obs, pts)
+    def counted(name, component):
+        def call(*args):
+            calls.append((name, len(args[1][0])))
+            return component(*args)
+        return call
 
-    c = dataclasses.replace(model.components, g=g)
-    law = outcome_law(model.exact, c, model.state)
+    return dataclasses.replace(components, **{
+        name: counted(name, getattr(components, name))
+        for name in COMPONENTS if getattr(components, name) is not None}), \
+        calls
+
+
+@pytest.mark.parametrize("kind", ["exact", "mc"])
+def test_analyze_model_calls_each_component_once_per_law(kind):
+    # The exact law calls g, r and f for its weights; the law analyzed
+    # calls f_dot, f_ddot, g_dot and r_dot on its own table, and
+    # analyze_model nothing more. A sampled law's table is the drawn
+    # rows of the exact law's.
+    model = zoo.build("cox_cs", m=20)
+    c, calls = _counting(model.components)
+    engine = (model.exact if kind == "exact"
+              else MonteCarlo(model.sampler, 30, 1))
+    law = outcome_law(engine, c, model.state)
     report = analyze_model(c, model.state, law)
     assert report.identifiability is not None
-    assert len(calls) == len(law.pairs)
+    n_exact, n = len(model.exact.outcomes), len(law.pairs)
+    assert n < n_exact if kind == "mc" else n == n_exact
+    assert sorted(calls) == sorted(
+        [("g", n_exact), ("r", n_exact), ("f", n_exact), ("f_dot", n),
+         ("f_ddot", n), ("g_dot", n), ("r_dot", n)])
 
 
 def test_a_sampled_analyze_evaluates_g_only_for_the_exact_law():
@@ -51,15 +76,15 @@ def test_a_sampled_analyze_evaluates_g_only_for_the_exact_law():
     model = zoo.build("cox_cs", m=20)
     calls = []
 
-    def g(theta, obs, pts):
-        calls.append(obs)
-        return model.components.g(theta, obs, pts)
+    def g(theta, table, pts):
+        calls.append(len(table[0]))
+        return model.components.g(theta, table, pts)
 
     c = dataclasses.replace(model.components, g=g)
     law = outcome_law(MonteCarlo(model.sampler, 30, 1), c, model.state)
-    assert len(calls) == len(model.exact.outcomes)
+    assert calls == [len(model.exact.outcomes)]
     analyze_model(c, model.state, law)
-    assert len(calls) == len(model.exact.outcomes)
+    assert calls == [len(model.exact.outcomes)]
 
 
 def _separately(engine, c, s):
@@ -129,9 +154,8 @@ def test_stacked_gram_matches_the_compensated_outer_product_gram(
     st, row = law.stacked, {obs: i for i, obs in enumerate(law.outcomes)}
 
     def outer(obs):
-        i = row[obs]
-        v = np.concatenate([st.score[i], _outcome_scores(
-            c, obs, dirs, st.gv[i], st.fd[i])])
+        v = np.concatenate([st.score[row[obs]],
+                            score_matrix(c, s, obs, dirs[0])])
         return np.outer(v, v)
 
     want = expect(law, c, s, outer).value
@@ -154,13 +178,8 @@ def test_stacked_gram_matches_the_compensated_outer_product_gram(
 @pytest.mark.parametrize("kind", ["exact", "mc"])
 def test_identifiability_on_a_warm_law_reduces_nothing(kind, monkeypatch):
     model = zoo.build("cox_cs", m=20)
-    calls = []
-
-    def g(theta, obs, pts):
-        calls.append(obs)
-        return model.components.g(theta, obs, pts)
-
-    c, s = dataclasses.replace(model.components, g=g), model.state
+    c, calls = _counting(model.components)
+    s = model.state
     law = outcome_law(model.exact if kind == "exact"
                       else MonteCarlo(model.sampler, 2000, 5), c, s)
     structural_functions(law, c, s)
@@ -208,14 +227,14 @@ def test_a_sampled_analyze_makes_no_per_outcome_score_pass(monkeypatch):
     model = zoo.build("cox_cs", m=20)
     c, s = model.components, model.state
     calls = []
-    outcome_scores = likelihood._outcome_scores
+    evaluate_one = likelihood._evaluate_one
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
-        return outcome_scores(*args, **kwargs)
+        calls.append(args[2])
+        return evaluate_one(*args, **kwargs)
 
-    monkeypatch.setattr(likelihood, "_outcome_scores", counting)
-    monkeypatch.setattr(calculus, "_outcome_scores", counting)
+    monkeypatch.setattr(likelihood, "_evaluate_one", counting)
+    monkeypatch.setattr(calculus, "_evaluate_one", counting)
     for engine in (MonteCarlo(model.sampler, 2000, 5), model.exact):
         law = outcome_law(engine, c, s)
         calls.clear()
@@ -227,16 +246,16 @@ def test_a_sampled_analyze_makes_no_per_outcome_score_pass(monkeypatch):
 @pytest.mark.parametrize("model_id,kind", [("cox_rc", "mc"),
                                            ("missing_cov", "exact"),
                                            ("kaplan_meier", "exact")])
-def test_an_analyze_applies_l_once_per_outcome(model_id, kind):
-    # L's representer of each outcome is formed once, in law order (a
-    # sampled law lists its draws in the exact law's order), and serves
-    # the structural pass, the Gram and by_score alike.
+def test_an_analyze_applies_l_once_per_law(model_id, kind):
+    # L's representers are formed by one call on the law's table, in law
+    # order (a sampled law lists its draws in the exact law's order), and
+    # serve the structural pass, the Gram and by_score alike.
     model = zoo.build(model_id)
     calls = []
 
-    def ell(vals, obs):
-        calls.append(obs)
-        return model.components.ell(vals, obs)
+    def ell(vals, table):
+        calls.append([type(table)._make(row) for row in zip(*table)])
+        return model.components.ell(vals, table)
 
     c, s = dataclasses.replace(model.components, ell=ell), model.state
     law = outcome_law(model.exact if kind == "exact"
@@ -246,5 +265,5 @@ def test_an_analyze_applies_l_once_per_outcome(model_id, kind):
     if model.components.p:
         assert report.efficient is not None
     drawn = set(law.outcomes)
-    assert calls == list(law.outcomes) \
-        == [obs for obs in model.exact.outcomes if obs in drawn]
+    assert calls == [list(law.outcomes)] \
+        == [[obs for obs in model.exact.outcomes if obs in drawn]]

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from semiinfo.engines import (OutcomeLaw, _CompensatedSums, _law_mean,
 from semiinfo.errors import DomainError, EvaluationError
 from semiinfo.likelihood import (ModelState, TangentKind, _Outcome,
                                  _directions, g_values, log_density,
-                                 score_theta)
+                                 outcome_table, score_theta)
 from semiinfo.measure import center, perturb_measure
 
 STRUCTURAL_NAMES = ("gamma", "alpha", "kappa", "beta")
@@ -29,7 +30,8 @@ STRUCTURAL_NAMES = ("gamma", "alpha", "kappa", "beta")
 def _rows(law):
     """Each outcome's rows of the law's stacked evaluation, by outcome."""
     stacked = law.stacked
-    return {obs: _Outcome(*(field[row] for field in stacked))
+    return {obs: _Outcome(*(None if field is None else field[row]
+                            for field in stacked))
             for row, obs in enumerate(law.outcomes)}
 
 
@@ -114,8 +116,8 @@ def test_structural_kappa_is_symmetric():
 def test_sampler_determinism():
     model = zoo.build("cox_rc")
     c, s = model.components, model.state
-    pairs_a, gvs_a = MonteCarlo(model.sampler, 50, 5).draw_weights(c, s)
-    pairs_b, gvs_b = MonteCarlo(model.sampler, 50, 5).draw_weights(c, s)
+    pairs_a, gvs_a, _ = MonteCarlo(model.sampler, 50, 5).draw_weights(c, s)
+    pairs_b, gvs_b, _ = MonteCarlo(model.sampler, 50, 5).draw_weights(c, s)
     assert pairs_a == pairs_b
     assert all(np.array_equal(a, b) for a, b in zip(gvs_a, gvs_b))
 
@@ -160,6 +162,31 @@ def test_every_engine_matches_exact_or_refuses_at_a_moved_state():
     assert within >= 0.99 * entries
 
 
+Pair = namedtuple("Pair", ["a", "b"])
+Other = namedtuple("Other", ["a", "b"])
+
+
+@pytest.mark.parametrize("outcomes, offender", [
+    ([[1], [2]], [1]),
+    ([1.0, (1, 2)], 1.0),
+    ([Pair(1, 2), (1, 3)], (1, 3)),
+    ([Pair(1, 2), Pair(1, 3), Other(1, 4)], Other(1, 4)),
+], ids=["lists", "number-and-tuple", "plain-tuple", "two-namedtuples"])
+def test_exact_enumeration_refuses_outcomes_not_of_one_namedtuple_type(
+        outcomes, offender):
+    with pytest.raises(DomainError, match=re.escape(
+            f"outcome {offender!r} is not a namedtuple of the first "
+            f"outcome's type")):
+        ExactEnumeration(outcomes)
+
+
+def test_an_exact_enumeration_table_has_one_column_per_field():
+    exact = ExactEnumeration([Pair(1, 2.5), Pair(3, 4.5)])
+    assert type(exact.table) is Pair
+    assert exact.table.a.tolist() == [1, 3]
+    assert exact.table.b.tolist() == [2.5, 4.5]
+
+
 def test_exact_enumeration_refuses_repeated_outcomes():
     outcomes = zoo.build("mixture").exact.outcomes
     with pytest.raises(DomainError, match=re.escape(repr(outcomes[1]))):
@@ -167,9 +194,11 @@ def test_exact_enumeration_refuses_repeated_outcomes():
 
 
 def _f_ddot(c, x, obs):
-    """The model's own f_ddot at x as a (d, d) array."""
+    """The model's own f_ddot at one outcome's x as a (d, d) array, from
+    a call on that outcome's table."""
     d = c.gdim
-    return np.asarray(c.f_ddot(float(x[0]) if d == 1 else x, obs),
+    return np.asarray(c.f_ddot(x[np.newaxis, 0] if d == 1 else x[np.newaxis],
+                               outcome_table([obs])),
                       dtype=float).reshape(d, d)
 
 
@@ -183,7 +212,8 @@ def _structural_oracle(c, s, obs, gv, gd, fd):
     if c.tangent is TangentKind.L2_ZERO:
         gamma = -((gv - x[np.newaxis, :]) @ fd)
         if c.ell is not None:
-            gamma = gamma + float(c.ell(np.ones(s.eta.size), obs))
+            gamma = gamma + c.ell(np.ones((s.eta.size, 1)),
+                                  outcome_table([obs]))[0, 0]
     else:
         gamma = -(gv @ fd)
     alpha = -np.einsum("vdj,d->vj", gd, fd)
@@ -216,7 +246,8 @@ def _reversed_law(law):
     outcome with a nonzero h, the second in law order, then reaches every
     row of the structural pass."""
     return OutcomeLaw(law.pairs[::-1], law.n, law.deficit, law.engine,
-                      law.components, law.state, law.gvs[::-1])
+                      law.components, law.state, law.gvs[::-1],
+                      outcome_table(law.outcomes[::-1]))
 
 
 def _infinite_g_dot_law(law):
@@ -320,7 +351,8 @@ def _dense_f_ddot(model, order="C"):
     dense = np.array([[1.3, -0.7], [0.45, -2.1]]) / 3.0
     return dataclasses.replace(
         model.components,
-        f_ddot=lambda x, o: np.asarray(dense * (1.0 + x[0]), order=order))
+        f_ddot=lambda x, o: np.asarray(
+            dense * (1.0 + x[:, 0, np.newaxis, np.newaxis]), order=order))
 
 
 def _overlapping_law(model, c):
@@ -329,17 +361,18 @@ def _overlapping_law(model, c):
     g and g_dot plus seeded positive arrays, one pair per outcome."""
     rng = np.random.default_rng(1)
     law = outcome_law(model.exact, model.components, model.state)
-    (_, m, d), p = law.gvs.shape, c.p
-    shift = {obs: (rng.uniform(0.1, 1.0, (m, d)),
-                   rng.uniform(0.1, 1.0, (m, d, p))) for obs in law.outcomes}
+    (n, m, d), p = law.gvs.shape, c.p
+    shift_g = rng.uniform(0.1, 1.0, (n, m, d))
+    shift_g_dot = rng.uniform(0.1, 1.0, (n, m, d, p))
     base = model.components
+    # the shifts of the law's table, one row per outcome in law order
     c = dataclasses.replace(
-        c, g=lambda theta, obs, pts: base.g(theta, obs, pts) + shift[obs][0],
-        g_dot=lambda theta, obs, pts: base.g_dot(theta, obs, pts)
-        + shift[obs][1])
-    gvs = np.stack([g_values(c, model.state, obs) for obs in law.outcomes])
+        c, g=lambda theta, table, pts: base.g(theta, table, pts) + shift_g,
+        g_dot=lambda theta, table, pts: base.g_dot(theta, table, pts)
+        + shift_g_dot)
+    gvs = g_values(c, model.state, law.table)
     return OutcomeLaw(law.pairs, None, law.deficit, model.exact, c,
-                      model.state, gvs)
+                      model.state, gvs, law.table)
 
 
 @pytest.mark.parametrize("overlap", [False, True])
@@ -379,7 +412,7 @@ def test_a_dense_f_ddot_gives_the_same_bytes_in_either_memory_order(kind):
     got = []
     for order in ("C", "F"):
         c = _dense_f_ddot(model, order)
-        assert c.f_ddot(np.ones(2), None).flags[order + "_CONTIGUOUS"]
+        assert c.f_ddot(np.ones((3, 2)), None).flags[order + "_CONTIGUOUS"]
         engine = (model.exact if kind == "exact"
                   else MonteCarlo(model.exact, 2000, 3))
         sf = structural_functions(engine, c, s)
@@ -559,12 +592,16 @@ def test_categorical_draws_are_those_of_generator_choice(model_id):
             # in the exact law's order
             want = [(outcomes[i], int(counts[i]) / n)
                     for i in np.flatnonzero(counts).tolist()]
-            pairs, gvs = MonteCarlo(model.exact, n, seed).draw_weights(c, s)
+            pairs, gvs, table = MonteCarlo(model.exact, n,
+                                           seed).draw_weights(c, s)
             assert pairs == tuple(want)
-            # each drawn outcome keeps the exact law's g
+            # each drawn outcome keeps the exact law's g and its row of
+            # the exact law's table
             assert len(gvs) == len(pairs)
-            for (obs, _), gv in zip(pairs, gvs):
-                assert np.array_equal(gv, g_values(c, s, obs))
+            drawn = outcome_table([obs for obs, _ in pairs])
+            assert table._fields == drawn._fields
+            assert all(np.array_equal(a, b) for a, b in zip(table, drawn))
+            assert np.array_equal(gvs, g_values(c, s, table))
             if n == 3:
                 # some outcomes are never drawn and get no entry in the law
                 assert len(pairs) < len(outcomes)
@@ -613,8 +650,8 @@ def test_stacked_parameter_scores_are_the_per_outcome_ones(model_id, n):
     if not c.p:
         return
     for row, obs in enumerate(law.outcomes):
-        want = c.r_dot(s.theta, obs) + st.fd[row] @ np.einsum(
-            "ide,i->de", st.gd[row], s.eta.masses)
+        want = c.r_dot(s.theta, outcome_table([obs]))[0] + st.fd[row] @ \
+            np.einsum("ide,i->de", st.gd[row], s.eta.masses)
         assert st.score[row].tobytes() == want.tobytes(), obs
         assert score_theta(c, s, obs).tobytes() == want.tobytes(), obs
 
@@ -622,11 +659,12 @@ def test_stacked_parameter_scores_are_the_per_outcome_ones(model_id, n):
 def test_a_non_finite_parameter_score_names_the_first_bad_outcome():
     model = zoo.build("cox_cs")
     outcomes = model.exact.outcomes
-    bad = {outcomes[2]: np.nan, outcomes[5]: np.inf}
+    bad = np.zeros((len(outcomes), 1))
+    bad[2], bad[5] = np.nan, np.inf
     base = model.components.r_dot
     c = dataclasses.replace(
         model.components,
-        r_dot=lambda theta, obs: base(theta, obs) + bad.get(obs, 0.0))
+        r_dot=lambda theta, table: base(theta, table) + bad)
     law = outcome_law(model.exact, c, model.state)
     with pytest.raises(EvaluationError,
                        match=re.escape(f"parameter score not finite at "
@@ -647,7 +685,8 @@ def _direct_scores(c, obs, dirs, gv, fd):
     arr, weighted = dirs
     out = fd @ (gv.T @ weighted)
     if c.ell is not None:
-        out = out + np.asarray(c.ell(arr, obs), dtype=float)
+        out = out + np.asarray(c.ell(arr, outcome_table([obs]))[0],
+                               dtype=float)
     return out
 
 

@@ -1,9 +1,10 @@
 """The batched measure score: ``score_matrix`` evaluates B on every column
-of an (m, k) array of directions with one evaluation of g per outcome,
+of an (m, k) array of directions with one evaluation of the outcome,
 agrees with ``score_operator`` column by column, and refuses what
 ``score_operator`` refuses."""
 import dataclasses
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -63,21 +64,23 @@ def test_score_matrix_matches_score_operator_column_by_column(model_id):
 
 
 def _counting_g(model):
+    """The model's components with a g that records the number of rows
+    of each table it is called on."""
     calls = []
 
-    def g(theta, obs, pts):
-        calls.append(obs)
-        return model.components.g(theta, obs, pts)
+    def g(theta, table, pts):
+        calls.append(len(table[0]))
+        return model.components.g(theta, table, pts)
 
     return dataclasses.replace(model.components, g=g), calls
 
 
-def test_local_identifiability_evaluates_g_once_per_outcome():
+def test_local_identifiability_calls_g_once_per_law():
     model = zoo.build("cox_cs", m=20)
     c, calls = _counting_g(model)
     law = outcome_law(model.exact, c, model.state)
     local_identifiability(law, c, model.state)
-    assert len(calls) == len(law.pairs)
+    assert calls == [len(law.pairs)]
 
 
 def _efficient_inputs(engine, c, s):
@@ -89,7 +92,7 @@ def _efficient_inputs(engine, c, s):
     return sf, adjoint, lfd, fisher_information(engine, c, s)
 
 
-def test_efficient_information_evaluates_g_once_per_outcome():
+def test_efficient_information_calls_g_once_per_law():
     model = zoo.build("cox_cs", m=20)
     c, calls = _counting_g(model)
     s = model.state
@@ -99,7 +102,7 @@ def test_efficient_information_evaluates_g_once_per_outcome():
     calls.clear()
     law = outcome_law(model.exact, c, s)
     efficient_information(law, c, s, lfd.values, adjoint, fisher)
-    assert len(calls) == len(law.pairs)
+    assert calls == [len(law.pairs)]
 
 
 @pytest.mark.parametrize("kind", ["exact", "mc"])
@@ -135,16 +138,19 @@ def test_a_law_asked_about_another_state_evaluates_it_afresh():
         assert np.array_equal(getattr(sf, name), getattr(want_sf, name))
 
 
+Obs = namedtuple("Obs", ["v"])
+
+
 def _toy(ell):
     c = ModelComponents(
         p=1, tangent=TangentKind.L2,
-        r=lambda th, o: 0.0,
-        r_dot=lambda th, o: np.zeros(1),
-        g=lambda th, o, pts: pts * o,
-        g_dot=lambda th, o, pts: np.zeros((pts.size, 1)),
+        r=lambda th, o: np.zeros(o.v.size),
+        r_dot=lambda th, o: np.zeros((o.v.size, 1)),
+        g=lambda th, o, pts: pts * o.v[:, np.newaxis],
+        g_dot=lambda th, o, pts: np.zeros((o.v.size, pts.size, 1)),
         f=lambda x, o: -x,
-        f_dot=lambda x, o: -1.0,
-        f_ddot=lambda x, o: 0.0,
+        f_dot=lambda x, o: np.full_like(x, -1.0),
+        f_ddot=lambda x, o: np.zeros_like(x),
         ell=ell, label="toy",
     )
     eta = DiscreteMeasure(Grid(np.array([1.0, 2.0, 3.0]), 3.0),
@@ -159,18 +165,17 @@ def _toy(ell):
 def test_batched_scores_reject_misshapen_directions(fn, directions):
     c, s = _toy(None)
     with pytest.raises(DimensionError, match=r"directions must have shape"):
-        fn(c, s, 1.0, directions)
+        fn(c, s, Obs(1.0), directions)
 
 
 @pytest.mark.parametrize("fn", BATCHED)
-def test_batched_scores_reject_ell_that_does_not_broadcast(fn):
+def test_batched_scores_reject_an_ell_of_the_wrong_shape(fn):
     # An L applied elementwise returns the whole array it is given: here
-    # the (m, m) identity, whose product with the directions forms L.
-    c, s = _toy(lambda vals, o: vals * o)
+    # the (m, m) identity, whose (N, m) image is the representers.
+    c, s = _toy(lambda vals, o: vals * o.v[0])
     with pytest.raises(DimensionError,
-                       match=r"L returned shape \(3, 3\) for 3 directions, "
-                             r"the columns of the \(3, 3\) identity"):
-        fn(c, s, 1.0, np.ones((3, 2)))
+                       match=r"L returned shape \(3, 3\), expected \(1, 3\)"):
+        fn(c, s, Obs(1.0), np.ones((3, 2)))
 
 
 @pytest.mark.parametrize("fn", BATCHED)
@@ -187,22 +192,25 @@ def test_batched_scores_require_every_column_centered(fn):
 
 @pytest.mark.parametrize("fn", BATCHED)
 def test_batched_scores_reject_non_finite_result(fn):
-    c, s = _toy(lambda vals, o: vals[0] * o)
+    c, s = _toy(lambda vals, o: o.v[:, np.newaxis] * vals[0])
     dirs = np.ones((3, 2))
     dirs[1, 1] = np.nan
     with pytest.raises(EvaluationError, match="measure score not finite"):
-        fn(c, s, 1.0, dirs)
+        fn(c, s, Obs(1.0), dirs)
 
 
 def _nan_on_directions(model, bad):
-    """The model's components with an L that returns NaN for the
-    outcomes in ``bad`` when applied to an (m, k) array of directions
-    (the log masses of the log density stay finite)."""
+    """The model's components with an L that returns NaN on the rows of
+    the outcomes in ``bad`` when applied to the (m, m) identity (the
+    (m, 1) log masses of the log density stay finite)."""
     ell = model.components.ell
 
-    def nan_ell(vals, obs):
-        out = ell(vals, obs)
-        return out * np.nan if np.ndim(vals) == 2 and obs in bad else out
+    def nan_ell(vals, table):
+        out = ell(vals, table)
+        if vals.shape[1] == 1:
+            return out
+        rows = [type(table)._make(row) in bad for row in zip(*table)]
+        return np.where(np.array(rows)[:, np.newaxis], np.nan, out)
 
     return dataclasses.replace(model.components, ell=nan_ell)
 
@@ -232,13 +240,14 @@ def test_stacked_scores_name_the_first_outcome_that_is_not_finite(kind):
 
 
 def test_the_representer_of_l_is_shape_checked():
-    # An L applied elementwise returns the whole (m, m) identity.
+    # An L applied elementwise returns the whole (m, m) identity, not the
+    # (N, m) representers of the law's 12 outcomes.
     model = zoo.build("cox_rc")
     ell = model.components.ell
     c = dataclasses.replace(
         model.components,
-        ell=lambda vals, o: vals if np.ndim(vals) == 2 else ell(vals, o))
+        ell=lambda vals, o: vals if vals.shape[1] > 1 else ell(vals, o))
     law = outcome_law(model.exact, c, model.state)
-    with pytest.raises(DimensionError, match=r"L returned shape \(3, 3\) "
-                                             r"for 3 directions"):
+    with pytest.raises(DimensionError, match=r"L returned shape \(3, 3\), "
+                                             r"expected \(12, 3\)"):
         local_identifiability(law, c, model.state)

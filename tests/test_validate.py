@@ -79,9 +79,9 @@ def test_score_fd_evaluates_g_once():
     model = zoo.build("missing_cov")
     calls = []
 
-    def g(theta, obs, pts):
-        calls.append(obs)
-        return model.components.g(theta, obs, pts)
+    def g(theta, table, pts):
+        calls.append(table)
+        return model.components.g(theta, table, pts)
 
     c = dataclasses.replace(model.components, g=g)
     eta = model.state.eta
@@ -223,18 +223,19 @@ def test_adjoint_check_sums_match_separate_passes_exactly(model_id, params):
 
 
 @pytest.mark.parametrize("family", ["score", "operator"])
-def test_adjoint_check_evaluates_g_once_per_outcome(family):
+def test_adjoint_check_evaluates_g_once_per_law(family):
     model = zoo.build("missing_cov")
     calls = []
 
-    def g(theta, obs, pts):
-        calls.append(obs)
-        return model.components.g(theta, obs, pts)
+    def g(theta, table, pts):
+        calls.append(len(table[0]))
+        return model.components.g(theta, table, pts)
 
     c = dataclasses.replace(model.components, g=g)
     s = model.state
     law = outcome_law(model.exact, c, s)
     sf = structural_functions(law, c, s)
+    assert calls == [len(law.outcomes)]
     rng = np.random.default_rng(3)
     which = 1 if family == "score" else _admissible(rng, c, s.eta)
     b = _admissible(rng, c, s.eta)
@@ -268,13 +269,13 @@ def test_adjoint_check_scores_each_state_in_one_product(monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["score", "operator"])
-def test_adjoint_check_evaluates_f_dot_once_per_moved_outcome(family):
+def test_adjoint_check_calls_f_dot_once_per_moved_state(family):
     model = zoo.build("missing_cov")
     calls = []
 
-    def f_dot(x, obs):
-        calls.append(obs)
-        return model.components.f_dot(x, obs)
+    def f_dot(x, table):
+        calls.append(len(table[0]))
+        return model.components.f_dot(x, table)
 
     c = dataclasses.replace(model.components, f_dot=f_dot)
     s = model.state
@@ -285,8 +286,8 @@ def test_adjoint_check_evaluates_f_dot_once_per_moved_outcome(family):
     calls.clear()
     check_adjoint_identity(law, c, s, which, b, sf=sf)
     # the base state reads the law's f_dot; each of the six moved states
-    # evaluates it once per outcome
-    assert Counter(calls) == {obs: 6 for obs in law.outcomes}
+    # calls it once, on the law's table
+    assert calls == [len(law.outcomes)] * 6
 
 
 @pytest.mark.parametrize("family", ["score", "operator"])
@@ -297,14 +298,14 @@ def test_adjoint_check_applies_no_l_on_a_law_with_representers(family):
     model = zoo.build("missing_cov")
     calls = []
 
-    def ell(vals, obs):
-        calls.append(obs)
-        return model.components.ell(vals, obs)
+    def ell(vals, table):
+        calls.append(table)
+        return model.components.ell(vals, table)
 
     c = dataclasses.replace(model.components, ell=ell)
     s = model.state
     law, sf = _law_and_sf(c, s, model)
-    assert law.ell_rows is not None
+    assert law.stacked.ell is not None
     rng = np.random.default_rng(3)
     which = 1 if family == "score" else _admissible(rng, c, s.eta)
     b = _admissible(rng, c, s.eta)
@@ -313,12 +314,12 @@ def test_adjoint_check_applies_no_l_on_a_law_with_representers(family):
     assert calls == []
 
 
-def test_the_suite_applies_l_once_per_outcome_of_each_law(monkeypatch):
-    # Each law applies L once per outcome for its weights (the log
-    # density) and once for its representers; a mean-zero model's
-    # centering check adds a second law. Each of score_fd's 3 outcomes
-    # x 2 directions applies L once for its score and once per log
-    # density of its six moved states.
+def test_the_suite_applies_l_twice_per_law(monkeypatch):
+    # Each law applies L once for its weights (the log density) and once
+    # for its representers; a mean-zero model's centering check adds a
+    # second law. Each of score_fd's 3 outcomes x 2 directions, a law of
+    # one outcome, applies L once for its score and once per log density
+    # of its six moved states.
     build, calls, want = zoo.build, Counter(), Counter()
 
     def counting_build(model_id, **params):
@@ -327,11 +328,11 @@ def test_the_suite_applies_l_once_per_outcome_of_each_law(monkeypatch):
         if ell is None:
             return model
         laws = 2 if model.components.tangent is TangentKind.L2_ZERO else 1
-        want[model_id] = 2 * laws * len(model.exact.outcomes) + 3 * 2 * 7
+        want[model_id] = 2 * laws + 3 * 2 * 7
 
-        def counting(vals, obs):
+        def counting(vals, table):
             calls[model_id] += 1
-            return ell(vals, obs)
+            return ell(vals, table)
 
         return dataclasses.replace(model, components=dataclasses.replace(
             model.components, ell=counting))
@@ -339,25 +340,25 @@ def test_the_suite_applies_l_once_per_outcome_of_each_law(monkeypatch):
     monkeypatch.setattr(zoo, "build", counting_build)
     run_suite(seed=318)
     assert calls == want
-    assert sum(calls.values()) == 288
+    assert sum(calls.values()) == 178
 
 
-def test_the_suite_calls_r_dot_once_per_outcome_of_each_law(monkeypatch):
-    # Each law evaluates r_dot once per outcome into its stacks, and the
-    # parameter-score adjoint checks read it there; a mean-zero model's
-    # centering check adds a second law. A p = 0 model calls no r_dot.
+def test_the_suite_calls_r_dot_once_per_law(monkeypatch):
+    # Each law calls r_dot once into its stacks, and the parameter-score
+    # adjoint checks read it there; a mean-zero model's centering check
+    # adds a second law, and each of score_fd's 3 outcomes x 2
+    # directions is a law of one outcome.
     build, calls, want = zoo.build, Counter(), Counter()
 
     def counting_build(model_id, **params):
         model = build(model_id, **params)
         r_dot = model.components.r_dot
-        if model.components.p:
-            laws = 2 if model.components.tangent is TangentKind.L2_ZERO else 1
-            want[model_id] = laws * len(model.exact.outcomes)
+        laws = 2 if model.components.tangent is TangentKind.L2_ZERO else 1
+        want[model_id] = laws + 3 * 2
 
-        def counting(theta, obs):
+        def counting(theta, table):
             calls[model_id] += 1
-            return r_dot(theta, obs)
+            return r_dot(theta, table)
 
         return dataclasses.replace(model, components=dataclasses.replace(
             model.components, r_dot=counting))
@@ -365,5 +366,5 @@ def test_the_suite_calls_r_dot_once_per_outcome_of_each_law(monkeypatch):
     monkeypatch.setattr(zoo, "build", counting_build)
     run_suite(seed=318)
     assert calls == want
-    assert want == {"cox_rc": 12, "cox_cs": 12, "recurrent_transform": 18,
-                    "mixture": 10, "missing_cov": 24}
+    assert want == {"cox_rc": 7, "cox_cs": 7, "recurrent_transform": 7,
+                    "kaplan_meier": 7, "mixture": 8, "missing_cov": 8}

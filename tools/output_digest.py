@@ -138,6 +138,18 @@ CONFIGS = dict(
             "mixture": NONPARAMETRIC,
             "recurrent_transform": {"transform": "identity"}})),
         ("paramcheck-spd4-p2", paramcheck(2)),
+        # The build options no line above analyzes: a dead grid cell
+        # (log mass -inf, which L must select rather than multiply), a
+        # covariate constant within each cell, a kernel that ignores the
+        # latent point, and the identity transform's constant derivatives.
+        ("analyze-exact-kaplan_meier-zero_mass_point",
+         analyze("kaplan_meier", {"zero_mass_point": True})),
+        ("analyze-exact-missing_cov-degenerate_z",
+         analyze("missing_cov", {"degenerate_z": True})),
+        ("analyze-exact-mixture-constant_kernel",
+         analyze("mixture", {"constant_kernel": True})),
+        ("analyze-exact-recurrent_transform-identity",
+         analyze("recurrent_transform", {"transform": "identity"})),
     ])
 
 
