@@ -46,8 +46,10 @@ output must have its shape:
     L(values)        (N, k), for an (m, k) array of values
 
 and any other shape raises :class:`DimensionError` naming the component
-(:func:`_output`). L receives the log masses as one (m, 1) column, and
-the (m, m) identity, whose (N, m) image is the representers.
+(:func:`_output`). L receives the log masses as one (m, 1) column, or
+as N columns when each outcome sits at masses of its own along a mass
+path (``validate``'s score check), and the (m, m) identity, whose
+(N, m) image is the representers.
 """
 
 from __future__ import annotations
@@ -211,18 +213,26 @@ def log_density(components: ModelComponents, state: ModelState, obs) -> float:
 
 
 def _log_density(components: ModelComponents, state: ModelState, outcomes,
-                 table, gvs: np.ndarray) -> np.ndarray:
+                 table, gvs: np.ndarray,
+                 masses: Optional[np.ndarray] = None) -> np.ndarray:
     """The (N,) log densities of the N ``outcomes`` (``table``) from their
-    (N, m, d) g on the grid, which does not depend on the masses. Raises
+    (N, m, d) g on the grid, which does not depend on the masses: at the
+    state, or, when ``masses`` is given, each row at its own (m,) masses,
+    row i of the (N, m) ``masses`` on the state's grid. L then receives
+    those log masses as N columns, of which row i reads column i. Raises
     :class:`EvaluationError` naming the first outcome whose log density
     is NaN."""
-    n = len(outcomes)
+    n, own = len(outcomes), masses is not None
     val = _output("r", components.r(state.theta, table), (n,))
-    val = val + _at_x(components, "f", np.matmul(state.eta.masses, gvs), table)
+    x = (np.matmul(masses[:, np.newaxis], gvs)[:, 0] if own
+         else np.matmul(state.eta.masses, gvs))
+    val = val + _at_x(components, "f", x, table)
     if components.ell is not None:
         with np.errstate(divide="ignore"):
-            logw = np.log(state.eta.masses)[:, np.newaxis]
-        val += _output("L", components.ell(logw, table), (n, 1))[:, 0]
+            logw = (np.log(masses).T if own
+                    else np.log(state.eta.masses)[:, np.newaxis])
+        ell = _output("L", components.ell(logw, table), (n, logw.shape[1]))
+        val += np.diagonal(ell) if own else ell[:, 0]
     nan = np.isnan(val)
     if nan.any():
         raise EvaluationError(
@@ -409,16 +419,11 @@ def score_operator(components: ModelComponents, state: ModelState, obs, a) -> fl
     For a mean-zero tangent space the direction must be centered under
     the state's measure (checked numerically).
     """
-    return _score_operator(components, state, obs, a)[0]
-
-
-def _score_operator(components: ModelComponents, state: ModelState, obs, a):
-    """:func:`score_operator` with the outcome's :func:`_evaluate_one`."""
     check_state(components, state)
     if components.tangent is TangentKind.L2_ZERO:
         av = require_centered(a, state.eta, "tangent direction")
     else:
         av = as_values(a, state.eta.size)
-    one = _evaluate_one(components, state, obs)
-    return float(_measure_scores((obs,), one[1],
-                                 _column(state.eta.masses, av))[0, 0]), one
+    one = _evaluate_one(components, state, obs)[1]
+    return float(_measure_scores((obs,), one,
+                                 _column(state.eta.masses, av))[0, 0])

@@ -250,41 +250,59 @@ def cumulative(a, eta: DiscreteMeasure, t: float) -> float:
 
 def perturb_measure(eta: DiscreteMeasure, a, t: float) -> DiscreteMeasure:
     """One-parameter mass perturbation ``w_i -> w_i (1 + t a_i)``: the
-    one-t case of :func:`_mass_path`.
+    one-direction, one-t case of :func:`_mass_path`.
 
     Requires ``|t| * max|a| < 1`` so masses stay positive on the support.
     A probability measure stays a probability measure when ``a`` is mean
     zero; otherwise the result is demoted to POSITIVE_FINITE and a
     :class:`~semiinfo.errors.MeasureKindWarning` is emitted.
     """
-    return _mass_path(eta, a, (t,))[0]
+    masses, kinds = _mass_path(eta, as_values(a, eta.size)[np.newaxis], (t,))
+    return DiscreteMeasure(eta.grid, masses[0, 0], kinds[0])
 
 
-def _mass_path(eta: DiscreteMeasure, a, ts) -> list:
-    """The measures ``w_i (1 + t a_i)`` for each t in ``ts``, in order,
-    as :func:`perturb_measure` gives them one at a time. The direction
-    is checked once: the ``|t| * max|a| < 1`` error names the first
-    offending t, and an uncentered ``a`` on a probability measure demotes
-    every measure of the path with one warning. Every caller reaches
-    this through one function of its own, so the warning points at that
-    function's caller."""
-    av = as_values(a, eta.size)
-    ts = [float(t) for t in ts]
-    amax = float(np.max(np.abs(av))) if av.size else 0.0
-    for t in ts:
-        if abs(t) * amax >= 1.0:
-            raise DomainError(
-                f"|t| * max|a| = {abs(t) * amax!r} >= 1 would produce "
-                "nonpositive masses"
-            )
-    kind = eta.kind
-    if kind is MeasureKind.PROBABILITY and not is_centered(av, eta):
-        warnings.warn(
-            "perturbation direction is not mean zero; result demoted to "
-            "a positive finite measure",
-            MeasureKindWarning,
-            stacklevel=3,
+def _mass_path(eta: DiscreteMeasure, directions, ts) -> tuple:
+    """The masses ``w_i (1 + t a_i)`` for each direction a, a row of the
+    (P, m) ``directions``, and each t in ``ts``, as :func:`perturb_measure`
+    gives them one at a time: ``(masses, kinds)``, a (P, T, m) array in
+    (direction, t) order and each direction's measure kind.
+
+    The checks are those of a walk one direction and one t at a time,
+    vectorized: the ``|t| * max|a| < 1`` error names the first offending
+    (direction, t), an uncentered direction on a probability measure
+    demotes every measure of its path with one warning for the call, and
+    the first moved masses that :class:`DiscreteMeasure` would refuse
+    (not finite, negative, or total mass off one) raise its error. Every
+    caller reaches this through one function of its own, so the warning
+    points at that function's caller."""
+    arr = np.asarray(directions, dtype=float)
+    ts = np.array([float(t) for t in ts])
+    amax = np.max(np.abs(arr), axis=1)
+    steep = np.abs(ts) * amax[:, np.newaxis] >= 1.0
+    if steep.any():
+        k, i = np.unravel_index(np.argmax(steep), steep.shape)
+        raise DomainError(
+            f"|t| * max|a| = {float(abs(ts[i]) * amax[k])!r} >= 1 would "
+            "produce nonpositive masses"
         )
-        kind = MeasureKind.POSITIVE_FINITE
-    return [DiscreteMeasure(eta.grid, eta.masses * (1.0 + t * av), kind)
-            for t in ts]
+    kinds = [eta.kind] * len(arr)
+    if eta.kind is MeasureKind.PROBABILITY:
+        off = ~(np.abs(np.sum(arr * eta.masses, axis=1)) <= TOL_CENTERED)
+        if off.any():
+            warnings.warn(
+                "perturbation direction is not mean zero; result demoted "
+                "to a positive finite measure",
+                MeasureKindWarning,
+                stacklevel=3,
+            )
+            kinds = [MeasureKind.POSITIVE_FINITE if o else eta.kind
+                     for o in off]
+    masses = eta.masses * (1.0 + ts[:, np.newaxis] * arr[:, np.newaxis])
+    refused = ~np.isfinite(masses).all(axis=2) | (masses < 0.0).any(axis=2)
+    refused |= (np.abs(np.sum(masses, axis=2) - 1.0) > TOL_PROB_MASS) & (
+        np.array([kind is MeasureKind.PROBABILITY for kind in kinds])
+        [:, np.newaxis])
+    if refused.any():
+        k, i = np.unravel_index(np.argmax(refused), refused.shape)
+        DiscreteMeasure(eta.grid, masses[k, i], kinds[k])  # raises its error
+    return masses, tuple(kinds)

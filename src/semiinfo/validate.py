@@ -6,15 +6,26 @@ only approximation used here; every FD-based check therefore carries an
 order-of-convergence probe (halving the step must divide the error by
 about four) so a failing identity cannot hide behind step-size error.
 
-Each adjoint check calls each component once per law. It reads g,
-g_dot, f_dot, r_dot and the representers of L from the law's own
-evaluation: the mass path through b moves only the masses, and
-components take ``(theta, table, points)`` and ``(theta, table)``, so
-these serve the base state and all six perturbed states of the three
-central differences. Each perturbed state, from one walk of the mass
-path, calls f_dot once on the law's table, at its own x, and scores all
-of the law's outcomes in one stacked product; one mean over the law
-sums g Bb and the three central differences.
+The finite-difference checks run one pass per law. A model's adjoint
+checks, (p + 2) score families times SUITE_PAIRS pairing directions,
+are one batch (:func:`_adjoint_identities`), and so are the centering
+check's pairs and the score checks of the model's most probable
+outcomes (:func:`_score_fds`). A batch reads g, g_dot, f_dot, r_dot
+and the representers of L from the law's own evaluation: the mass path
+through b moves only the masses, and components take
+``(theta, table, points)`` and ``(theta, table)``, so these serve the
+base state and all six perturbed states of the three central
+differences. One vectorized walk of the mass path moves the masses
+along every direction; the adjoint batch calls f_dot once, on the
+law's table tiled over all its moved states, scores each state's
+outcomes in one stacked product and sums every pair's g Bb and three
+central differences in one mean over the law; the score batch calls
+r, f and L once each on its (outcome, moved state) rows. On an exact
+law each result is, bit for bit, that of its pair alone (a sampled
+law's mean is one matrix product over all the batch's columns):
+:func:`check_adjoint_identity` and :func:`check_score_fd` are the
+one-pair cases, and a batch that raises reruns its pairs one at a time,
+so it raises what the first offending pair raises.
 """
 from __future__ import annotations
 
@@ -26,13 +37,13 @@ from .calculus import (adjoint_of_score, classify_category,
                        efficient_information, fisher_information,
                        info_operator, least_favorable_direction)
 from .engines import _law_mean, outcome_law, structural_functions
-from .errors import DomainError
-from .likelihood import (ModelComponents, ModelState, TangentKind,
-                         _at_x, _column, _log_density, _measure_scores,
-                         _score_operator, _stacked_parameter_score,
+from .errors import DomainError, SemiinfoError
+from .likelihood import (ModelComponents, ModelState, TangentKind, _Outcome,
+                         _at_x, _column, _evaluate_one, _log_density,
+                         _measure_scores, _stacked_parameter_score,
                          check_state)
-from .measure import (_mass_path, as_values, center, inner_product,
-                      perturb_measure, require_centered)
+from .measure import (TOL_CENTERED, DiscreteMeasure, _mass_path, as_values,
+                      center, perturb_measure, require_centered)
 from .operators import apply
 
 FD_STEP_DEFAULT = 1e-4
@@ -81,107 +92,144 @@ class PropertyResult:
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
 
-def _central_states(components, state, av, h):
+def _first_error(batch, pairs):
+    """``batch(pairs)``. A batch that raises is rerun one pair at a time,
+    so what it raises is what the first offending pair raises alone."""
+    try:
+        return batch(pairs)
+    except SemiinfoError as err:
+        if len(pairs) == 1:
+            raise
+        failure = err
+    for pair in pairs:
+        batch([pair])
+    raise failure
+
+
+def _fd_steps(h):
     """The three central-difference steps (h, then the order probe's
-    FD_ORDER_STEP and its half) and the six checked states at
-    +-each step, in that order, from one walk of the mass path through
-    ``av``."""
+    FD_ORDER_STEP and its half) and the six mass-path steps at +-each,
+    in that order."""
     steps = (h, FD_ORDER_STEP, FD_ORDER_STEP / 2.0)
-    moved = _mass_path(state.eta, av, [sign * step for step in steps
-                                       for sign in (1.0, -1.0)])
-    states = [ModelState(state.theta, eta) for eta in moved]
-    for st in states:
-        check_state(components, st)
-    return steps, states
+    return steps, [sign * step for step in steps for sign in (1.0, -1.0)]
 
 
-def _score_family(components, sf, law, states, which_score):
+def _recentered(a, eta, weights):
+    """``a`` centered under each of S measures on eta's grid whose masses
+    are the rows of the (S, m) ``weights``, as ``center`` then
+    ``require_centered`` give it one measure at a time."""
+    values = a - np.sum(a * weights, axis=1)[:, np.newaxis]
+    off = np.abs(np.sum(values * weights, axis=1)) > TOL_CENTERED
+    if off.any():
+        k = int(np.argmax(off))
+        require_centered(values[k], DiscreteMeasure(eta.grid, weights[k],
+                                                     eta.kind),
+                         "tangent direction")
+    return values
+
+
+def _score_family(components, sf, law, eta, which_score):
     """Resolve the scrutinized score into (label, adjoint values on the
-    grid, scorer).
+    grid, scorer), once for all of its pairing directions.
 
     An integer selects a component of the parameter score; a direction
     selects the measure score along it, re-centered under each state's
-    measure on a mean-zero tangent space. The scorer takes the (N, d)
-    f_dot of the law's N outcomes at each state's x and returns the (N,)
-    scores at every state, one stacked product per state over the law's
-    g, g_dot and r_dot, in the arithmetic of ``score_theta`` and
+    measure on a mean-zero tangent space. The scorer takes S states,
+    their masses as the rows of an (S, m) array and the S (N, d) f_dot
+    of the law's N outcomes at their x, and returns the (N,) scores at
+    every state, one stacked product per state over the law's g, g_dot
+    and r_dot, in the arithmetic of ``score_theta`` and
     ``score_operator``.
     """
-    eta = states[0].eta
     tangent = components.tangent
     outcomes, stacked = law.outcomes, law.stacked
-    masses = [st.eta.masses for st in states]
     if isinstance(which_score, (int, np.integer)):
         j = int(which_score)
         if not 0 <= j < components.p:
             raise DomainError(f"score component {j} outside range({components.p})")
-        adjoint_values = adjoint_of_score(sf, eta, tangent)[:, j]
 
-        def scores(fds):
+        def scores(weights, fds):
             return [_stacked_parameter_score(outcomes, w, fd, stacked.gd,
                                              stacked.r_dot)[:, j]
-                    for w, fd in zip(masses, fds)]
+                    for w, fd in zip(weights, fds)]
 
-        return f"score[{j}]", adjoint_values, scores
+        return f"score[{j}]", adjoint_of_score(sf, eta, tangent)[:, j], scores
 
     a = as_values(which_score, eta.size)
     if tangent is TangentKind.L2_ZERO:
         require_centered(a, eta, "operator direction")
-        values = [require_centered(center(a, st.eta).values, st.eta,
-                                   "tangent direction") for st in states]
-    else:
-        values = [a] * len(states)
-    adjoint_values = apply(info_operator(sf, eta, tangent), a)
-    dirs = [_column(w, v) for w, v in zip(masses, values)]
 
-    def scores(fds):
-        return [_measure_scores(outcomes, stacked._replace(fd=fd), d)[:, 0]
-                for fd, d in zip(fds, dirs)]
+    def scores(weights, fds):
+        values = (_recentered(a, eta, weights)
+                  if tangent is TangentKind.L2_ZERO else [a] * len(weights))
+        return [_measure_scores(outcomes, stacked._replace(fd=fd),
+                                _column(w, v))[:, 0]
+                for w, v, fd in zip(weights, values, fds)]
 
-    return "operator", adjoint_values, scores
+    return "operator", apply(info_operator(sf, eta, tangent), a), scores
 
 
-def check_adjoint_identity(engine, components: ModelComponents,
-                           state: ModelState, which_score, b,
-                           h: float = FD_STEP_DEFAULT, *,
-                           sf=None) -> PropertyResult:
-    """Three-way identity behind the adjoint assembly.
+def _adjoint_identities(law, components: ModelComponents, state: ModelState,
+                        pairs, h: float, sf) -> list:
+    """The adjoint identity of :func:`check_adjoint_identity` for each
+    (score family, pairing direction b) of ``pairs``, all on one law, in
+    one pass: every b walks the mass path in one vectorized step; a
+    family's adjoint values and base-state scores are computed once for
+    its run of consecutive pairs (pairs whose family is the same
+    object); f_dot is called once, on the law's table tiled over the 6P
+    moved states; and one mean over the law sums the 4P columns (g Bb
+    and three central differences per pair)."""
+    return _first_error(
+        lambda batch: _adjoint_pass(law, components, state, batch, h, sf),
+        pairs)
 
-    For a score family g (a parameter-score component or the measure
-    score of a fixed direction) and an admissible direction b, the
-    pairing of the assembled adjoint with b, the expectation E[g Bb],
-    and minus the derivative of E-free g along the mass path through b
-    all agree.  The first two are exact; the third is approximated by a
-    central difference of step h.  The convergence order is probed at
-    the coarser step FD_ORDER_STEP where truncation dominates roundoff.
-    Each of the seven states scores all of the law's outcomes in one
-    stacked product, and one mean over the law sums g Bb and the three
-    central differences, from the law's own evaluation of each outcome.
-    """
-    law = outcome_law(engine, components, state)
-    if sf is None:
-        sf = structural_functions(law, components, state)
+
+def _adjoint_pass(law, components, state, pairs, h, sf):
     eta = state.eta
-    bv = as_values(b, eta.size)
+    bs = np.array([as_values(b, eta.size) for _, b in pairs])
     if components.tangent is TangentKind.L2_ZERO:
-        require_centered(bv, eta, "pairing direction")
-
-    steps, moved = _central_states(components, state, bv, h)
+        for bv in bs:
+            require_centered(bv, eta, "pairing direction")
+    steps, ts = _fd_steps(h)
+    moved = _mass_path(eta, bs, ts)[0]
+    # b is centered on a mean-zero tangent, so no moved measure is
+    # demoted: each moved state passes check_state when the state does.
     check_state(components, state)
-    states = [state] + moved
-    label, adjoint_values, scores = _score_family(components, sf, law,
-                                                  states, which_score)
-    t1 = inner_product(adjoint_values, bv, eta)
+    families = []
+    for k, (which, _) in enumerate(pairs):
+        if k == 0 or which is not pairs[k - 1][0]:
+            family = _score_family(components, sf, law, eta, which)
+        families.append(family)
+    t1 = np.sum(np.array([adj for _, adj, _ in families]) * bs * eta.masses,
+                axis=1)
+
     stacked = law.stacked
-    fds = [stacked.fd] + [
-        _at_x(components, "f_dot", np.matmul(st.eta.masses, stacked.gv),
-              law.table) for st in moved]
-    g = scores(fds)
-    bb = _measure_scores(law.outcomes, stacked, _column(eta.masses, bv))[:, 0]
-    rows = np.column_stack([g[0] * bb] + [
-        (plus - minus) / (2.0 * step)
-        for plus, minus, step in zip(g[1::2], g[2::2], steps)])
+    n, _, d = stacked.gv.shape
+    flat = moved.reshape(-1, eta.size)
+    table = type(law.table)._make(np.tile(column, len(flat))
+                                  for column in law.table)
+    x = np.matmul(flat[:, np.newaxis, np.newaxis], stacked.gv)
+    fds = _at_x(components, "f_dot", x.reshape(-1, d), table)
+    fds = fds.reshape(len(pairs), len(ts), n, d)
+
+    rows = np.empty((n, 4 * len(pairs)))
+    for k, ((_, _, scores), bv) in enumerate(zip(families, bs)):
+        if k == 0 or scores is not families[k - 1][2]:
+            g0 = scores(eta.masses[np.newaxis], [stacked.fd])[0]
+        g = scores(moved[k], fds[k])
+        bb = _measure_scores(law.outcomes, stacked,
+                             _column(eta.masses, bv))[:, 0]
+        rows[:, 4 * k] = g0 * bb
+        for i, step in enumerate(steps):
+            rows[:, 4 * k + 1 + i] = (g[2 * i] - g[2 * i + 1]) / (2.0 * step)
     sums = _law_mean(law, rows)
+    return [_adjoint_result(label, float(t1[k]), sums[4 * k:4 * k + 4], h)
+            for k, (label, _, _) in enumerate(families)]
+
+
+def _adjoint_result(label, t1, sums, h):
+    """The PropertyResult of one pair from its adjoint pairing t1 and its
+    four sums over the law: E[g Bb] and the three central differences."""
     t2 = float(sums[0])
     t3, fd_order, fd_order_half = (-float(v) for v in sums[1:])
     order_err = abs(fd_order - t2)
@@ -208,6 +256,28 @@ def check_adjoint_identity(engine, components: ModelComponents,
     }
     return PropertyResult("adjoint_identity", max_disc,
                           FD_TOL_FACTOR * scale * h * h, context=ctx)
+
+
+def check_adjoint_identity(engine, components: ModelComponents,
+                           state: ModelState, which_score, b,
+                           h: float = FD_STEP_DEFAULT, *,
+                           sf=None) -> PropertyResult:
+    """Three-way identity behind the adjoint assembly.
+
+    For a score family g (a parameter-score component or the measure
+    score of a fixed direction) and an admissible direction b, the
+    pairing of the assembled adjoint with b, the expectation E[g Bb],
+    and minus the derivative of E-free g along the mass path through b
+    all agree.  The first two are exact; the third is approximated by a
+    central difference of step h.  The convergence order is probed at
+    the coarser step FD_ORDER_STEP where truncation dominates roundoff.
+    This is the one-pair case of :func:`_adjoint_identities`.
+    """
+    law = outcome_law(engine, components, state)
+    if sf is None:
+        sf = structural_functions(law, components, state)
+    return _adjoint_identities(law, components, state, [(which_score, b)],
+                               h, sf)[0]
 
 
 def fd_order_ok(fd_error: float, fd_error_half: float, scale: float = 1.0,
@@ -244,34 +314,72 @@ def _order_distance(fd_error: float, fd_error_half: float,
 def check_score_fd(components: ModelComponents, state: ModelState, o, a,
                    h: float = FD_STEP_DEFAULT) -> PropertyResult:
     """The measure score at one outcome against a central difference of
-    the log density along the mass path through the direction.
+    the log density along the mass path through the direction: the
+    one-pair case of :func:`_score_fds`."""
+    return _score_fds(components, state,
+                      ((o,),) + _evaluate_one(components, state, o),
+                      [(0, a)], h)[0]
 
-    The mass path moves only the masses, so the g on the grid that the
-    analytic score evaluates serves every log density along it; its six
-    measures (+-h and the two order-probe steps) come from one walk.
-    """
-    analytic, (table, one) = _score_operator(components, state, o, a)
-    steps, states = _central_states(components, state,
-                                    as_values(a, state.eta.size), h)
-    densities = [_log_density(components, st, (o,), table, one.gv)[0]
-                 for st in states]
-    err, order_err, order_err_half = (
-        abs(analytic - (plus - minus) / (2.0 * step))
-        for plus, minus, step in zip(densities[::2], densities[1::2], steps))
-    scale = max(1.0, abs(analytic))
-    ctx = {
-        "analytic": float(analytic),
-        "fd_error": float(err),
-        "order_error": float(order_err),
-        "order_error_half": float(order_err_half),
-        "richardson_ratio": (float(order_err / order_err_half)
-                             if order_err_half > 0.0 else np.inf),
-        "h": float(h),
-        "h_order": FD_ORDER_STEP,
-        "scale": scale,
-    }
-    return PropertyResult("score_fd", err, FD_TOL_FACTOR * scale * h * h,
-                          context=ctx)
+
+def _score_fds(components: ModelComponents, state: ModelState, evaluation,
+               pairs, h: float) -> list:
+    """:func:`check_score_fd` for each (outcome, direction) of ``pairs``,
+    in one pass. ``evaluation`` is ``(outcomes, table, stacked)``,
+    outcomes with their table and stacked evaluation at the state, and
+    each pair names its outcome by its row there. The analytic score is
+    the outcome's stacked row times the direction. The mass path moves
+    only the masses, so that row's g serves every log density along it:
+    the six moved measures of every direction come from one walk, and
+    one r, f and L call each scores the 6P rows of (outcome, moved
+    state)."""
+    return _first_error(
+        lambda batch: _score_fd_pass(components, state, evaluation, batch, h),
+        pairs)
+
+
+def _score_fd_pass(components, state, evaluation, pairs, h):
+    eta = state.eta
+    check_state(components, state)
+    if components.tangent is TangentKind.L2_ZERO:
+        dirs = [require_centered(a, eta, "tangent direction")
+                for _, a in pairs]
+    else:
+        dirs = [as_values(a, eta.size) for _, a in pairs]
+    outcomes, table, stacked = evaluation
+    analytic = np.array([
+        _measure_scores((outcomes[i],), _Outcome._make(
+            None if field is None else field[i:i + 1] for field in stacked),
+            _column(eta.masses, av))[0, 0]
+        for (i, _), av in zip(pairs, dirs)])
+    steps, ts = _fd_steps(h)
+    moved = _mass_path(eta, np.array(dirs), ts)[0]
+    rows = np.repeat([i for i, _ in pairs], len(ts))
+    densities = _log_density(
+        components, state, [outcomes[i] for i in rows],
+        type(table)._make(column[rows] for column in table),
+        stacked.gv[rows], moved.reshape(-1, eta.size))
+    plus, minus = np.moveaxis(densities.reshape(len(pairs), len(steps), 2),
+                              2, 0)
+    errs = np.abs(analytic[:, np.newaxis]
+                  - (plus - minus) / (2.0 * np.array(steps)))
+    results = []
+    for value, (err, order_err, order_err_half) in zip(analytic, errs):
+        scale = max(1.0, abs(float(value)))
+        ctx = {
+            "analytic": float(value),
+            "fd_error": float(err),
+            "order_error": float(order_err),
+            "order_error_half": float(order_err_half),
+            "richardson_ratio": (float(order_err / order_err_half)
+                                 if order_err_half > 0.0 else np.inf),
+            "h": float(h),
+            "h_order": FD_ORDER_STEP,
+            "scale": scale,
+        }
+        results.append(PropertyResult("score_fd", err,
+                                      FD_TOL_FACTOR * scale * h * h,
+                                      context=ctx))
+    return results
 
 
 def check_centering_construction(engine, components: ModelComponents,
@@ -299,13 +407,13 @@ def check_centering_construction(engine, components: ModelComponents,
     sf_t = structural_functions(law_t, components, state_t)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    bs = [center(rng.uniform(-1.0, 1.0, eta.size), eta_t).values
+          for _ in range(SUITE_PAIRS)]
     worst = 0.0
     ratios = []
     all_orders_ok = True
-    for _ in range(SUITE_PAIRS):
-        b = center(rng.uniform(-1.0, 1.0, eta.size), eta_t).values
-        res = check_adjoint_identity(law_t, components, state_t, a_t, b, h,
-                                     sf=sf_t)
+    for res in _adjoint_identities(law_t, components, state_t,
+                                   [(a_t, b) for b in bs], h, sf_t):
         worst = max(worst, res.max_discrepancy / res.tolerance)
         ratios.append(res.context["richardson_ratio"])
         all_orders_ok = all_orders_ok and fd_order_ok(
@@ -376,40 +484,38 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
     score_list = list(range(c.p))
     for _ in range(SUITE_OP_DIRS):
         score_list.append(_admissible(rng, eta, tangent))
+    pairs = [(which, _admissible(rng, eta, tangent))
+             for which in score_list for _ in range(SUITE_PAIRS)]
     exact_pair = 0.0
     fd_norm = 0.0
     order_dist = 0.0
     worst_ratio = None
-    for which in score_list:
-        for _ in range(SUITE_PAIRS):
-            b = _admissible(rng, eta, tangent)
-            res = check_adjoint_identity(law, c, s, which, b, h, sf=sf)
-            exact_pair = max(exact_pair, res.context["exact_pair"])
-            fd_norm = max(fd_norm, res.max_discrepancy / res.tolerance)
-            dist = _order_distance(res.context["order_error"],
-                                   res.context["order_error_half"],
-                                   res.context["scale"],
-                                   res.context["exact_pair"])
-            if worst_ratio is None or dist > order_dist:
-                worst_ratio = res.context["richardson_ratio"]
-            order_dist = max(order_dist, dist)
+    for res in _adjoint_identities(law, c, s, pairs, h, sf):
+        exact_pair = max(exact_pair, res.context["exact_pair"])
+        fd_norm = max(fd_norm, res.max_discrepancy / res.tolerance)
+        dist = _order_distance(res.context["order_error"],
+                               res.context["order_error_half"],
+                               res.context["scale"],
+                               res.context["exact_pair"])
+        if worst_ratio is None or dist > order_dist:
+            worst_ratio = res.context["richardson_ratio"]
+        order_dist = max(order_dist, dist)
     add("adjoint_exact_pair", exact_pair, EXACT_PAIR_TOL)
     add("adjoint_identity_fd", fd_norm, 1.0)
     add("adjoint_identity_order", order_dist, 0.0, worst_ratio=worst_ratio)
 
     order = np.argsort(law.weights)[::-1][:SUITE_OUTCOMES]
+    fd_pairs = [(int(idx), _admissible(rng, eta, tangent))
+                for idx in order for _ in range(2)]
     score_fd_norm = 0.0
     score_order = 0.0
-    for idx in order:
-        o = law.outcomes[int(idx)]
-        for _ in range(2):
-            a = _admissible(rng, eta, tangent)
-            res = check_score_fd(c, s, o, a, h)
-            score_fd_norm = max(score_fd_norm,
-                                res.max_discrepancy / res.tolerance)
-            score_order = max(score_order, _order_distance(
-                res.context["order_error"], res.context["order_error_half"],
-                res.context["scale"]))
+    for res in _score_fds(c, s, (law.outcomes, law.table, law.stacked),
+                          fd_pairs, h):
+        score_fd_norm = max(score_fd_norm,
+                            res.max_discrepancy / res.tolerance)
+        score_order = max(score_order, _order_distance(
+            res.context["order_error"], res.context["order_error_half"],
+            res.context["scale"]))
     add("score_fd", score_fd_norm, 1.0)
     add("score_fd_order", score_order, 0.0)
 

@@ -129,16 +129,19 @@ def test_mass_path_matches_perturb_measure_bit_for_bit(kind):
     masses = rng.uniform(0.1, 1.0, 7)
     if kind == "probability":
         eta = prob(points, masses / masses.sum())
-        a = center(rng.uniform(-1.0, 1.0, 7), eta).values
+        dirs = [center(rng.uniform(-1.0, 1.0, 7), eta).values
+                for _ in range(3)]
     else:
         eta = pos(points, masses)
-        a = rng.uniform(-1.0, 1.0, 7)
-    path = _mass_path(eta, a, STEPS)
-    assert len(path) == len(STEPS)
-    for t, moved in zip(STEPS, path):
-        one = perturb_measure(eta, a, t)
-        assert moved.masses.tobytes() == one.masses.tobytes()
-        assert moved.kind is one.kind is eta.kind
+        dirs = [rng.uniform(-1.0, 1.0, 7) for _ in range(3)]
+    path, kinds = _mass_path(eta, dirs, STEPS)
+    assert path.shape == (len(dirs), len(STEPS), 7)
+    assert kinds == (eta.kind,) * len(dirs)
+    for a, moved in zip(dirs, path):
+        for t, masses_t in zip(STEPS, moved):
+            one = perturb_measure(eta, a, t)
+            assert masses_t.tobytes() == one.masses.tobytes()
+            assert one.kind is eta.kind
 
 
 def test_mass_path_refuses_the_first_step_too_large():
@@ -147,8 +150,24 @@ def test_mass_path_refuses_the_first_step_too_large():
     with pytest.raises(DomainError) as one:
         perturb_measure(eta, a, -0.6)
     with pytest.raises(DomainError) as path:
-        _mass_path(eta, a, [0.1, -0.6, 0.7])
+        _mass_path(eta, [a], [0.1, -0.6, 0.7])
     assert str(path.value) == str(one.value)
+    # over a stack, the first offending (direction, t) in that order
+    with pytest.raises(DomainError) as stack:
+        _mass_path(eta, [[0.5, 0.0], a, [4.0, 0.0]], [0.1, -0.6, 0.7])
+    assert str(stack.value) == str(one.value)
+
+
+def test_mass_path_raises_the_measure_error_of_the_first_refused_step():
+    # a direction centered within TOL_CENTERED moves the total mass by
+    # t times its integral, which a long step takes past TOL_PROB_MASS
+    eta = prob([0.0, 1.0], [0.5, 0.5])
+    a = np.array([1.0 + 1e-10, -1.0])
+    with pytest.raises(DomainError, match="total mass") as one:
+        perturb_measure(eta, a, 0.5)
+    with pytest.raises(DomainError) as stack:
+        _mass_path(eta, [[0.5, -0.5], a], [0.01, 0.5, -0.5])
+    assert str(stack.value) == str(one.value)
 
 
 def test_mass_path_warns_once_and_demotes_every_measure():
@@ -156,14 +175,16 @@ def test_mass_path_warns_once_and_demotes_every_measure():
     with pytest.warns(MeasureKindWarning) as one:
         perturb_measure(eta, [1.0, 0.0], 0.1)
     def walk():  # callers reach the path through a function of their own
-        return _mass_path(eta, [1.0, 0.0], [0.1, -0.1, 0.2])
+        return _mass_path(eta, [[1.0, 0.0], [0.5, -0.5], [0.0, 1.0]],
+                          [0.1, -0.1, 0.2])
 
     with pytest.warns(MeasureKindWarning) as path:
-        moved = walk()
+        _, kinds = walk()
     assert len(one) == len(path) == 1
     assert str(path[0].message) == str(one[0].message)
     assert path[0].filename == one[0].filename == __file__
-    assert all(m.kind is MeasureKind.POSITIVE_FINITE for m in moved)
+    assert kinds == (MeasureKind.POSITIVE_FINITE, MeasureKind.PROBABILITY,
+                     MeasureKind.POSITIVE_FINITE)
 
 
 def test_grid_validation():

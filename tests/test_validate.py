@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -19,9 +20,9 @@ from semiinfo import (
 )
 from semiinfo.engines import expect, outcome_law, structural_functions
 from semiinfo import validate
-from semiinfo.errors import DomainError
+from semiinfo.errors import DomainError, EvaluationError
 from semiinfo.likelihood import _stacked_parameter_score as stacked_parameter_score
-from semiinfo.measure import center, perturb_measure
+from semiinfo.measure import center, perturb_measure, require_centered
 from semiinfo.validate import (FD_ORDER_STEP, FD_ORDER_WINDOW,
                                FD_STEP_DEFAULT, fd_order_ok)
 
@@ -269,7 +270,7 @@ def test_adjoint_check_scores_each_state_in_one_product(monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["score", "operator"])
-def test_adjoint_check_calls_f_dot_once_per_moved_state(family):
+def test_adjoint_check_calls_f_dot_once_for_all_moved_states(family):
     model = zoo.build("missing_cov")
     calls = []
 
@@ -285,9 +286,26 @@ def test_adjoint_check_calls_f_dot_once_per_moved_state(family):
     b = _admissible(rng, c, s.eta)
     calls.clear()
     check_adjoint_identity(law, c, s, which, b, sf=sf)
-    # the base state reads the law's f_dot; each of the six moved states
-    # calls it once, on the law's table
-    assert calls == [len(law.outcomes)] * 6
+    # the base state reads the law's f_dot; the six moved states share
+    # one call on the law's table tiled six times
+    assert calls == [6 * len(law.outcomes)]
+
+
+def test_the_suite_calls_f_dot_once_for_its_adjoint_batch():
+    model = zoo.build("missing_cov")
+    calls = []
+
+    def f_dot(x, table):
+        calls.append(len(table[0]))
+        return model.components.f_dot(x, table)
+
+    c = dataclasses.replace(model.components, f_dot=f_dot)
+    suite_for_model(dataclasses.replace(model, components=c), seed=318)
+    n = len(model.exact.outcomes)
+    pairs = (c.p + validate.SUITE_OP_DIRS) * validate.SUITE_PAIRS
+    # the law's stacked evaluation, the 6 moved states of every adjoint
+    # pair in one call, then the centering check's law and its batch
+    assert calls == [n, 6 * pairs * n, n, 6 * validate.SUITE_PAIRS * n]
 
 
 @pytest.mark.parametrize("family", ["score", "operator"])
@@ -317,9 +335,9 @@ def test_adjoint_check_applies_no_l_on_a_law_with_representers(family):
 def test_the_suite_applies_l_twice_per_law(monkeypatch):
     # Each law applies L once for its weights (the log density) and once
     # for its representers; a mean-zero model's centering check adds a
-    # second law. Each of score_fd's 3 outcomes x 2 directions, a law of
-    # one outcome, applies L once for its score and once per log density
-    # of its six moved states.
+    # second law. score_fd reads its 3 outcomes' representers from the
+    # law, and applies L once to the log densities of all 3 x 2 x 6
+    # (outcome, moved state) rows.
     build, calls, want = zoo.build, Counter(), Counter()
 
     def counting_build(model_id, **params):
@@ -328,7 +346,7 @@ def test_the_suite_applies_l_twice_per_law(monkeypatch):
         if ell is None:
             return model
         laws = 2 if model.components.tangent is TangentKind.L2_ZERO else 1
-        want[model_id] = 2 * laws + 3 * 2 * 7
+        want[model_id] = 2 * laws + 1
 
         def counting(vals, table):
             calls[model_id] += 1
@@ -340,21 +358,21 @@ def test_the_suite_applies_l_twice_per_law(monkeypatch):
     monkeypatch.setattr(zoo, "build", counting_build)
     run_suite(seed=318)
     assert calls == want
-    assert sum(calls.values()) == 178
+    assert sum(calls.values()) == 14
 
 
 def test_the_suite_calls_r_dot_once_per_law(monkeypatch):
     # Each law calls r_dot once into its stacks, and the parameter-score
     # adjoint checks read it there; a mean-zero model's centering check
-    # adds a second law, and each of score_fd's 3 outcomes x 2
-    # directions is a law of one outcome.
+    # adds a second law. score_fd scores its outcomes from the law's
+    # stacks and calls r, not r_dot, on its moved states.
     build, calls, want = zoo.build, Counter(), Counter()
 
     def counting_build(model_id, **params):
         model = build(model_id, **params)
         r_dot = model.components.r_dot
         laws = 2 if model.components.tangent is TangentKind.L2_ZERO else 1
-        want[model_id] = laws + 3 * 2
+        want[model_id] = laws
 
         def counting(theta, table):
             calls[model_id] += 1
@@ -366,5 +384,161 @@ def test_the_suite_calls_r_dot_once_per_law(monkeypatch):
     monkeypatch.setattr(zoo, "build", counting_build)
     run_suite(seed=318)
     assert calls == want
-    assert want == {"cox_rc": 7, "cox_cs": 7, "recurrent_transform": 7,
-                    "kaplan_meier": 7, "mixture": 8, "missing_cov": 8}
+    assert want == {"cox_rc": 1, "cox_cs": 1, "recurrent_transform": 1,
+                    "kaplan_meier": 1, "mixture": 2, "missing_cov": 2}
+
+
+def _same_result(batched, one):
+    assert batched.name == one.name
+    assert batched.max_discrepancy == one.max_discrepancy
+    assert batched.tolerance == one.tolerance
+    assert batched.context.keys() == one.context.keys()
+    for key, value in one.context.items():
+        assert batched.context[key] == value, key
+
+
+@pytest.mark.parametrize("model_id, params", BUILDS, ids=[
+    mid + "".join(f"-{key}={value}" for key, value in kw.items())
+    for mid, kw in BUILDS])
+def test_batched_checks_equal_the_one_pair_checks(model_id, params):
+    model = zoo.build(model_id, **params)
+    c, s = model.components, model.state
+    law, sf = _law_and_sf(c, s, model)
+    rng = np.random.default_rng(7)
+    families = list(range(c.p)) + [_admissible(rng, c, s.eta)
+                                   for _ in range(validate.SUITE_OP_DIRS)]
+    pairs = [(which, _admissible(rng, c, s.eta)) for which in families
+             for _ in range(validate.SUITE_PAIRS)]
+    batched = validate._adjoint_identities(law, c, s, pairs,
+                                           FD_STEP_DEFAULT, sf)
+    assert len(batched) == len(pairs)
+    for (which, b), res in zip(pairs, batched):
+        _same_result(res, check_adjoint_identity(law, c, s, which, b, sf=sf))
+
+    order = np.argsort(law.weights)[::-1][:validate.SUITE_OUTCOMES]
+    fd_pairs = [(int(i), _admissible(rng, c, s.eta)) for i in order
+                for _ in range(2)]
+    batched = validate._score_fds(
+        c, s, (law.outcomes, law.table, law.stacked), fd_pairs,
+        FD_STEP_DEFAULT)
+    assert len(batched) == len(fd_pairs)
+    for (i, a), res in zip(fd_pairs, batched):
+        _same_result(res, check_score_fd(c, s, law.outcomes[i], a))
+
+
+MEAN_ZERO_BUILDS = [(mid, kw) for mid, kw in BUILDS
+                    if zoo.build(mid, **kw).components.tangent
+                    is TangentKind.L2_ZERO]
+
+
+@pytest.mark.parametrize("model_id, params", MEAN_ZERO_BUILDS, ids=[
+    mid + "".join(f"-{key}={value}" for key, value in kw.items())
+    for mid, kw in MEAN_ZERO_BUILDS])
+def test_the_centering_batch_equals_its_one_pair_checks(model_id, params):
+    model = zoo.build(model_id, **params)
+    c, s = model.components, model.state
+    eta = s.eta
+    a = center(np.linspace(-1.0, 1.0, eta.size), eta).values
+    res = check_centering_construction(model.exact, c, s, a, 0.1, seed=4)
+    # the moved state and the draws of check_centering_construction
+    eta_t = perturb_measure(eta, a, 0.1)
+    s_t = ModelState(s.theta, eta_t)
+    a_t = center(a, eta_t).values
+    law_t, sf_t = _law_and_sf(c, s_t, model)
+    rng = np.random.default_rng(np.random.SeedSequence(4))
+    bs = [center(rng.uniform(-1.0, 1.0, eta.size), eta_t).values
+          for _ in range(validate.SUITE_PAIRS)]
+    batched = validate._adjoint_identities(law_t, c, s_t,
+                                           [(a_t, b) for b in bs],
+                                           FD_STEP_DEFAULT, sf_t)
+    ones = [check_adjoint_identity(law_t, c, s_t, a_t, b, sf=sf_t)
+            for b in bs]
+    for one, batch in zip(ones, batched):
+        _same_result(batch, one)
+    assert res.context["richardson_ratios"] == [
+        one.context["richardson_ratio"] for one in ones]
+    assert res.max_discrepancy == max(one.max_discrepancy / one.tolerance
+                                      for one in ones)
+
+
+def _faulty_draws(monkeypatch, faults):
+    """Have the suite's k-th draw of a direction replaced by
+    ``faults[k](drawn)``; return the list of replaced values, in order."""
+    draw, count, replaced = validate._admissible, itertools.count(), []
+
+    def admissible(rng, eta, tangent):
+        value = draw(rng, eta, tangent)
+        k = next(count)
+        if k in faults:
+            value = faults[k](value)
+            replaced.append(value)
+        return value
+
+    monkeypatch.setattr(validate, "_admissible", admissible)
+    return replaced
+
+
+# The suite's draws on mixture (p = 1): 0 and 1 are the operator
+# directions, 2-13 the adjoint pairs' b (families score[0], the two
+# operator directions, 4 each), 14-19 score_fd's directions (2 for each
+# of its 3 outcomes). Each test also faults a later pair at a stage that
+# comes earlier in a pass, so it pins that the first pair in suite order
+# decides the error.
+def test_a_batch_names_the_first_uncentered_pairing_direction(monkeypatch):
+    model = zoo.build("mixture")
+    replaced = _faulty_draws(monkeypatch, {4: lambda b: b + 0.5,
+                                           9: lambda b: b - 2.0})
+    with pytest.raises(DomainError) as err:
+        suite_for_model(model, seed=318)
+    with pytest.raises(DomainError) as want:
+        require_centered(replaced[0], model.state.eta, "pairing direction")
+    assert str(err.value) == str(want.value)
+
+
+def test_a_batch_names_the_first_step_too_long(monkeypatch):
+    # max|b| = 600: the h steps are fine, the order probe's 2e-3 is not
+    model = zoo.build("mixture")
+    replaced = _faulty_draws(monkeypatch, {
+        5: lambda b: b * (600.0 / np.max(np.abs(b))),
+        9: lambda b: b + 0.5})
+    with pytest.raises(DomainError, match="nonpositive masses") as err:
+        suite_for_model(model, seed=318)
+    with pytest.raises(DomainError) as want:
+        perturb_measure(model.state.eta, replaced[0], FD_ORDER_STEP)
+    assert str(err.value) == str(want.value)
+
+
+def test_a_batch_names_the_first_score_component_out_of_range(monkeypatch):
+    model = zoo.build("mixture")
+    _faulty_draws(monkeypatch, {0: lambda a: np.int64(3),
+                                11: lambda b: b + 0.5})
+    with pytest.raises(DomainError) as err:
+        suite_for_model(model, seed=318)
+    assert str(err.value) == "score component 3 outside range(1)"
+
+
+def test_a_batch_names_the_first_outcome_with_a_nan_log_density(monkeypatch):
+    # f is NaN off the state's x at the second and third most probable
+    # outcomes, so only score_fd's moved log densities see it
+    model = zoo.build("mixture")
+    c, s = model.components, model.state
+    law = outcome_law(model.exact, c, s)
+    order = np.argsort(law.weights)[::-1]
+    x0 = law.stacked.x[:, 0]
+    table = model.exact.table
+    nan_rows = [int(i) for i in order[1:3]]
+
+    def f(x, tab):
+        value = np.array(c.f(x, tab), dtype=float)
+        for i in nan_rows:
+            hit = np.all([col == table[j][i] for j, col in enumerate(tab)],
+                         axis=0)
+            value[hit & (x != x0[i])] = np.nan
+        return value
+
+    broken = dataclasses.replace(model, components=dataclasses.replace(c, f=f))
+    _faulty_draws(monkeypatch, {18: lambda a: a + 0.5})
+    with pytest.raises(EvaluationError) as err:
+        suite_for_model(broken, seed=318)
+    assert str(err.value) == (
+        f"log density is NaN at observation {law.outcomes[nan_rows[0]]!r}")

@@ -137,6 +137,12 @@ CONFIGS = dict(
             "missing_cov": {"zero_cell": True},
             "mixture": NONPARAMETRIC,
             "recurrent_transform": {"transform": "identity"}})),
+        # A coarser finite-difference step, and refined grids: these pin
+        # the batched finite-difference checks where the step and the
+        # number of outcomes and grid points differ from seed 318's.
+        ("validate-318-h1e-3", validate(318, h=1e-3)),
+        ("validate-318-grids", validate(318, params={
+            "cox_cs": {"m": 20}, "mixture": {"m": 30}})),
         ("paramcheck-spd4-p2", paramcheck(2)),
         # The build options no line above analyzes: a dead grid cell
         # (log mass -inf, which L must select rather than multiply), a
