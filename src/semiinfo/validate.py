@@ -6,29 +6,23 @@ only approximation used here; every FD-based check therefore carries an
 order-of-convergence probe (halving the step must divide the error by
 about four) so a failing identity cannot hide behind step-size error.
 
-The finite-difference checks run one pass per law. A model's adjoint
-checks, (p + 2) score families times SUITE_PAIRS pairing directions,
-are one batch (:func:`_adjoint_identities`), and so are the centering
-check's pairs and the score checks of the model's most probable
-outcomes (:func:`_score_fds`). A batch reads g, g_dot, f_dot, r_dot
-and the representers of L from the law's own evaluation: the mass path
-through b moves only the masses, and components take
-``(theta, table, points)`` and ``(theta, table)``, so these serve the
-base state and all six perturbed states of the three central
-differences. One vectorized walk of the mass path moves the masses
-along every direction; the adjoint batch calls f_dot once, on the
-law's table tiled over all its moved states, scores each state's
-outcomes in one stacked product and sums every pair's g Bb and three
-central differences in one mean over the law; the score batch calls
-r, f and L once each on its (outcome, moved state) rows. On an exact
-law each result is, bit for bit, that of its pair alone (a sampled
-law's mean is one matrix product over all the batch's columns):
-:func:`check_adjoint_identity` and :func:`check_score_fd` are the
-one-pair cases, and a batch that raises reruns its pairs one at a time,
-so it raises what the first offending pair raises.
+The finite-difference checks share one core and run one pass per law.
+A model's adjoint checks, the centering check's pairs and its score
+checks are each one batch (:func:`_adjoint_identities`,
+:func:`_score_fds`). A batch walks the mass path once for all its
+directions (:func:`_walk`) and reads g, g_dot, f_dot, r_dot and L's
+representers from the law's evaluation, which the walk does not move.
+One builder (:func:`_fd_result`) makes each pair's result from its
+central differences and exact reference, and one summary
+(:func:`_summary`) takes the worst of a list of results, a NaN
+included. On an exact law each result is, bit for bit, that of its
+pair alone: :func:`check_adjoint_identity` and :func:`check_score_fd`
+are the one-pair cases, and a batch that raises raises what its first
+offending pair raises alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,12 +100,45 @@ def _first_error(batch, pairs):
     raise failure
 
 
-def _fd_steps(h):
-    """The three central-difference steps (h, then the order probe's
-    FD_ORDER_STEP and its half) and the six mass-path steps at +-each,
-    in that order."""
-    steps = (h, FD_ORDER_STEP, FD_ORDER_STEP / 2.0)
-    return steps, [sign * step for step in steps for sign in (1.0, -1.0)]
+def _walk(components, state, pairs, what, h):
+    """``(directions, moved, central)`` of a batch: the pairs' (P, m)
+    directions, checked for the tangent space (centered on a mean-zero
+    one, so that the state's check covers every moved state; ``what``
+    names them), the (P, 6, m) masses at +-h, +-FD_ORDER_STEP and +-half
+    it, in that order, and the map of a direction's (6, k) values at its
+    moved states to their (3, k) central differences."""
+    check_state(components, state)
+    eta = state.eta
+    directions = np.array([
+        require_centered(a, eta, what)
+        if components.tangent is TangentKind.L2_ZERO
+        else as_values(a, eta.size) for _, a in pairs])
+    steps = np.array([h, FD_ORDER_STEP, FD_ORDER_STEP / 2.0])
+    moved = _mass_path(eta, directions,
+                       [sign * step for step in steps for sign in (1.0, -1.0)])
+    spans = 2.0 * steps[:, np.newaxis]
+
+    def central(values):
+        return (values[0::2] - values[1::2]) / spans
+
+    return directions, moved[0], central
+
+
+def _fd_result(name, reference, fds, h, scale, others=(), **head):
+    """One pair's PropertyResult from its central differences ``fds`` at
+    a walk's steps and the exact ``reference`` they approximate: context
+    ``head`` then the order probe's; the largest of ``others`` and the
+    error at h (NaN if any is) against FD_TOL_FACTOR * scale * h**2."""
+    fd_error, order_err, order_err_half = [abs(float(v) - reference)
+                                           for v in fds]
+    head.update(fd_error=fd_error, order_error=order_err,
+                order_error_half=order_err_half,
+                richardson_ratio=(float(order_err / order_err_half)
+                                  if order_err_half > 0.0 else np.inf),
+                h=float(h), h_order=FD_ORDER_STEP, scale=scale)
+    return PropertyResult(name, max((*others, fd_error),
+                                    key=lambda v: (math.isnan(v), v)),
+                          FD_TOL_FACTOR * scale * h * h, context=head)
 
 
 def _recentered(a, eta, weights):
@@ -173,11 +200,9 @@ def _adjoint_identities(law, components: ModelComponents, state: ModelState,
                         pairs, h: float, sf) -> list:
     """The adjoint identity of :func:`check_adjoint_identity` for each
     (score family, pairing direction b) of ``pairs``, all on one law, in
-    one pass: every b walks the mass path in one vectorized step; a
-    family's adjoint values and base-state scores are computed once for
-    its run of consecutive pairs (pairs whose family is the same
-    object); f_dot is called once, on the law's table tiled over the 6P
-    moved states; and one mean over the law sums the 4P columns (g Bb
+    one pass: a family's adjoint values and base-state scores serve its
+    run of consecutive pairs (the same object), one f_dot call serves
+    the 6P moved states, and one mean over the law the 4P columns (g Bb
     and three central differences per pair)."""
     return _first_error(
         lambda batch: _adjoint_pass(law, components, state, batch, h, sf),
@@ -186,22 +211,15 @@ def _adjoint_identities(law, components: ModelComponents, state: ModelState,
 
 def _adjoint_pass(law, components, state, pairs, h, sf):
     eta = state.eta
-    bs = np.array([as_values(b, eta.size) for _, b in pairs])
-    if components.tangent is TangentKind.L2_ZERO:
-        for bv in bs:
-            require_centered(bv, eta, "pairing direction")
-    steps, ts = _fd_steps(h)
-    moved = _mass_path(eta, bs, ts)[0]
-    # b is centered on a mean-zero tangent, so no moved measure is
-    # demoted: each moved state passes check_state when the state does.
-    check_state(components, state)
+    bs, moved, central = _walk(components, state, pairs,
+                               "pairing direction", h)
     families = []
     for k, (which, _) in enumerate(pairs):
         if k == 0 or which is not pairs[k - 1][0]:
             family = _score_family(components, sf, law, eta, which)
         families.append(family)
-    t1 = np.sum(np.array([adj for _, adj, _ in families]) * bs * eta.masses,
-                axis=1)
+    t1s = np.sum(np.array([adj for _, adj, _ in families]) * bs * eta.masses,
+                 axis=1)
 
     stacked = law.stacked
     n, _, d = stacked.gv.shape
@@ -210,52 +228,29 @@ def _adjoint_pass(law, components, state, pairs, h, sf):
                                   for column in law.table)
     x = np.matmul(flat[:, np.newaxis, np.newaxis], stacked.gv)
     fds = _at_x(components, "f_dot", x.reshape(-1, d), table)
-    fds = fds.reshape(len(pairs), len(ts), n, d)
+    fds = fds.reshape(moved.shape[:2] + (n, d))
 
     rows = np.empty((n, 4 * len(pairs)))
     for k, ((_, _, scores), bv) in enumerate(zip(families, bs)):
         if k == 0 or scores is not families[k - 1][2]:
             g0 = scores(eta.masses[np.newaxis], [stacked.fd])[0]
-        g = scores(moved[k], fds[k])
+        g = np.array(scores(moved[k], fds[k]))
         bb = _measure_scores(law.outcomes, stacked,
                              _column(eta.masses, bv))[:, 0]
         rows[:, 4 * k] = g0 * bb
-        for i, step in enumerate(steps):
-            rows[:, 4 * k + 1 + i] = (g[2 * i] - g[2 * i + 1]) / (2.0 * step)
+        rows[:, 4 * k + 1:4 * k + 4] = central(g).T
     sums = _law_mean(law, rows)
-    return [_adjoint_result(label, float(t1[k]), sums[4 * k:4 * k + 4], h)
-            for k, (label, _, _) in enumerate(families)]
-
-
-def _adjoint_result(label, t1, sums, h):
-    """The PropertyResult of one pair from its adjoint pairing t1 and its
-    four sums over the law: E[g Bb] and the three central differences."""
-    t2 = float(sums[0])
-    t3, fd_order, fd_order_half = (-float(v) for v in sums[1:])
-    order_err = abs(fd_order - t2)
-    order_err_half = abs(fd_order_half - t2)
-
-    scale = max(1.0, abs(t1), abs(t2))
-    exact_pair = abs(t1 - t2)
-    fd_error = abs(t3 - t2)
-    ratio = order_err / order_err_half if order_err_half > 0.0 else np.inf
-    max_disc = max(exact_pair, fd_error, abs(t3 - t1))
-    ctx = {
-        "score": label,
-        "t1_adjoint_pairing": t1,
-        "t2_expectation": t2,
-        "t3_finite_difference": t3,
-        "exact_pair": exact_pair,
-        "fd_error": fd_error,
-        "order_error": order_err,
-        "order_error_half": order_err_half,
-        "richardson_ratio": float(ratio),
-        "h": float(h),
-        "h_order": FD_ORDER_STEP,
-        "scale": scale,
-    }
-    return PropertyResult("adjoint_identity", max_disc,
-                          FD_TOL_FACTOR * scale * h * h, context=ctx)
+    results = []
+    for k, (label, _, _) in enumerate(families):
+        t1, t2 = float(t1s[k]), float(sums[4 * k])
+        fd = [-float(v) for v in sums[4 * k + 1:4 * k + 4]]
+        exact_pair = abs(t1 - t2)
+        results.append(_fd_result(
+            "adjoint_identity", t2, fd, h, max(1.0, abs(t1), abs(t2)),
+            (exact_pair, abs(fd[0] - t1)), score=label,
+            t1_adjoint_pairing=t1, t2_expectation=t2,
+            t3_finite_difference=fd[0], exact_pair=exact_pair))
+    return results
 
 
 def check_adjoint_identity(engine, components: ModelComponents,
@@ -282,40 +277,53 @@ def check_adjoint_identity(engine, components: ModelComponents,
 
 def fd_order_ok(fd_error: float, fd_error_half: float, scale: float = 1.0,
                 exact_pair: float = 0.0) -> bool:
-    """Whether a halved step shows second-order convergence.
-
-    Passes vacuously when both errors sit at the resolution limit: the
-    roundoff floor, or the identity's own exact-pair gap (nonzero for
-    constructions whose outcome law carries a tiny normalization
-    deficit), below which the FD error is h-independent by nature.
-    """
-    floor = max(FD_ORDER_FLOOR * max(1.0, scale), 4.0 * exact_pair)
-    if fd_error <= floor and fd_error_half <= floor:
-        return True
-    if fd_error_half <= 0.0:
-        return False
-    ratio = fd_error / fd_error_half
-    return FD_ORDER_WINDOW[0] <= ratio <= FD_ORDER_WINDOW[1]
+    """Whether a halved step shows second-order convergence:
+    :func:`_order_distance` is 0."""
+    return _order_distance(fd_error, fd_error_half, scale, exact_pair) == 0.0
 
 
 def _order_distance(fd_error: float, fd_error_half: float,
                     scale: float = 1.0, exact_pair: float = 0.0) -> float:
-    """0.0 when the order probe is satisfied, else the distance of the
-    halving ratio from the admissible window."""
-    if fd_order_ok(fd_error, fd_error_half, scale, exact_pair):
+    """0.0 when a halved step shows second-order convergence, else the
+    distance of the halving ratio from the admissible window (inf when
+    the halved error is 0, NaN when an error is). Both errors at the
+    resolution limit pass vacuously: the roundoff floor, or the
+    identity's own exact-pair gap (nonzero where the law carries a tiny
+    normalization deficit), below which the FD error is h-independent."""
+    floor = max(FD_ORDER_FLOOR * max(1.0, scale), 4.0 * exact_pair)
+    if fd_error <= floor and fd_error_half <= floor:
         return 0.0
     if fd_error_half <= 0.0:
         return np.inf
     ratio = fd_error / fd_error_half
     lo, hi = FD_ORDER_WINDOW
+    if lo <= ratio <= hi:
+        return 0.0
     return float(lo - ratio) if ratio < lo else float(ratio - hi)
+
+
+def _summary(results) -> tuple:
+    """The worst of a list of finite-difference results: the largest
+    exact-pair gap (0 where none), discrepancy over tolerance and
+    :func:`_order_distance`, and the first Richardson ratio at that
+    distance. Each is ``np.max``'s, so a NaN anywhere is the summary's."""
+    ctxs = [res.context for res in results]
+    worst = np.array([(ctx.get("exact_pair", 0.0),
+                       res.max_discrepancy / res.tolerance,
+                       _order_distance(ctx["order_error"],
+                                       ctx["order_error_half"], ctx["scale"],
+                                       ctx.get("exact_pair", 0.0)))
+                      for res, ctx in zip(results, ctxs)])
+    gap, fd, order = np.max(worst, axis=0).tolist()
+    return gap, fd, order, ctxs[int(np.argmax(worst[:, 2]))]["richardson_ratio"]
 
 
 def check_score_fd(components: ModelComponents, state: ModelState, o, a,
                    h: float = FD_STEP_DEFAULT) -> PropertyResult:
     """The measure score at one outcome against a central difference of
     the log density along the mass path through the direction: the
-    one-pair case of :func:`_score_fds`."""
+    one-pair case of :func:`_score_fds`. An outcome of probability zero
+    (log density -inf) raises :class:`DomainError`."""
     return _score_fds(components, state,
                       ((o,),) + _evaluate_one(components, state, o),
                       [(0, a)], h)[0]
@@ -323,15 +331,11 @@ def check_score_fd(components: ModelComponents, state: ModelState, o, a,
 
 def _score_fds(components: ModelComponents, state: ModelState, evaluation,
                pairs, h: float) -> list:
-    """:func:`check_score_fd` for each (outcome, direction) of ``pairs``,
-    in one pass. ``evaluation`` is ``(outcomes, table, stacked)``,
-    outcomes with their table and stacked evaluation at the state, and
-    each pair names its outcome by its row there. The analytic score is
-    the outcome's stacked row times the direction. The mass path moves
-    only the masses, so that row's g serves every log density along it:
-    the six moved measures of every direction come from one walk, and
-    one r, f and L call each scores the 6P rows of (outcome, moved
-    state)."""
+    """:func:`check_score_fd` for each (outcome, direction) of ``pairs``
+    in one pass, each pair naming its outcome by its row in
+    ``evaluation``, ``(outcomes, table, stacked)`` at the state. That
+    row's g serves every log density along the mass path, and one r, f
+    and L call each scores the 6P rows of (outcome, moved state)."""
     return _first_error(
         lambda batch: _score_fd_pass(components, state, evaluation, batch, h),
         pairs)
@@ -339,47 +343,28 @@ def _score_fds(components: ModelComponents, state: ModelState, evaluation,
 
 def _score_fd_pass(components, state, evaluation, pairs, h):
     eta = state.eta
-    check_state(components, state)
-    if components.tangent is TangentKind.L2_ZERO:
-        dirs = [require_centered(a, eta, "tangent direction")
-                for _, a in pairs]
-    else:
-        dirs = [as_values(a, eta.size) for _, a in pairs]
+    dirs, moved, central = _walk(components, state, pairs,
+                                 "tangent direction", h)
     outcomes, table, stacked = evaluation
     analytic = np.array([
         _measure_scores((outcomes[i],), _Outcome._make(
             None if field is None else field[i:i + 1] for field in stacked),
             _column(eta.masses, av))[0, 0]
         for (i, _), av in zip(pairs, dirs)])
-    steps, ts = _fd_steps(h)
-    moved = _mass_path(eta, np.array(dirs), ts)[0]
-    rows = np.repeat([i for i, _ in pairs], len(ts))
+    rows = np.repeat([i for i, _ in pairs], moved.shape[1])
     densities = _log_density(
         components, state, [outcomes[i] for i in rows],
         type(table)._make(column[rows] for column in table),
         stacked.gv[rows], moved.reshape(-1, eta.size))
-    plus, minus = np.moveaxis(densities.reshape(len(pairs), len(steps), 2),
-                              2, 0)
-    errs = np.abs(analytic[:, np.newaxis]
-                  - (plus - minus) / (2.0 * np.array(steps)))
-    results = []
-    for value, (err, order_err, order_err_half) in zip(analytic, errs):
-        scale = max(1.0, abs(float(value)))
-        ctx = {
-            "analytic": float(value),
-            "fd_error": float(err),
-            "order_error": float(order_err),
-            "order_error_half": float(order_err_half),
-            "richardson_ratio": (float(order_err / order_err_half)
-                                 if order_err_half > 0.0 else np.inf),
-            "h": float(h),
-            "h_order": FD_ORDER_STEP,
-            "scale": scale,
-        }
-        results.append(PropertyResult("score_fd", err,
-                                      FD_TOL_FACTOR * scale * h * h,
-                                      context=ctx))
-    return results
+    dead = np.isneginf(densities)
+    if dead.any():
+        raise DomainError(f"log density is -inf at observation "
+                          f"{outcomes[rows[np.argmax(dead)]]!r}: an outcome "
+                          "of probability zero has no finite difference")
+    fds = central(densities.reshape(moved.shape[:2]).T).T
+    return [_fd_result("score_fd", float(value), fd, h,
+                       max(1.0, abs(float(value))), analytic=float(value))
+            for value, fd in zip(analytic, fds)]
 
 
 def check_centering_construction(engine, components: ModelComponents,
@@ -409,21 +394,15 @@ def check_centering_construction(engine, components: ModelComponents,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     bs = [center(rng.uniform(-1.0, 1.0, eta.size), eta_t).values
           for _ in range(SUITE_PAIRS)]
-    worst = 0.0
-    ratios = []
-    all_orders_ok = True
-    for res in _adjoint_identities(law_t, components, state_t,
-                                   [(a_t, b) for b in bs], h, sf_t):
-        worst = max(worst, res.max_discrepancy / res.tolerance)
-        ratios.append(res.context["richardson_ratio"])
-        all_orders_ok = all_orders_ok and fd_order_ok(
-            res.context["order_error"], res.context["order_error_half"],
-            res.context["scale"], res.context["exact_pair"])
+    results = _adjoint_identities(law_t, components, state_t,
+                                  [(a_t, b) for b in bs], h, sf_t)
+    _, worst, order, _ = _summary(results)
     ctx = {
         "t": float(t),
         "h": float(h),
-        "richardson_ratios": [float(r) for r in ratios],
-        "orders_ok": bool(all_orders_ok),
+        "richardson_ratios": [float(res.context["richardson_ratio"])
+                              for res in results],
+        "orders_ok": order == 0.0,
     }
     return PropertyResult("centering_construction", worst, 1.0, context=ctx)
 
@@ -486,20 +465,8 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
         score_list.append(_admissible(rng, eta, tangent))
     pairs = [(which, _admissible(rng, eta, tangent))
              for which in score_list for _ in range(SUITE_PAIRS)]
-    exact_pair = 0.0
-    fd_norm = 0.0
-    order_dist = 0.0
-    worst_ratio = None
-    for res in _adjoint_identities(law, c, s, pairs, h, sf):
-        exact_pair = max(exact_pair, res.context["exact_pair"])
-        fd_norm = max(fd_norm, res.max_discrepancy / res.tolerance)
-        dist = _order_distance(res.context["order_error"],
-                               res.context["order_error_half"],
-                               res.context["scale"],
-                               res.context["exact_pair"])
-        if worst_ratio is None or dist > order_dist:
-            worst_ratio = res.context["richardson_ratio"]
-        order_dist = max(order_dist, dist)
+    exact_pair, fd_norm, order_dist, worst_ratio = _summary(
+        _adjoint_identities(law, c, s, pairs, h, sf))
     add("adjoint_exact_pair", exact_pair, EXACT_PAIR_TOL)
     add("adjoint_identity_fd", fd_norm, 1.0)
     add("adjoint_identity_order", order_dist, 0.0, worst_ratio=worst_ratio)
@@ -507,15 +474,8 @@ def suite_for_model(model, *, seed: int = SUITE_SEED_DEFAULT,
     order = np.argsort(law.weights)[::-1][:SUITE_OUTCOMES]
     fd_pairs = [(int(idx), _admissible(rng, eta, tangent))
                 for idx in order for _ in range(2)]
-    score_fd_norm = 0.0
-    score_order = 0.0
-    for res in _score_fds(c, s, (law.outcomes, law.table, law.stacked),
-                          fd_pairs, h):
-        score_fd_norm = max(score_fd_norm,
-                            res.max_discrepancy / res.tolerance)
-        score_order = max(score_order, _order_distance(
-            res.context["order_error"], res.context["order_error_half"],
-            res.context["scale"]))
+    _, score_fd_norm, score_order, _ = _summary(_score_fds(
+        c, s, (law.outcomes, law.table, law.stacked), fd_pairs, h))
     add("score_fd", score_fd_norm, 1.0)
     add("score_fd_order", score_order, 0.0)
 

@@ -238,7 +238,8 @@ def invertibility_conditions(model):
     sel = model.extras["selection"]
     weights = s.eta.masses
 
-    sf = structural_functions(model.exact, c, s)
+    law = model.exact.law(c, s)
+    sf = structural_functions(law, c, s)
     min_sel = min(sel.values())
     gamma_min = float(np.min(sf.gamma))
     cond_a = {
@@ -280,10 +281,10 @@ def invertibility_conditions(model):
         diagnostics["failing"] = failing
         return False, diagnostics
 
-    fisher = fisher_information(model.exact, c, s)
+    fisher = fisher_information(law, c, s)
     adjoint = adjoint_of_score(sf, s.eta, c.tangent)
     lfd = least_favorable_direction(sf, s.eta, c.tangent, adjoint)
-    eff = efficient_information(model.exact, c, s, lfd.values, adjoint, fisher)
+    eff = efficient_information(law, c, s, lfd.values, adjoint, fisher)
     eig, rank = _spectrum(eff.by_adjoint)
     diagnostics["efficient_information"] = {
         "holds": rank == eig.size,

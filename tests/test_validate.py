@@ -41,6 +41,9 @@ def test_fd_order_ok_window():
     assert fd_order_ok(3e-12, 1e-12)
     # a measured exact-pair gap lifts the floor
     assert fd_order_ok(3e-9, 3e-9, exact_pair=1e-9)
+    # a NaN error is no order, and its distance from the window is NaN
+    assert not fd_order_ok(np.nan, 1e-6)
+    assert np.isnan(validate._order_distance(np.nan, 1e-6))
 
 
 def test_adjoint_identity_on_toy_models():
@@ -542,3 +545,92 @@ def test_a_batch_names_the_first_outcome_with_a_nan_log_density(monkeypatch):
         suite_for_model(broken, seed=318)
     assert str(err.value) == (
         f"log density is NaN at observation {law.outcomes[nan_rows[0]]!r}")
+
+
+def _nan_result(res):
+    """``res`` as a check that computed NaN: its discrepancy and every
+    float of its context."""
+    ctx = {key: np.nan if isinstance(value, float) else value
+           for key, value in res.context.items()}
+    return PropertyResult(res.name, np.nan, res.tolerance, context=ctx)
+
+
+def _nan_in_batch(monkeypatch, call, k):
+    """Have the ``call``-th adjoint batch return NaN as its k-th result."""
+    batch, count = validate._adjoint_identities, itertools.count()
+
+    def adjoint_identities(*args):
+        results = batch(*args)
+        if next(count) == call:
+            results[k] = _nan_result(results[k])
+        return results
+
+    monkeypatch.setattr(validate, "_adjoint_identities", adjoint_identities)
+
+
+def test_a_nan_adjoint_result_fails_the_suite(monkeypatch):
+    # Python's max(0.0, nan) is 0.0: folded that way, the NaN pair
+    # would leave all three aggregates passing.
+    model = zoo.build("cox_cs")
+    clean = {r.name: r for r in suite_for_model(model, seed=318)}
+    _nan_in_batch(monkeypatch, 0, 2)
+    results = suite_for_model(model, seed=318)
+    nan = {"adjoint_exact_pair", "adjoint_identity_fd",
+           "adjoint_identity_order"}
+    for res in results:
+        if res.name.split(":", 1)[1] in nan:
+            assert not res.passed and np.isnan(res.max_discrepancy), res.name
+        else:
+            assert res == clean[res.name]
+    order = next(r for r in results if r.name.endswith("adjoint_identity_order"))
+    assert np.isnan(order.context["worst_ratio"])
+
+
+def test_a_nan_pair_fails_the_centering_check(monkeypatch):
+    model = zoo.build("mixture")
+    eta = model.state.eta
+    a = center(np.linspace(-1.0, 1.0, eta.size), eta).values
+    _nan_in_batch(monkeypatch, 0, 1)
+    res = check_centering_construction(model.exact, model.components,
+                                       model.state, a, 0.1, seed=4)
+    assert not res.passed and np.isnan(res.max_discrepancy)
+    assert res.context["orders_ok"] is False
+
+
+def _zero_weight_outcomes(model_id, params):
+    model = zoo.build(model_id, **params)
+    law = outcome_law(model.exact, model.components, model.state)
+    return [(model_id, params, obs) for obs, weight in law.pairs
+            if weight == 0.0]
+
+
+ZERO_WEIGHT = (_zero_weight_outcomes("missing_cov", {"zero_cell": True})
+               + _zero_weight_outcomes("kaplan_meier",
+                                       {"zero_mass_point": True}))
+
+
+@pytest.mark.parametrize("model_id, params, obs", ZERO_WEIGHT,
+                         ids=[repr(obs) for _, _, obs in ZERO_WEIGHT])
+def test_score_fd_refuses_an_outcome_of_probability_zero(model_id, params,
+                                                         obs):
+    # Its log density is -inf at the state and along the mass path, so a
+    # central difference would subtract -inf from -inf.
+    model = zoo.build(model_id, **params)
+    c, s = model.components, model.state
+    law = outcome_law(model.exact, c, s)
+    a = _admissible(np.random.default_rng(2), c, s.eta)
+    want = (f"log density is -inf at observation {obs!r}: an outcome of "
+            "probability zero has no finite difference")
+    with pytest.raises(DomainError) as err:
+        check_score_fd(c, s, obs, a)
+    assert str(err.value) == want
+    # in a batch, after the most probable outcome
+    pairs = [(int(np.argmax(law.weights)), a), (law.outcomes.index(obs), a)]
+    with pytest.raises(DomainError) as err:
+        validate._score_fds(c, s, (law.outcomes, law.table, law.stacked),
+                            pairs, FD_STEP_DEFAULT)
+    assert str(err.value) == want
+
+
+def test_both_builds_have_outcomes_of_probability_zero():
+    assert len(ZERO_WEIGHT) == 8

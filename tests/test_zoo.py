@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,25 @@ def test_missing_cov_condition_checks():
     ok, diag = invertibility_conditions(
         zoo.build("missing_cov", degenerate_z=True))
     assert not ok and "cell_information" in diag["failing"]
+
+
+def test_missing_cov_conditions_build_one_outcome_law():
+    # The structural functions, the Fisher information and the efficient
+    # information read one law at the build state; r and f enter only its
+    # weights.
+    model = zoo.build("missing_cov")
+    c, calls = model.components, []
+
+    def counted(name):
+        def component(*args):
+            calls.append(name)
+            return getattr(c, name)(*args)
+        return component
+
+    counting = dataclasses.replace(model, components=dataclasses.replace(
+        c, r=counted("r"), f=counted("f")))
+    assert invertibility_conditions(counting) == invertibility_conditions(model)
+    assert calls == ["r", "f"]
 
 
 def test_missing_cov_full_selection_trivializes():

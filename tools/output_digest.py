@@ -19,6 +19,14 @@ commands it covers every output file, in name order, with the line
 holding the report's `timestamp` dropped. The `paramcheck` config reads
 a fixed symmetric positive definite matrix that the script first writes
 into its temporary directory.
+
+The last line, `validate-pairs-318`, is not a CLI config. It is the
+digest of the repr of every result of the one-pair checks
+(`check_adjoint_identity`, `check_score_fd` and
+`check_centering_construction`) over the six default builds, with
+directions drawn from a generator seeded with 318, so that each pair's
+context is pinned, not only the suite's aggregates. Its exit code is 1
+when any of those checks fails.
 """
 import os
 
@@ -36,7 +44,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+import numpy as np  # noqa: E402
+
+from semiinfo import (TangentKind, check_adjoint_identity,  # noqa: E402
+                      check_centering_construction, check_score_fd, zoo)
 from semiinfo.cli import main as cli_main  # noqa: E402
+from semiinfo.engines import outcome_law, structural_functions  # noqa: E402
+from semiinfo.measure import center  # noqa: E402
 from semiinfo.serialize import write_matrix_csv  # noqa: E402
 
 # The paramcheck matrix, written as SPD_CSV into the temporary directory.
@@ -188,6 +202,45 @@ def run(name, cfg, tmp):
     return code, output_digest(cfg, out)
 
 
+def pair_results(seed):
+    """Every result of the one-pair checks on each default build: the
+    adjoint identity of each parameter-score component and of one
+    measure-score direction, the score check at the three most probable
+    outcomes and, on a mean-zero tangent, the centering check at t = 0.1,
+    each with directions drawn in that order from one generator."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for model_id in ZOO:
+        model = zoo.build(model_id)
+        c, s = model.components, model.state
+
+        def draw():
+            raw = rng.uniform(-1.0, 1.0, s.eta.size)
+            return (center(raw, s.eta).values
+                    if c.tangent is TangentKind.L2_ZERO else raw)
+
+        law = outcome_law(model.exact, c, s)
+        sf = structural_functions(law, c, s)
+        for which in list(range(c.p)) + [draw()]:
+            results.append(check_adjoint_identity(law, c, s, which, draw(),
+                                                  sf=sf))
+        for i in np.argsort(law.weights)[::-1][:3]:
+            results.append(check_score_fd(c, s, law.outcomes[i], draw()))
+        if c.tangent is TangentKind.L2_ZERO:
+            results.append(check_centering_construction(law, c, s, draw(),
+                                                        0.1, seed=seed))
+    return results
+
+
+def pairs_digest(seed):
+    """``(exit code, sha256)`` of the repr of :func:`pair_results`, one
+    result per line."""
+    results = pair_results(seed)
+    text = "".join(f"{res!r}\n" for res in results)
+    code = 0 if all(res.passed for res in results) else 1
+    return code, hashlib.sha256(text.encode()).hexdigest()
+
+
 def main():
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
@@ -196,7 +249,9 @@ def main():
             code, digest = run(name, cfg, tmp)
             print(f"{name} {code} {digest}", flush=True)
             failed = failed or code != 0
-    return 1 if failed else 0
+    code, digest = pairs_digest(318)
+    print(f"validate-pairs-318 {code} {digest}", flush=True)
+    return 1 if failed or code != 0 else 0
 
 
 if __name__ == "__main__":
