@@ -2,16 +2,21 @@
 
 Matrices travel as CSV with a shape comment line and shortest
 round-trip float representations, so read + write reproduces the file
-byte for byte.  JSON reports are sorted-key, newline-terminated, and
-free of bare NaN/Infinity tokens.  All writes go through a temp file in
-the target directory followed by an atomic rename.
+byte for byte.  Each distinct double of a matrix, keyed by its 64 bits,
+is formatted once and its text reused: equal bits give equal text, and
+values that compare equal but differ in bits (-0.0 and 0.0, NaNs with
+different payloads) are formatted apart, so the bytes are those of
+formatting every entry.  JSON reports are sorted-key,
+newline-terminated, and free of bare NaN/Infinity tokens.  All writes
+go through a UTF-8 temp file with Unix line ends in the target
+directory, created with the mode a plain ``open(path, "w")`` would
+give, followed by an atomic rename.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -23,9 +28,12 @@ SCHEMA_VERSION = 1
 def atomic_write_text(path, text: str) -> None:
     """Write text to path via a same-directory temp file and rename."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # Mode 0o666 leaves the umask to set the final mode, as open(path, "w")
+    # does; O_EXCL never opens a file that is already there.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -47,9 +55,12 @@ def matrix_to_csv_text(mat) -> str:
         arr = arr[:, np.newaxis]
     if arr.ndim != 2:
         raise ConfigError(f"matrix CSV needs a 1-d or 2-d array, got ndim={arr.ndim}")
-    # repr of the Python floats of tolist() is format_float's text.
+    # Keyed by bits, not value, so -0.0 and 0.0 keep their own text.
+    bits, where = np.unique(arr.ravel().view(np.uint64), return_inverse=True)
+    texts = np.array([format_float(x) for x in bits.view(np.float64).tolist()],
+                     dtype=object)
     lines = [f"# {arr.shape[0]},{arr.shape[1]}"]
-    lines += [",".join(map(repr, row)) for row in arr.tolist()]
+    lines += map(",".join, texts[where].reshape(arr.shape).tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,12 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
-from semiinfo import analyze_model, run_suite, zoo
+from semiinfo import analyze_model, run_suite, serialize, zoo
+from semiinfo.engines import outcome_law, structural_functions
 from semiinfo.errors import ConfigError
 from semiinfo.serialize import (
     SCHEMA_VERSION,
@@ -26,12 +28,48 @@ def test_matrix_csv_text_matches_format_float_per_element():
                123456789.0, 2.0 ** 53, 1e-300, 1.0 / 3.0]
     mat = np.concatenate([special, rng.normal(size=37) *
                           np.exp(rng.normal(size=37) * 20)]).reshape(5, 10)
-    for arr in (mat, mat[:, 0], mat[:, :0]):
+    # Two quiet NaNs with different payloads and a negative NaN: three
+    # bit patterns that each print as 'nan'.
+    nans = np.array([0x7FF8000000000001, 0x7FF8000000000002,
+                     0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    repeated = np.tile([0.1, -2.5, 0.1, 7.0], (6, 3))
+    zeros = np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]])
+    specials = np.array([[np.inf, -np.inf, 5e-324, -5e-324],
+                         [2.2250738585072009e-308, -1e-310, np.inf, 1e-320]])
+    cases = (mat, mat[:, 0], mat[:, :0], repeated, zeros, nans,
+             np.concatenate([nans, nans[::-1], [0.0, np.nan]]).reshape(2, 4),
+             specials, mat.T, np.asfortranarray(mat), mat[::2, 1::3],
+             mat[0, ::3], np.arange(-6, 6, dtype=np.int64).reshape(3, 4),
+             np.array([[0.1, 1.0 / 3.0, -2.5e-40, 3e38],
+                       [1e-45, -0.0, 7.0, 0.1]], dtype=np.float32),
+             np.zeros((4, 0)), np.zeros((0, 3)),
+             np.zeros((0, 0)))
+    for arr in cases:
         rows = arr[:, np.newaxis] if arr.ndim == 1 else arr
         want = "".join(
             [f"# {rows.shape[0]},{rows.shape[1]}\n"] +
             [",".join(format_float(v) for v in row) + "\n" for row in rows])
         assert matrix_to_csv_text(arr) == want
+
+
+def test_kappa_formats_each_distinct_double_once(monkeypatch):
+    # On cox_cs, kappa(v, u) depends only on max(u, v): m distinct doubles
+    # among the m * m entries of the matrix the analyze command writes.
+    model = zoo.build("cox_cs", m=100)
+    c, s = model.components, model.state
+    kappa = structural_functions(outcome_law(model.exact, c, s), c, s).kappa
+    want = "".join(["# 100,100\n"] + [
+        ",".join(format_float(v) for v in row) + "\n" for row in kappa])
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return format_float(x)
+
+    monkeypatch.setattr(serialize, "format_float", counting)
+    assert matrix_to_csv_text(kappa) == want
+    assert kappa.size == 10_000
+    assert len(calls) == 100
 
 
 def test_matrix_round_trip_is_byte_identical(tmp_path):
@@ -127,6 +165,20 @@ def test_atomic_write_leaves_no_droppings(tmp_path):
     atomic_write_text(target, "hello\n")
     assert target.read_text() == "hello\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "plain.txt", "w") as handle:
+            handle.write("x\n")
+        atomic_write_text(tmp_path / "atomic.txt", "x \u00e9\n")
+    finally:
+        os.umask(umask)
+    plain, atomic = (stat.S_IMODE((tmp_path / name).stat().st_mode)
+                     for name in ("plain.txt", "atomic.txt"))
+    assert atomic == plain == 0o644
+    assert (tmp_path / "atomic.txt").read_bytes() == "x \u00e9\n".encode("utf-8")
 
 
 def test_report_to_dict_keys():

@@ -9,6 +9,12 @@ bit-identical outputs must print the same lines. Each line is
 ``<config> <exit code> <sha256>``. The script exits 1 when any config
 exits nonzero (a config error, or a `validate` check that fails).
 
+Each matrix CSV a config writes (`gamma`, `kappa`, `adjoint_score`,
+`lfd` and `efficient_info`; `influence.csv` is not one) is also read
+back with `read_matrix_csv` and written out again with
+`matrix_to_csv_text`. The script names on stderr each file whose bytes
+differ, and exits 1; its printed lines do not change.
+
 BLAS is pinned to one thread before numpy is imported, as in the
 benchmark: output bytes depend on the BLAS thread count (`analyze` on
 `mixture` m=400 writes different bytes with one thread than with two).
@@ -51,7 +57,8 @@ from semiinfo import (TangentKind, check_adjoint_identity,  # noqa: E402
 from semiinfo.cli import main as cli_main  # noqa: E402
 from semiinfo.engines import outcome_law, structural_functions  # noqa: E402
 from semiinfo.measure import center  # noqa: E402
-from semiinfo.serialize import write_matrix_csv  # noqa: E402
+from semiinfo.serialize import (matrix_to_csv_text,  # noqa: E402
+                                read_matrix_csv, write_matrix_csv)
 
 # The paramcheck matrix, written as SPD_CSV into the temporary directory.
 SPD_4X4 = ((4.0, 1.0, 0.5, 0.25),
@@ -59,6 +66,9 @@ SPD_4X4 = ((4.0, 1.0, 0.5, 0.25),
            (0.5, 0.5, 2.0, 0.25),
            (0.25, 0.125, 0.25, 1.5))
 SPD_CSV = "spd-4x4.csv"
+
+MATRIX_CSVS = ("gamma.csv", "kappa.csv", "adjoint_score.csv", "lfd.csv",
+               "efficient_info.csv")
 
 ZOO = ("cox_rc", "cox_cs", "recurrent_transform", "kaplan_meier", "mixture",
        "missing_cov")
@@ -188,6 +198,23 @@ def output_digest(cfg, out):
     return digest.hexdigest()
 
 
+def round_trips(out):
+    """Whether every matrix CSV in ``out`` reads back and writes out again
+    as the same bytes; names each one that does not on stderr."""
+    ok = True
+    for name in MATRIX_CSVS:
+        path = os.path.join(out, name)
+        if not os.path.exists(path):
+            continue
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if matrix_to_csv_text(read_matrix_csv(path)).encode() != data:
+            print(f"{os.path.basename(out)}/{name}: does not round-trip",
+                  file=sys.stderr)
+            ok = False
+    return ok
+
+
 def run(name, cfg, tmp):
     if cfg["command"] == "paramcheck":
         cfg = dict(cfg, paramcheck=dict(
@@ -199,7 +226,7 @@ def run(name, cfg, tmp):
     out = os.path.join(tmp, name)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli_main(["--config", path, "--out", out])
-    return code, output_digest(cfg, out)
+    return code, output_digest(cfg, out), round_trips(out)
 
 
 def pair_results(seed):
@@ -246,9 +273,9 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         write_matrix_csv(os.path.join(tmp, SPD_CSV), SPD_4X4)
         for name, cfg in CONFIGS.items():
-            code, digest = run(name, cfg, tmp)
+            code, digest, ok = run(name, cfg, tmp)
             print(f"{name} {code} {digest}", flush=True)
-            failed = failed or code != 0
+            failed = failed or code != 0 or not ok
     code, digest = pairs_digest(318)
     print(f"validate-pairs-318 {code} {digest}", flush=True)
     return 1 if failed or code != 0 else 0
