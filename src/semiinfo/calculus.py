@@ -80,10 +80,11 @@ from .likelihood import (
     _directions,
     _evaluate_one,
     _measure_scores,
+    _tangent,
     check_state,
     score_operator,
 )
-from .measure import DiscreteMeasure, require_centered
+from .measure import DiscreteMeasure
 from .operators import (
     KernelOperator,
     SolveResult,
@@ -437,10 +438,7 @@ def nonparametric_influence(engine, components: ModelComponents,
             "influence for measure functionals requires a model with no "
             "parametric part; profile theta first"
         )
-    if components.tangent is TangentKind.L2_ZERO:
-        chi_vec = require_centered(chi_dot, state.eta, "functional derivative")
-    else:
-        chi_vec = np.asarray(chi_dot, dtype=float)
+    chi_vec = _tangent(components, state, chi_dot, "functional derivative")
     eta, tangent = state.eta, components.tangent
     law = outcome_law(engine, components, state)
     factored, score_mean = _outcome_factorization(

@@ -26,7 +26,9 @@ representer would meet log 0 = -inf at a zero mass and give NaN.
 
 On a probability measure the tangent space is the mean-zero subspace of
 L2(eta) and directions fed to B must be centered; on a positive finite
-measure it is all of L2(eta).
+measure it is all of L2(eta). One gate admits every direction: a single
+one passes :func:`_tangent`, the columns of an array :func:`_directions`,
+and on a mean-zero tangent space both apply ``measure.require_centered``.
 
 Each component is called once per law, on its outcome table: the
 outcomes' namedtuple type built with one (N,) array per field
@@ -64,7 +66,6 @@ from .errors import DimensionError, DomainError, EvaluationError
 from .measure import (
     DiscreteMeasure,
     MeasureKind,
-    TOL_CENTERED,
     as_values,
     require_centered,
 )
@@ -303,6 +304,17 @@ def _stacked_parameter_score(outcomes, masses: np.ndarray, fd: np.ndarray,
     return _finite_rows(outcomes, score, "parameter score")
 
 
+def _tangent(components: ModelComponents, state: ModelState, a,
+             what: str) -> np.ndarray:
+    """The values of one tangent direction a at the state: a vector of
+    the grid's length, centered under eta on a mean-zero tangent space
+    (``what`` names it in an error)."""
+    av = as_values(a, state.eta.size)
+    if components.tangent is TangentKind.L2_ZERO:
+        require_centered(av, state.eta, what)
+    return av
+
+
 def _directions(components: ModelComponents, state: ModelState,
                 directions):
     """Check an (m, k) array of tangent directions, one per column (on a
@@ -316,14 +328,7 @@ def _directions(components: ModelComponents, state: ModelState,
             f"directions must have shape ({eta.size}, k), got {arr.shape}"
         )
     if components.tangent is TangentKind.L2_ZERO:
-        means = eta.masses @ arr
-        off = np.flatnonzero(np.abs(means) > TOL_CENTERED)
-        if off.size:
-            j = int(off[0])
-            raise DomainError(
-                f"tangent direction {j} must be centered under eta; "
-                f"integral is {float(means[j])!r} (tolerance {TOL_CENTERED})"
-            )
+        require_centered(arr, eta, "tangent direction")
     return arr, eta.masses[:, np.newaxis] * arr
 
 
@@ -395,10 +400,7 @@ def score_matrix(components: ModelComponents, state: ModelState, obs,
                  directions) -> np.ndarray:
     """Measure scores (B a_j)(o) for the k columns a_j of an (m, k)
     array, shape (k,): :func:`joint_score` without the parameter score.
-
-    For a mean-zero tangent space every column must be centered under
-    the state's measure (checked numerically).
-    """
+    The columns are admitted by :func:`_directions`."""
     return joint_score(components, state, obs, directions)[components.p:]
 
 
@@ -414,16 +416,10 @@ def joint_score(components: ModelComponents, state: ModelState, obs,
 
 
 def score_operator(components: ModelComponents, state: ModelState, obs, a) -> float:
-    """Measure score (B a)(o) in the tangent direction a.
-
-    For a mean-zero tangent space the direction must be centered under
-    the state's measure (checked numerically).
-    """
+    """Measure score (B a)(o) in the tangent direction a, admitted by
+    :func:`_tangent`."""
     check_state(components, state)
-    if components.tangent is TangentKind.L2_ZERO:
-        av = require_centered(a, state.eta, "tangent direction")
-    else:
-        av = as_values(a, state.eta.size)
+    av = _tangent(components, state, a, "tangent direction")
     one = _evaluate_one(components, state, obs)[1]
     return float(_measure_scores((obs,), one,
                                  _column(state.eta.masses, av))[0, 0])

@@ -6,7 +6,8 @@ lives in L2(eta) for a finite discrete measure eta on grid points
 values on the grid; the inner product is ``<a, b> = sum_i a_i b_i w_i``
 with ``w`` the masses of eta. Probability measures additionally carry the
 mean-zero (centered) subspace, the tangent space of perturbations that
-keep total mass one.
+keep total mass one. Every direction that enters a mean-zero tangent
+space passes the one centering test, :func:`require_centered`.
 
 Tolerances are module constants so calling code can tighten or relax them
 in one place.
@@ -211,13 +212,25 @@ def is_centered(a, eta: DiscreteMeasure) -> bool:
 
 
 def require_centered(a, eta: DiscreteMeasure, what: str = "direction") -> np.ndarray:
-    """Return the values of ``a`` after checking mean zero under eta."""
-    av = as_values(a, eta.size)
-    mu = float(np.sum(av * eta.masses))
-    if abs(mu) > TOL_CENTERED:
+    """Return the values of ``a`` after checking mean zero under eta: one
+    direction, or each column of an (m, k) array, the first off-centre
+    column named by its index."""
+    if np.ndim(a) == 2:
+        av = np.asarray(a, dtype=float)
+        if av.shape[0] != eta.size:
+            raise DimensionError(
+                f"directions must have shape ({eta.size}, k), got {av.shape}")
+        means = eta.masses @ av
+    else:
+        av = as_values(a, eta.size)
+        means = np.sum(av * eta.masses)[np.newaxis]
+    off = np.flatnonzero(np.abs(means) > TOL_CENTERED)
+    if off.size:
+        j = int(off[0])
+        name = f"{what} {j}" if av.ndim == 2 else what
         raise DomainError(
-            f"{what} must be centered under eta; integral is {mu!r} "
-            f"(tolerance {TOL_CENTERED})"
+            f"{name} must be centered under eta; integral is "
+            f"{float(means[j])!r} (tolerance {TOL_CENTERED})"
         )
     return av
 

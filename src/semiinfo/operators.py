@@ -15,11 +15,14 @@ reduced system above ``SIGMA_MIN_REL_TOL`` times the largest and returns
 the min-norm least squares solution on them, which is the direct solution
 when the system has full rank.
 
-Every decision on a symmetric matrix reads its spectrum at one cut,
-``EIGEN_REL_CUT`` times the largest eigenvalue. A singular or near
-singular block (condition number above 1e10) is refused by name where it
-is inverted and is not invertible in the verdict; a matrix with an
-eigenvalue below minus the cut is indefinite, and ``paramcheck`` refuses it.
+Every eigenvalue decision on a symmetric matrix reads its spectrum at
+one cut, ``EIGEN_REL_CUT`` (1e-10) times the largest eigenvalue. The
+solve's truncation is a second cut, ``SIGMA_MIN_REL_TOL`` (1e-8) times
+the largest singular value; no code path reads both ranks of one
+matrix. A singular or near singular block (condition number above 1e10)
+is refused by name where it is inverted and is not invertible in the
+verdict; a matrix with an eigenvalue below minus the cut is indefinite,
+and ``paramcheck`` refuses it.
 
 A measure computes its mean-zero basis (one SVD) once, on first use.
 An operator builds its dense matrix once and factors its reduced system

@@ -35,9 +35,8 @@ from .errors import DomainError, SemiinfoError
 from .likelihood import (ModelComponents, ModelState, TangentKind, _Outcome,
                          _at_x, _column, _evaluate_one, _log_density,
                          _measure_scores, _stacked_parameter_score,
-                         check_state)
-from .measure import (TOL_CENTERED, DiscreteMeasure, _mass_path, as_values,
-                      center, perturb_measure, require_centered)
+                         _tangent, check_state)
+from .measure import _mass_path, center, perturb_measure, require_centered
 from .operators import apply
 
 FD_STEP_DEFAULT = 1e-4
@@ -102,17 +101,16 @@ def _first_error(batch, pairs):
 
 def _walk(components, state, pairs, what, h):
     """``(directions, moved, central)`` of a batch: the pairs' (P, m)
-    directions, checked for the tangent space (centered on a mean-zero
-    one, so that the state's check covers every moved state; ``what``
-    names them), the (P, 6, m) masses at +-h, +-FD_ORDER_STEP and +-half
-    it, in that order, and the map of a direction's (6, k) values at its
-    moved states to their (3, k) central differences."""
+    directions, each checked by ``likelihood._tangent`` (centered on a
+    mean-zero tangent space, so that the state's check covers every
+    moved state; ``what`` names them), the (P, 6, m) masses at +-h,
+    +-FD_ORDER_STEP and +-half it, in that order, and the map of a
+    direction's (6, k) values at its moved states to their (3, k)
+    central differences."""
     check_state(components, state)
     eta = state.eta
-    directions = np.array([
-        require_centered(a, eta, what)
-        if components.tangent is TangentKind.L2_ZERO
-        else as_values(a, eta.size) for _, a in pairs])
+    directions = np.array([_tangent(components, state, a, what)
+                           for _, a in pairs])
     steps = np.array([h, FD_ORDER_STEP, FD_ORDER_STEP / 2.0])
     moved = _mass_path(eta, directions,
                        [sign * step for step in steps for sign in (1.0, -1.0)])
@@ -141,21 +139,7 @@ def _fd_result(name, reference, fds, h, scale, others=(), **head):
                           FD_TOL_FACTOR * scale * h * h, context=head)
 
 
-def _recentered(a, eta, weights):
-    """``a`` centered under each of S measures on eta's grid whose masses
-    are the rows of the (S, m) ``weights``, as ``center`` then
-    ``require_centered`` give it one measure at a time."""
-    values = a - np.sum(a * weights, axis=1)[:, np.newaxis]
-    off = np.abs(np.sum(values * weights, axis=1)) > TOL_CENTERED
-    if off.any():
-        k = int(np.argmax(off))
-        require_centered(values[k], DiscreteMeasure(eta.grid, weights[k],
-                                                     eta.kind),
-                         "tangent direction")
-    return values
-
-
-def _score_family(components, sf, law, eta, which_score):
+def _score_family(components, sf, law, state, which_score):
     """Resolve the scrutinized score into (label, adjoint values on the
     grid, scorer), once for all of its pairing directions.
 
@@ -168,7 +152,7 @@ def _score_family(components, sf, law, eta, which_score):
     and r_dot, in the arithmetic of ``score_theta`` and
     ``score_operator``.
     """
-    tangent = components.tangent
+    eta, tangent = state.eta, components.tangent
     outcomes, stacked = law.outcomes, law.stacked
     if isinstance(which_score, (int, np.integer)):
         j = int(which_score)
@@ -182,12 +166,10 @@ def _score_family(components, sf, law, eta, which_score):
 
         return f"score[{j}]", adjoint_of_score(sf, eta, tangent)[:, j], scores
 
-    a = as_values(which_score, eta.size)
-    if tangent is TangentKind.L2_ZERO:
-        require_centered(a, eta, "operator direction")
+    a = _tangent(components, state, which_score, "operator direction")
 
     def scores(weights, fds):
-        values = (_recentered(a, eta, weights)
+        values = (a - np.sum(a * weights, axis=1)[:, np.newaxis]
                   if tangent is TangentKind.L2_ZERO else [a] * len(weights))
         return [_measure_scores(outcomes, stacked._replace(fd=fd),
                                 _column(w, v))[:, 0]
@@ -216,7 +198,7 @@ def _adjoint_pass(law, components, state, pairs, h, sf):
     families = []
     for k, (which, _) in enumerate(pairs):
         if k == 0 or which is not pairs[k - 1][0]:
-            family = _score_family(components, sf, law, eta, which)
+            family = _score_family(components, sf, law, state, which)
         families.append(family)
     t1s = np.sum(np.array([adj for _, adj, _ in families]) * bs * eta.masses,
                  axis=1)

@@ -23,6 +23,7 @@ positive definite full-data outcome information within every coarsening
 cell, and a positive definite efficient information as the conclusion.
 """
 from collections import namedtuple
+from numbers import Real
 
 import numpy as np
 
@@ -56,7 +57,8 @@ def build(theta=(0.2, -0.3), zero_cell=False, degenerate_z=False,
     within-cell information condition. ``selection`` overrides the
     selection probabilities, either as a mapping keyed by (y, cell)
     tuples or by "y,cell" strings, or as a single number applied to
-    every cell (1.0 recovers the fully observed model).
+    every cell (1.0 recovers the fully observed model). Each is a real
+    number in [0, 1]; a bool or a string is refused.
     """
     zero_cell = require_flag("zero_cell", zero_cell)
     degenerate_z = require_flag("degenerate_z", degenerate_z)
@@ -82,17 +84,18 @@ def build(theta=(0.2, -0.3), zero_cell=False, degenerate_z=False,
     ncells = int(np.max(cells)) + 1
     if selection is not None:
         if np.isscalar(selection):
-            sel = {key: float(selection) for key in sel}
-        else:
-            sel = dict(sel)
-            for key, val in dict(selection).items():
-                if isinstance(key, str):
-                    y, cell = (int(part) for part in key.split(","))
-                else:
-                    y, cell = (int(part) for part in key)
-                if (y, cell) not in sel:
-                    raise ValueError(f"no coarsening cell ({y}, {cell})")
-                sel[(y, cell)] = float(val)
+            selection = dict.fromkeys(sel, selection)
+        for key, val in dict(selection).items():
+            if isinstance(key, str):
+                y, cell = (int(part) for part in key.split(","))
+            else:
+                y, cell = (int(part) for part in key)
+            if (y, cell) not in sel:
+                raise ValueError(f"no coarsening cell ({y}, {cell})")
+            if isinstance(val, bool) or not isinstance(val, Real):
+                raise ValueError(f"selection probability for ({y}, {cell}) "
+                                 f"must be a number, got {val!r}")
+            sel[(y, cell)] = float(val)
         for key, val in sel.items():
             if not 0.0 <= val <= 1.0:
                 raise ValueError(

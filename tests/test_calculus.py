@@ -25,7 +25,7 @@ from semiinfo import (
     zoo,
 )
 from semiinfo.engines import StructuralFunctions
-from semiinfo.errors import DomainError
+from semiinfo.errors import DimensionError, DomainError
 from semiinfo.likelihood import TangentKind, score_operator
 from semiinfo.measure import center, inner_product
 from semiinfo.operators import centered_basis
@@ -285,6 +285,22 @@ def test_influence_requires_centered_derivative():
     with pytest.raises(DomainError):
         nonparametric_influence(model.exact, model.components, model.state,
                                 np.ones(model.state.eta.size))
+
+
+@pytest.mark.parametrize("model_id, params", [
+    ("kaplan_meier", {}), ("mixture", {"parametric": False})],
+    ids=["l2", "l2_zero"])
+@pytest.mark.parametrize("extra_rows, cols", [(0, (2,)), (0, (1,)), (1, ())],
+                         ids=["m_by_2", "m_by_1", "m_plus_1"])
+def test_influence_refuses_a_misshapen_derivative(model_id, params,
+                                                  extra_rows, cols):
+    # Each tangent space takes one vector of the grid's length: a column
+    # array or a longer vector is refused by name, not by numpy.
+    model = zoo.build(model_id, **params)
+    chi_dot = np.zeros((model.state.eta.size + extra_rows,) + cols)
+    with pytest.raises(DimensionError):
+        nonparametric_influence(model.exact, model.components, model.state,
+                                chi_dot)
 
 
 def test_influence_rejects_non_finite_derivative():

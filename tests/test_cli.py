@@ -13,6 +13,7 @@ import pytest
 from semiinfo import nonparametric_influence, zoo
 from semiinfo.cli import _functional_derivative, main
 from semiinfo.errors import ConfigError
+from semiinfo.measure import center
 from semiinfo.zoo import cox_cs, mixture
 from semiinfo.operators import SIGMA_MIN_REL_TOL
 from semiinfo.serialize import read_matrix_csv, write_matrix_csv
@@ -289,6 +290,59 @@ def test_influence_zero_derivative_gives_zeros(tmp_path):
     })
     assert run(["--config", cfg, "--out", tmp_path]) == 0
     assert all(v == 0.0 for v in read_influence(tmp_path / "influence.csv"))
+
+
+@pytest.mark.parametrize("model, t", [
+    ({"id": "kaplan_meier"}, 2),
+    ({"id": "mixture", "params": {"parametric": False}}, 1.5),
+], ids=["kaplan_meier", "mixture-np"])
+def test_influence_of_a_point_mass(tmp_path, model, t):
+    # chi_dot is the indicator of the grid point at t, centered on a
+    # mean-zero tangent space, and each outcome's influence is the
+    # library's, written as its shortest repr.
+    icfg = {"functional": "point_mass_at", "t": t}
+    cfg = write_cfg(tmp_path, {"schema_version": 1, "command": "influence",
+                               "model": model, "influence": icfg})
+    assert run(["--config", cfg, "--out", tmp_path]) == 0
+    built = zoo.build(model["id"], **model.get("params", {}))
+    eta = built.state.eta
+    chi_dot = (eta.grid.points == t).astype(float)
+    assert chi_dot.sum() == 1.0
+    if model["id"] == "mixture":
+        chi_dot = center(chi_dot, eta).values
+    res = nonparametric_influence(built.exact, built.components, built.state,
+                                  chi_dot)
+    assert read_influence(tmp_path / "influence.csv") == \
+        [res.influence(o) for o in built.exact.outcomes]
+
+
+# Functional derivatives the CLI refuses, each with what its error says.
+BAD_FUNCTIONALS = [
+    ({"id": "kaplan_meier"}, {"functional": "point_mass_at", "t": 1.7},
+     "no grid point at t=1.7"),
+    ({"id": "mixture", "params": {"parametric": False}},
+     {"functional": "survival_at", "t": 1.0},
+     "survival_at applies to a cumulative-intensity measure, not a "
+     "probability measure"),
+    ({"id": "kaplan_meier"}, {"functional": "csv"},
+     "chi_dot CSV has shape (3, 2), expected (3, 1)"),
+]
+
+
+@pytest.mark.parametrize("model, icfg, message", BAD_FUNCTIONALS,
+                         ids=["point_mass_off_grid", "survival_at_probability",
+                              "csv_shape"])
+def test_bad_functionals_exit_two(tmp_path, capsys, model, icfg, message):
+    if icfg["functional"] == "csv":
+        path = tmp_path / "chi.csv"
+        write_matrix_csv(path, np.zeros((3, 2)))
+        icfg = dict(icfg, path=str(path))
+    cfg = write_cfg(tmp_path, {"schema_version": 1, "command": "influence",
+                               "model": model, "influence": icfg})
+    assert run(["--config", cfg, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and message in err
+    assert not (tmp_path / "out" / "influence.csv").exists()
 
 
 def test_influence_flags_non_regular_without_failing(tmp_path):
@@ -774,6 +828,14 @@ BAD_MODEL_PARAMS = [
      "zero_cell must be true or false, got 'false'"),
     ("missing_cov", {"degenerate_z": 1},
      "degenerate_z must be true or false, got 1"),
+    # A selection probability that is a bool or a string, which float()
+    # would read as a number, alone or as a mapping value.
+    ("missing_cov", {"selection": True},
+     "selection probability for (0, 0) must be a number, got True"),
+    ("missing_cov", {"selection": "0.5"},
+     "selection probability for (0, 0) must be a number, got '0.5'"),
+    ("missing_cov", {"selection": {"0,1": False}},
+     "selection probability for (0, 1) must be a number, got False"),
     ("cox_rc", {"duplicated_covariate": "no"},
      "duplicated_covariate must be true or false, got 'no'"),
     ("kaplan_meier", {"zero_mass_point": 0},

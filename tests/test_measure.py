@@ -75,6 +75,20 @@ def test_require_centered():
         require_centered([1.0, 0.0], eta, "test direction")
 
 
+def test_require_centered_checks_each_column():
+    # An (m, k) array passes column by column; the first off-centre
+    # column is named by its index, and a wrong row count is refused.
+    eta = prob([0.0, 1.0], [0.5, 0.5])
+    cols = np.array([[1.0, 2.0, 1.0], [-1.0, -2.0, 0.0]])
+    np.testing.assert_array_equal(require_centered(cols[:, :2], eta),
+                                  cols[:, :2])
+    with pytest.raises(DomainError, match=r"^test direction 2 must be "
+                       r"centered under eta; integral is 0\.5 "):
+        require_centered(cols, eta, "test direction")
+    with pytest.raises(DimensionError):
+        require_centered(np.zeros((3, 2)), eta)
+
+
 def test_cumulative_hand_value():
     eta = pos([1.0, 2.0, 3.0], [0.2, 0.3, 0.4])
     # inclusive at t=2: 2*0.2 + 1*0.3

@@ -202,6 +202,21 @@ def test_centered_basis_columns_are_centered():
     np.testing.assert_allclose(means, 0.0, atol=1e-14)
 
 
+def test_centered_basis_pads_dead_points_with_their_coordinates():
+    # Points 1 and 3 carry no mass: the two support columns are an
+    # L2(eta)-orthonormal basis of the mean-zero subspace on the support,
+    # and each dead point gets its raw coordinate vector.
+    eta = measure([0.5, 0.0, 0.3, 0.0, 0.2], MeasureKind.PROBABILITY)
+    basis = centered_basis(eta)
+    assert basis.shape == (5, 4)
+    live = basis[:, :2]
+    np.testing.assert_allclose(live.T @ (eta.masses[:, np.newaxis] * live),
+                               np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(eta.masses @ live, 0.0, atol=1e-14)
+    assert not live[[1, 3]].any()
+    np.testing.assert_array_equal(basis[:, 2:], np.eye(5)[:, [1, 3]])
+
+
 def make_pd(rng, n):
     a = rng.normal(size=(n, n))
     return a @ a.T + n * np.eye(n)

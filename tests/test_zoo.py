@@ -272,6 +272,57 @@ def test_missing_cov_full_selection_trivializes():
     np.testing.assert_allclose(sf.kappa, 0.0, atol=1e-12)
 
 
+def test_missing_cov_selection_mapping_sets_the_named_cells():
+    # "y,cell" strings and (y, cell) tuples name the same cell; cell 1
+    # (points 2.5 and 3.0) at selection 0.2 for both outcomes has gamma
+    # 0.2, and cell 0 keeps the default's.
+    default = zoo.build("missing_cov").references["gamma"]
+    by_text = zoo.build("missing_cov", selection={"0,1": 0.2, "1,1": 0.2})
+    by_tuple = zoo.build("missing_cov", selection={(0, 1): 0.2, (1, 1): 0.2})
+    gamma = by_text.references["gamma"]
+    np.testing.assert_array_equal(gamma, by_tuple.references["gamma"])
+    np.testing.assert_allclose(gamma[2:], 0.2, rtol=1e-14)
+    np.testing.assert_array_equal(gamma[:2], default[:2])
+    sf = structural_functions(by_text.exact, by_text.components,
+                              by_text.state)
+    assert maxabs(sf.gamma - gamma) < 1e-12
+
+
+# Selections that are no probability, each with what its error says.
+BAD_SELECTIONS = [
+    (True, "selection probability for (0, 0) must be a number, got True"),
+    ("0.5", "selection probability for (0, 0) must be a number, got '0.5'"),
+    ({"0,0": True},
+     "selection probability for (0, 0) must be a number, got True"),
+    ({(1, 1): np.bool_(False)},
+     "selection probability for (1, 1) must be a number, got "
+     f"{np.bool_(False)!r}"),
+    ({"1,0": "0.3"},
+     "selection probability for (1, 0) must be a number, got '0.3'"),
+    (float("nan"), "selection probability nan for (0, 0) outside [0, 1]"),
+    ({"1,0": float("inf")},
+     "selection probability inf for (1, 0) outside [0, 1]"),
+    ({"0,1": 1.5}, "selection probability 1.5 for (0, 1) outside [0, 1]"),
+    ({"0,1": -0.1}, "selection probability -0.1 for (0, 1) outside [0, 1]"),
+    ({"2,0": 0.1}, "no coarsening cell (2, 0)"),
+    ({(0, 2): 0.1}, "no coarsening cell (0, 2)"),
+]
+
+
+@pytest.mark.parametrize("selection, message", BAD_SELECTIONS,
+                         ids=[repr(sel) for sel, _ in BAD_SELECTIONS])
+def test_missing_cov_refuses_a_selection_that_is_no_probability(selection,
+                                                                message):
+    with pytest.raises(ConfigError) as exc:
+        zoo.build("missing_cov", selection=selection)
+    assert str(exc.value) == f"cannot build 'missing_cov': {message}"
+
+
+def test_missing_cov_refuses_both_failure_designs_at_once():
+    with pytest.raises(ConfigError, match="separate failure designs"):
+        zoo.build("missing_cov", zero_cell=True, degenerate_z=True)
+
+
 def test_cox_rc_empirical_at_risk_ratio_converges():
     # replace the two expectations in the closed-form direction by sample
     # averages; the resulting plug-in efficient score approaches the

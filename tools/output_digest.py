@@ -180,6 +180,17 @@ CONFIGS = dict(
          analyze("mixture", {"constant_kernel": True})),
         ("analyze-exact-recurrent_transform-identity",
          analyze("recurrent_transform", {"transform": "identity"})),
+        # The point-mass functional on an L2 and on a mean-zero tangent
+        # space (the default four-point mixture grid holds t=1.5), and a
+        # selection mapping keyed by a "y,cell" string.
+        ("influence-exact-kaplan_meier-point_mass",
+         influence("kaplan_meier", {}, {"functional": "point_mass_at",
+                                        "t": 2})),
+        ("influence-exact-mixture-np-point_mass",
+         influence("mixture", NONPARAMETRIC, {"functional": "point_mass_at",
+                                              "t": 1.5})),
+        ("analyze-exact-missing_cov-selection",
+         analyze("missing_cov", {"selection": {"0,1": 0.2}})),
     ])
 
 
